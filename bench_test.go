@@ -116,7 +116,6 @@ func BenchmarkE3_Table1Refinement(b *testing.B) {
 		x    core.PatternExtractor
 	}{
 		{"sql", core.SQLExtractor{}},
-		{"native", core.NativeExtractor{}},
 		{"apriori", mining.Extractor{}},
 	} {
 		b.Run(ex.name, func(b *testing.B) {
@@ -211,7 +210,7 @@ func BenchmarkE5_ThresholdSweep(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				pats, err := core.Refinement(cfg.Policy, entries, cfg.Vocab,
-					core.Options{MinSupport: f, Extractor: core.NativeExtractor{}})
+					core.Options{MinSupport: f})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -570,7 +569,7 @@ func BenchmarkE10_OrganizationScale(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				pats, err := core.Refinement(cfg.Policy, entries, cfg.Vocab,
-					core.Options{Extractor: core.NativeExtractor{}})
+					core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -933,19 +932,18 @@ func qpsSystem(b *testing.B) *System {
 }
 
 // BenchmarkE12_EnforcedQPS measures the per-query enforcement hot
-// loop: the reference interpreter (slowpath), the compiled path with
-// a cold plan cache (cold — plans and snapshot flushed every
-// iteration), and the steady state (warm), each with and without
-// consent filtering in play. The decision/* pair isolates the
-// enforcement decision layer itself (no audit log, LIMIT 0 execution)
-// — that is where the compiled snapshot pays off hardest, since
-// statement execution and audit append are identical on both paths.
+// loop: the compiled path with a cold plan cache (cold — plans and
+// snapshot flushed every iteration) and the steady state (warm), with
+// and without consent filtering in play. decision/warm isolates the
+// enforcement decision layer itself (no audit log, LIMIT 0
+// execution). The reference-interpreter rows (slowpath,
+// slowpath+consent, decision/slowpath) live with their oracle in
+// internal/hdb as BenchmarkE12_ReferenceEnforcement.
 func BenchmarkE12_EnforcedQPS(b *testing.B) {
 	const sql = `SELECT patient, referral, psychiatry FROM records WHERE patient <> 'p0'`
 	run := func(b *testing.B, sys *System, flush bool) {
 		b.Helper()
-		// Prime caches (a no-op for the slow path) so "warm" measures
-		// the steady state.
+		// Prime caches so "warm" measures the steady state.
 		if _, _, err := sys.Query("tim", "nurse", "treatment", sql); err != nil {
 			b.Fatal(err)
 		}
@@ -960,24 +958,11 @@ func BenchmarkE12_EnforcedQPS(b *testing.B) {
 			}
 		}
 	}
-	b.Run("slowpath", func(b *testing.B) {
-		sys := qpsSystem(b)
-		sys.SetEnforcementFastPath(false)
-		run(b, sys, false)
-	})
 	b.Run("cold", func(b *testing.B) {
 		run(b, qpsSystem(b), true)
 	})
 	b.Run("warm", func(b *testing.B) {
 		run(b, qpsSystem(b), false)
-	})
-	b.Run("slowpath+consent", func(b *testing.B) {
-		sys := qpsSystem(b)
-		sys.SetEnforcementFastPath(false)
-		if err := sys.SetConsent("p1", "clinical", "", OptOut, time.Now()); err != nil {
-			b.Fatal(err)
-		}
-		run(b, sys, false)
 	})
 	b.Run("warm+consent", func(b *testing.B) {
 		sys := qpsSystem(b)
@@ -991,8 +976,7 @@ func BenchmarkE12_EnforcedQPS(b *testing.B) {
 	// statement reduce the shared tail (execution + audit) to its
 	// floor, leaving parse + category analysis + policy/consent
 	// decisions as the measured quantity.
-	decide := func(b *testing.B, fast bool) {
-		b.Helper()
+	b.Run("decision/warm", func(b *testing.B) {
 		const dsql = `SELECT patient, referral, psychiatry FROM records LIMIT 0`
 		db := minidb.NewDatabase()
 		db.MustExec(`CREATE TABLE records (patient TEXT, referral TEXT, psychiatry TEXT)`)
@@ -1005,7 +989,6 @@ func BenchmarkE12_EnforcedQPS(b *testing.B) {
 		}); err != nil {
 			b.Fatal(err)
 		}
-		enf.SetFastPath(fast)
 		p := hdb.Principal{User: "tim", Role: "nurse"}
 		if _, _, err := enf.Query(p, "treatment", dsql); err != nil {
 			b.Fatal(err)
@@ -1017,9 +1000,7 @@ func BenchmarkE12_EnforcedQPS(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("decision/slowpath", func(b *testing.B) { decide(b, false) })
-	b.Run("decision/warm", func(b *testing.B) { decide(b, true) })
+	})
 }
 
 // ---- E14: symbolic policy analysis on a 100k-node vocabulary ----
@@ -1032,9 +1013,10 @@ func BenchmarkE12_EnforcedQPS(b *testing.B) {
 // symbolic compilation plus the union-cardinality sweep every
 // iteration; warm hits the generation-validated SymCache (the steady
 // state of the coverage loop); lint runs the full PL001–PL008 pass.
-// The small/{symbolic,materialized} pair is the differential floor —
-// the largest scale the ground-range oracle still handles — so the
-// speedup and its growth with vocabulary size are both recorded.
+// small/symbolic runs at the differential floor — the largest scale
+// the ground-range oracle still handles; its materialized counterpart
+// lives with the oracle in internal/core as
+// BenchmarkE14_CoverageOracle, so the speedup stays recorded.
 func BenchmarkE14_SymbolicAnalysis(b *testing.B) {
 	big := vocab.Synthetic(10, 5)
 	ps := policy.FromRules("PS",
@@ -1096,26 +1078,18 @@ func BenchmarkE14_SymbolicAnalysis(b *testing.B) {
 	sal := policy.FromRules("AL",
 		policy.MustRule(policy.T("data", "n0"), policy.T("purpose", "treatment"), policy.T("authorized", "nurse")),
 	)
-	for _, mode := range []struct {
-		name     string
-		symbolic bool
-	}{{"small/symbolic", true}, {"small/materialized", false}} {
-		b.Run("coverage/"+mode.name, func(b *testing.B) {
-			prev := core.SetSymbolicCoverage(mode.symbolic)
-			defer core.SetSymbolicCoverage(prev)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c, err := core.ComputeCoverage(sps, sal, small)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if c <= 0 || c > 1 {
-					b.Fatalf("coverage = %v", c)
-				}
+	b.Run("coverage/small/symbolic", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c, err := core.ComputeCoverage(sps, sal, small)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+			if c <= 0 || c > 1 {
+				b.Fatalf("coverage = %v", c)
+			}
+		}
+	})
 }
 
 // ---- E13: fast-path scaling under concurrent mutation ----

@@ -203,12 +203,17 @@ func runE5(seed int64, days int) error {
 		return err
 	}
 	informal, violations := sim.GroundTruth()
+	// One indexed log serves every threshold from its rule groups.
+	l := audit.NewLog("e5")
+	if err := l.Append(entries...); err != nil {
+		return err
+	}
 	fmt.Println("| f | min users | precision | recall |")
 	fmt.Println("|---|---|---|---|")
 	for _, f := range []int{5, 50, 200, 500} {
 		for _, u := range []int{1, 2} {
-			pats, err := core.Refinement(cfg.Policy, entries, cfg.Vocab, core.Options{
-				MinSupport: f, MinDistinctUsers: u, Extractor: core.NativeExtractor{},
+			pats, err := core.RefineFromLog(cfg.Policy, l, cfg.Vocab, core.Options{
+				MinSupport: f, MinDistinctUsers: u,
 			})
 			if err != nil {
 				return err

@@ -46,10 +46,15 @@ func runSweep(seed int64, days int) error {
 	fmt.Printf("threshold sweep over %d days (%d entries, %d exceptions, seed %d)\n",
 		days, st.Total, st.Exceptions, seed)
 	fmt.Println("f,min_users,patterns,precision,recall")
+	// One indexed log serves every threshold from its rule groups.
+	l := audit.NewLog("sweep")
+	if err := l.Append(entries...); err != nil {
+		return err
+	}
 	for _, f := range []int{1, 2, 5, 10, 20, 50, 100, 200, 400, 800} {
 		for _, u := range []int{1, 2, 3} {
-			pats, err := core.Refinement(cfg.Policy, entries, cfg.Vocab, core.Options{
-				MinSupport: f, MinDistinctUsers: u, Extractor: core.NativeExtractor{},
+			pats, err := core.RefineFromLog(cfg.Policy, l, cfg.Vocab, core.Options{
+				MinSupport: f, MinDistinctUsers: u,
 			})
 			if err != nil {
 				return err

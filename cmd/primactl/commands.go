@@ -243,16 +243,14 @@ func cmdRefine(args []string) error {
 }
 
 // cmdPatterns mines frequent-itemset patterns from an audit log with
-// a selectable engine (the FP-growth scale engine by default, the
-// Apriori oracle via -engine apriori). Unlike refine it does not need
-// a policy store: with -policy it prunes covered patterns, without it
-// every mined pattern prints.
+// the FP-growth engine. Unlike refine it does not need a policy store:
+// with -policy it prunes covered patterns, without it every mined
+// pattern prints.
 func cmdPatterns(args []string) error {
 	fs := flag.NewFlagSet("patterns", flag.ContinueOnError)
 	vocabFile := fs.String("vocab", "", "vocabulary file (default: paper sample)")
 	policyFile := fs.String("policy", "", "policy store file (optional: prune covered patterns)")
 	auditFile := fs.String("audit", "", "audit log file, .jsonl or .csv (required)")
-	engine := fs.String("engine", "fpgrowth", "mining engine: fpgrowth or apriori")
 	support := fs.Int("support", 5, "threshold frequency f")
 	users := fs.Int("users", 2, "minimum distinct users")
 	partial := fs.Bool("partial", false, "keep partial-width itemsets (correlations SQL misses)")
@@ -262,15 +260,6 @@ func cmdPatterns(args []string) error {
 	}
 	if *auditFile == "" {
 		return fmt.Errorf("patterns requires -audit")
-	}
-	var extractor prima.PatternExtractor
-	switch *engine {
-	case "fpgrowth":
-		extractor = prima.FPGrowthExtractor(*partial, *workers)
-	case "apriori":
-		extractor = prima.MiningExtractor(*partial)
-	default:
-		return fmt.Errorf("patterns: unknown -engine %q (want fpgrowth or apriori)", *engine)
 	}
 	v, err := loadVocab(*vocabFile)
 	if err != nil {
@@ -289,13 +278,13 @@ func cmdPatterns(args []string) error {
 	opts := prima.RefineOptions{
 		MinSupport:       *support,
 		MinDistinctUsers: *users,
-		Extractor:        extractor,
+		Extractor:        prima.FPGrowthExtractor(*partial, *workers),
 	}
 	patterns, err := prima.Refine(ps, entries, v, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("engine: %s, %d audit rows\n", *engine, len(entries))
+	fmt.Printf("%d audit rows\n", len(entries))
 	if len(patterns) == 0 {
 		fmt.Println("no frequent patterns")
 		return nil

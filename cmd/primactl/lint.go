@@ -22,7 +22,6 @@ func cmdLint(args []string) error {
 	name := fs.String("name", "PS", "policy name used in the report")
 	jsonOut := fs.Bool("json", false, "emit the report as a JSON document")
 	overbroad := fs.Float64("overbroad", 0, "PL008 threshold fraction in (0,1]; 0 = default 0.9, negative disables")
-	materialize := fs.Bool("materialize", false, "use the materializing oracle path (small vocabularies only)")
 	if err := fs.Parse(args); err != nil {
 		return &exitError{code: 2, err: err}
 	}
@@ -38,10 +37,7 @@ func cmdLint(args []string) error {
 		return &exitError{code: 2, err: err}
 	}
 
-	rep := lint.PolicyOpts(p, v, lint.Options{
-		Materialize:       *materialize,
-		OverBroadFraction: *overbroad,
-	})
+	rep := lint.PolicyOpts(p, v, lint.Options{OverBroadFraction: *overbroad})
 	if *jsonOut {
 		err = rep.WriteJSON(os.Stdout)
 	} else {

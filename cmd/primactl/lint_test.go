@@ -114,6 +114,7 @@ func TestLintUsageErrorsExitTwo(t *testing.T) {
 		{"lint", "-policy", "/no/such/file"}, // unreadable policy
 		{"lint", "-vocab", "/no/such", "-policy", clean}, // unreadable vocab
 		{"lint", "-bogus-flag"},                          // flag error
+		{"lint", "-materialize", "-policy", clean},       // removed oracle flag
 		{"lint", "-vocab", vocabFile},                    // still missing -policy
 	}
 	for _, args := range cases {

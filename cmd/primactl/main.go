@@ -8,10 +8,10 @@
 //	primactl demo table1                    reproduce the §5 / Table 1 walk-through
 //	primactl coverage -vocab V -policy P -audit A
 //	primactl refine   -vocab V -policy P -audit A [-support 5] [-users 2] [-adopt -out P']
-//	primactl patterns -audit A [-engine fpgrowth|apriori] [-policy P] [-partial]
+//	primactl patterns -audit A [-policy P] [-partial] [-workers N]
 //	primactl generalize -vocab V -policy P [-out P']
 //	primactl report   -vocab V -policy P -audit A [-title T]
-//	primactl lint     -vocab V -policy P [-json] [-overbroad F] [-materialize]
+//	primactl lint     -vocab V -policy P [-json] [-overbroad F]
 //	primactl vocab    [-file V] [-gen BxD] [-stats]  print or generate a vocabulary
 //	primactl audit recover -dir D [-site S] [-checkpoint=false] [-export out.jsonl]
 //	primactl federate serve  -listen A [-policy P [-vocab V] [-interval 5s] [-reject X]] [-export out.jsonl]

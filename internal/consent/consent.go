@@ -256,8 +256,8 @@ func (s *Store) Patients() []string {
 }
 
 // OptedOut returns the patients whose recorded choices deny the given
-// (data, purpose) access as of now; the enforcement layer uses this to
-// rewrite queries with a patient exclusion predicate.
+// (data, purpose) access as of now; the enforcement layer rewrites
+// queries with a patient exclusion predicate built from this set.
 func (s *Store) OptedOut(data, purpose string) []string {
 	return s.OptedOutAt(data, purpose, time.Now())
 }

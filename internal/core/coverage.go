@@ -11,64 +11,27 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/audit"
 	"repro/internal/policy"
 	"repro/internal/vocab"
 )
 
-// symbolicCoverage selects the evaluation strategy for ComputeCoverage,
-// EntryCoverage, and Prune. The symbolic path (default) computes
-// cardinalities over the vocabulary's interval numbering without ever
-// materializing a ground Range — mandatory at SNOMED/ICD scale, where
-// #Range is combinatorial. The materializing path is retained as the
-// differential oracle; the two agree exactly wherever the oracle can
-// run at all.
-var symbolicCoverage atomic.Bool
-
-func init() { symbolicCoverage.Store(true) }
-
-// SetSymbolicCoverage selects the symbolic (true, default) or
-// materializing (false) evaluation path, returning the previous
-// setting. The materializing path exists for differential testing and
-// for callers that need the ground rules themselves (Coverage reports).
-func SetSymbolicCoverage(on bool) bool { return symbolicCoverage.Swap(on) }
-
-// SymbolicCoverage reports which evaluation path is active.
-func SymbolicCoverage() bool { return symbolicCoverage.Load() }
-
 // ComputeCoverage is Algorithm 1: the coverage of Px in relation to
 // Py is #(Range_Px ∩ Range_Py) / #Range_Py (Definition 9). Coverage
 // of anything against an empty policy is defined as 1 (there is
-// nothing to cover). On the symbolic path both cardinalities are
-// computed from the interval algebra (policy.SymRange) without
-// materializing a single ground rule; otherwise ranges come from the
-// shared policy.RangeCache and the intersection is counted by
-// membership against the smaller range.
+// nothing to cover). Both cardinalities are computed from the
+// interval algebra (policy.SymRange) without materializing a single
+// ground rule — mandatory at SNOMED/ICD scale, where #Range is
+// combinatorial. The error result is always nil.
 func ComputeCoverage(px, py *policy.Policy, v *vocab.Vocabulary) (float64, error) {
-	if symbolicCoverage.Load() {
-		sx := policy.SharedSym.Range(px, v) // getRange(Px, V), symbolically
-		sy := policy.SharedSym.Range(py, v)
-		my := sy.Card()
-		if my == 0 {
-			return 1, nil
-		}
-		return float64(sx.IntersectCard(sy)) / float64(my), nil
-	}
-	rx, err := policy.Shared.Range(px, v, 0) // getRange(Px, V)
-	if err != nil {
-		return 0, fmt.Errorf("core: range of %s: %w", px.Name, err)
-	}
-	ry, err := policy.Shared.Range(py, v, 0) // getRange(Py, V)
-	if err != nil {
-		return 0, fmt.Errorf("core: range of %s: %w", py.Name, err)
-	}
-	my := ry.Len()
+	sx := policy.SharedSym.Range(px, v) // getRange(Px, V), symbolically
+	sy := policy.SharedSym.Range(py, v)
+	my := sy.Card()
 	if my == 0 {
 		return 1, nil
 	}
-	return float64(rx.IntersectCount(ry)) / float64(my), nil
+	return float64(sx.IntersectCard(sy)) / float64(my), nil
 }
 
 // CompleteCoverage is Definition 10: Px completely covers Py iff
@@ -191,26 +154,15 @@ type EntryReport struct {
 const entryChunkMin = 1024
 
 // EntryCoverage computes row-level coverage of the policy store over
-// an audit snapshot. On the symbolic path each row is an interval
-// probe into the store's symbolic range (no key allocation, no ground
-// range); on the materializing path rows are tested by canonical key
-// against the cached range. Large snapshots are chunked across
-// GOMAXPROCS workers and the per-chunk results merged in chunk order,
-// so Uncovered keeps the snapshot's row order regardless of
-// parallelism.
+// an audit snapshot. Each row is an interval probe into the store's
+// symbolic range (no key allocation, no ground range). Large
+// snapshots are chunked across GOMAXPROCS workers and the per-chunk
+// results merged in chunk order, so Uncovered keeps the snapshot's row
+// order regardless of parallelism. The error result is always nil.
 func EntryCoverage(ps *policy.Policy, entries []audit.Entry, v *vocab.Vocabulary) (*EntryReport, error) {
-	var covers func(e *audit.Entry) bool
-	if symbolicCoverage.Load() {
-		srg := policy.SharedSym.Range(ps, v)
-		covers = func(e *audit.Entry) bool {
-			return srg.ContainsTriple(v, e.Data, e.Purpose, e.Authorized)
-		}
-	} else {
-		rg, err := policy.Shared.Range(ps, v, 0)
-		if err != nil {
-			return nil, fmt.Errorf("core: range of %s: %w", ps.Name, err)
-		}
-		covers = func(e *audit.Entry) bool { return rg.ContainsKey(e.RuleKey()) }
+	srg := policy.SharedSym.Range(ps, v)
+	covers := func(e *audit.Entry) bool {
+		return srg.ContainsTriple(v, e.Data, e.Purpose, e.Authorized)
 	}
 	rep := &EntryReport{Total: len(entries)}
 	workers := runtime.GOMAXPROCS(0)

@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/audit"
 	"repro/internal/minidb"
@@ -107,75 +105,6 @@ func (x SQLExtractor) Extract(practice []audit.Entry, opts Options) ([]Pattern, 
 		})
 	}
 	return patterns, nil
-}
-
-// NativeExtractor performs the same analysis with an in-process
-// group-by, bypassing SQL. It exists as a differential check on the
-// SQL path and as the faster engine for large simulations.
-type NativeExtractor struct{}
-
-// Extract implements PatternExtractor.
-func (NativeExtractor) Extract(practice []audit.Entry, opts Options) ([]Pattern, error) {
-	opts = opts.withDefaults()
-	type acc struct {
-		rule  policy.Rule
-		count int
-		users map[string]bool
-		first time.Time
-		last  time.Time
-	}
-	groups := make(map[string]*acc)
-	for _, e := range practice {
-		terms := make([]policy.Term, len(opts.Attrs))
-		for i, attr := range opts.Attrs {
-			v, err := entryAttr(e, attr)
-			if err != nil {
-				return nil, err
-			}
-			terms[i] = policy.T(attr, v)
-		}
-		rule, err := policy.NewRule(terms...)
-		if err != nil {
-			return nil, fmt.Errorf("core: pattern rule: %w", err)
-		}
-		key := rule.Key()
-		a, ok := groups[key]
-		if !ok {
-			a = &acc{rule: rule, users: make(map[string]bool), first: e.Time, last: e.Time}
-			groups[key] = a
-		}
-		a.count++
-		a.users[vocab.Norm(e.User)] = true
-		if e.Time.Before(a.first) {
-			a.first = e.Time
-		}
-		if e.Time.After(a.last) {
-			a.last = e.Time
-		}
-	}
-	var out []Pattern
-	for _, a := range groups {
-		okSupport := a.count >= opts.MinSupport
-		if opts.StrictGreater {
-			okSupport = a.count > opts.MinSupport
-		}
-		if okSupport && len(a.users) >= opts.MinDistinctUsers {
-			out = append(out, Pattern{
-				Rule:          a.rule,
-				Support:       a.count,
-				DistinctUsers: len(a.users),
-				FirstSeen:     a.first,
-				LastSeen:      a.last,
-			})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Support != out[j].Support {
-			return out[i].Support > out[j].Support
-		}
-		return out[i].Rule.Key() < out[j].Rule.Key()
-	})
-	return out, nil
 }
 
 // entryAttr extracts a grouping attribute from an audit entry.

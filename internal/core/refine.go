@@ -126,46 +126,22 @@ func ExtractPatterns(practice []audit.Entry, opts Options) ([]Pattern, error) {
 
 // Prune is Algorithm 6: it removes the patterns already covered by
 // the policy store, returning the complement of the pattern range
-// with respect to Range(P_PS). On the symbolic path the containment
-// test Range_pattern ⊆ Range_PS is a cardinality comparison over the
+// with respect to Range(P_PS). The containment test
+// Range_pattern ⊆ Range_PS is a cardinality comparison over the
 // interval algebra — no pattern is ever ground-expanded, so there is
-// no range limit to exceed.
+// no range limit to exceed. The error result is always nil.
 func Prune(patterns []Pattern, ps *policy.Policy, v *vocab.Vocabulary) ([]Pattern, error) {
-	if symbolicCoverage.Load() {
-		srg := policy.SharedSym.Range(ps, v)
-		var useful []Pattern
-		for _, p := range patterns {
-			sr, ok := policy.CompileRule(p.Rule, v)
-			if !ok {
-				// The zero rule grounds to the single empty rule, which no
-				// store range contains; the materializing oracle keeps it.
-				useful = append(useful, p)
-				continue
-			}
-			if !srg.Covers(sr) {
-				useful = append(useful, p)
-			}
-		}
-		return useful, nil
-	}
-	rg, err := policy.Shared.Range(ps, v, 0)
-	if err != nil {
-		return nil, fmt.Errorf("core: range of %s: %w", ps.Name, err)
-	}
+	srg := policy.SharedSym.Range(ps, v)
 	var useful []Pattern
 	for _, p := range patterns {
-		grounds, truncated := p.Rule.Groundings(v, policy.DefaultRangeLimit)
-		if truncated {
-			return nil, fmt.Errorf("core: pattern %s expands beyond the range limit", p.Rule)
+		sr, ok := policy.CompileRule(p.Rule, v)
+		if !ok {
+			// The zero rule grounds to the single empty rule, which no
+			// store range contains, so it is always kept.
+			useful = append(useful, p)
+			continue
 		}
-		covered := true
-		for _, g := range grounds {
-			if !rg.Contains(g) {
-				covered = false
-				break
-			}
-		}
-		if !covered {
+		if !srg.Covers(sr) {
 			useful = append(useful, p)
 		}
 	}

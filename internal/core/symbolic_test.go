@@ -9,18 +9,10 @@ import (
 	"repro/internal/vocab"
 )
 
-// withMaterialized runs f on the materializing oracle path, restoring
-// the symbolic default afterwards.
-func withMaterialized(t *testing.T, f func()) {
-	t.Helper()
-	prev := SetSymbolicCoverage(false)
-	defer SetSymbolicCoverage(prev)
-	f()
-}
-
 // TestComputeCoveragePathsAgree: Algorithm 1 yields the identical
-// ratio on the symbolic and materializing paths over every ordered
-// pair of fixture policies (including the empty-Py convention).
+// ratio as its materializing oracle (materialized_test.go) over every
+// ordered pair of fixture policies (including the empty-Py
+// convention).
 func TestComputeCoveragePathsAgree(t *testing.T) {
 	v := scenario.Vocabulary()
 	pols := []*policy.Policy{
@@ -35,10 +27,7 @@ func TestComputeCoveragePathsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var mat float64
-			withMaterialized(t, func() {
-				mat, err = ComputeCoverage(px, py, v)
-			})
+			mat, err := materializedCoverage(px, py, v)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,10 +56,7 @@ func TestEntryCoveragePathsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mat *EntryReport
-	withMaterialized(t, func() {
-		mat, err = EntryCoverage(ps, entries, v)
-	})
+	mat, err := materializedEntryCoverage(ps, entries, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +96,7 @@ func TestPrunePathsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mat []Pattern
-	withMaterialized(t, func() {
-		mat, err = Prune(patterns, ps, v)
-	})
+	mat, err := materializedPrune(patterns, ps, v)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,9 +18,10 @@ import (
 // This file implements the enforcement fast path: an RCU-published
 // decision snapshot plus a compiled query-plan cache, so the per-query
 // hot loop takes zero locks and performs no parsing, no string-key
-// construction, and no consent-store scans. The slow path in hdb.go is
-// kept verbatim as the semantic reference; the differential tests in
-// fastpath_test.go assert byte-identical outcomes.
+// construction, and no consent-store scans. The reference interpreter
+// it must agree with lives in test code (reference_test.go); the
+// differential tests in fastpath_test.go assert byte-identical
+// outcomes.
 
 // planCacheMax bounds the compiled-plan cache. On overflow the whole
 // cache is dropped (generation sweep), mirroring policy.RangeCache: a
@@ -99,8 +100,8 @@ func (s *decisionSnapshot) valid(e *Enforcer) bool {
 	return true
 }
 
-// allowed is the snapshot form of Enforcer.allowed: bitset probe for
-// ground triples, memoized range expansion for composite values.
+// allowed decides one (category, purpose, role) triple: bitset probe
+// for ground triples, memoized range expansion for composite values.
 func (s *decisionSnapshot) allowed(v *vocab.Vocabulary, category, purpose, role string) bool {
 	nc, np, nr := vocab.Norm(category), vocab.Norm(purpose), vocab.Norm(role)
 	_, cd := s.compData[nc]
@@ -316,9 +317,9 @@ func (e *Enforcer) plan(sql string) (*queryPlan, error) {
 	return pl, nil
 }
 
-// buildPlan compiles sql. The validation order (parse, statement kind,
-// joins, mapping, table) matches the slow path exactly so error
-// behaviour is identical.
+// buildPlan compiles sql. The validation order (parse, statement
+// kind, joins, mapping, table) matches the reference interpreter
+// exactly so error behaviour is identical.
 func (e *Enforcer) buildPlan(sql string) (*queryPlan, error) {
 	mapGen := e.mapGen.Load()
 	schemaGen := e.db.SchemaGeneration()
@@ -384,7 +385,7 @@ func (pl *queryPlan) specFor(s *decisionSnapshot, purpose, role string) *special
 }
 
 // specialize binds a plan to a snapshot and a (purpose, role),
-// mirroring the slow path's analysis step by step: non-output denial,
+// mirroring the reference interpreter step by step: non-output denial,
 // output masking, then consent filtering on a cheap statement clone.
 // The cached plan statement is never mutated.
 func (e *Enforcer) specialize(pl *queryPlan, s *decisionSnapshot, purpose, role string) *specialization {
@@ -538,11 +539,6 @@ func (e *Enforcer) runFast(p Principal, purpose, reason, sql string, breakGlass 
 	e.audit(p, purpose, reason, acc, audit.Allow, pl.allCats)
 	return res, acc, nil
 }
-
-// SetFastPath toggles the compiled enforcement path (on by default).
-// The slow path remains available as the semantic reference for
-// differential testing and benchmarking.
-func (e *Enforcer) SetFastPath(on bool) { e.fast.Store(on) }
 
 // FlushPlans drops every compiled query plan and the current decision
 // snapshot; they rebuild on demand. Useful for cold-path measurement

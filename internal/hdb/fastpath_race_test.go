@@ -27,7 +27,7 @@ func churnRule() policy.Rule {
 }
 
 func TestConcurrentEnforcement(t *testing.T) {
-	s := newSide(t, true)
+	s := newSide(t)
 	s.enf.SetClock(time.Now) // stepping clock is not goroutine-safe
 
 	const (
@@ -164,10 +164,10 @@ func TestConcurrentEnforcement(t *testing.T) {
 	}
 }
 
-// TestConcurrentPlanAndFlush races plan compilation, cache flushes,
-// and fast-path toggling against readers.
+// TestConcurrentPlanAndFlush races plan compilation against plan-cache
+// and decision-snapshot flushes, with readers in flight.
 func TestConcurrentPlanAndFlush(t *testing.T) {
-	s := newSide(t, true)
+	s := newSide(t)
 	s.enf.SetClock(time.Now)
 
 	var stop atomic.Bool
@@ -177,8 +177,6 @@ func TestConcurrentPlanAndFlush(t *testing.T) {
 		defer wg.Done()
 		for !stop.Load() {
 			s.enf.FlushPlans()
-			s.enf.SetFastPath(false)
-			s.enf.SetFastPath(true)
 		}
 	}()
 

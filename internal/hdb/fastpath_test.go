@@ -15,7 +15,7 @@ import (
 )
 
 // side is one independently seeded enforcement stack for differential
-// fast-vs-slow testing.
+// compiled-vs-reference testing.
 type side struct {
 	enf *Enforcer
 	ps  *policy.Policy
@@ -26,10 +26,9 @@ type side struct {
 }
 
 // newSide builds a full stack identical to fixture() but returning
-// every layer, with the fast path set as requested. Both sides of a
-// differential test get the same stepping clock, so audit timestamps
-// line up entry for entry.
-func newSide(t testing.TB, fast bool) *side {
+// every layer. Both sides of a differential test get the same
+// stepping clock, so audit timestamps line up entry for entry.
+func newSide(t testing.TB) *side {
 	t.Helper()
 	db := minidb.NewDatabase()
 	db.MustExec(`CREATE TABLE records (
@@ -44,7 +43,6 @@ func newSide(t testing.TB, fast bool) *side {
 	cs := consent.NewStore(v, true)
 	log := audit.NewLog("clinic")
 	enf := New(db, ps, v, cs, log)
-	enf.SetFastPath(fast)
 	step := 0
 	enf.SetClock(func() time.Time { step++; return t0.Add(time.Duration(step) * time.Second) })
 	if err := enf.RegisterTable(TableMapping{
@@ -77,8 +75,8 @@ type diffStep struct {
 
 func runDiff(t *testing.T, steps []diffStep) {
 	t.Helper()
-	fastS := newSide(t, true)
-	slowS := newSide(t, false)
+	fastS := newSide(t)
+	slowS := newSide(t)
 	for _, st := range steps {
 		if st.mutate != nil {
 			st.mutate(t, fastS)
@@ -92,10 +90,10 @@ func runDiff(t *testing.T, steps []diffStep) {
 		var fe, se error
 		if st.breakGlass {
 			fr, fa, fe = fastS.enf.BreakGlass(st.p, st.purpose, st.reason, st.sql)
-			sr, sa, se = slowS.enf.BreakGlass(st.p, st.purpose, st.reason, st.sql)
+			sr, sa, se = slowS.enf.referenceBreakGlass(st.p, st.purpose, st.reason, st.sql)
 		} else {
 			fr, fa, fe = fastS.enf.Query(st.p, st.purpose, st.sql)
-			sr, sa, se = slowS.enf.Query(st.p, st.purpose, st.sql)
+			sr, sa, se = slowS.enf.referenceQuery(st.p, st.purpose, st.sql)
 		}
 		if (fe == nil) != (se == nil) {
 			t.Fatalf("%s: fast err = %v, slow err = %v", st.name, fe, se)
@@ -118,11 +116,13 @@ func runDiff(t *testing.T, steps []diffStep) {
 	}
 }
 
-// TestDifferentialFastSlow drives the same scripted battery through a
-// fast-path and a slow-path stack, asserting byte-identical results,
-// Access reports, error text, and audit trails across allow, mask,
-// deny, consent, break-glass, star expansion, strict mode, composite
-// values, and mid-sequence policy/vocabulary/consent mutation.
+// TestDifferentialFastSlow drives the same scripted battery through
+// Query/BreakGlass on one stack and the reference interpreter
+// (reference_test.go) on a twin stack, asserting byte-identical
+// results, Access reports, error text, and audit trails across allow,
+// mask, deny, consent, break-glass, star expansion, strict mode,
+// composite values, and mid-sequence policy/vocabulary/consent
+// mutation.
 func TestDifferentialFastSlow(t *testing.T) {
 	psychRule := policy.MustRule(
 		policy.T("data", "psychiatry"),
@@ -228,7 +228,7 @@ func TestDifferentialFastSlow(t *testing.T) {
 // TestSnapshotInvalidation checks that the RCU snapshot is reused
 // while nothing changes and rebuilt on each version bump.
 func TestSnapshotInvalidation(t *testing.T) {
-	s := newSide(t, true)
+	s := newSide(t)
 	q := func() { // any enforced query forces a snapshot
 		if _, _, err := s.enf.Query(nurse(), "treatment", `SELECT patient, referral FROM records`); err != nil {
 			t.Fatal(err)
@@ -276,7 +276,7 @@ func TestSnapshotInvalidation(t *testing.T) {
 // TestSnapshotExpiryHorizon checks that a consent record expiring in
 // real time invalidates the snapshot without any store mutation.
 func TestSnapshotExpiryHorizon(t *testing.T) {
-	s := newSide(t, true)
+	s := newSide(t)
 	now := time.Now()
 	if err := s.cs.SetWithExpiry("p2", "referral", "", consent.OptOut,
 		now.Add(-time.Minute), now.Add(120*time.Millisecond)); err != nil {
@@ -302,7 +302,7 @@ func TestSnapshotExpiryHorizon(t *testing.T) {
 // TestPlanInvalidation checks the plan cache against mapping and
 // schema generations.
 func TestPlanInvalidation(t *testing.T) {
-	s := newSide(t, true)
+	s := newSide(t)
 	const q = `SELECT * FROM records`
 	res, _, err := s.enf.Query(nurse(), "treatment", q)
 	if err != nil {
@@ -349,7 +349,7 @@ func TestPlanCacheBound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("floods the plan cache")
 	}
-	s := newSide(t, true)
+	s := newSide(t)
 	for i := 0; i < planCacheMax+4; i++ {
 		sql := fmt.Sprintf(`SELECT patient, referral FROM records LIMIT %d`, i+1)
 		if _, _, err := s.enf.Query(nurse(), "treatment", sql); err != nil {
@@ -371,7 +371,7 @@ func TestPlanCacheBound(t *testing.T) {
 // TestFlushPlans checks the administrative flush leaves a working
 // (cold) fast path.
 func TestFlushPlans(t *testing.T) {
-	s := newSide(t, true)
+	s := newSide(t)
 	if _, _, err := s.enf.Query(nurse(), "treatment", `SELECT patient, referral FROM records`); err != nil {
 		t.Fatal(err)
 	}

@@ -74,7 +74,6 @@ type Enforcer struct {
 	// atomic loads only (see fastpath.go).
 	clock  atomic.Pointer[func() time.Time]
 	strict atomic.Bool   // reject out-of-vocabulary purposes and roles
-	fast   atomic.Bool   // compiled enforcement path toggle
 	mapGen atomic.Uint64 // bumped by RegisterTable; keys plan validity
 	snap   atomic.Pointer[decisionSnapshot]
 	plans  sync.Map // sql -> *queryPlan
@@ -93,7 +92,6 @@ func New(db *minidb.Database, ps *policy.Policy, v *vocab.Vocabulary, cs *consen
 	}
 	now := time.Now
 	e.clock.Store(&now)
-	e.fast.Store(true)
 	return e
 }
 
@@ -204,32 +202,6 @@ func (e *Enforcer) policyRange() (*policy.Range, error) {
 	return policy.Shared.Range(e.ps, e.v, 0)
 }
 
-// allowed checks (data category, purpose, role) against the policy
-// store range. Ground triples — the overwhelmingly common case at
-// enforcement time — are tested by canonical key without constructing
-// a rule; composite runtime values fall back to requiring all their
-// ground rules to be present.
-func (e *Enforcer) allowed(rg *policy.Range, category, purpose, role string) bool {
-	if e.v.IsGround("data", category) && e.v.IsGround("purpose", purpose) && e.v.IsGround("authorized", role) {
-		return rg.ContainsKey(policy.TripleKey(category, purpose, role))
-	}
-	rule := policy.MustRule(
-		policy.T("data", category),
-		policy.T("purpose", purpose),
-		policy.T("authorized", role),
-	)
-	grounds, truncated := rule.Groundings(e.v, policy.DefaultRangeLimit)
-	if truncated {
-		return false
-	}
-	for _, g := range grounds {
-		if !rg.Contains(g) {
-			return false
-		}
-	}
-	return true
-}
-
 // Access describes the outcome of one enforced query.
 type Access struct {
 	Categories []string // data categories the query touched
@@ -254,7 +226,7 @@ type Access struct {
 //   - rows of patients whose consent excludes any accessed category
 //     for this purpose are filtered out by rewriting WHERE.
 func (e *Enforcer) Query(p Principal, purpose, sql string) (*minidb.Result, *Access, error) {
-	return e.run(p, purpose, "", sql, false)
+	return e.runFast(p, purpose, "", sql, false)
 }
 
 // BreakGlass executes the query bypassing policy and consent — the
@@ -264,120 +236,7 @@ func (e *Enforcer) BreakGlass(p Principal, purpose, reason, sql string) (*minidb
 	if strings.TrimSpace(reason) == "" {
 		return nil, nil, fmt.Errorf("hdb: break-glass access requires a reason")
 	}
-	return e.run(p, purpose, reason, sql, true)
-}
-
-// run dispatches between the compiled fast path (fastpath.go) and the
-// reference slow path below. Both produce byte-identical results,
-// errors, and audit entries; the differential suite in
-// fastpath_test.go holds them to that.
-func (e *Enforcer) run(p Principal, purpose, reason, sql string, breakGlass bool) (*minidb.Result, *Access, error) {
-	if e.fast.Load() {
-		return e.runFast(p, purpose, reason, sql, breakGlass)
-	}
-	return e.runSlow(p, purpose, reason, sql, breakGlass)
-}
-
-func (e *Enforcer) runSlow(p Principal, purpose, reason, sql string, breakGlass bool) (*minidb.Result, *Access, error) {
-	if err := p.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if strings.TrimSpace(purpose) == "" {
-		return nil, nil, fmt.Errorf("hdb: a purpose is required (HIPAA purpose specification)")
-	}
-	if err := e.checkVocabulary(p, purpose); err != nil {
-		return nil, nil, err
-	}
-	st, err := minidb.Parse(sql)
-	if err != nil {
-		return nil, nil, err
-	}
-	sel, ok := st.(*minidb.SelectStmt)
-	if !ok {
-		return nil, nil, fmt.Errorf("hdb: only SELECT statements pass through enforcement")
-	}
-	if len(sel.Joins) > 0 {
-		return nil, nil, fmt.Errorf("hdb: joins are not supported under enforcement; query one registered table at a time")
-	}
-	m, err := e.mapping(sel.Table)
-	if err != nil {
-		return nil, nil, err
-	}
-	tbl, err := e.db.Table(sel.Table)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Expand * so per-column decisions are possible.
-	expandStar(sel, tbl)
-
-	outCols := columnsOf(selectExprs(sel))
-	otherCols := columnsOf(nonOutputExprs(sel))
-
-	outCats := categoriesOf(outCols, m)
-	otherCats := categoriesOf(otherCols, m)
-
-	allCats := union(outCats, otherCats)
-	acc := &Access{Categories: allCats, Exception: breakGlass}
-
-	if !breakGlass {
-		rg, err := e.policyRange()
-		if err != nil {
-			return nil, nil, err
-		}
-		// Non-output use of a denied category rejects the query.
-		for _, cat := range otherCats {
-			if !e.allowed(rg, cat, purpose, p.Role) {
-				acc.Denied = append(acc.Denied, cat)
-			}
-		}
-		if len(acc.Denied) > 0 {
-			e.audit(p, purpose, reason, acc, audit.Deny, acc.Denied)
-			return nil, acc, fmt.Errorf("%w: %s not permitted for %s by %s",
-				ErrDenied, strings.Join(acc.Denied, ", "), report.RedactValue(purpose), p.Role)
-		}
-		// Mask denied output columns.
-		deniedOut := map[string]bool{}
-		for _, cat := range outCats {
-			if !e.allowed(rg, cat, purpose, p.Role) {
-				deniedOut[cat] = true
-			}
-		}
-		if len(deniedOut) > 0 {
-			masked, kept := maskColumns(sel, m, deniedOut)
-			acc.Masked = masked
-			if kept == 0 {
-				cats := keys(deniedOut)
-				e.audit(p, purpose, reason, acc, audit.Deny, cats)
-				return nil, acc, fmt.Errorf("%w: no permitted columns remain for %s by %s",
-					ErrDenied, report.RedactValue(purpose), p.Role)
-			}
-		}
-		// Consent filtering over the categories actually returned.
-		if e.consent != nil && m.PatientCol != "" {
-			excluded := map[string]bool{}
-			for _, cat := range allCats {
-				if deniedOut[cat] {
-					continue
-				}
-				for _, pat := range e.consent.OptedOut(cat, purpose) {
-					excluded[pat] = true
-				}
-			}
-			if len(excluded) > 0 {
-				addConsentPredicate(sel, m.PatientCol, keys(excluded))
-				acc.OptedOut = len(excluded)
-			}
-		}
-	}
-
-	res, err := e.db.ExecStmt(sel)
-	if err != nil {
-		return nil, nil, err
-	}
-	grantedCats := allCats
-	e.audit(p, purpose, reason, acc, audit.Allow, grantedCats)
-	return res, acc, nil
+	return e.runFast(p, purpose, reason, sql, true)
 }
 
 // audit writes one compliance entry per touched data category, as the
@@ -514,55 +373,6 @@ func categoriesOf(cols []string, m *TableMapping) []string {
 	return out
 }
 
-// maskColumns nulls out the output items whose category is denied,
-// keeping their names. Returns the masked column names and how many
-// categorized output columns remain visible.
-func maskColumns(sel *minidb.SelectStmt, m *TableMapping, denied map[string]bool) (masked []string, kept int) {
-	for i, it := range sel.Items {
-		cols := columnsOf([]minidb.Expr{it.Expr})
-		hit := false
-		categorized := false
-		for _, c := range cols {
-			if cat, ok := m.Categories[c]; ok {
-				categorized = true
-				if denied[cat] {
-					hit = true
-				}
-			}
-		}
-		if hit {
-			name := it.Alias
-			if name == "" {
-				name = it.Expr.String()
-			}
-			sel.Items[i] = minidb.SelectItem{
-				Expr:  &minidb.Literal{Val: minidb.Null()},
-				Alias: name,
-			}
-			masked = append(masked, name)
-		} else if categorized {
-			kept++
-		}
-	}
-	sort.Strings(masked)
-	return masked, kept
-}
-
-// addConsentPredicate rewrites WHERE with
-// "AND patientCol NOT IN ('p1', ...)".
-func addConsentPredicate(sel *minidb.SelectStmt, patientCol string, patients []string) {
-	list := make([]minidb.Expr, len(patients))
-	for i, p := range patients {
-		list[i] = &minidb.Literal{Val: minidb.Text(p)}
-	}
-	pred := &minidb.InList{X: &minidb.ColRef{Name: patientCol}, Not: true, List: list}
-	if sel.Where == nil {
-		sel.Where = pred
-	} else {
-		sel.Where = &minidb.Binary{Op: "AND", L: sel.Where, R: pred}
-	}
-}
-
 // union merges two sorted, deduplicated slices. The result is always
 // non-nil (callers serialize it) and may alias an input when the other
 // is empty; neither input is mutated afterwards.
@@ -594,14 +404,5 @@ func union(a, b []string) []string {
 	}
 	out = append(out, a[i:]...)
 	out = append(out, b[j:]...)
-	return out
-}
-
-func keys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }

@@ -9,12 +9,11 @@
 // coverage hole waiting for Algorithm 1 to report it in production.
 //
 // The range comparisons (PL003–PL006) run on the symbolic interval
-// algebra (policy.SymRule) by default: rule containment is a
-// cardinality comparison over per-attribute intervals, so the pass
-// scales to SNOMED/ICD-size vocabularies where a single composite
-// rule's ground Range is beyond materializing. The materializing path
-// is retained behind Options.Materialize as the differential oracle;
-// both paths emit identical findings wherever the oracle can run.
+// algebra (policy.SymRule): rule containment is a cardinality
+// comparison over per-attribute intervals, so the pass scales to
+// SNOMED/ICD-size vocabularies where a single composite rule's ground
+// Range is beyond materializing. A materializing oracle in the
+// package's test code emits identical findings wherever it can run.
 //
 // Finding codes:
 //
@@ -57,11 +56,6 @@ const DefaultOverBroadFraction = 0.9
 
 // Options parameterizes a lint pass.
 type Options struct {
-	// Materialize switches PL003–PL006 onto the ground-range oracle
-	// path (Definition 8 by enumeration). The default symbolic path
-	// emits identical findings and is the only one that completes on
-	// large vocabularies; the oracle exists for differential testing.
-	Materialize bool
 	// OverBroadFraction is the PL008 threshold in (0, 1]: a rule term
 	// is over-broad when its ground set covers strictly more than this
 	// fraction of the attribute's ground space (and more than one
@@ -153,13 +147,27 @@ func Rules(name string, rules []policy.Rule, v *vocab.Vocabulary) Report {
 
 // RulesOpts lints a bare rule list against v.
 func RulesOpts(name string, rules []policy.Rule, v *vocab.Vocabulary, opts Options) Report {
+	return lintRules(name, rules, v, opts, symbolicPairwise, symbolicUnreachable)
+}
+
+// pairwiseFunc emits the PL004/PL005 findings (and any PL003 it
+// discovers) for every pair of valid rules.
+type pairwiseFunc func(rules []policy.Rule, v *vocab.Vocabulary, syms []policy.SymRule, valid []bool, add func(Finding))
+
+// unreachableFunc emits the PL006 findings.
+type unreachableFunc func(rules []policy.Rule, v *vocab.Vocabulary, add func(Finding))
+
+// lintRules is the lint pass with its two range analyses supplied by
+// the caller: RulesOpts passes the symbolic ones, the differential
+// tests pass the materializing oracles.
+func lintRules(name string, rules []policy.Rule, v *vocab.Vocabulary, opts Options, pairwise pairwiseFunc, unreachable unreachableFunc) Report {
 	opts = opts.withDefaults()
 	rep := Report{Policy: name, Rules: len(rules)}
 	add := func(f Finding) { rep.Findings = append(rep.Findings, f) }
 
 	// Per-rule vocabulary checks (PL001, PL002) plus symbolic
 	// compilation; every downstream analysis consumes the compiled
-	// boxes, the materializing oracle additionally enumerates.
+	// boxes.
 	syms := make([]policy.SymRule, len(rules))
 	valid := make([]bool, len(rules))
 	for i, r := range rules {
@@ -192,20 +200,7 @@ func RulesOpts(name string, rules []policy.Rule, v *vocab.Vocabulary, opts Optio
 	// Range identity and containment (PL004, PL005): Definition 8
 	// makes the Range the semantic identity of a rule, so equal ranges
 	// mean duplicate rules and strict containment means subsumption.
-	if opts.Materialize {
-		materializedPairwise(rules, v, valid, add)
-	} else {
-		for i := 0; i < len(rules); i++ {
-			for j := i + 1; j < len(rules); j++ {
-				if !valid[i] || !valid[j] {
-					continue
-				}
-				inter := syms[i].IntersectCard(syms[j])
-				aInB, bInA := inter == syms[i].Card(), inter == syms[j].Card()
-				emitPairwise(rules, i, j, aInB, bInA, add)
-			}
-		}
-	}
+	pairwise(rules, v, syms, valid, add)
 
 	// Conflicting rules (PL007, symbolic-only): two rules with
 	// *different* attribute signatures whose projections overlap on
@@ -263,11 +258,7 @@ func RulesOpts(name string, rules []policy.Rule, v *vocab.Vocabulary, opts Optio
 	// vocabulary registration order.
 	var vf []Finding
 	addVocab := func(f Finding) { vf = append(vf, f) }
-	if opts.Materialize {
-		materializedUnreachable(rules, v, addVocab)
-	} else {
-		symbolicUnreachable(rules, v, addVocab)
-	}
+	unreachable(rules, v, addVocab)
 	sort.SliceStable(vf, func(i, j int) bool {
 		if vf[i].Attr != vf[j].Attr {
 			return vf[i].Attr < vf[j].Attr
@@ -277,6 +268,21 @@ func RulesOpts(name string, rules []policy.Rule, v *vocab.Vocabulary, opts Optio
 	rep.Findings = append(rep.Findings, vf...)
 
 	return rep
+}
+
+// symbolicPairwise compares every pair of valid rules by
+// intersection cardinality: A ⊆ B iff #(A ∩ B) = #A.
+func symbolicPairwise(rules []policy.Rule, _ *vocab.Vocabulary, syms []policy.SymRule, valid []bool, add func(Finding)) {
+	for i := 0; i < len(rules); i++ {
+		for j := i + 1; j < len(rules); j++ {
+			if !valid[i] || !valid[j] {
+				continue
+			}
+			inter := syms[i].IntersectCard(syms[j])
+			aInB, bInA := inter == syms[i].Card(), inter == syms[j].Card()
+			emitPairwise(rules, i, j, aInB, bInA, add)
+		}
+	}
 }
 
 // emitPairwise translates a ⊆/⊇ pair into PL004/PL005 findings.
@@ -381,103 +387,4 @@ func symbolicUnreachable(rules []policy.Rule, v *vocab.Vocabulary, add func(Find
 func spansOverlap(sorted []vocab.Span, sp vocab.Span) bool {
 	i := sort.Search(len(sorted), func(i int) bool { return sorted[i].Hi > sp.Lo })
 	return i < len(sorted) && sorted[i].Lo < sp.Hi
-}
-
-// materializedPairwise is the PL004/PL005 oracle: enumerate every
-// rule's ground range and compare by set containment.
-func materializedPairwise(rules []policy.Rule, v *vocab.Vocabulary, valid []bool, add func(Finding)) {
-	ranges := make([]map[string]bool, len(rules))
-	for i, r := range rules {
-		if !valid[i] {
-			continue
-		}
-		grounds, truncated := r.Groundings(v, policy.DefaultRangeLimit)
-		if truncated {
-			add(Finding{
-				Code: EmptyRange, Rule: i + 1,
-				Message: fmt.Sprintf("Range expansion of %s exceeds %d rules; the rule cannot be verified", r, policy.DefaultRangeLimit),
-			})
-			continue
-		}
-		set := make(map[string]bool, len(grounds))
-		for _, g := range grounds {
-			set[g.Key()] = true
-		}
-		ranges[i] = set
-	}
-	for i := 0; i < len(rules); i++ {
-		for j := i + 1; j < len(rules); j++ {
-			a, b := ranges[i], ranges[j]
-			if a == nil || b == nil {
-				continue
-			}
-			emitPairwise(rules, i, j, contained(a, b), contained(b, a), add)
-		}
-	}
-}
-
-// materializedUnreachable is the PL006 oracle over enumerated ground
-// sets.
-func materializedUnreachable(rules []policy.Rule, v *vocab.Vocabulary, add func(Finding)) {
-	for _, attr := range v.Attributes() {
-		h := v.Hierarchy(attr)
-		covered := make(map[string]bool)
-		referenced := false
-		for _, r := range rules {
-			val, ok := r.Value(attr)
-			if !ok {
-				continue
-			}
-			referenced = true
-			for _, g := range h.GroundSet(val) {
-				covered[vocab.Norm(g)] = true
-			}
-		}
-		if !referenced {
-			add(Finding{
-				Code: UnreachableSubtree, Attr: h.Attr(),
-				Message: fmt.Sprintf("no rule constrains attribute %q; its entire hierarchy is unreachable", h.Attr()),
-			})
-			continue
-		}
-		var walk func(n *vocab.Node)
-		walk = func(n *vocab.Node) {
-			if !reaches(h, n.Value(), covered) {
-				add(Finding{
-					Code: UnreachableSubtree, Attr: h.Attr(), Value: n.Value(),
-					Message: fmt.Sprintf("subtree %q of attribute %q is not reachable by any rule's Range", n.Value(), h.Attr()),
-				})
-				return // report the maximal dead subtree only
-			}
-			for _, c := range n.Children() {
-				walk(c)
-			}
-		}
-		for _, root := range h.Roots() {
-			walk(root)
-		}
-	}
-}
-
-// contained reports a ⊆ b.
-func contained(a, b map[string]bool) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// reaches reports whether any ground value under value is covered.
-func reaches(h *vocab.Hierarchy, value string, covered map[string]bool) bool {
-	for _, g := range h.GroundSet(value) {
-		if covered[vocab.Norm(g)] {
-			return true
-		}
-	}
-	return false
 }

@@ -37,7 +37,7 @@ func TestSymbolicMatchesMaterialized(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sym := RulesOpts("PS", tc.rules, tc.v, Options{})
-			mat := RulesOpts("PS", tc.rules, tc.v, Options{Materialize: true})
+			mat := materializedRules("PS", tc.rules, tc.v, Options{})
 			if !reflect.DeepEqual(sym, mat) {
 				t.Errorf("paths disagree:\nsymbolic:     %+v\nmaterialized: %+v", sym, mat)
 			}

@@ -100,13 +100,27 @@ func writePostRequired(w http.ResponseWriter) {
 	writeBody(w, http.StatusMethodNotAllowed, postRequiredBody)
 }
 
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds every JSON request body. The largest bodies the
+// API expects (a refinement round's decision map, a policy rule) are
+// a few kilobytes.
+const maxBodyBytes = 1 << 20
+
+// decode reads one JSON request body of at most maxBodyBytes into v.
+// On failure it writes the error response — 413 for an oversized
+// body, 400 for anything else — and returns false.
+func decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("server: bad request body: %w", err)
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeErr(w, status, fmt.Errorf("server: bad request body: %w", err))
+		return false
 	}
-	return nil
+	return true
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -149,8 +163,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	res, acc, err := s.sys.Query(req.User, req.Role, req.Purpose, req.SQL)
@@ -171,8 +184,7 @@ func (s *Server) handleBreakGlass(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req QueryRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	res, acc, err := s.sys.BreakGlass(req.User, req.Role, req.Purpose, req.Reason, req.SQL)
@@ -194,8 +206,7 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string][]string{"rules": s.sys.Rules()})
 	case http.MethodPost:
 		var req RuleRequest
-		if err := decode(r, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decode(w, r, &req) {
 			return
 		}
 		rule, err := s.sys.AddRule(req.Rule)
@@ -206,8 +217,7 @@ func (s *Server) handleRules(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusCreated, map[string]string{"rule": rule.Compact()})
 	case http.MethodDelete:
 		var req RuleRequest
-		if err := decode(r, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !decode(w, r, &req) {
 			return
 		}
 		ok, err := s.sys.RemoveRule(req.Rule)
@@ -239,8 +249,7 @@ func (s *Server) handleConsent(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ConsentRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	switch strings.ToLower(req.Choice) {
@@ -411,8 +420,7 @@ func (s *Server) handleRefine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req RefineRequest
-	if err := decode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decode(w, r, &req) {
 		return
 	}
 	def, err := parseDecision(req.Default)

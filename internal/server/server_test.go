@@ -103,6 +103,37 @@ func TestQueryEndpoint(t *testing.T) {
 	}
 }
 
+// TestRequestBodyBound: every JSON endpoint reads at most
+// maxBodyBytes. A larger body is refused with 413 before it reaches
+// the system, and the refusal leaves no audit trace.
+func TestRequestBodyBound(t *testing.T) {
+	s, sys := newServer(t)
+	pad := strings.Repeat("x", maxBodyBytes)
+	for path, field := range map[string]string{
+		"/query": "sql", "/breakglass": "sql", "/policy/rules": "rule",
+		"/consent": "patient", "/refine": "default",
+	} {
+		body := `{"` + field + `":"` + pad + `"}`
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body status = %d, want 413: %.200s", path, rec.Code, rec.Body.String())
+		}
+	}
+	if n := len(sys.AuditLog().Snapshot()); n != 0 {
+		t.Errorf("oversized requests left %d audit entries", n)
+	}
+	// A body just under the bound still decodes; the padded SQL then
+	// fails to parse, which is a 400, not a 413.
+	under := `{"user":"tim","role":"nurse","purpose":"treatment","sql":"` +
+		strings.Repeat("x", maxBodyBytes-100) + `"}`
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(under)))
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("under-bound body status = %d, want 400", rec.Code)
+	}
+}
+
 func TestBreakGlassAndRefineFlow(t *testing.T) {
 	s, _ := newServer(t)
 	for _, u := range []string{"mark", "tim", "bob", "mark", "tim"} {

@@ -10,9 +10,12 @@
 # The -bench=. sweep includes the enforcement fast-path rows
 # (E12_EnforcedQPS, E13_ConcurrentEnforcement) and the symbolic
 # policy-analysis row (E14_SymbolicAnalysis — coverage and lint on a
-# 100k-ground-value vocabulary, plus the symbolic-vs-materialized
-# differential floor); check.sh smokes the same set at one iteration
-# so the harness cannot rot.
+# 100k-ground-value vocabulary). The reference oracles live in test
+# code, so their rows run from their own packages:
+# E12_ReferenceEnforcement (internal/hdb, compiled vs reference
+# interpreter) and E14_CoverageOracle (internal/core, symbolic vs
+# materializing coverage). check.sh smokes the same set at one
+# iteration so the harness cannot rot.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -22,7 +25,7 @@ tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
 echo "==> go test -bench=. -benchmem (this takes a few minutes)"
-go test -bench=. -benchmem -benchtime=1s -count=1 -run=NONE . | tee "$tmp"
+go test -bench=. -benchmem -benchtime=1s -count=1 -run=NONE . ./internal/hdb ./internal/core | tee "$tmp"
 
 awk '
 /^Benchmark/ {

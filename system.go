@@ -177,13 +177,6 @@ func (s *System) Enforcer() *hdb.Enforcer { return s.enforcer }
 // SetClock fixes the audit timestamp source (deterministic logs).
 func (s *System) SetClock(clock func() time.Time) { s.enforcer.SetClock(clock) }
 
-// SetEnforcementFastPath toggles the compiled enforcement path
-// (on by default): cached query plans specialized against an RCU
-// decision snapshot. Turning it off routes every query through the
-// reference interpreter — useful for differential testing and for
-// measuring the fast path's effect.
-func (s *System) SetEnforcementFastPath(on bool) { s.enforcer.SetFastPath(on) }
-
 // RegisterTable places a clinical table under enforcement.
 func (s *System) RegisterTable(m TableMapping) error { return s.enforcer.RegisterTable(m) }
 

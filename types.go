@@ -86,7 +86,7 @@ type (
 	LintFinding = lint.Finding
 	// LintReport is the outcome of linting a policy against a vocabulary.
 	LintReport = lint.Report
-	// LintOptions parameterizes a lint pass (oracle path, PL008 threshold).
+	// LintOptions parameterizes a lint pass (PL008 threshold).
 	LintOptions = lint.Options
 )
 
@@ -241,11 +241,6 @@ func Lint(p *Policy, v *Vocabulary) LintReport { return lint.Policy(p, v) }
 func LintOpts(p *Policy, v *Vocabulary, opts LintOptions) LintReport {
 	return lint.PolicyOpts(p, v, opts)
 }
-
-// SetSymbolicCoverage selects the symbolic (true, default) or
-// materializing coverage path for ComputeCoverage, EntryCoverage, and
-// refinement pruning, returning the previous setting.
-func SetSymbolicCoverage(on bool) bool { return core.SetSymbolicCoverage(on) }
 
 // SymbolicRangeCard returns #Range_P computed symbolically — exact at
 // any vocabulary scale, never materializing a ground rule.
