@@ -551,6 +551,58 @@ func BenchmarkA3_Generalization(b *testing.B) {
 	})
 }
 
+// ---- A4: the privacy officer's reads, index vs snapshot ----
+
+// BenchmarkA4_OfficerReads measures one review round's coverage and
+// evidence reads over a simulated log of more than 100k entries:
+// served from the incremental index (System.Coverage +
+// System.PatternEvidence) against the snapshot path they replaced
+// (ToPolicy(Snapshot()) + core.Coverage, then index-fed patterns
+// annotated by AnnotatePatterns over the filtered snapshot).
+func BenchmarkA4_OfficerReads(b *testing.B) {
+	cfg := workflow.LargeHospital(3, 50)
+	sim, err := workflow.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	entries, err := sim.Run(0, 55)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(entries) < 100_000 {
+		b.Fatalf("simulated log holds %d entries, want at least 100k", len(entries))
+	}
+	sys := New(Config{Policy: cfg.Policy, Vocabulary: cfg.Vocab})
+	if err := sys.AuditLog().Append(entries...); err != nil {
+		b.Fatal(err)
+	}
+	ps, v, l := sys.PolicyStore(), sys.Vocabulary(), sys.AuditLog()
+	b.Run("index", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := sys.Coverage(); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sys.PatternEvidence(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("snapshot", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Coverage(ps, audit.ToPolicy("AL", l.Snapshot()), v); err != nil {
+				b.Fatal(err)
+			}
+			pats, err := core.RefineFromLog(ps, l, v, core.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			core.AnnotatePatterns(core.Filter(l.Snapshot()), pats)
+		}
+	})
+}
+
 // ---- E10: organization scale (multi-department refinement) ----
 
 func BenchmarkE10_OrganizationScale(b *testing.B) {

@@ -26,6 +26,7 @@ package audit
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -215,7 +216,7 @@ func (s *shard) add(seq uint64, e *Entry) {
 		s.entries = make([]stamped, 0, 64)
 	}
 	s.entries = append(s.entries, stamped{seq: seq, e: *e})
-	s.indexLocked(&s.entries[len(s.entries)-1].e)
+	s.indexLocked(&s.entries[len(s.entries)-1])
 	s.mu.Unlock()
 }
 
@@ -283,15 +284,10 @@ func (l *Log) Shards() int { return len(l.shards) }
 // Seq returns the last assigned sequence number (0 when empty).
 func (l *Log) Seq() uint64 { return l.seq.Load() }
 
-// shardFor routes an entry to its stripe: an FNV-1a hash over the
+// shardIndex routes an entry to its stripe: an FNV-1a hash over the
 // (user, data, purpose) identity bytes. The op/status outcome is
 // deliberately excluded so replicas and conflicting records of the
 // same event land in the same stripe.
-func (l *Log) shardFor(e *Entry) *shard {
-	return l.shards[l.shardIndex(e)]
-}
-
-// shardIndex computes the stripe index for an entry.
 func (l *Log) shardIndex(e *Entry) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -323,26 +319,33 @@ func (l *Log) Append(entries ...Entry) error {
 			return err
 		}
 	}
-	if s := l.sink.Load(); s != nil || len(entries) == 1 {
-		for i := range entries {
-			e := &entries[i]
-			if e.Site == "" {
-				// Stamp a local copy; the caller's slice is not ours
-				// to mutate.
-				st := *e
-				st.Site = l.site
-				e = &st
-			}
-			l.addMu.RLock()
-			var seq uint64
-			if s != nil {
-				seq = s.send(l, *e)
-			} else {
-				seq = l.seq.Add(1)
-			}
-			l.shardFor(e).add(seq, e)
-			l.addMu.RUnlock()
+	s := l.sink.Load()
+	if len(entries) == 1 {
+		e := &entries[0]
+		if e.Site == "" {
+			// Stamp a local copy; the caller's slice is not ours to
+			// mutate.
+			st := *e
+			st.Site = l.site
+			e = &st
 		}
+		l.addMu.RLock()
+		var seq [1]uint64
+		if s != nil {
+			s.send(l, []Entry{*e}, "", seq[:])
+		} else {
+			seq[0] = l.seq.Add(1)
+		}
+		l.shards[l.shardIndex(e)].add(seq[0], e)
+		l.addMu.RUnlock()
+		return nil
+	}
+	if s != nil {
+		l.addMu.RLock()
+		defer l.addMu.RUnlock()
+		seqs := make([]uint64, len(entries))
+		s.send(l, entries, l.site, seqs)
+		l.addToShards(entries, true, 0, seqs)
 		return nil
 	}
 	l.appendBatch(entries, true)
@@ -350,14 +353,28 @@ func (l *Log) Append(entries ...Entry) error {
 }
 
 // appendBatch routes a sink-free batch: one sequence-range
-// reservation, then each stripe is locked once and grown to its exact
-// need instead of paying a lock round-trip and amortized growth per
-// entry. Sequence numbers follow input order, so Snapshot observes
-// the batch exactly as a per-entry loop would.
+// reservation, then addToShards. Sequence numbers follow input order,
+// so Snapshot observes the batch exactly as a per-entry loop would.
 func (l *Log) appendBatch(entries []Entry, stampSite bool) {
 	l.addMu.RLock()
 	defer l.addMu.RUnlock()
 	base := l.seq.Add(uint64(len(entries))) - uint64(len(entries))
+	l.addToShards(entries, stampSite, base, nil)
+}
+
+// addToShards adds a batch whose sequence numbers are assigned: entry
+// i takes seqs[i] (a sink batch), or base+i+1 when seqs is nil. Each
+// stripe is locked once and grown once instead of paying a lock
+// round-trip per entry. A sink-free batch grows a stripe by doubling,
+// which keeps a log filled batch by batch (federation site logs,
+// recovery) at linear copying. A sink batch grows it by append's
+// growth: there a durable log's writer adds small batches to large
+// recovered stripes, and doubling them would add a whole log's size in
+// slack. Measured on the benchmark, doubling sink batches too raised
+// officer-review's live heap by 18%, and append's growth for every
+// batch made building site-federation's site logs half again slower.
+// The caller holds addMu's read side.
+func (l *Log) addToShards(entries []Entry, stampSite bool, base uint64, seqs []uint64) {
 	// Bucket the batch by shard with a counting sort over the indices,
 	// so each shard's pass walks only its own entries instead of
 	// skip-scanning the whole batch per stripe.
@@ -387,7 +404,9 @@ func (l *Log) appendBatch(entries []Entry, stampSite bool) {
 		bucket := perm[pos : pos+counts[si]]
 		pos += counts[si]
 		sh.mu.Lock()
-		if need := len(sh.entries) + counts[si]; cap(sh.entries) < need {
+		if seqs != nil {
+			sh.entries = slices.Grow(sh.entries, counts[si])
+		} else if need := len(sh.entries) + counts[si]; cap(sh.entries) < need {
 			c := 2 * cap(sh.entries)
 			if c < need {
 				c = need
@@ -402,10 +421,14 @@ func (l *Log) appendBatch(entries []Entry, stampSite bool) {
 		for _, i := range bucket {
 			// Copy straight into the shard slice and patch the site
 			// stamp in place: the wide Entry is moved once, not twice.
-			sh.entries = append(sh.entries, stamped{seq: base + uint64(i) + 1, e: entries[i]})
-			st := &sh.entries[len(sh.entries)-1].e
-			if stampSite && st.Site == "" {
-				st.Site = l.site
+			seq := base + uint64(i) + 1
+			if seqs != nil {
+				seq = seqs[i]
+			}
+			sh.entries = append(sh.entries, stamped{seq: seq, e: entries[i]})
+			st := &sh.entries[len(sh.entries)-1]
+			if stampSite && st.e.Site == "" {
+				st.e.Site = l.site
 			}
 			sh.indexLocked(st)
 		}
@@ -689,7 +712,8 @@ func (l *Log) exportScan(c ExportCursor, hi uint64, ep uint64, full bool) ([]sta
 // policy is tied to the audit log; the paper's coverage arithmetic
 // counts one rule per audit row, and Policy.Add deduplicates exact
 // repeats, matching the Fig. 3 treatment where each row is a distinct
-// rule. Pass the entries to convert (e.g. a Snapshot).
+// rule. Pass the entries to convert (e.g. entries read from a file);
+// a live log's P_AL comes from its index through GroupsPolicy.
 func ToPolicy(name string, entries []Entry) *policy.Policy {
 	p := policy.New(name)
 	for _, e := range entries {

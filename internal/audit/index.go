@@ -1,7 +1,9 @@
 package audit
 
 import (
+	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -14,7 +16,11 @@ import (
 // shard's per-group and per-log accumulators under the same lock as
 // the entry itself, so downstream analytics — the Algorithm 4
 // GROUP BY … HAVING pass, row-level coverage, and Summarize — read
-// O(groups) merged state instead of rescanning O(entries) rows.
+// O(groups) merged state instead of rescanning O(entries) rows. The
+// same fold keeps what the privacy officer's reads need: each group's
+// first sequence number orders the audit policy P_AL (GroupsPolicy),
+// and per-user practice counts, the off-hours count and the set of
+// active days are the §4.2 evidence features (core.GroupEvidence).
 //
 // Groups are keyed by the raw (data, purpose, authorized) triple,
 // matching the SQL extractor's GROUP BY semantics exactly (the SQL
@@ -34,12 +40,71 @@ type groupKey struct {
 
 // groupAcc is one shard's accumulator for a group.
 type groupAcc struct {
-	canon    string              // canonical rule key, computed once
-	total    int                 // all rows in the group
-	practice int                 // rows surviving Filter (exception + allow)
-	users    map[string]struct{} // distinct raw users among practice rows
-	first    time.Time           // practice window
+	canon    string         // canonical rule key, computed once
+	firstSeq uint64         // lowest sequence number over all rows
+	total    int            // all rows in the group
+	practice int            // rows surviving Filter (exception + allow)
+	users    map[string]int // raw user -> practice rows
+	offHours int            // practice rows with OffHours(time)
+	days     []int32        // distinct UTCDay of practice rows, ascending
+	first    time.Time      // practice window
 	last     time.Time
+}
+
+// OffHours reports whether t falls outside 06:00–18:00 on the clock of
+// t's own zone: the evidence feature for access outside the working
+// day.
+func OffHours(t time.Time) bool {
+	h := t.Hour()
+	return h < 6 || h >= 18
+}
+
+// UTCDay numbers t's calendar day in UTC, counted from the Unix epoch;
+// distinct day numbers are distinct active days.
+func UTCDay(t time.Time) int32 {
+	s := t.Unix()
+	d := s / 86400
+	if s%86400 < 0 {
+		d--
+	}
+	return int32(d)
+}
+
+// addDay inserts d into the ascending set days. Appends arrive in
+// roughly time order, so the common cases are a repeat of the last day
+// or a new last day.
+func addDay(days []int32, d int32) []int32 {
+	if n := len(days); n == 0 || days[n-1] < d {
+		return append(days, d)
+	}
+	i, found := slices.BinarySearch(days, d)
+	if found {
+		return days
+	}
+	return slices.Insert(days, i, d)
+}
+
+// unionDays returns the union of the ascending sets a and b in new
+// storage.
+func unionDays(a, b []int32) []int32 {
+	out := make([]int32, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // statsAcc is one shard's Stats accumulator.
@@ -54,12 +119,13 @@ type statsAcc struct {
 	last       time.Time
 }
 
-// indexLocked folds one entry into the shard's accumulators; the
-// shard lock must be held. Users are recorded raw and normalized on
-// the O(users) read side instead of the O(entries) write side —
+// indexLocked folds one stamped entry into the shard's accumulators;
+// the shard lock must be held. Users are recorded raw and normalized
+// on the O(users) read side instead of the O(entries) write side —
 // normalize(union raw) equals union(normalize) so Summary is
 // unchanged.
-func (s *shard) indexLocked(e *Entry) {
+func (s *shard) indexLocked(se *stamped) {
+	e := &se.e
 	st := &s.stats
 	st.total++
 	if e.Op == Allow {
@@ -89,16 +155,22 @@ func (s *shard) indexLocked(e *Entry) {
 	k := groupKey{data: e.Data, purpose: e.Purpose, authorized: e.Authorized}
 	g := s.groups[k]
 	if g == nil {
-		g = &groupAcc{canon: e.RuleKey()}
+		g = &groupAcc{canon: e.RuleKey(), firstSeq: se.seq}
 		s.groups[k] = g
+	} else if se.seq < g.firstSeq {
+		g.firstSeq = se.seq
 	}
 	g.total++
 	if e.Status == Exception && e.Op == Allow {
 		g.practice++
 		if g.users == nil {
-			g.users = make(map[string]struct{})
+			g.users = make(map[string]int)
 		}
-		g.users[e.User] = struct{}{}
+		g.users[e.User]++
+		if OffHours(e.Time) {
+			g.offHours++
+		}
+		g.days = addDay(g.days, UTCDay(e.Time))
 		if g.first.IsZero() || e.Time.Before(g.first) {
 			g.first = e.Time
 		}
@@ -115,7 +187,7 @@ func (s *shard) rebuildLocked() {
 	s.groups = nil
 	s.stats = statsAcc{}
 	for i := range s.entries {
-		s.indexLocked(&s.entries[i].e)
+		s.indexLocked(&s.entries[i])
 	}
 }
 
@@ -127,11 +199,18 @@ type Group struct {
 	Authorized string
 	Key        string // canonical rule key (policy.TripleKey)
 
-	Total         int // all rows in the group
-	Practice      int // rows surviving Filter (exception-based allows)
-	PracticeUsers int // distinct users among practice rows
+	FirstSeq      uint64 // lowest sequence number among all rows
+	Total         int    // all rows in the group
+	Practice      int    // rows surviving Filter (exception-based allows)
+	PracticeUsers int    // distinct raw users among practice rows
 	First         time.Time
 	Last          time.Time // practice window; zero when Practice == 0
+
+	// The §4.2 evidence features of the practice rows; Users and Days
+	// are nil when Practice == 0.
+	Users    map[string]int // raw user -> practice rows
+	OffHours int            // practice rows with OffHours(time)
+	Days     []int32        // distinct UTCDay values, ascending
 }
 
 // Rule converts the group identity into a ground rule, term order
@@ -152,61 +231,54 @@ func (l *Log) Groups() []Group { return MergeGroups(l) }
 // MergeGroups merges the incremental per-rule indexes of several logs
 // into one deterministic cross-log view, sorted by the raw group
 // identity — the federated analytics feed: a consolidator holding one
-// log per site reads combined groups (summed counts, unioned distinct
-// users, widened practice windows) in O(groups) without materializing
-// a merged entry stream. MergeGroups(l) is exactly l.Groups().
+// log per site reads combined groups (summed counts and user counts,
+// unioned active days, widened practice windows) in O(groups) without
+// materializing a merged entry stream. MergeGroups(l) is exactly
+// l.Groups(). FirstSeq is the minimum over the logs, so it orders
+// rules only within one log.
 func MergeGroups(logs ...*Log) []Group {
-	type merged struct {
-		canon    string
-		total    int
-		practice int
-		users    map[string]struct{}
-		first    time.Time
-		last     time.Time
-	}
-	acc := make(map[groupKey]*merged)
+	acc := make(map[groupKey]*Group)
 	for _, l := range logs {
 		for _, sh := range l.shards {
 			sh.mu.RLock()
 			for k, g := range sh.groups {
 				m := acc[k]
 				if m == nil {
-					m = &merged{canon: g.canon}
+					m = &Group{Data: k.data, Purpose: k.purpose, Authorized: k.authorized,
+						Key: g.canon, FirstSeq: g.firstSeq}
 					acc[k] = m
 				}
-				m.total += g.total
-				m.practice += g.practice
+				if g.firstSeq < m.FirstSeq {
+					m.FirstSeq = g.firstSeq
+				}
+				m.Total += g.total
+				m.Practice += g.practice
+				m.OffHours += g.offHours
 				if len(g.users) > 0 {
-					if m.users == nil {
-						m.users = make(map[string]struct{}, len(g.users))
+					if m.Users == nil {
+						m.Users = make(map[string]int, len(g.users))
 					}
-					for u := range g.users {
-						m.users[u] = struct{}{}
+					for u, n := range g.users {
+						m.Users[u] += n
 					}
 				}
-				if !g.first.IsZero() && (m.first.IsZero() || g.first.Before(m.first)) {
-					m.first = g.first
+				if len(g.days) > 0 {
+					m.Days = unionDays(m.Days, g.days)
 				}
-				if g.last.After(m.last) {
-					m.last = g.last
+				if !g.first.IsZero() && (m.First.IsZero() || g.first.Before(m.First)) {
+					m.First = g.first
+				}
+				if g.last.After(m.Last) {
+					m.Last = g.last
 				}
 			}
 			sh.mu.RUnlock()
 		}
 	}
 	out := make([]Group, 0, len(acc))
-	for k, m := range acc {
-		out = append(out, Group{
-			Data:          k.data,
-			Purpose:       k.purpose,
-			Authorized:    k.authorized,
-			Key:           m.canon,
-			Total:         m.total,
-			Practice:      m.practice,
-			PracticeUsers: len(m.users),
-			First:         m.first,
-			Last:          m.last,
-		})
+	for _, m := range acc {
+		m.PracticeUsers = len(m.Users)
+		out = append(out, *m)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Data != out[j].Data {
@@ -218,6 +290,31 @@ func MergeGroups(logs ...*Log) []Group {
 		return out[i].Authorized < out[j].Authorized
 	})
 	return out
+}
+
+// GroupsPolicy builds the audit policy P_AL from index groups: one
+// ground rule per group, added in FirstSeq order, so for one log's
+// groups it holds the same rules in the same order as
+// ToPolicy(name, l.Snapshot()) — raw values that normalize to one rule
+// keep the spelling of the earliest row, as ToPolicy's set semantics
+// do. Algorithm 1's gap listing follows that rule order.
+func GroupsPolicy(name string, groups []Group) *policy.Policy {
+	order := make([]*Group, len(groups))
+	for i := range groups {
+		order[i] = &groups[i]
+	}
+	sort.SliceStable(order, func(i, j int) bool { return order[i].FirstSeq < order[j].FirstSeq })
+	p := policy.New(name)
+	for _, g := range order {
+		r, err := g.Rule()
+		if err != nil {
+			// Append validates every identity column non-blank, so an
+			// indexed group always forms a rule.
+			panic(fmt.Sprintf("audit: group rule: %v", err))
+		}
+		p.Add(r)
+	}
+	return p
 }
 
 // PracticeGroup is one shard's accumulator for a (data, purpose,

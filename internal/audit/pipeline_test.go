@@ -111,7 +111,7 @@ func TestIndexMatchesRescan(t *testing.T) {
 		if got, want := l.Summary(), Summarize(snap); got != want {
 			t.Fatalf("%s: Summary() = %+v, rescan = %+v", stage, got, want)
 		}
-		want := groupsByRescan(snap)
+		want := groupsByRescan(l)
 		if got := l.Groups(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: Groups() diverges from rescan:\n got %+v\nwant %+v", stage, got, want)
 		}
@@ -125,11 +125,13 @@ func TestIndexMatchesRescan(t *testing.T) {
 	check("after reset")
 }
 
-// groupsByRescan recomputes the Group view naively from a snapshot.
-func groupsByRescan(entries []Entry) []Group {
+// groupsByRescan recomputes the Group view naively from the log's
+// rows, folding each into a fresh single-shard log under its original
+// sequence number (Group.FirstSeq is part of the view).
+func groupsByRescan(l *Log) []Group {
 	fresh := NewLogShards("", 1)
-	for _, e := range entries {
-		fresh.bulkLoad([]Entry{e})
+	for _, se := range l.collect() {
+		fresh.shards[0].add(se.seq, &se.e)
 	}
 	return fresh.Groups()
 }
@@ -447,3 +449,46 @@ type writerFunc func([]byte) (int, error)
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 
 var _ io.Writer = writerFunc(nil)
+
+// TestEvidenceFoldUsesEntryClock pins the evidence features the index
+// folds: off-hours on the entry's own zone clock, active days on UTC
+// calendar days, user counts per raw user, and FirstSeq as the
+// group's earliest row.
+func TestEvidenceFoldUsesEntryClock(t *testing.T) {
+	plus2 := time.FixedZone("", 2*3600)
+	minus5 := time.FixedZone("", -5*3600)
+	evening := time.Date(2007, 3, 1, 17, 0, 0, 0, time.UTC).In(plus2) // 19:00 local
+	late := time.Date(2007, 3, 2, 4, 30, 0, 0, time.UTC).In(minus5)   // 23:30 local, 1 March
+	if !OffHours(evening) || OffHours(evening.UTC()) {
+		t.Fatalf("OffHours(%v) should follow the entry's zone", evening)
+	}
+	if UTCDay(late) != UTCDay(time.Date(2007, 3, 2, 0, 0, 0, 0, time.UTC)) {
+		t.Fatalf("UTCDay(%v) should count the UTC calendar day", late)
+	}
+	if d := UTCDay(time.Date(1969, 12, 31, 23, 0, 0, 0, time.UTC)); d != -1 {
+		t.Fatalf("UTCDay before the epoch = %d, want -1", d)
+	}
+	row := func(at time.Time, user string, st Status) Entry {
+		return Entry{Time: at, Op: Allow, User: user, Data: "referral", Purpose: "registration",
+			Authorized: "nurse", Status: st}
+	}
+	l := NewLog("s")
+	if err := l.Append(
+		row(evening, "regular-user", Regular),
+		row(evening, "Mark", Exception),
+		row(late, "mark", Exception),
+		row(evening.Add(-8*time.Hour), "Mark", Exception),
+	); err != nil {
+		t.Fatal(err)
+	}
+	gs := l.Groups()
+	if len(gs) != 1 {
+		t.Fatalf("%d groups, want 1", len(gs))
+	}
+	g := gs[0]
+	want := map[string]int{"Mark": 2, "mark": 1}
+	if g.FirstSeq != 1 || g.Practice != 3 || g.OffHours != 2 || !reflect.DeepEqual(g.Users, want) ||
+		!reflect.DeepEqual(g.Days, []int32{UTCDay(evening), UTCDay(late)}) {
+		t.Fatalf("group %+v", g)
+	}
+}

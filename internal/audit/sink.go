@@ -116,33 +116,47 @@ func (s *sink) wakeFlusher() {
 	}
 }
 
-// send assigns the entry's sequence number and enqueues it for the
-// flusher as one atomic step. After close it only assigns the
-// sequence — the in-memory append must not be blocked by a torn-down
-// sink.
-func (s *sink) send(l *Log, e Entry) uint64 {
+// send assigns the entries' sequence numbers, in order, into seqs and
+// enqueues them for the flusher in one critical section, which
+// blocking backpressure leaves only while it waits for the flusher.
+// After close it only assigns sequences — the in-memory append must
+// not be blocked by a torn-down sink. Each enqueued copy without a
+// site is stamped with site.
+func (s *sink) send(l *Log, entries []Entry, site string, seqs []uint64) {
+	drops := 0
 	s.mu.Lock()
-	if s.drop && !s.closed && len(s.pending) >= s.queue {
-		seq := l.seq.Add(1)
-		s.dropHigh = seq
-		s.mu.Unlock()
-		s.dropped.Add(1)
-		s.wakeFlusher() // the drop high-water must reach the writer too
-		if s.onErr != nil {
-			s.onErr(ErrSinkOverflow)
+	for i := range entries {
+		if s.drop && !s.closed && len(s.pending) >= s.queue {
+			seqs[i] = l.seq.Add(1)
+			s.dropHigh = seqs[i]
+			drops++
+			continue
 		}
-		return seq
-	}
-	for !s.drop && !s.closed && len(s.pending) >= s.queue {
-		s.full.Wait() // backpressure: block until the flusher drains
-	}
-	seq := l.seq.Add(1)
-	if !s.closed {
-		s.pending = append(s.pending, stamped{seq: seq, e: e})
+		if !s.drop && !s.closed && len(s.pending) >= s.queue {
+			s.wakeFlusher() // drain what this batch enqueued so far
+			for !s.closed && len(s.pending) >= s.queue {
+				s.full.Wait()
+			}
+		}
+		seqs[i] = l.seq.Add(1)
+		if !s.closed {
+			st := stamped{seq: seqs[i], e: entries[i]}
+			if st.e.Site == "" {
+				st.e.Site = site
+			}
+			s.pending = append(s.pending, st)
+		}
 	}
 	s.mu.Unlock()
 	s.wakeFlusher()
-	return seq
+	if drops > 0 {
+		s.dropped.Add(uint64(drops))
+		if s.onErr != nil {
+			for ; drops > 0; drops-- {
+				s.onErr(ErrSinkOverflow)
+			}
+		}
+	}
 }
 
 // plainJSON reports whether every byte of v can be emitted inside a

@@ -80,13 +80,34 @@ type Report struct {
 // Coverage computes the coverage of px in relation to py and explains
 // every gap.
 func Coverage(px, py *policy.Policy, v *vocab.Vocabulary) (*Report, error) {
-	rx, err := policy.Shared.Range(px, v, 0)
-	if err != nil {
-		return nil, fmt.Errorf("core: range of %s: %w", px.Name, err)
-	}
 	ry, err := policy.Shared.Range(py, v, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: range of %s: %w", py.Name, err)
+	}
+	return coverageOf(px, ry, v)
+}
+
+// AuditCoverage is Coverage of ps in relation to the audit policy
+// P_AL built from a log's index groups (audit.GroupsPolicy): the same
+// report as Coverage(ps, audit.ToPolicy("AL", l.Snapshot()), v),
+// without the snapshot. P_AL is rebuilt on every call, so its range is
+// expanded directly instead of through policy.Shared, where one
+// throwaway policy per call would fill the cache and flush the
+// long-lived store ranges with it.
+func AuditCoverage(ps *policy.Policy, groups []audit.Group, v *vocab.Vocabulary) (*Report, error) {
+	al := audit.GroupsPolicy("AL", groups)
+	ry, err := policy.NewRange(al, v, 0)
+	if err != nil {
+		return nil, fmt.Errorf("core: range of %s: %w", al.Name, err)
+	}
+	return coverageOf(ps, ry, v)
+}
+
+// coverageOf measures px against the range ry and explains every gap.
+func coverageOf(px *policy.Policy, ry *policy.Range, v *vocab.Vocabulary) (*Report, error) {
+	rx, err := policy.Shared.Range(px, v, 0)
+	if err != nil {
+		return nil, fmt.Errorf("core: range of %s: %w", px.Name, err)
 	}
 	rep := &Report{RangeX: rx.Len(), RangeY: ry.Len()}
 	for _, g := range ry.Rules() {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/audit"
@@ -57,10 +58,11 @@ func (e Evidence) String() string {
 // GatherEvidence computes the behavioural evidence for a pattern rule
 // over the practice entries (the Filter output). Matching uses the
 // rule's attributes only, so partial rules (mining correlations) work
-// too.
+// too. A live log serves the same figures from its index through
+// GroupEvidence.
 func GatherEvidence(practice []audit.Entry, rule policy.Rule) Evidence {
 	ev := Evidence{Rule: rule, UserCounts: make(map[string]int)}
-	days := make(map[string]bool)
+	days := make(map[int32]struct{})
 	offHours := 0
 	for _, e := range practice {
 		if !entryMatchesRule(e, rule) {
@@ -68,23 +70,35 @@ func GatherEvidence(practice []audit.Entry, rule policy.Rule) Evidence {
 		}
 		ev.Support++
 		ev.UserCounts[vocab.Norm(e.User)]++
-		days[e.Time.UTC().Format("2006-01-02")] = true
-		h := e.Time.Hour()
-		if h < 6 || h >= 18 {
+		days[audit.UTCDay(e.Time)] = struct{}{}
+		if audit.OffHours(e.Time) {
 			offHours++
 		}
 	}
-	ev.DaysActive = len(days)
-	if ev.Support > 0 {
-		ev.OffHoursFraction = float64(offHours) / float64(ev.Support)
-		sumSq := 0.0
-		for _, c := range ev.UserCounts {
-			p := float64(c) / float64(ev.Support)
-			sumSq += p * p
-		}
-		ev.Concentration = sumSq
-	}
+	finishEvidence(&ev, offHours, len(days))
 	return ev
+}
+
+// finishEvidence derives the ratio features from the counts gathered
+// into ev.Support and ev.UserCounts. The Herfindahl sum runs over the
+// users in sorted order so its rounding does not depend on map order.
+func finishEvidence(ev *Evidence, offHours, days int) {
+	ev.DaysActive = days
+	if ev.Support == 0 {
+		return
+	}
+	ev.OffHoursFraction = float64(offHours) / float64(ev.Support)
+	users := make([]string, 0, len(ev.UserCounts))
+	for u := range ev.UserCounts {
+		users = append(users, u)
+	}
+	sort.Strings(users)
+	sumSq := 0.0
+	for _, u := range users {
+		p := float64(ev.UserCounts[u]) / float64(ev.Support)
+		sumSq += p * p
+	}
+	ev.Concentration = sumSq
 }
 
 // entryMatchesRule reports whether the entry carries every term of
@@ -102,6 +116,64 @@ func entryMatchesRule(e audit.Entry, rule policy.Rule) bool {
 	return true
 }
 
+// groupTerms holds the normalized term keys of each index group's
+// identity, one per attribute, for matching rules against groups.
+func groupTerms(groups []audit.Group) [][3]string {
+	out := make([][3]string, len(groups))
+	for i := range groups {
+		g := &groups[i]
+		out[i] = [3]string{
+			policy.T("data", g.Data).Key(),
+			policy.T("purpose", g.Purpose).Key(),
+			policy.T("authorized", g.Authorized).Key(),
+		}
+	}
+	return out
+}
+
+// GroupEvidence computes GatherEvidence(Filter(snapshot), rule) from a
+// log's index groups, without the snapshot. A rule matches a group
+// when each of its terms equals, after normalization, the group's
+// value for that attribute; a partial rule aggregates over every group
+// it matches. Rules over attributes outside (data, purpose,
+// authorized) match no group.
+func GroupEvidence(groups []audit.Group, rule policy.Rule) Evidence {
+	return groupEvidence(groups, groupTerms(groups), rule)
+}
+
+func groupEvidence(groups []audit.Group, terms [][3]string, rule policy.Rule) Evidence {
+	ev := Evidence{Rule: rule, UserCounts: make(map[string]int)}
+	offHours := 0
+	var days []int32
+	for i := range groups {
+		g := &groups[i]
+		if g.Practice == 0 || !termsMatch(terms[i], rule) {
+			continue
+		}
+		ev.Support += g.Practice
+		for u, n := range g.Users {
+			ev.UserCounts[vocab.Norm(u)] += n
+		}
+		offHours += g.OffHours
+		days = append(days, g.Days...)
+	}
+	slices.Sort(days)
+	finishEvidence(&ev, offHours, len(slices.Compact(days)))
+	return ev
+}
+
+// termsMatch reports whether every term of rule is one of the group's
+// normalized identity terms.
+func termsMatch(group [3]string, rule policy.Rule) bool {
+	for _, t := range rule.Terms() {
+		k := t.Key()
+		if k != group[0] && k != group[1] && k != group[2] {
+			return false
+		}
+	}
+	return true
+}
+
 // AnnotatePatterns attaches evidence to each pattern, sorted by
 // ascending suspicion (safest adoption candidates first).
 func AnnotatePatterns(practice []audit.Entry, patterns []Pattern) []Evidence {
@@ -109,6 +181,26 @@ func AnnotatePatterns(practice []audit.Entry, patterns []Pattern) []Evidence {
 	for i, p := range patterns {
 		out[i] = GatherEvidence(practice, p.Rule)
 	}
+	sortEvidence(out)
+	return out
+}
+
+// AnnotateGroups is AnnotatePatterns served from a log's index groups:
+// equal to AnnotatePatterns(Filter(snapshot), patterns) in content and
+// order.
+func AnnotateGroups(groups []audit.Group, patterns []Pattern) []Evidence {
+	terms := groupTerms(groups)
+	out := make([]Evidence, len(patterns))
+	for i, p := range patterns {
+		out[i] = groupEvidence(groups, terms, p.Rule)
+	}
+	sortEvidence(out)
+	return out
+}
+
+// sortEvidence orders evidence by ascending suspicion, ties by rule
+// key.
+func sortEvidence(out []Evidence) {
 	sort.SliceStable(out, func(i, j int) bool {
 		si, sj := out[i].Suspicion(), out[j].Suspicion()
 		if math.Abs(si-sj) > 1e-12 {
@@ -116,7 +208,6 @@ func AnnotatePatterns(practice []audit.Entry, patterns []Pattern) []Evidence {
 		}
 		return out[i].Rule.Key() < out[j].Rule.Key()
 	})
-	return out
 }
 
 // SuspicionReviewer builds a Reviewer that adopts low-suspicion
@@ -124,8 +215,19 @@ func AnnotatePatterns(practice []audit.Entry, patterns []Pattern) []Evidence {
 // clearly violation-shaped ones. practice must be the Filter output
 // of the snapshot the session analyses.
 func SuspicionReviewer(practice []audit.Entry, investigateAt, rejectAt float64) Reviewer {
+	return suspicionReviewer(func(r policy.Rule) Evidence { return GatherEvidence(practice, r) }, investigateAt, rejectAt)
+}
+
+// GroupSuspicionReviewer is SuspicionReviewer scored from index groups
+// (GroupEvidence) instead of practice entries.
+func GroupSuspicionReviewer(groups []audit.Group, investigateAt, rejectAt float64) Reviewer {
+	terms := groupTerms(groups)
+	return suspicionReviewer(func(r policy.Rule) Evidence { return groupEvidence(groups, terms, r) }, investigateAt, rejectAt)
+}
+
+func suspicionReviewer(evidence func(policy.Rule) Evidence, investigateAt, rejectAt float64) Reviewer {
 	return ReviewerFunc(func(p Pattern) Decision {
-		s := GatherEvidence(practice, p.Rule).Suspicion()
+		s := evidence(p.Rule).Suspicion()
 		switch {
 		case s >= rejectAt:
 			return Reject

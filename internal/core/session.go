@@ -58,6 +58,10 @@ var AdoptAll = ReviewerFunc(func(Pattern) Decision { return Adopt })
 
 // Round records one refinement round.
 type Round struct {
+	// Number is the round's 1-based position among all the rounds its
+	// session has run (RecordRound); it stays exact when older rounds
+	// leave the history.
+	Number         int
 	Started        time.Time
 	Entries        int     // audit rows analysed
 	Practice       int     // rows surviving Filter
@@ -69,13 +73,34 @@ type Round struct {
 	Investigating  []Pattern
 }
 
+// HistoryKeep bounds a session's round history (Session,
+// StreamSession, the netfed consolidator): it keeps at least the
+// HistoryKeep most recent rounds and at most twice that many.
+const HistoryKeep = 512
+
+// RecordRound numbers r after the last round of history and appends
+// it, first dropping all but the HistoryKeep most recent rounds once
+// the history holds 2*HistoryKeep, so recording costs O(1) amortized
+// and the history's memory stays bounded however many rounds run. The
+// first kept round's Number tells how many rounds were dropped.
+func RecordRound(history []Round, r *Round) []Round {
+	r.Number = 1
+	if n := len(history); n > 0 {
+		r.Number = history[n-1].Number + 1
+	}
+	if len(history) >= 2*HistoryKeep {
+		history = append([]Round(nil), history[len(history)-HistoryKeep:]...)
+	}
+	return append(history, *r)
+}
+
 // Session drives repeated refinement rounds against a policy store,
 // mutating the store as patterns are adopted and keeping history.
 type Session struct {
 	PS      *policy.Policy
 	Vocab   *vocab.Vocabulary
 	Opts    Options
-	History []Round
+	History []Round // the most recent rounds (see RecordRound)
 
 	// rejected remembers reviewer-rejected rules so later rounds do
 	// not resurface behaviour already ruled bad practice.
@@ -134,7 +159,7 @@ func (s *Session) Run(entries []audit.Entry, reviewer Reviewer) (Round, error) {
 	}
 	round.CoverageAfter = after.Coverage
 
-	s.History = append(s.History, round)
+	s.History = RecordRound(s.History, &round)
 	return round, nil
 }
 

@@ -151,3 +151,31 @@ func TestDecisionString(t *testing.T) {
 		t.Error("unknown decision renders empty")
 	}
 }
+
+// TestRecordRoundBoundsHistory: a session keeps between HistoryKeep
+// and 2*HistoryKeep of its most recent rounds, each numbered by its
+// position among all rounds.
+func TestRecordRoundBoundsHistory(t *testing.T) {
+	var h []Round
+	for i := 0; i < 5*HistoryKeep+7; i++ {
+		r := Round{Entries: i}
+		h = RecordRound(h, &r)
+		if r.Number != i+1 {
+			t.Fatalf("round %d numbered %d", i+1, r.Number)
+		}
+		if len(h) > 2*HistoryKeep {
+			t.Fatalf("after %d rounds the history holds %d", i+1, len(h))
+		}
+		if last := h[len(h)-1].Entries; last != i {
+			t.Fatalf("last round %d, want %d", last, i)
+		}
+		for j := 1; j < len(h); j++ {
+			if h[j].Entries != h[j-1].Entries+1 || h[j].Number != h[j-1].Number+1 {
+				t.Fatalf("history not the contiguous latest rounds at %d", j)
+			}
+		}
+	}
+	if len(h) < HistoryKeep {
+		t.Fatalf("history holds %d rounds, want at least %d", len(h), HistoryKeep)
+	}
+}

@@ -199,7 +199,7 @@ type StreamSession struct {
 	PS      *policy.Policy
 	Vocab   *vocab.Vocabulary
 	Opts    Options
-	History []Round
+	History []Round // the most recent rounds (see RecordRound)
 
 	// rejected remembers reviewer-rejected rules so later rounds do
 	// not resurface behaviour already ruled bad practice.
@@ -316,7 +316,7 @@ func (s *StreamSession) Run(reviewer Reviewer) (Round, error) {
 	}
 	round.CoverageAfter = after.Coverage
 
-	s.History = append(s.History, round)
+	s.History = RecordRound(s.History, &round)
 	return round, nil
 }
 

@@ -16,8 +16,9 @@ import (
 // the first occurrence of a string travels as a length-prefixed
 // literal and defines the next dictionary id, every repeat is one
 // uvarint — plus zigzag-delta timestamps and a packed op/status flag
-// byte. Sequence numbers never travel per entry: a batch is the
-// contiguous range [BaseSeq, BaseSeq+len(Entries)).
+// byte. A timestamp's zone offset travels only when it is non-zero, so
+// UTC entries pay nothing for it. Sequence numbers never travel per
+// entry: a batch is the contiguous range [BaseSeq, BaseSeq+len(Entries)).
 //
 // Decoding is strict: every read is bounds-checked, counts and string
 // lengths are validated against the remaining payload, and a batch
@@ -41,7 +42,12 @@ const (
 	flagRegular   = 1 << 1 // Status == audit.Regular
 	flagHasSite   = 1 << 2
 	flagHasReason = 1 << 3
+	flagHasZone   = 1 << 4 // a varint zone offset in seconds follows the flags
 )
+
+// maxZoneOffset bounds a decoded zone offset: RFC 3339, and with it
+// the JSONL export, has no notation for an offset of a day or more.
+const maxZoneOffset = 24*3600 - 1
 
 // Encoder carries the per-batch dictionary state so repeated encodes
 // reuse one map allocation. Not safe for concurrent use; each
@@ -94,7 +100,14 @@ func (enc *Encoder) AppendBatch(dst []byte, baseSeq uint64, entries []audit.Entr
 		if e.Reason != "" {
 			flags |= flagHasReason
 		}
+		_, off := e.Time.Zone()
+		if off != 0 {
+			flags |= flagHasZone
+		}
 		dst = append(dst, flags)
+		if off != 0 {
+			dst = binary.AppendVarint(dst, int64(off))
+		}
 		dst = enc.appendString(dst, e.User)
 		dst = enc.appendString(dst, e.Data)
 		dst = enc.appendString(dst, e.Purpose)
@@ -146,8 +159,9 @@ func (dec *Decoder) readString(b []byte, pos int) (string, int, error) {
 }
 
 // DecodeBatch decodes a batch produced by AppendBatch. Decoded times
-// are UTC (the wire carries Unix nanoseconds; monotonic clock readings
-// and zone names do not travel). The payload must be consumed exactly:
+// keep their instant and zone offset, in UTC or an unnamed fixed zone,
+// as the durable store decodes them (monotonic clock readings and zone
+// names do not travel). The payload must be consumed exactly:
 // trailing bytes are an error, so a frame cannot smuggle data past the
 // codec.
 func (dec *Decoder) DecodeBatch(payload []byte) (baseSeq uint64, entries []audit.Entry, err error) {
@@ -182,14 +196,22 @@ func (dec *Decoder) DecodeBatch(payload []byte) (baseSeq uint64, entries []audit
 		}
 		pos += n
 		prev += d
-		e.Time = time.Unix(0, prev).UTC()
 		if pos >= len(payload) {
 			return 0, nil, ErrBatchCorrupt
 		}
 		flags := payload[pos]
 		pos++
-		if flags&^(flagAllow|flagRegular|flagHasSite|flagHasReason) != 0 {
+		if flags&^(flagAllow|flagRegular|flagHasSite|flagHasReason|flagHasZone) != 0 {
 			return 0, nil, fmt.Errorf("%w: flag byte %#x", ErrBatchCorrupt, flags)
+		}
+		e.Time = time.Unix(0, prev).UTC()
+		if flags&flagHasZone != 0 {
+			off, n := binary.Varint(payload[pos:])
+			if n <= 0 || off == 0 || off < -maxZoneOffset || off > maxZoneOffset {
+				return 0, nil, fmt.Errorf("%w: zone offset", ErrBatchCorrupt)
+			}
+			pos += n
+			e.Time = e.Time.In(time.FixedZone("", int(off)))
 		}
 		if flags&flagAllow != 0 {
 			e.Op = audit.Allow

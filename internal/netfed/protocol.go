@@ -7,8 +7,9 @@ import (
 )
 
 // ProtocolVersion is the wire protocol revision; hello/helloAck carry
-// it and both ends refuse a mismatch.
-const ProtocolVersion = 1
+// it and both ends refuse a mismatch. Version 2 added the batch codec's
+// zone-offset flag.
+const ProtocolVersion = 2
 
 // maxSiteName bounds the site identifier in a hello.
 const maxSiteName = 1 << 10

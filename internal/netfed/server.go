@@ -31,14 +31,11 @@ type RefineConfig struct {
 	// Interval drives the background epoch loop started by Serve;
 	// zero means epochs run only when RunEpoch is called.
 	Interval time.Duration
-	// InvestigateAt / RejectAt are the E11 suspicion thresholds. With
+	// InvestigateAt / RejectAt are the E11 suspicion thresholds,
+	// scored against the evidence of the merged site indexes. With
 	// RejectAt zero the reviewer is AdoptAll (every mined pattern is
 	// adopted, the paper's default federation posture).
 	InvestigateAt, RejectAt float64
-	// MaxPractice bounds the cross-site practice-evidence window the
-	// suspicion reviewer scores against; when exceeded the oldest half
-	// is dropped. Default 1<<20 entries.
-	MaxPractice int
 }
 
 // ConsolidatorOptions tunes a Consolidator.
@@ -78,27 +75,12 @@ type siteState struct {
 
 // analytics is the consolidation-side refinement state, the cross-site
 // counterpart of core.StreamSession: the policy store, the rejected-
-// rule memory, epoch history, and the bounded practice-evidence window
-// the suspicion reviewer scores against.
+// rule memory and epoch history.
 type analytics struct {
-	mu          sync.Mutex // lock class netfed.analytics
-	cfg         RefineConfig
-	rejected    map[string]bool
-	history     []core.Round
-	practice    []audit.Entry
-	maxPractice int
-}
-
-// foldPractice absorbs newly folded practice entries, truncating the
-// oldest half when the evidence window overflows.
-func (a *analytics) foldPractice(entries []audit.Entry) {
-	a.mu.Lock()
-	a.practice = append(a.practice, entries...)
-	if len(a.practice) > a.maxPractice {
-		n := copy(a.practice, a.practice[len(a.practice)/2:])
-		a.practice = a.practice[:n]
-	}
-	a.mu.Unlock()
+	mu       sync.Mutex // lock class netfed.analytics
+	cfg      RefineConfig
+	rejected map[string]bool
+	history  []core.Round
 }
 
 // Consolidator is the server side of the wire federation: it accepts
@@ -146,15 +128,7 @@ func NewConsolidator(opts ConsolidatorOptions) (*Consolidator, error) {
 		if !core.IndexExtractable(r.Opts) {
 			return nil, errors.New("netfed: refinement options not servable from the rule index")
 		}
-		cfg := *r
-		if cfg.MaxPractice <= 0 {
-			cfg.MaxPractice = 1 << 20
-		}
-		c.refine = &analytics{
-			cfg:         cfg,
-			rejected:    make(map[string]bool),
-			maxPractice: cfg.MaxPractice,
-		}
+		c.refine = &analytics{cfg: *r, rejected: make(map[string]bool)}
 	}
 	return c, nil
 }
@@ -388,15 +362,12 @@ func (c *Consolidator) handleConn(conn net.Conn) {
 				c.refuse(conn, derr.Error())
 				return
 			}
-			ackSeq, practice, ferr := c.fold(site, base, entries)
+			ackSeq, ferr := c.fold(site, base, entries)
 			if ferr != nil {
 				c.refuse(conn, ferr.Error())
 				return
 			}
 			c.batches.Add(1)
-			if len(practice) > 0 && c.refine != nil {
-				c.refine.foldPractice(practice)
-			}
 			acks.post(ackSeq)
 		case MsgError:
 			c.report(fmt.Errorf("netfed: site %s: %w", h.site, parseErrorMsg(payload)))
@@ -413,19 +384,18 @@ func (c *Consolidator) handleConn(conn net.Conn) {
 // fresh suffix is validated and appended in remote sequence order, so
 // the reconstructed log assigns the same sequence numbers the site's
 // own log did. A batch starting above the watermark+1 is a protocol
-// fault (the client replayed past a gap). Returns the new watermark
-// and the practice entries (exception-based allows) for analytics.
-func (c *Consolidator) fold(site *siteState, base uint64, entries []audit.Entry) (uint64, []audit.Entry, error) {
+// fault (the client replayed past a gap). Returns the new watermark.
+func (c *Consolidator) fold(site *siteState, base uint64, entries []audit.Entry) (uint64, error) {
 	site.mu.Lock()
 	defer site.mu.Unlock()
 	if base > site.seq+1 {
-		return 0, nil, fmt.Errorf("netfed: sequence gap: batch base %d, store at %d", base, site.seq)
+		return 0, fmt.Errorf("netfed: sequence gap: batch base %d, store at %d", base, site.seq)
 	}
 	if last := base + uint64(len(entries)) - 1; len(entries) == 0 || last <= site.seq {
 		// Entire batch already folded (pure retransmit).
 		site.dups += uint64(len(entries))
 		c.dups.Add(uint64(len(entries)))
-		return site.seq, nil, nil
+		return site.seq, nil
 	}
 	fresh := entries[site.seq+1-base:]
 	if skipped := len(entries) - len(fresh); skipped > 0 {
@@ -433,11 +403,11 @@ func (c *Consolidator) fold(site *siteState, base uint64, entries []audit.Entry)
 		c.dups.Add(uint64(skipped))
 	}
 	if err := site.log.Append(fresh...); err != nil {
-		return 0, nil, fmt.Errorf("netfed: invalid entry in batch: %w", err)
+		return 0, fmt.Errorf("netfed: invalid entry in batch: %w", err)
 	}
 	site.seq += uint64(len(fresh))
 	c.entries.Add(uint64(len(fresh)))
-	return site.seq, core.Filter(fresh), nil
+	return site.seq, nil
 }
 
 // refuse sends a best-effort error frame and lets the caller close
@@ -457,9 +427,9 @@ func (c *Consolidator) report(err error) {
 
 // RunEpoch performs one cross-site refinement epoch: merge every
 // site's incremental rule index, measure coverage, mine and prune
-// patterns, apply the suspicion reviewer (or AdoptAll when no reject
-// threshold is configured), adopt, and re-measure — the federated
-// counterpart of core.StreamSession.Run.
+// patterns, apply the suspicion reviewer scored from the merged groups
+// (or AdoptAll when no reject threshold is configured), adopt, and
+// re-measure — the federated counterpart of core.StreamSession.Run.
 func (c *Consolidator) RunEpoch() (core.Round, error) {
 	a := c.refine
 	if a == nil {
@@ -498,7 +468,7 @@ func (c *Consolidator) RunEpoch() (core.Round, error) {
 
 	var reviewer core.Reviewer = core.AdoptAll
 	if a.cfg.RejectAt > 0 {
-		reviewer = core.SuspicionReviewer(a.practice, a.cfg.InvestigateAt, a.cfg.RejectAt)
+		reviewer = core.GroupSuspicionReviewer(groups, a.cfg.InvestigateAt, a.cfg.RejectAt)
 	}
 	for _, p := range round.Patterns {
 		switch reviewer.Review(p) {
@@ -518,12 +488,13 @@ func (c *Consolidator) RunEpoch() (core.Round, error) {
 		return core.Round{}, err
 	}
 	round.CoverageAfter = after.Coverage
-	a.history = append(a.history, round)
+	a.history = core.RecordRound(a.history, &round)
 	c.epochs.Add(1)
 	return round, nil
 }
 
-// History returns the recorded refinement epochs.
+// History returns the most recent refinement epochs, numbered among
+// all epochs (see core.RecordRound).
 func (c *Consolidator) History() []core.Round {
 	if c.refine == nil {
 		return nil

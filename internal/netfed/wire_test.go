@@ -3,6 +3,7 @@ package netfed
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -512,5 +513,131 @@ func TestStreamerResumeGapIsTerminal(t *testing.T) {
 	defer cancel2()
 	if err := s.Run(ctx2); !errors.Is(err, ErrResumeGap) {
 		t.Fatalf("err = %v, want ErrResumeGap", err)
+	}
+}
+
+// TestBatchCodecKeepsZoneOffset: an entry stamped in a non-UTC zone
+// crosses the wire with its offset, so the consolidator reads the same
+// wall clock (the off-hours evidence feature) and exports the same
+// JSON as the site; a UTC entry carries no offset bytes.
+func TestBatchCodecKeepsZoneOffset(t *testing.T) {
+	e := audit.Entry{
+		Time: time.Date(2007, 3, 1, 17, 30, 0, 0, time.UTC).In(time.FixedZone("", 2*3600)),
+		Op:   audit.Allow, User: "mark", Data: "referral", Purpose: "registration",
+		Authorized: "nurse", Status: audit.Exception,
+	}
+	utc := e
+	utc.Time = e.Time.UTC()
+	_, got, err := NewDecoder().DecodeBatch(NewEncoder().AppendBatch(nil, 1, []audit.Entry{e, utc}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []audit.Entry{e, utc} {
+		if got[i].Time.Hour() != want.Time.Hour() {
+			t.Errorf("entry %d: decoded hour %d, sent %d", i, got[i].Time.Hour(), want.Time.Hour())
+		}
+		if g, w := jsonl(t, got[i:i+1]), jsonl(t, []audit.Entry{want}); !bytes.Equal(g, w) {
+			t.Errorf("entry %d: decoded JSON %s, sent %s", i, g, w)
+		}
+	}
+	zoned := NewEncoder().AppendBatch(nil, 1, []audit.Entry{e})
+	plain := NewEncoder().AppendBatch(nil, 1, []audit.Entry{utc})
+	if off := len(binary.AppendVarint(nil, 2*3600)); len(zoned) != len(plain)+off {
+		t.Errorf("zoned batch %d bytes, UTC batch %d: want exactly the %d-byte offset varint more", len(zoned), len(plain), off)
+	}
+	// A zone flag must carry a non-zero offset below a day.
+	for _, off := range []int64{0, 24 * 3600, -24 * 3600} {
+		b := append([]byte(nil), plain[:4]...) // base, count, time delta (2 bytes)
+		b = append(b, plain[4]|flagHasZone)
+		b = binary.AppendVarint(b, off)
+		b = append(b, plain[5:]...)
+		if _, _, err := NewDecoder().DecodeBatch(b); !errors.Is(err, ErrBatchCorrupt) {
+			t.Errorf("zone offset %d: err %v, want ErrBatchCorrupt", off, err)
+		}
+	}
+}
+
+// zonedSiteLog builds one site's log for the suspicion differential:
+// practice rows in several zone offsets, raw values that differ only
+// in case, and per-site users so no row replicates across sites. The
+// fewer users touch a data category, the more concentrated, and so
+// the more suspicious, its patterns.
+func zonedSiteLog(t *testing.T, site string, seed int64, n int) *audit.Log {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	zones := []*time.Location{time.UTC, time.FixedZone("", 2*3600), time.FixedZone("", -7*3600)}
+	pick := func(vs ...string) string { return vs[rng.Intn(len(vs))] }
+	base := time.Date(2007, 3, 1, 0, 0, 0, 0, time.UTC)
+	l := audit.NewLog(site)
+	users := map[string][]string{
+		"referral":     {"Ann", "ann", "bo", "cy", "di", "ed"},
+		"Referral":     {"Ann", "ann", "bo", "cy", "di", "ed"},
+		"prescription": {"bo", "cy"},
+		"psychiatry":   {"Ann", "ann"},
+	}
+	for i := 0; i < n; i++ {
+		data := pick("referral", "Referral", "psychiatry", "prescription")
+		e := audit.Entry{
+			Time:       base.Add(time.Duration(rng.Int63n(int64(6 * 24 * time.Hour)))).In(zones[rng.Intn(len(zones))]),
+			Op:         audit.Allow,
+			User:       site + "-" + pick(users[data]...),
+			Data:       data,
+			Purpose:    pick("registration", "research", "billing"),
+			Authorized: pick("nurse", "clerk", "Clerk"),
+			Status:     audit.Exception,
+		}
+		if rng.Intn(4) == 0 {
+			e.Status = audit.Regular
+		}
+		if err := l.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return l
+}
+
+// TestConsolidatorSuspicionMatchesSnapshotReviewer: the epoch's
+// review, scored from the merged site indexes, decides every pattern
+// as core.SuspicionReviewer does over the practice rows of the
+// consolidated snapshot, and that snapshot exports the sites' rows
+// byte for byte, zone offsets included.
+func TestConsolidatorSuspicionMatchesSnapshotReviewer(t *testing.T) {
+	v := scenario.Vocabulary()
+	logs := []*audit.Log{zonedSiteLog(t, "site-a", 21, 900), zonedSiteLog(t, "site-b", 22, 700)}
+	const investigateAt, rejectAt = 0.3, 0.45
+	cons, addr := startConsolidator(t, ConsolidatorOptions{
+		Refine: &RefineConfig{PS: scenario.PolicyStore(), Vocab: v, InvestigateAt: investigateAt, RejectAt: rejectAt},
+	})
+	streamAll(t, logs, tcpDialer(addr), StreamerOptions{BatchEntries: 64})
+
+	merged := cons.Consolidate()
+	if want := audit.NewFederation(logs...).Consolidate(); !bytes.Equal(jsonl(t, merged.Entries), jsonl(t, want.Entries)) {
+		t.Fatal("consolidated export differs from the in-process federation of the site logs")
+	}
+	round, err := cons.RunEpoch()
+	if err != nil {
+		t.Fatal(err)
+	}
+	decided := make(map[string]core.Decision)
+	for _, r := range round.Adopted {
+		decided[r.Key()] = core.Adopt
+	}
+	for _, p := range round.Rejected {
+		decided[p.Rule.Key()] = core.Reject
+	}
+	for _, p := range round.Investigating {
+		decided[p.Rule.Key()] = core.Investigate
+	}
+	oracle := core.SuspicionReviewer(core.Filter(merged.Entries), investigateAt, rejectAt)
+	counts := make(map[core.Decision]int)
+	for _, p := range round.Patterns {
+		want := oracle.Review(p)
+		counts[want]++
+		if got := decided[p.Rule.Key()]; got != want {
+			t.Errorf("%s: epoch decided %v, snapshot reviewer %v", p.Rule.Compact(), got, want)
+		}
+	}
+	if len(counts) < 3 {
+		t.Fatalf("thresholds split %d patterns into %v: the differential needs every outcome", len(round.Patterns), counts)
 	}
 }

@@ -25,7 +25,8 @@ type Input struct {
 	Coverage *core.Report
 	// EntryCoverage is row-level coverage over the same snapshot.
 	EntryCoverage *core.EntryReport
-	// Rounds are refinement rounds, oldest first.
+	// Rounds are refinement rounds, oldest first: a session's history,
+	// which may have dropped its oldest rounds (core.RecordRound).
 	Rounds []core.Round
 	// Entries is the audit snapshot used for the statistics section.
 	Entries []audit.Entry
@@ -70,11 +71,18 @@ func Write(w io.Writer, in Input) error {
 
 	if len(in.Rounds) > 0 {
 		bw.printf("## Refinement history\n\n")
+		if n := in.Rounds[0].Number; n > 1 {
+			bw.printf("Rounds 1 to %d are omitted; the history keeps the most recent rounds.\n\n", n-1)
+		}
 		bw.printf("| round | analysed | practice | coverage before | coverage after | adopted | rejected | investigating |\n")
 		bw.printf("|---|---|---|---|---|---|---|---|\n")
 		for i, r := range in.Rounds {
+			num := r.Number
+			if num == 0 {
+				num = i + 1 // a round recorded outside a session
+			}
 			bw.printf("| %d | %d | %d | %.1f%% | %.1f%% | %d | %d | %d |\n",
-				i+1, r.Entries, r.Practice,
+				num, r.Entries, r.Practice,
 				r.CoverageBefore*100, r.CoverageAfter*100,
 				len(r.Adopted), len(r.Rejected), len(r.Investigating))
 		}

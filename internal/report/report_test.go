@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -117,3 +118,40 @@ var errFail = &writeErr{}
 type writeErr struct{}
 
 func (*writeErr) Error() string { return "synthetic write failure" }
+
+// TestRenderTrimmedHistory: once a session's history has dropped its
+// oldest rounds, the report numbers the kept rounds by their position
+// in the session and says that the earlier rounds are omitted.
+func TestRenderTrimmedHistory(t *testing.T) {
+	var history []core.Round
+	total := 2*core.HistoryKeep + 5
+	for i := 0; i < total; i++ {
+		r := core.Round{Entries: i}
+		history = core.RecordRound(history, &r)
+	}
+	out, err := Render(Input{Rounds: history})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := history[0].Number
+	if first <= 1 {
+		t.Fatalf("history of %d rounds kept its first round", total)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("Rounds 1 to %d are omitted", first-1),
+		fmt.Sprintf("| %d | %d |", first, first-1),
+		fmt.Sprintf("| %d | %d |", total, total-1),
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report lacks %q", want)
+		}
+	}
+	if strings.Contains(out, "| 1 | 0 |") {
+		t.Error("report labels a kept round as round 1")
+	}
+
+	full, err := Render(fullInput(t))
+	if err != nil || strings.Contains(full, "omitted") || !strings.Contains(full, "| 1 |") {
+		t.Fatalf("a one-round session's report: %v\n%s", err, full)
+	}
+}

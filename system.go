@@ -212,10 +212,10 @@ func (s *System) BreakGlass(user, role, purpose, reason, sql string) (*minidb.Re
 
 // Coverage computes Algorithm 1 coverage of the policy store with
 // respect to the audit log's policy P_AL (Definition 9 set
-// semantics), with gap explanations.
+// semantics), with gap explanations. P_AL is built from the log's
+// incremental per-rule index in O(groups), with no snapshot.
 func (s *System) Coverage() (*CoverageReport, error) {
-	al := audit.ToPolicy("AL", s.log.Snapshot())
-	return core.Coverage(s.ps, al, s.vocab)
+	return core.AuditCoverage(s.ps, s.log.Groups(), s.vocab)
 }
 
 // EntryCoverage computes row-level coverage over the audit log (the
@@ -234,14 +234,26 @@ func (s *System) Patterns() ([]Pattern, error) {
 }
 
 // PatternEvidence runs refinement and annotates each useful pattern
-// with its behavioural evidence, sorted safest-first.
+// with its behavioural evidence, sorted safest-first. With the default
+// analysis, patterns and evidence come from one read of the log's
+// incremental index; custom extractors or attributes fall back to a
+// snapshot of the practice rows.
 func (s *System) PatternEvidence() ([]PatternEvidence, error) {
+	if core.IndexExtractable(s.session.Opts) {
+		groups := s.log.Groups()
+		patterns, err := core.PatternsFromGroups(groups, s.session.Opts)
+		if err != nil {
+			return nil, err
+		}
+		if patterns, err = core.Prune(patterns, s.ps, s.vocab); err != nil {
+			return nil, err
+		}
+		return core.AnnotateGroups(groups, patterns), nil
+	}
 	patterns, err := core.RefineFromLog(s.ps, s.log, s.vocab, s.session.Opts)
 	if err != nil {
 		return nil, err
 	}
-	// Annotation needs the raw practice rows, so this path still
-	// materializes a snapshot.
 	return core.AnnotatePatterns(core.Filter(s.log.Snapshot()), patterns), nil
 }
 
@@ -253,7 +265,10 @@ func (s *System) RunRefinement(reviewer Reviewer) (Round, error) {
 	return s.session.Run(reviewer)
 }
 
-// RefinementHistory returns the recorded rounds.
+// RefinementHistory returns the most recent rounds, oldest first.
+// core.RecordRound bounds the history of a long-running system; each
+// round's Number is its position among all rounds, so the first kept
+// round tells how many were dropped, and WriteReport says so.
 func (s *System) RefinementHistory() []Round { return s.session.History }
 
 // WriteReport renders the privacy-officer Markdown report for the

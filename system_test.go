@@ -4,10 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/policy"
 	"repro/internal/scenario"
 )
 
@@ -355,6 +358,42 @@ func TestSystemPatternEvidenceAndReport(t *testing.T) {
 	}
 }
 
+// TestReportNumbersKeptRounds: past 2*HistoryKeep rounds the history
+// drops its oldest rounds; the report numbers the kept rounds by their
+// position among all rounds and says the earlier ones are omitted.
+func TestReportNumbersKeptRounds(t *testing.T) {
+	sys := hospital(t)
+	if _, _, err := sys.BreakGlass("mark", "nurse", "registration", "backlog",
+		`SELECT referral FROM records`); err != nil {
+		t.Fatal(err)
+	}
+	investigate := ReviewerFunc(func(Pattern) Decision { return Investigate })
+	total := 2*core.HistoryKeep + 3
+	for i := 0; i < total; i++ {
+		if _, err := sys.RunRefinement(investigate); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := sys.RefinementHistory()
+	if len(h) > 2*core.HistoryKeep || h[len(h)-1].Number != total || h[0].Number != total-len(h)+1 {
+		t.Fatalf("history of %d rounds numbered %d..%d after %d rounds",
+			len(h), h[0].Number, h[len(h)-1].Number, total)
+	}
+	var sb strings.Builder
+	if err := sys.WriteReport(&sb, "Long-running report"); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf("Rounds 1 to %d are omitted", h[0].Number-1),
+		fmt.Sprintf("| %d |", h[0].Number),
+		fmt.Sprintf("| %d |", total),
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("report missing %q", want)
+		}
+	}
+}
+
 func TestFacadeConstructorsAndEvidenceHelpers(t *testing.T) {
 	if NewVocabulary().Size() != 0 {
 		t.Error("NewVocabulary not empty")
@@ -387,5 +426,66 @@ func TestFacadeConstructorsAndEvidenceHelpers(t *testing.T) {
 	}
 	if NewFederation(l).Sources() != 1 {
 		t.Error("NewFederation sources")
+	}
+}
+
+// TestCoverageKeepsSharedRange: System.Coverage ranges its per-call
+// audit policy privately, so the process-wide range cache keeps the
+// policy store's range across many officer reads instead of being
+// flushed once enough throwaway policies have entered it.
+func TestCoverageKeepsSharedRange(t *testing.T) {
+	sys := New(Config{Policy: scenario.PolicyStore()})
+	if err := sys.AuditLog().Append(scenario.Table1()...); err != nil {
+		t.Fatal(err)
+	}
+	ps, v := sys.PolicyStore(), sys.Vocabulary()
+	want, err := policy.Shared.Range(ps, v, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		if _, err := sys.Coverage(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, err := policy.Shared.Range(ps, v, 0); err != nil || got != want {
+		t.Fatalf("policy store range re-expanded after 300 Coverage calls (err %v)", err)
+	}
+}
+
+// TestOfficerReadsMatchSnapshotOracle: the index-served Coverage and
+// PatternEvidence equal the entry-slice computations over a snapshot.
+func TestOfficerReadsMatchSnapshotOracle(t *testing.T) {
+	sys := New(Config{Policy: scenario.PolicyStore()})
+	entries := scenario.Table1()
+	for i := range entries {
+		// Evening rows in a UTC+10 zone: off-hours on the clinic clock.
+		e := entries[i]
+		e.Time = e.Time.Add(24 * time.Hour).In(time.FixedZone("", 10*3600))
+		entries = append(entries, e)
+	}
+	if err := sys.AuditLog().Append(entries...); err != nil {
+		t.Fatal(err)
+	}
+	ps, v := sys.PolicyStore(), sys.Vocabulary()
+	snap := sys.AuditLog().Snapshot()
+	wantCov, err := CoverageDetail(ps, EntriesToPolicy("AL", snap), v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sys.Coverage(); err != nil || !reflect.DeepEqual(got, wantCov) {
+		t.Fatalf("Coverage = %+v (err %v), snapshot oracle %+v", got, err, wantCov)
+	}
+	pats, err := Refine(ps, snap, v, RefineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := core.AnnotatePatterns(core.Filter(snap), pats)
+	got, err := sys.PatternEvidence()
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("PatternEvidence = %v (err %v), snapshot oracle %v", got, err, want)
+	}
+	if len(got) == 0 || got[0].OffHoursFraction == 0 {
+		t.Fatalf("expected off-hours evidence, got %v", got)
 	}
 }
