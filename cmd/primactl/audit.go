@@ -10,10 +10,11 @@ import (
 )
 
 // cmdAudit administers durable audit stores. `audit recover -dir D`
-// opens the store, replays the WAL tail on top of the JSONL
-// checkpoint (rebuilding the refinement index), prints what recovery
-// found, and leaves the store checkpointed — a crashed site can be
-// inspected and repaired offline before the service restarts.
+// opens the store, replays the WAL tail on top of the checkpoint in
+// the store's index (rebuilding the refinement index), prints what
+// recovery found, and leaves the store checkpointed — a crashed site
+// can be inspected and repaired offline before the service restarts.
+// -export writes a JSONL copy of the recovered log.
 func cmdAudit(args []string) error {
 	if len(args) == 0 {
 		return fmt.Errorf("audit requires an action: recover")
@@ -30,7 +31,7 @@ func cmdAuditRecover(args []string) error {
 	fs := flag.NewFlagSet("audit recover", flag.ContinueOnError)
 	dir := fs.String("dir", "", "durable audit store directory (required)")
 	site := fs.String("site", "", "site name for the recovered log")
-	checkpoint := fs.Bool("checkpoint", true, "checkpoint after recovery (fold the WAL tail into log.jsonl)")
+	checkpoint := fs.Bool("checkpoint", true, "checkpoint after recovery (fold the WAL tail into the store's index)")
 	export := fs.String("export", "", "also write the recovered entries to this JSONL file")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -53,9 +54,6 @@ func cmdAuditRecover(args []string) error {
 	if rs.TruncatedLine {
 		fmt.Println("  torn JSONL line:    dropped (bootstrap from sink file)")
 	}
-	if rs.CompactionResumed {
-		fmt.Println("  compaction:         finished (crash interrupted a retention rewrite)")
-	}
 	if rs.Dropped > 0 {
 		fmt.Printf("  dropped entries:    %d (sink backpressure before shutdown)\n", rs.Dropped)
 	}
@@ -73,7 +71,11 @@ func cmdAuditRecover(args []string) error {
 		if err := d.Checkpoint(); err != nil {
 			return fmt.Errorf("checkpoint: %w", err)
 		}
-		fmt.Printf("checkpointed: %d entries durable in log.jsonl\n", d.Log().Len())
+		fmt.Printf("checkpointed: %d entries durable in the store's index", d.Log().Len())
+		if *export == "" {
+			fmt.Print(" (-export writes a JSONL copy)")
+		}
+		fmt.Println()
 	}
 	if *export != "" {
 		f, err := os.Create(*export)

@@ -141,7 +141,7 @@ func TestSystemOpenRecovery(t *testing.T) {
 	}
 
 	// Checkpoint bounds the next recovery: everything lands in the
-	// JSONL checkpoint, nothing in the WAL tail.
+	// index store's checkpoint, nothing in the WAL tail.
 	if err := sys2.CheckpointStorage(); err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,9 @@
 //     Snapshot and Delta order by it, so the sharded log observes the
 //     exact append order a single-mutex log would;
 //   - flush ordering: when a sink is attached, sequence assignment and
-//     sink enqueue are a single atomic step, so the durable JSONL
-//     stream is written in sequence order;
+//     sink enqueue are a single atomic step, so the sink stream (a
+//     JSONL file, or the durable store's WAL) is written in sequence
+//     order;
 //   - index consistency: per-shard group and stats accumulators are
 //     updated under the same shard lock as the entry append, so a
 //     merged index view always equals a full rescan of the entries it

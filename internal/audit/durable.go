@@ -3,7 +3,6 @@ package audit
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,41 +12,38 @@ import (
 	"repro/internal/storage"
 )
 
-// Durable extends the append-only JSONL sink into a real recovery
-// log. Three artifacts live in one directory:
+// Durable extends the in-memory log into a recovery log. Two
+// artifacts live in one directory:
 //
-//   - log.jsonl — the checkpointed entry log, byte-identical to
-//     WriteJSONL over the checkpointed prefix of the append order. The
-//     durable byte length is attested by the index store's meta blob,
-//     so a torn append during a checkpoint is cut away on reopen.
 //   - wal/ — a group-commit WAL of binary (seq, entry) records
 //     covering everything appended since the last checkpoint. Appends
 //     flow into it through the log's asynchronous sink; the WAL's
 //     single fsync per commit window is shared by the whole batch.
-//   - index.db — a storage.Store holding the persistent secondary
-//     index keyed (time, status, seq) with the encoded entry as the
-//     value. Retention expiry scans and SnapshotByTime range reads are
-//     served from it instead of a full in-memory sort.
+//   - index.db — a storage.Store B+tree keyed (time, status, seq) whose
+//     values are the same (seq, entry) records: the checkpoint itself,
+//     the one durable copy of every entry at or below the checkpoint
+//     cut. The store's meta blob attests the cut, the entry count, the
+//     drop counter and the log epoch, so one shadow-paged meta swap
+//     commits a checkpoint and a retention expiry alike. Retention
+//     expiry scans and SnapshotByTime range reads are served from the
+//     same tree instead of a full in-memory sort.
 //
-// Recovery replays log.jsonl plus the WAL tail to rebuild the
-// in-memory log — per-shard refinement index included, since bulkLoad
-// folds the accumulators as it goes — and concludes with a checkpoint
-// that re-persists the tail, so the WAL never grows across restarts.
+// Recovery scans index.db plus the WAL tail to rebuild the in-memory
+// log — per-shard refinement index included, since bulkLoad folds the
+// accumulators as it goes — and concludes with a checkpoint that
+// re-persists the tail, so the WAL never grows across restarts. JSONL
+// is an import/export edge only: a plain sink file is adopted once by
+// a store that never checkpointed, and WriteJSONL of Log().Snapshot()
+// exports a copy.
 type Durable struct {
-	dir      string
-	log      *Log
-	store    *storage.Store
-	wal      *storage.WAL
-	jf       storage.File
-	openFile storage.OpenFileFunc
-	onErr    func(error)
-
-	noSync bool
+	log   *Log
+	store *storage.Store
+	wal   *storage.WAL
+	onErr func(error)
 
 	mu      sync.Mutex // serializes checkpoint/expire/index reads
-	ckptSeq uint64     // entries with seq <= ckptSeq are in log.jsonl + index
-	jsize   int64      // durable byte length of log.jsonl
-	count   uint64     // entries in log.jsonl
+	ckptSeq uint64     // entries with seq <= ckptSeq are in the index
+	count   uint64     // entries in the index
 	dropped uint64     // DropOnFull drops recorded up to the last checkpoint
 	// seenEpoch is the log epoch the store has accounted for. The log
 	// epoch moves on structural mutation (Expire/Rotate/Reset); only
@@ -78,7 +74,8 @@ type DurableOptions struct {
 
 // RecoveryStats reports what OpenDurable rebuilt.
 type RecoveryStats struct {
-	// CheckpointEntries were loaded from log.jsonl.
+	// CheckpointEntries were loaded from the checkpoint: the index
+	// store, or the plain sink file a fresh store bootstrapped from.
 	CheckpointEntries int
 	// WALEntries were replayed from the WAL tail.
 	WALEntries int
@@ -90,10 +87,6 @@ type RecoveryStats struct {
 	// TruncatedLine reports a torn final JSONL line dropped while
 	// bootstrapping from a plain sink file.
 	TruncatedLine bool
-	// CompactionResumed reports that a crash interrupted a retention
-	// compaction after its commit point; recovery finished the copy-
-	// back from the committed shadow file (log.compact.jsonl).
-	CompactionResumed bool
 	// Dropped counts sequence gaps in the recovered stream: entries
 	// the sink dropped under DropOnFull before the shutdown.
 	Dropped uint64
@@ -103,56 +96,47 @@ type RecoveryStats struct {
 	Elapsed time.Duration
 }
 
-// app blob layout ("ADU2" + ckptSeq + jsonlBytes + count + dropped +
-// epoch + flags). Version-1 blobs ("ADU1", no flags word) decode with
-// flags = 0.
+// app blob layout: "ADU3" + ckptSeq + count + dropped + epoch. Stores
+// that also kept a JSONL checkpoint wrote "ADU1" (ckptSeq + JSONL
+// length + count + dropped + epoch) or "ADU2" (the same plus a flags
+// word); their index already held every checkpointed entry, so they
+// decode with the JSONL length and the flags ignored.
 const (
-	appMagic   = "ADU2"
-	appMagicV1 = "ADU1"
-	appLenV1   = 4 + 8*5
-	appLen     = 4 + 8*6
+	appMagic = "ADU3"
+	appLen   = 4 + 8*4
 )
 
-// appCompactPending marks a compaction committed but not yet copied
-// back: the blob's (jsize, count, ckptSeq) attest the contents of
-// log.compact.jsonl, while log.jsonl may hold bytes of either
-// generation. Reopen finishes the copy before reading anything.
-const appCompactPending = 1 << 0
-
-func encodeApp(ckptSeq uint64, jsize int64, count, dropped, epoch, flags uint64) []byte {
+func encodeApp(ckptSeq, count, dropped, epoch uint64) []byte {
 	b := make([]byte, appLen)
 	copy(b[0:4], appMagic)
 	binary.LittleEndian.PutUint64(b[4:], ckptSeq)
-	binary.LittleEndian.PutUint64(b[12:], uint64(jsize))
-	binary.LittleEndian.PutUint64(b[20:], count)
-	binary.LittleEndian.PutUint64(b[28:], dropped)
-	binary.LittleEndian.PutUint64(b[36:], epoch)
-	binary.LittleEndian.PutUint64(b[44:], flags)
+	binary.LittleEndian.PutUint64(b[12:], count)
+	binary.LittleEndian.PutUint64(b[20:], dropped)
+	binary.LittleEndian.PutUint64(b[28:], epoch)
 	return b
 }
 
-func decodeApp(b []byte) (ckptSeq uint64, jsize int64, count, dropped, epoch, flags uint64, err error) {
-	switch {
+func decodeApp(b []byte) (ckptSeq, count, dropped, epoch uint64, err error) {
+	var off [4]int // byte offsets of ckptSeq, count, dropped, epoch
+	switch magic := string(b[:min(len(b), 4)]); {
 	case len(b) == 0:
-		return 0, 0, 0, 0, 0, 0, nil
-	case len(b) == appLen && string(b[0:4]) == appMagic:
-		flags = binary.LittleEndian.Uint64(b[44:])
-	case len(b) == appLenV1 && string(b[0:4]) == appMagicV1:
-		// flags = 0
+		return 0, 0, 0, 0, nil
+	case len(b) == appLen && magic == appMagic:
+		off = [4]int{4, 12, 20, 28}
+	case len(b) == 4+8*5 && magic == "ADU1", len(b) == 4+8*6 && magic == "ADU2":
+		off = [4]int{4, 20, 28, 36}
 	default:
-		return 0, 0, 0, 0, 0, 0, fmt.Errorf("audit: unrecognized durable meta blob (%d bytes)", len(b))
+		return 0, 0, 0, 0, fmt.Errorf("audit: unrecognized durable meta blob (%d bytes)", len(b))
 	}
-	return binary.LittleEndian.Uint64(b[4:]),
-		int64(binary.LittleEndian.Uint64(b[12:])),
-		binary.LittleEndian.Uint64(b[20:]),
-		binary.LittleEndian.Uint64(b[28:]),
-		binary.LittleEndian.Uint64(b[36:]), flags, nil
+	u := func(i int) uint64 { return binary.LittleEndian.Uint64(b[off[i]:]) }
+	return u(0), u(1), u(2), u(3), nil
 }
 
 // appendStamped encodes one (seq, entry) pair: the WAL record format
-// and the index value format. The timestamp keeps its instant and its
-// zone offset, which is all RFC3339 output depends on, so a recovered
-// entry re-encodes to byte-identical JSON.
+// and the index value format, so the checkpoint's only copy of an
+// entry. The timestamp keeps its instant and its zone offset, which is
+// all RFC3339 output depends on, so a recovered entry re-encodes to
+// byte-identical JSON.
 func appendStamped(dst []byte, seq uint64, e *Entry) []byte {
 	dst = binary.AppendUvarint(dst, seq)
 	dst = binary.AppendVarint(dst, e.Time.UnixNano())
@@ -167,6 +151,8 @@ func appendStamped(dst []byte, seq uint64, e *Entry) []byte {
 	return dst
 }
 
+// decodeStamped is appendStamped's strict inverse: a record must hold
+// exactly one entry, with an op and a status Validate accepts.
 func decodeStamped(b []byte) (uint64, Entry, error) {
 	var e Entry
 	next := func() (uint64, bool) {
@@ -193,6 +179,9 @@ func decodeStamped(b []byte) (uint64, Entry, error) {
 	if !ok || !ok2 || !ok3 || !ok4 || !ok5 {
 		return 0, e, fmt.Errorf("audit: short durable record header")
 	}
+	if op > uint64(Allow) || st > uint64(Regular) {
+		return 0, e, fmt.Errorf("audit: durable record has op %d, status %d", op, st)
+	}
 	if off == 0 {
 		e.Time = time.Unix(0, ns).UTC()
 	} else {
@@ -207,6 +196,9 @@ func decodeStamped(b []byte) (uint64, Entry, error) {
 		}
 		*p = string(b[:n])
 		b = b[n:]
+	}
+	if len(b) != 0 {
+		return 0, e, fmt.Errorf("audit: %d trailing bytes after durable record", len(b))
 	}
 	return seq, e, nil
 }
@@ -275,19 +267,17 @@ func (f *walFeed) writeStamped(batch []stamped, dropHigh uint64) error {
 func (f *walFeed) syncStamped() error { return f.w.Sync() }
 
 // OpenDurable opens (creating if needed) the durable audit store in
-// dir for the named site. Recovery rebuilds the in-memory log from
-// the checkpointed JSONL plus the WAL tail; if dir holds only a plain
-// log.jsonl written by the file sink, the store bootstraps from it,
-// tolerating a torn final line.
+// dir for the named site. Recovery rebuilds the in-memory log from the
+// index store's checkpoint plus the WAL tail; if a store that never
+// checkpointed finds a plain log.jsonl written by the file sink beside
+// an empty WAL, it bootstraps from that file, tolerating a torn final
+// line. Once the store has checkpointed, a log.jsonl in dir is never
+// read.
 func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, error) {
 	start := time.Now()
 	var rs RecoveryStats
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, rs, err
-	}
-	openFile := o.OpenFile
-	if openFile == nil {
-		openFile = storage.OpenOSFile
 	}
 	st, err := storage.OpenStore(filepath.Join(dir, "index.db"), storage.Options{
 		PoolPages: o.PoolPages,
@@ -297,54 +287,23 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 	if err != nil {
 		return nil, rs, err
 	}
-	d := &Durable{dir: dir, store: st, openFile: openFile, onErr: o.OnErr, noSync: o.NoSync}
+	d := &Durable{store: st, onErr: o.OnErr}
 	fail := func(err error) (*Durable, RecoveryStats, error) {
 		if d.wal != nil {
 			d.wal.Close()
 		}
-		if d.jf != nil {
-			d.jf.Close()
-		}
 		st.Close()
 		return nil, rs, err
 	}
-	var epoch, flags uint64
-	d.ckptSeq, d.jsize, d.count, d.dropped, epoch, flags, err = decodeApp(st.App())
+	var epoch uint64
+	d.ckptSeq, d.count, d.dropped, epoch, err = decodeApp(st.App())
 	if err != nil {
 		return fail(err)
 	}
 
-	d.jf, err = openFile(filepath.Join(dir, "log.jsonl"))
-	if err != nil {
-		return fail(err)
-	}
-	size, err := d.jf.Size()
-	if err != nil {
-		return fail(err)
-	}
-	if flags&appCompactPending != 0 {
-		// A crash interrupted a compaction after its commit point: the
-		// meta attests log.compact.jsonl, and log.jsonl may hold bytes
-		// of either generation. Finish the copy-back before reading.
-		if err := d.finishCompaction(epoch); err != nil {
-			return fail(err)
-		}
-		size = d.jsize
-		rs.CompactionResumed = true
-	} else {
-		// A shadow file with the flag clear is wreckage of either a
-		// compaction that never committed or one that fully completed;
-		// in both cases log.jsonl is authoritative.
-		os.Remove(d.compactPath())
-	}
-
-	// WAL tail first: everything with seq > ckptSeq is newer than the
-	// last checkpoint; anything at or below is a stale frame from a
-	// crash between checkpoint and truncation. Reading the WAL before
-	// the JSONL also disambiguates a version-0 store: with WAL records
-	// present, a non-empty log.jsonl is the wreckage of a crashed first
-	// checkpoint (the WAL covers everything, the JSONL is discarded);
-	// with none, it is a plain legacy sink file to adopt.
+	// WAL tail: everything with seq > ckptSeq is newer than the last
+	// checkpoint; anything at or below is a stale frame from a crash
+	// between checkpoint and truncation.
 	walDir := filepath.Join(dir, "wal")
 	var tail []Entry
 	var maxSeq uint64
@@ -383,53 +342,45 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 
 	var entries []Entry
 	bootstrap := false
-	switch {
-	case st.Version() == 0 && size > 0 && wst.Records == 0:
-		// A plain sink file from before the durable store existed:
-		// adopt its contents (torn final line tolerated) and convert by
-		// checkpointing everything below.
-		bootstrap = true
-		entries, rs.TruncatedLine, err = ReadJSONLTolerant(io.NewSectionReader(d.jf, 0, size))
+	if st.Version() > 0 {
+		if entries, err = d.loadCheckpoint(); err != nil {
+			return fail(err)
+		}
+		// The scan read every page once; later work touches a few
+		// (checkpoints append at the newest keys), so do not keep the
+		// pool filled with the rest.
+		st.DropCache()
+	} else if wst.Records == 0 {
+		// A store that never checkpointed and has no WAL records may sit
+		// on a plain sink file from before the durable store existed:
+		// adopt its contents and convert by checkpointing them below.
+		// With WAL records present the WAL covers everything appended
+		// through this store, so the file is not the store's to read.
+		entries, rs.TruncatedLine, err = readSinkFile(filepath.Join(dir, "log.jsonl"))
 		if err != nil {
 			return fail(fmt.Errorf("audit: bootstrap from log.jsonl: %w", err))
 		}
-		d.jsize, d.count = 0, 0
-	case size < d.jsize:
-		return fail(fmt.Errorf("audit: log.jsonl is %d bytes, checkpoint attests %d", size, d.jsize))
-	default:
-		if size > d.jsize {
-			// Torn checkpoint append past the attested length.
-			if err := d.jf.Truncate(d.jsize); err != nil {
-				return fail(err)
-			}
-		}
-		if d.jsize > 0 {
-			entries, err = ReadJSONL(io.NewSectionReader(d.jf, 0, d.jsize))
-			if err != nil {
-				return fail(fmt.Errorf("audit: checkpointed log.jsonl: %w", err))
-			}
-		}
-		if uint64(len(entries)) != d.count {
-			return fail(fmt.Errorf("audit: log.jsonl holds %d entries, checkpoint attests %d", len(entries), d.count))
-		}
+		bootstrap = len(entries) > 0 || rs.TruncatedLine
 	}
 	rs.CheckpointEntries = len(entries)
 
 	d.log = NewLog(site)
 	d.log.bulkLoad(entries)
 	if d.ckptSeq > d.log.seq.Load() {
-		// Sequence gaps (dropped entries) compacted out of the JSONL:
-		// resume numbering past the checkpoint cut so WAL-tail seqs
-		// stay above every in-memory one.
+		// Sequence gaps (dropped or expired entries) below the cut:
+		// resume numbering past it so WAL-tail seqs stay above every
+		// in-memory one.
 		d.log.seq.Store(d.ckptSeq)
 	}
 	d.log.bulkLoad(tail)
-	tailDrops := uint64(0)
-	if maxSeq > d.ckptSeq {
-		tailDrops = (maxSeq - d.ckptSeq) - uint64(len(tail))
+	if maxSeq > d.log.seq.Load() {
+		// bulkLoad numbers the tail densely from the cut. Gaps in the
+		// WAL's own numbering are DropOnFull drops: resume numbering past
+		// the highest seq the WAL holds, so the concluding checkpoint
+		// below counts the gaps once and its cut covers every WAL record
+		// — none is replayed again by the next open.
+		d.log.seq.Store(maxSeq)
 	}
-	rs.Dropped = d.dropped + tailDrops
-	d.dropped += tailDrops
 
 	d.wal, err = storage.OpenWAL(walDir, storage.WALOptions{
 		SegmentBytes:   o.SegmentBytes,
@@ -448,25 +399,79 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 	// advances the epoch so stale cursors mismatch and their consumers
 	// (mining sessions included) resync instead of silently skipping
 	// recovered entries.
-	if bootstrap || len(tail) > 0 || rs.TornTail {
+	recovered := bootstrap || len(tail) > 0 || rs.TornTail
+	if recovered {
 		epoch++
-		d.log.epoch.Store(epoch)
-		d.seenEpoch = epoch
+	}
+	d.log.epoch.Store(epoch)
+	d.seenEpoch = epoch
+	if recovered || d.log.seq.Load() > d.ckptSeq {
 		// Conclude recovery with a checkpoint: the tail is re-persisted
-		// into log.jsonl and the index, and the WAL shrinks back to
-		// (almost) nothing, so recovery work never accumulates.
+		// into the index, and the WAL shrinks back to (almost) nothing,
+		// so recovery work never accumulates.
 		if err := d.checkpointLocked(); err != nil {
 			return fail(err)
 		}
-	} else {
-		d.log.epoch.Store(epoch)
-		d.seenEpoch = epoch
 	}
+	rs.Dropped = d.dropped
 
 	d.log.setBatchSink(&walFeed{w: d.wal}, o.OnErr, o.Sink)
 	rs.IndexGroups = len(d.log.Groups())
 	rs.Elapsed = time.Since(start)
 	return d, rs, nil
+}
+
+// loadCheckpoint reads the checkpointed prefix back from the index in
+// append order: the stored sequence numbers, which ascend in append
+// order across recovery generations, restore that order. The count
+// must match the one the meta blob attests.
+func (d *Durable) loadCheckpoint() ([]Entry, error) {
+	ckpt, err := d.scanIndex(nil, nil, d.count)
+	if err != nil {
+		return nil, err
+	}
+	if uint64(len(ckpt)) != d.count {
+		return nil, fmt.Errorf("audit: index holds %d entries, checkpoint attests %d", len(ckpt), d.count)
+	}
+	sort.Slice(ckpt, func(i, j int) bool { return ckpt[i].seq < ckpt[j].seq })
+	return unstamp(ckpt), nil
+}
+
+// scanIndex decodes and validates the index records with keys in
+// [lo, hi), in key order; n is a capacity hint.
+func (d *Durable) scanIndex(lo, hi []byte, n uint64) ([]stamped, error) {
+	out := make([]stamped, 0, n)
+	var decErr error
+	err := d.store.Scan(lo, hi, func(k, v []byte) bool {
+		seq, e, derr := decodeStamped(v)
+		if derr == nil {
+			derr = e.Validate()
+		}
+		if derr != nil {
+			decErr = fmt.Errorf("audit: index record %d: %w", len(out), derr)
+			return false
+		}
+		out = append(out, stamped{seq: seq, e: e})
+		return true
+	})
+	if err == nil {
+		err = decErr
+	}
+	return out, err
+}
+
+// readSinkFile reads a plain JSONL sink file, tolerating a torn final
+// line; a missing file reads as empty.
+func readSinkFile(path string) ([]Entry, bool, error) {
+	f, err := os.Open(path)
+	if os.IsNotExist(err) {
+		return nil, false, nil
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	defer f.Close()
+	return ReadJSONLTolerant(f)
 }
 
 // Log returns the in-memory log backed by this store. Appends through
@@ -494,7 +499,7 @@ func (d *Durable) Dropped() uint64 {
 }
 
 // CheckpointSeq returns the sequence number of the last checkpoint
-// cut (entries at or below it live in log.jsonl and the index).
+// cut (entries at or below it live in the index).
 func (d *Durable) CheckpointSeq() uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -507,8 +512,8 @@ func (d *Durable) PoolStats() storage.PoolStats { return d.store.PoolStats() }
 // WALSyncs reports the WAL's fsync count (group-commit amortization).
 func (d *Durable) WALSyncs() uint64 { return d.wal.Syncs() }
 
-// Checkpoint durably folds everything appended so far into log.jsonl
-// and the secondary index, then truncates the WAL behind the cut.
+// Checkpoint durably folds everything appended so far into the index
+// store, then truncates the WAL behind the cut.
 func (d *Durable) Checkpoint() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -516,7 +521,7 @@ func (d *Durable) Checkpoint() error {
 }
 
 func (d *Durable) checkpointLocked() error {
-	// Gap accounting below attributes every missing seq in
+	// Gap accounting in cutLocked attributes every missing seq in
 	// (ckptSeq, cur] to a DropOnFull drop. That only holds while
 	// entries leave the shards through this store: a direct
 	// Log.Expire/Rotate/Reset moved the log epoch without the index or
@@ -525,6 +530,15 @@ func (d *Durable) checkpointLocked() error {
 	if e := d.log.epoch.Load(); e != d.seenEpoch {
 		return fmt.Errorf("audit: log epoch moved %d -> %d outside the durable store (direct Log.Expire/Rotate/Reset?): retention on a durable store must go through Durable.Expire", d.seenEpoch, e)
 	}
+	return d.cutLocked(0, false)
+}
+
+// cutLocked indexes the entries appended since the last cut and
+// commits them, together with every index deletion made since, by one
+// store checkpoint — the single meta swap that is the commit point —
+// then truncates the WAL behind the cut. removed is the number of
+// index entries deleted since the last cut.
+func (d *Durable) cutLocked(removed uint64, expiry bool) error {
 	// Capture the truncation bound BEFORE the cut: every WAL record at
 	// or below this LSN was appended before cur was read, so its seq
 	// is at or below cur and the checkpoint below covers it.
@@ -533,28 +547,6 @@ func (d *Durable) checkpointLocked() error {
 	// Fence: after settle, every seq <= cur is visible in its shard.
 	d.log.settle()
 	batch := d.log.collectRange(d.ckptSeq, cur)
-
-	var buf []byte
-	var err error
-	for i := range batch {
-		if buf, err = appendJSONLine(buf, &batch[i].e); err != nil {
-			return err
-		}
-	}
-	newSize := d.jsize + int64(len(buf))
-	if len(buf) > 0 {
-		if _, err := d.jf.WriteAt(buf, d.jsize); err != nil {
-			return err
-		}
-		if err := d.jf.Truncate(newSize); err != nil {
-			return err
-		}
-		if !d.noSync {
-			if err := d.jf.Sync(); err != nil {
-				return err
-			}
-		}
-	}
 	var val []byte
 	for i := range batch {
 		se := &batch[i]
@@ -563,20 +555,24 @@ func (d *Durable) checkpointLocked() error {
 			return err
 		}
 	}
-	// Gaps in (ckptSeq, cur] are sequence numbers that were assigned
-	// but never reached a shard: DropOnFull drops.
-	newDropped := d.dropped + (cur - d.ckptSeq) - uint64(len(batch))
-	newCount := d.count + uint64(len(batch))
-	if err := d.store.Checkpoint(encodeApp(cur, newSize, newCount, newDropped, d.log.epoch.Load(), 0)); err != nil {
+	count := d.count - removed + uint64(len(batch))
+	dropped := d.dropped
+	if !expiry {
+		// Gaps in (ckptSeq, cur] are sequence numbers that were
+		// assigned but never reached a shard: DropOnFull drops. After
+		// an expiry the gaps are expired entries instead; drops were
+		// counted when they became gaps.
+		dropped += (cur - d.ckptSeq) - uint64(len(batch))
+	}
+	if err := d.store.Checkpoint(encodeApp(cur, count, dropped, d.log.epoch.Load())); err != nil {
 		return err
 	}
 	if err := d.wal.TruncateBefore(lsnCut + 1); err != nil {
 		return err
 	}
 	d.ckptSeq = cur
-	d.jsize = newSize
-	d.count = newCount
-	d.dropped = newDropped
+	d.count = count
+	d.dropped = dropped
 	return nil
 }
 
@@ -599,20 +595,7 @@ func (d *Durable) snapshotRangeLocked(from, to time.Time) ([]Entry, error) {
 	if !to.IsZero() {
 		hi = indexTimeBound(to)
 	}
-	var ckpt []stamped
-	var decErr error
-	err := d.store.Scan(lo, hi, func(k, v []byte) bool {
-		seq, e, derr := decodeStamped(v)
-		if derr != nil {
-			decErr = derr
-			return false
-		}
-		ckpt = append(ckpt, stamped{seq: seq, e: e})
-		return true
-	})
-	if err == nil {
-		err = decErr
-	}
+	ckpt, err := d.scanIndex(lo, hi, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -709,9 +692,10 @@ func (d *Durable) ExpireScan(cutoff, exceptionCutoff time.Time) (int, error) {
 }
 
 // Expire drops entries older than cutoff (with the same
-// exception-retention rule as Log.Expire) from memory, the index, and
-// the checkpoint log, then compacts: log.jsonl is rewritten without
-// the expired entries and the WAL truncated behind a fresh checkpoint.
+// exception-retention rule as Log.Expire) from memory and the index:
+// the checkpointed victims are a key-range delete, and one store
+// checkpoint commits the deletes together with the surviving tail, so
+// a crash leaves either the pre-expiry or the post-expiry generation.
 func (d *Durable) Expire(cutoff, exceptionCutoff time.Time) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -739,165 +723,16 @@ func (d *Durable) Expire(cutoff, exceptionCutoff time.Time) (int, error) {
 	}
 	dropped := d.log.Expire(cutoff, exceptionCutoff)
 	d.seenEpoch = d.log.epoch.Load()
-	if err := d.compactLocked(); err != nil {
-		return dropped, err
-	}
-	return dropped, nil
-}
-
-// compactPath is the shadow file a compaction writes the new JSONL
-// generation into before committing it in the store meta.
-func (d *Durable) compactPath() string { return filepath.Join(d.dir, "log.compact.jsonl") }
-
-// rewriteLog replaces log.jsonl's contents with buf.
-func (d *Durable) rewriteLog(buf []byte) error {
-	if len(buf) > 0 {
-		if _, err := d.jf.WriteAt(buf, 0); err != nil {
-			return err
-		}
-	}
-	if err := d.jf.Truncate(int64(len(buf))); err != nil {
-		return err
-	}
-	if d.noSync {
-		return nil
-	}
-	return d.jf.Sync()
-}
-
-// compactLocked rewrites log.jsonl from the surviving in-memory
-// entries, indexes the surviving tail, and checkpoints — the full
-// compaction behind Expire.
-//
-// The current meta attests log.jsonl's exact bytes, so they must stay
-// untouched until a newer meta commits (the same shadow-paging rule
-// the page store follows). The new generation is therefore written to
-// log.compact.jsonl first; the store checkpoint carrying the
-// appCompactPending flag is the atomic switch; only then is log.jsonl
-// rewritten and the flag cleared. A crash at any point leaves exactly
-// one committed generation for reopen to serve — before the flag
-// commit the old one, after it the new one (finished by
-// finishCompaction if the copy-back did not complete).
-func (d *Durable) compactLocked() error {
-	lsnCut := d.wal.LastLSN()
-	cur := d.log.seq.Load()
-	d.log.settle()
-	all := d.log.collectRange(0, cur)
-
-	var buf []byte
-	var err error
-	for i := range all {
-		if buf, err = appendJSONLine(buf, &all[i].e); err != nil {
-			return err
-		}
-	}
-	cf, err := d.openFile(d.compactPath())
-	if err != nil {
-		return err
-	}
-	werr := func() error {
-		if len(buf) > 0 {
-			if _, err := cf.WriteAt(buf, 0); err != nil {
-				return err
-			}
-		}
-		if err := cf.Truncate(int64(len(buf))); err != nil {
-			return err
-		}
-		if d.noSync {
-			return nil
-		}
-		return cf.Sync()
-	}()
-	if cerr := cf.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		return werr
-	}
-	// Index the surviving tail (the checkpointed part is already
-	// indexed; Expire deleted its victims above).
-	var val []byte
-	for i := range all {
-		se := &all[i]
-		if se.seq <= d.ckptSeq {
-			continue
-		}
-		val = appendStamped(val[:0], se.seq, &se.e)
-		if err := d.store.Put(indexKey(se.e.Time, se.e.Status, se.seq), val); err != nil {
-			return err
-		}
-	}
-	newSize := int64(len(buf))
-	newCount := uint64(len(all))
-	newDropped := d.dropped // expiry is not a drop; gaps already counted
-	epoch := d.log.epoch.Load()
-	// Commit point: the index mutations and the shadow generation
-	// become the durable truth in one atomic meta swap.
-	if err := d.store.Checkpoint(encodeApp(cur, newSize, newCount, newDropped, epoch, appCompactPending)); err != nil {
-		return err
-	}
-	if err := d.rewriteLog(buf); err != nil {
-		return err
-	}
-	if err := d.store.Checkpoint(encodeApp(cur, newSize, newCount, newDropped, epoch, 0)); err != nil {
-		return err
-	}
-	os.Remove(d.compactPath())
-	if err := d.wal.TruncateBefore(lsnCut + 1); err != nil {
-		return err
-	}
-	d.ckptSeq = cur
-	d.jsize = newSize
-	d.count = newCount
-	return nil
-}
-
-// finishCompaction completes a compaction that crashed between its
-// commit point and the copy-back: the attested prefix of the shadow
-// file is copied over log.jsonl, the pending flag cleared, and the
-// shadow removed. Idempotent — a crash mid-way re-runs it on the next
-// open. Called by OpenDurable before anything reads log.jsonl.
-func (d *Durable) finishCompaction(epoch uint64) error {
-	cf, err := d.openFile(d.compactPath())
-	if err != nil {
-		return err
-	}
-	defer cf.Close()
-	csize, err := cf.Size()
-	if err != nil {
-		return err
-	}
-	if csize < d.jsize {
-		return fmt.Errorf("audit: log.compact.jsonl is %d bytes, pending compaction attests %d", csize, d.jsize)
-	}
-	buf := make([]byte, d.jsize)
-	if d.jsize > 0 {
-		if _, err := cf.ReadAt(buf, 0); err != nil {
-			return err
-		}
-	}
-	if err := d.rewriteLog(buf); err != nil {
-		return err
-	}
-	if err := d.store.Checkpoint(encodeApp(d.ckptSeq, d.jsize, d.count, d.dropped, epoch, 0)); err != nil {
-		return err
-	}
-	os.Remove(d.compactPath())
-	return nil
+	return dropped, d.cutLocked(uint64(len(victims)), true)
 }
 
 // Close drains the sink (a final WAL group commit makes every
-// acknowledged append durable), then releases the WAL, the index
-// store, and the checkpoint log. It does not checkpoint; reopening
-// replays the WAL tail.
+// acknowledged append durable), then releases the WAL and the index
+// store. It does not checkpoint; reopening replays the WAL tail.
 func (d *Durable) Close() error {
 	d.log.CloseSink()
 	err := d.wal.Close()
 	if e := d.store.Close(); err == nil {
-		err = e
-	}
-	if e := d.jf.Close(); err == nil {
 		err = e
 	}
 	return err

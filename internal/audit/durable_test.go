@@ -2,6 +2,7 @@ package audit
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"os"
@@ -143,14 +144,20 @@ func TestDurableCheckpointCut(t *testing.T) {
 	if !bytes.Equal(jsonlBytes(t, d2.Log().Snapshot()), jsonlBytes(t, want)) {
 		t.Fatal("recovered snapshot diverges")
 	}
-	// The checkpoint log on disk must be byte-identical to WriteJSONL
-	// over the full append order (recovery re-checkpointed the tail).
-	raw, err := os.ReadFile(filepath.Join(dir, "log.jsonl"))
+	// Recovery re-checkpointed the tail: a further reopen loads the
+	// whole log from the index, and its JSONL export must be
+	// byte-identical to WriteJSONL over the full append order.
+	d2.Close()
+	d3, rs3, err := OpenDurable("s", dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(raw, jsonlBytes(t, want)) {
-		t.Fatal("log.jsonl diverges from WriteJSONL of the append order")
+	defer d3.Close()
+	if rs3.CheckpointEntries != len(entries) || rs3.WALEntries != 0 {
+		t.Fatalf("post-checkpoint recovery split %d/%d, want %d/0", rs3.CheckpointEntries, rs3.WALEntries, len(entries))
+	}
+	if !bytes.Equal(jsonlBytes(t, d3.Log().Snapshot()), jsonlBytes(t, want)) {
+		t.Fatal("JSONL export of the reopened log diverges from WriteJSONL of the append order")
 	}
 }
 
@@ -391,7 +398,6 @@ func TestDurableDroppedCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d2.Close()
 	if rs.Dropped == 0 {
 		t.Fatalf("recovery did not surface the dropped count: %+v", rs)
 	}
@@ -400,6 +406,21 @@ func TestDurableDroppedCounter(t *testing.T) {
 	}
 	if d2.Dropped() != rs.Dropped {
 		t.Fatalf("Dropped() = %d, stats say %d", d2.Dropped(), rs.Dropped)
+	}
+	// Recovery checkpointed past every WAL record: a second reopen
+	// replays nothing and counts no gap twice.
+	want := jsonlBytes(t, d2.Log().Snapshot())
+	d2.Close()
+	d3, rs3, err := OpenDurable("s", dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d3.Close()
+	if rs3.WALEntries != 0 || rs3.Dropped != rs.Dropped || d3.Dropped() != rs.Dropped {
+		t.Fatalf("second reopen: %+v, Dropped() = %d; first reopen dropped %d", rs3, d3.Dropped(), rs.Dropped)
+	}
+	if !bytes.Equal(jsonlBytes(t, d3.Log().Snapshot()), want) {
+		t.Fatal("second reopen diverges from the first")
 	}
 }
 
@@ -672,12 +693,41 @@ func TestDurableConcurrentCheckpoint(t *testing.T) {
 }
 
 // TestDurableExpireCrashInjection kills the store at randomized write
-// offsets during Expire's compaction. The compaction must be
-// all-or-nothing: whatever the crash point, reopen must succeed (the
-// store is never left unopenable) and serve either the pre-expiry or
-// the post-expiry generation — never a mix of the two — with the
-// index view matching memory.
+// offsets during Expire. Expiry must be all-or-nothing: whatever the
+// crash point, reopen must succeed (the store is never left
+// unopenable) and serve either the pre-expiry or the post-expiry
+// generation — never a mix of the two — with the index view matching
+// memory.
 func TestDurableExpireCrashInjection(t *testing.T) {
+	trial := expireCrashTrial(t)
+	for i := 0; i < 24; i++ {
+		trial(i, int64(1000+i*7919))
+	}
+}
+
+// TestDurableExpireCrashSweep kills Expire at every 509th byte of its
+// write stream, from the first byte until a budget lets it complete,
+// so crash points land throughout the index pages, the freelist and
+// the meta swap that commits them.
+func TestDurableExpireCrashSweep(t *testing.T) {
+	trial := expireCrashTrial(t)
+	crashed := 0
+	for i := 0; !trial(i, int64(i*509)); i++ {
+		if crashed++; crashed > 400 {
+			t.Fatal("Expire did not complete within 200 KB of writes")
+		}
+	}
+	if crashed < 8 {
+		t.Fatalf("only %d crash points before Expire completed", crashed)
+	}
+	t.Logf("%d crash points before Expire completed", crashed)
+}
+
+// expireCrashTrial returns a trial that seeds a fully checkpointed
+// store, runs Expire on it with a write budget, reopens, and checks the
+// result against the pre- and post-expiry oracles. A trial reports
+// whether Expire completed within the budget.
+func expireCrashTrial(t *testing.T) func(trial int, budget int64) bool {
 	entries := genDurableEntries(200, 13)
 	base := time.Date(2026, 3, 1, 8, 0, 0, 0, time.UTC)
 	cutoff := base.Add(25 * time.Second)
@@ -695,7 +745,8 @@ func TestDurableExpireCrashInjection(t *testing.T) {
 	}
 	pre, post := jsonlBytes(t, preLog.Snapshot()), jsonlBytes(t, postLog.Snapshot())
 
-	for trial := 0; trial < 24; trial++ {
+	return func(trial int, budget int64) bool {
+		t.Helper()
 		dir := t.TempDir()
 		// Seed a clean, fully checkpointed store without failpoints, so
 		// the budget below is spent inside Expire alone.
@@ -712,7 +763,7 @@ func TestDurableExpireCrashInjection(t *testing.T) {
 		}
 		d.Close()
 
-		fb := storage.NewFailBudget(int64(1000 + trial*7919))
+		fb := storage.NewFailBudget(budget)
 		open := func(p string) (storage.File, error) {
 			inner, err := storage.OpenOSFile(p)
 			if err != nil {
@@ -722,15 +773,15 @@ func TestDurableExpireCrashInjection(t *testing.T) {
 		}
 		d2, _, err := OpenDurable("s", dir, DurableOptions{OpenFile: open, CommitInterval: -1})
 		if err != nil {
-			continue // budget died during open's own bookkeeping
+			return false // budget died during open's own bookkeeping
 		}
 		_, eerr := d2.Expire(cutoff, time.Time{})
 		completed := eerr == nil && !fb.Failed()
 		d2.Close()
 
-		d3, rs, err := OpenDurable("s", dir, DurableOptions{})
+		d3, _, err := OpenDurable("s", dir, DurableOptions{})
 		if err != nil {
-			t.Fatalf("trial %d: store unopenable after crashed compaction: %v", trial, err)
+			t.Fatalf("trial %d: store unopenable after crashed expiry: %v", trial, err)
 		}
 		got := jsonlBytes(t, d3.Log().Snapshot())
 		switch {
@@ -740,11 +791,8 @@ func TestDurableExpireCrashInjection(t *testing.T) {
 			t.Fatalf("trial %d: mixed-generation state after crash (%d bytes, pre %d, post %d)",
 				trial, len(got), len(pre), len(post))
 		}
-		if bytes.Equal(got, pre) && rs.CompactionResumed {
-			t.Fatalf("trial %d: resumed a compaction that never committed", trial)
-		}
 		if !bytes.Equal(jsonlBytes(t, d3.SnapshotByTime()), jsonlBytes(t, d3.Log().SnapshotByTime())) {
-			t.Fatalf("trial %d: index view diverges from memory after crashed compaction", trial)
+			t.Fatalf("trial %d: index view diverges from memory after crashed expiry", trial)
 		}
 		// Life goes on: the store keeps accepting work either way.
 		if err := d3.Append(entries[:3]...); err != nil {
@@ -752,6 +800,7 @@ func TestDurableExpireCrashInjection(t *testing.T) {
 		}
 		d3.Sync()
 		d3.Close()
+		return completed
 	}
 }
 
@@ -784,5 +833,276 @@ func TestDurableDirectExpireRejected(t *testing.T) {
 	}
 	if err := d.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after sanctioned expiry: %v", err)
+	}
+}
+
+// TestDurableDirLayout: the store's directory holds exactly the two
+// artifacts — index.db and wal/ — through appends, a checkpoint, an
+// expiry and a reopen. No JSONL copy of the log is written.
+func TestDurableDirLayout(t *testing.T) {
+	dir := t.TempDir()
+	entries := genDurableEntries(120, 15)
+	d, _, err := OpenDurable("s", dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Append(entries[:80]...); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Append(entries[80:]...); err != nil {
+		t.Fatal(err)
+	}
+	base := time.Date(2026, 3, 1, 8, 0, 0, 0, time.UTC)
+	if n, err := d.Expire(base.Add(10*time.Second), time.Time{}); err != nil || n == 0 {
+		t.Fatalf("expire dropped %d, err %v", n, err)
+	}
+	want := jsonlBytes(t, d.Log().Snapshot())
+	d.Close()
+	d2, _, err := OpenDurable("s", dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if !bytes.Equal(jsonlBytes(t, d2.Log().Snapshot()), want) {
+		t.Fatal("reopened log diverges from the expired one")
+	}
+	des, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, de := range des {
+		names = append(names, de.Name())
+	}
+	if fmt.Sprint(names) != "[index.db wal]" {
+		t.Fatalf("store directory holds %v, want [index.db wal]", names)
+	}
+}
+
+// writeWALTail writes raw durable records into dir/wal: the state a
+// crash leaves behind before the store ever checkpointed them.
+func writeWALTail(t *testing.T, dir string, records [][]byte) {
+	t.Helper()
+	w, err := storage.OpenWAL(filepath.Join(dir, "wal"), storage.WALOptions{CommitInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range records {
+		if _, err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDurableReopenIdempotent: recovering a WAL tail whose sequence
+// numbers have DropOnFull gaps must leave nothing for the next open to
+// replay. N reopens give the log and drop count of one — also when a
+// crash between the concluding store checkpoint and the WAL truncation
+// leaves the pre-recovery WAL in place.
+func TestDurableReopenIdempotent(t *testing.T) {
+	dir := t.TempDir()
+	entries := genDurableEntries(5, 16)
+	for i := range entries {
+		entries[i].Site = "s"
+	}
+	// Seqs 3, 6, 7, 9 and 10 were dropped; the marker carries 10.
+	var records [][]byte
+	for i, seq := range []uint64{1, 2, 4, 5, 8} {
+		records = append(records, appendStamped(nil, seq, &entries[i]))
+	}
+	records = append(records, binary.AppendUvarint([]byte{0x00}, 10))
+	writeWALTail(t, dir, records)
+
+	d, rs, err := OpenDurable("s", dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.WALEntries != len(entries) || rs.Dropped != 5 {
+		t.Fatalf("first reopen recovered %d entries, %d dropped; want %d, 5", rs.WALEntries, rs.Dropped, len(entries))
+	}
+	want := jsonlBytes(t, d.Log().Snapshot())
+	if !bytes.Equal(want, jsonlBytes(t, entries)) {
+		t.Fatal("first reopen diverges from the WAL's entries")
+	}
+	d.Close()
+
+	reopen := func(label string) {
+		t.Helper()
+		d, rs, err := OpenDurable("s", dir, DurableOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		defer d.Close()
+		if rs.WALEntries != 0 {
+			t.Fatalf("%s replayed %d WAL entries again", label, rs.WALEntries)
+		}
+		if !bytes.Equal(jsonlBytes(t, d.Log().Snapshot()), want) {
+			t.Fatalf("%s: log diverges from the first reopen (%d entries)", label, d.Log().Len())
+		}
+		if got := d.Dropped(); got != 5 {
+			t.Fatalf("%s: Dropped() = %d, want 5", label, got)
+		}
+	}
+	reopen("second reopen")
+	reopen("third reopen")
+	if err := os.RemoveAll(filepath.Join(dir, "wal")); err != nil {
+		t.Fatal(err)
+	}
+	writeWALTail(t, dir, records)
+	reopen("reopen over the pre-recovery WAL")
+	reopen("reopen after that")
+}
+
+// writeLegacyLayout builds a store as the JSONL-checkpointing layout
+// left it: index.db holding every checkpointed entry under its stored
+// seq, and a meta blob in that layout's "ADU1"/"ADU2" form with the
+// JSONL byte length (and, for ADU2, a flags word) in it. log.jsonl and
+// log.compact.jsonl beside it hold bytes recovery must never read.
+func writeLegacyLayout(t *testing.T, dir, magic string, flags uint64, entries []Entry, seqs []uint64, dropped, epoch uint64) {
+	t.Helper()
+	st, err := storage.OpenStore(filepath.Join(dir, "index.db"), storage.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range entries {
+		k := indexKey(entries[i].Time, entries[i].Status, seqs[i])
+		if err := st.Put(k, appendStamped(nil, seqs[i], &entries[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blob := []byte(magic)
+	for _, w := range []uint64{seqs[len(seqs)-1] + 2, 12345, uint64(len(entries)), dropped, epoch} {
+		blob = binary.LittleEndian.AppendUint64(blob, w)
+	}
+	if magic == "ADU2" {
+		blob = binary.LittleEndian.AppendUint64(blob, flags)
+	}
+	if err := st.Checkpoint(blob); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"log.jsonl", "log.compact.jsonl"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("{not the log}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDurableOpensLegacyLayout: stores written while log.jsonl was a
+// second checkpoint copy open with the same entries, drop count and
+// epoch — including one whose meta still carries the compact-pending
+// flag, since the index was already the post-expiry generation — and
+// keep working after the first new checkpoint.
+func TestDurableOpensLegacyLayout(t *testing.T) {
+	entries := genDurableEntries(60, 17)
+	for i := range entries {
+		entries[i].Site = "s"
+	}
+	// Stored seqs ascend in append order with gaps, like a store that
+	// recovered across generations and dropped entries.
+	seqs := make([]uint64, len(entries))
+	for i := range seqs {
+		seqs[i] = uint64(3*i + 1)
+	}
+	want := jsonlBytes(t, entries)
+	for _, c := range []struct {
+		magic string
+		flags uint64
+	}{{"ADU1", 0}, {"ADU2", 0}, {"ADU2", 1}} {
+		t.Run(fmt.Sprintf("%s-flags%d", c.magic, c.flags), func(t *testing.T) {
+			dir := t.TempDir()
+			writeLegacyLayout(t, dir, c.magic, c.flags, entries, seqs, 7, 4)
+			d, rs, err := OpenDurable("s", dir, DurableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rs.CheckpointEntries != len(entries) || rs.WALEntries != 0 || rs.Dropped != 7 {
+				t.Fatalf("recovery stats %+v", rs)
+			}
+			if !bytes.Equal(jsonlBytes(t, d.Log().Snapshot()), want) {
+				t.Fatal("legacy-layout store opened with different entries")
+			}
+			if got := d.Log().epoch.Load(); got != 4 {
+				t.Fatalf("epoch %d, want 4", got)
+			}
+			if got := d.Dropped(); got != 7 {
+				t.Fatalf("Dropped() = %d, want 7", got)
+			}
+			extra := genDurableEntries(10, 18)
+			if err := d.Append(extra...); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			all := jsonlBytes(t, d.Log().Snapshot())
+			d.Close()
+			d2, rs2, err := OpenDurable("s", dir, DurableOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d2.Close()
+			if rs2.CheckpointEntries != len(entries)+len(extra) || d2.Dropped() != 7 {
+				t.Fatalf("after a new checkpoint: %+v, Dropped() = %d", rs2, d2.Dropped())
+			}
+			if !bytes.Equal(jsonlBytes(t, d2.Log().Snapshot()), all) {
+				t.Fatal("appends on a legacy-layout store did not round-trip")
+			}
+		})
+	}
+	// The attested count guards the only checkpoint copy: an index that
+	// lost an entry the meta attests must not open.
+	t.Run("missing-entry", func(t *testing.T) {
+		dir := t.TempDir()
+		writeLegacyLayout(t, dir, "ADU2", 0, entries, seqs, 7, 4)
+		st, err := storage.OpenStore(filepath.Join(dir, "index.db"), storage.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := st.Delete(indexKey(entries[5].Time, entries[5].Status, seqs[5])); err != nil || !ok {
+			t.Fatalf("delete: %v %v", ok, err)
+		}
+		if err := st.Checkpoint(st.App()); err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+		if d, _, err := OpenDurable("s", dir, DurableOptions{}); err == nil {
+			d.Close()
+			t.Fatal("an index missing an attested entry opened")
+		}
+	})
+}
+
+// TestDecodeStampedStrict: the checkpoint's only copy of an entry is
+// rejected when it carries trailing bytes or an op or status Validate
+// refuses.
+func TestDecodeStampedStrict(t *testing.T) {
+	e := genDurableEntries(1, 19)[0]
+	rec := appendStamped(nil, 7, &e)
+	if seq, got, err := decodeStamped(rec); err != nil || seq != 7 || got.Key() != e.Key() {
+		t.Fatalf("clean record: seq %d, err %v", seq, err)
+	}
+	if _, _, err := decodeStamped(append(rec, 0)); err == nil {
+		t.Error("trailing byte accepted")
+	}
+	for _, bad := range []Entry{{Op: 2}, {Status: 2}, {Op: -1}} {
+		b := e
+		if bad.Op != 0 {
+			b.Op = bad.Op
+		}
+		if bad.Status != 0 {
+			b.Status = bad.Status
+		}
+		if _, _, err := decodeStamped(appendStamped(nil, 7, &b)); err == nil {
+			t.Errorf("op %d status %d accepted", b.Op, b.Status)
+		}
 	}
 }

@@ -216,9 +216,11 @@ func appendJSONLine(dst []byte, e *Entry) ([]byte, error) {
 }
 
 // AppendSinkJSON appends the sink's hand-rolled JSON-line encoding of
-// e to dst — the exact bytes the durable JSONL sink writes per entry.
-// Exported as the baseline for the wire codec benchmarks: the binary
-// batch codec's per-entry cost is measured against this encoder.
+// e to dst — the exact bytes a SetSink file sink writes per entry. The
+// durable store writes no JSONL; its WAL and index hold binary
+// records. Exported as the baseline for the wire codec benchmarks: the
+// binary batch codec's per-entry cost is measured against this
+// encoder.
 func AppendSinkJSON(dst []byte, e *Entry) ([]byte, error) {
 	return appendJSONLine(dst, e)
 }

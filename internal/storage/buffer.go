@@ -265,14 +265,20 @@ func (p *Pool) flush() error {
 	return nil
 }
 
-// invalidate empties the cache (used after structural rebuilds).
-func (p *Pool) invalidate() {
+// dropClean evicts every unpinned clean frame. Dirty frames stay
+// until a checkpoint or an eviction writes them back.
+func (p *Pool) dropClean() {
 	for i := range p.stripes {
 		s := &p.stripes[i]
 		s.mu.Lock()
-		s.table = make(map[uint32]*frame)
-		s.head, s.tail = nil, nil
-		s.frames = 0
+		for id, f := range s.table {
+			if f.dirty || f.pins.Load() != 0 {
+				continue
+			}
+			s.lruUnlink(f)
+			delete(s.table, id)
+			s.frames--
+		}
 		s.mu.Unlock()
 	}
 }

@@ -400,6 +400,66 @@ func TestBufferPoolEviction(t *testing.T) {
 	}
 }
 
+// TestDropCacheKeepsDirtyPages: DropCache empties the pool of clean
+// pages only. Pages dirtied since the last checkpoint stay cached and
+// reach the file at the next one.
+func TestDropCacheKeepsDirtyPages(t *testing.T) {
+	s, path := tmpStore(t, Options{})
+	const n = 2000
+	for i := 0; i < n; i++ {
+		if err := s.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(nil); err != nil {
+		t.Fatal(err)
+	}
+	frames := func() int {
+		total := 0
+		for i := range s.pool.stripes {
+			total += s.pool.stripes[i].frames
+		}
+		return total
+	}
+	if err := s.Scan(nil, nil, func(k, v []byte) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	if frames() == 0 {
+		t.Fatal("scan cached no pages")
+	}
+	s.DropCache()
+	if got := frames(); got != 0 {
+		t.Fatalf("%d clean pages cached after DropCache", got)
+	}
+	// Dirty a page, drop the cache, and checkpoint: the update must
+	// survive a reopen.
+	if err := s.Put(key(7), []byte("updated")); err != nil {
+		t.Fatal(err)
+	}
+	s.DropCache()
+	if frames() == 0 {
+		t.Fatal("DropCache dropped dirty pages")
+	}
+	if err := s.Checkpoint(nil); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s2, err := OpenStore(path, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	for i := 0; i < n; i++ {
+		want := val(i)
+		if i == 7 {
+			want = []byte("updated")
+		}
+		if v, ok, err := s2.Get(key(i)); err != nil || !ok || !bytes.Equal(v, want) {
+			t.Fatalf("Get(%d) after DropCache and reopen: %q %v %v", i, v, ok, err)
+		}
+	}
+}
+
 // TestTornMetaFallsBack simulates a crash inside the meta write of a
 // checkpoint: the previous checkpoint must come back intact.
 func TestTornMetaFallsBack(t *testing.T) {

@@ -100,6 +100,11 @@ func (s *Store) Version() uint64 {
 	return s.ckptVer
 }
 
+// DropCache evicts the buffer pool's clean pages, releasing the memory
+// a one-off full read, such as a recovery scan, filled it with. Dirty
+// pages stay cached until a checkpoint writes them.
+func (s *Store) DropCache() { s.pool.dropClean() }
+
 // PoolStats exposes the buffer-pool counters.
 func (s *Store) PoolStats() PoolStats { return s.pool.Stats() }
 

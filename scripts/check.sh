@@ -57,9 +57,10 @@ go tool cover -func=coverage-prima-vet.out | awk '
         if ($3 + 0 < 70) { print "coverage below the 70% floor" > "/dev/stderr"; exit 1 }
     }'
 
-echo "==> fuzz smoke (~70s: decoders, WAL replay and the wire frame/entry codecs must not panic, symbolic algebra and FP-growth must match their ground oracles)"
+echo "==> fuzz smoke (~80s: decoders, the durable record codec, WAL replay and the wire frame/entry codecs must not panic, symbolic algebra and FP-growth must match their ground oracles)"
 go test -fuzz=FuzzDecodePolicy -fuzztime=10s -run=NONE ./internal/policy > /dev/null
 go test -fuzz=FuzzDecodeEntry -fuzztime=10s -run=NONE ./internal/audit > /dev/null
+go test -fuzz=FuzzDurableRecord -fuzztime=10s -run=NONE ./internal/audit > /dev/null
 go test -fuzz=FuzzSymbolicVsMaterialized -fuzztime=10s -run=NONE ./internal/policy > /dev/null
 go test -fuzz=FuzzFPGrowthVsApriori -fuzztime=10s -run=NONE ./internal/mining > /dev/null
 go test -fuzz=FuzzWALReplay -fuzztime=10s -run=NONE ./internal/storage > /dev/null
