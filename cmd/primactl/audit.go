@@ -54,9 +54,6 @@ func cmdAuditRecover(args []string) error {
 	if rs.TruncatedLine {
 		fmt.Println("  torn JSONL line:    dropped (bootstrap from sink file)")
 	}
-	if rs.Dropped > 0 {
-		fmt.Printf("  dropped entries:    %d (sink backpressure before shutdown)\n", rs.Dropped)
-	}
 	fmt.Printf("  index groups:       %d\n", rs.IndexGroups)
 	fmt.Printf("  elapsed:            %s\n", rs.Elapsed.Round(time.Microsecond))
 

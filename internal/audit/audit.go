@@ -27,6 +27,7 @@ package audit
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
@@ -97,8 +98,6 @@ type Entry struct {
 	Reason string `json:"reason,omitempty"` // prima:phi — free-text justification
 }
 
-// Validate reports schema violations: a usable audit row needs a
-// timestamp, user, data category, purpose and role.
 // blank reports whether s is empty or whitespace-only. ASCII resolves
 // in the loop (typically on the first byte); anything with high bytes
 // defers to TrimSpace for Unicode space handling.
@@ -115,6 +114,32 @@ func blank(s string) bool {
 	return true
 }
 
+// MaxZoneOffset bounds an entry's zone offset in seconds: RFC 3339,
+// and with it the JSONL export, has no notation for an offset of a day
+// or more.
+const MaxZoneOffset = 24*3600 - 1
+
+// minTime and maxTime bound the instants an entry may carry: the
+// durable record, the index key and the wire codec all hold a
+// timestamp as int64 Unix nanoseconds.
+var (
+	minTime = time.Unix(0, math.MinInt64)
+	maxTime = time.Unix(0, math.MaxInt64)
+)
+
+// inNanoRange reports whether t lies within [minTime, maxTime].
+func inNanoRange(t time.Time) bool {
+	// Whole seconds strictly inside the range need no nanosecond
+	// comparison, which costs several times more.
+	if s := t.Unix(); s > math.MinInt64/int64(time.Second)-1 && s < math.MaxInt64/int64(time.Second) {
+		return true
+	}
+	return !t.Before(minTime) && !t.After(maxTime)
+}
+
+// Validate reports schema violations: a usable audit row needs a
+// timestamp every encoding can hold, a user, data category, purpose
+// and role, and an op and status from the paper's schema.
 func (e *Entry) Validate() error {
 	var missing []string
 	if e.Time.IsZero() {
@@ -134,6 +159,14 @@ func (e *Entry) Validate() error {
 	}
 	if len(missing) > 0 {
 		return fmt.Errorf("audit: entry missing %s", strings.Join(missing, ", "))
+	}
+	if !inNanoRange(e.Time) {
+		return fmt.Errorf("audit: time outside %d-%d, the int64-nanosecond range", minTime.Year(), maxTime.Year())
+	}
+	if e.Time.Location() != time.UTC {
+		if _, off := e.Time.Zone(); off < -MaxZoneOffset || off > MaxZoneOffset {
+			return fmt.Errorf("audit: zone offset %ds is a day or more", off)
+		}
 	}
 	if e.Op != Allow && e.Op != Deny {
 		return fmt.Errorf("audit: bad op %d", e.Op)

@@ -3,6 +3,7 @@ package audit
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -19,6 +20,11 @@ func TestEntryValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid entry rejected: %v", err)
 	}
+	edge := good
+	edge.Time = time.Unix(0, math.MaxInt64).In(time.FixedZone("", MaxZoneOffset))
+	if err := edge.Validate(); err != nil {
+		t.Fatalf("latest representable instant at the widest zone rejected: %v", err)
+	}
 	cases := []struct {
 		name string
 		mod  func(Entry) Entry
@@ -30,6 +36,10 @@ func TestEntryValidate(t *testing.T) {
 		{"no role", func(e Entry) Entry { e.Authorized = ""; return e }},
 		{"bad op", func(e Entry) Entry { e.Op = 7; return e }},
 		{"bad status", func(e Entry) Entry { e.Status = -1; return e }},
+		{"after 2262", func(e Entry) Entry { e.Time = time.Date(2500, 1, 1, 0, 0, 0, 0, time.UTC); return e }},
+		{"before 1677", func(e Entry) Entry { e.Time = time.Date(1600, 1, 1, 0, 0, 0, 0, time.UTC); return e }},
+		{"zone +25h", func(e Entry) Entry { e.Time = t0.In(time.FixedZone("", 25*3600)); return e }},
+		{"zone -24h", func(e Entry) Entry { e.Time = t0.In(time.FixedZone("", -24*3600)); return e }},
 	}
 	for _, c := range cases {
 		bad := c.mod(good)

@@ -10,13 +10,18 @@ import (
 	"time"
 )
 
-// WriteJSONL writes entries as JSON Lines, one entry per line.
+// WriteJSONL writes entries as JSON Lines, one entry per line, in the
+// bytes a json.Encoder would write.
 func WriteJSONL(w io.Writer, entries []Entry) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for i, e := range entries {
-		if err := enc.Encode(e); err != nil {
+	var line []byte
+	for i := range entries {
+		var err error
+		if line, err = appendJSONLine(line[:0], &entries[i]); err != nil {
 			return fmt.Errorf("audit: encode entry %d: %w", i, err)
+		}
+		if _, err := bw.Write(line); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()

@@ -22,11 +22,11 @@ import (
 //   - index.db — a storage.Store B+tree keyed (time, status, seq) whose
 //     values are the same (seq, entry) records: the checkpoint itself,
 //     the one durable copy of every entry at or below the checkpoint
-//     cut. The store's meta blob attests the cut, the entry count, the
-//     drop counter and the log epoch, so one shadow-paged meta swap
-//     commits a checkpoint and a retention expiry alike. Retention
-//     expiry scans and SnapshotByTime range reads are served from the
-//     same tree instead of a full in-memory sort.
+//     cut. The store's meta blob attests the cut, the entry count and
+//     the log epoch, so one shadow-paged meta swap commits a
+//     checkpoint and a retention expiry alike. Retention expiry scans
+//     and SnapshotByTime range reads are served from the same tree
+//     instead of a full in-memory sort.
 //
 // Recovery scans index.db plus the WAL tail to rebuild the in-memory
 // log — per-shard refinement index included, since bulkLoad folds the
@@ -44,19 +44,18 @@ type Durable struct {
 	mu      sync.Mutex // serializes checkpoint/expire/index reads
 	ckptSeq uint64     // entries with seq <= ckptSeq are in the index
 	count   uint64     // entries in the index
-	dropped uint64     // DropOnFull drops recorded up to the last checkpoint
 	// seenEpoch is the log epoch the store has accounted for. The log
 	// epoch moves on structural mutation (Expire/Rotate/Reset); only
-	// Durable.Expire keeps the index and drop accounting in step, so a
-	// checkpoint that observes an unexplained epoch move refuses to
-	// persist the divergence.
+	// Durable.Expire keeps the index in step, so a checkpoint that
+	// observes an unexplained epoch move refuses to persist the
+	// divergence.
 	seenEpoch uint64
 }
 
 // DurableOptions tunes OpenDurable. The zero value selects defaults.
 type DurableOptions struct {
-	// Sink configures the in-process queue feeding the WAL (batching,
-	// queue depth, DropOnFull backpressure).
+	// Sink configures the in-process queue feeding the WAL (batching
+	// and queue depth).
 	Sink SinkOptions
 	// CommitInterval is the WAL group-commit window (storage.WALOptions).
 	CommitInterval time.Duration
@@ -87,49 +86,47 @@ type RecoveryStats struct {
 	// TruncatedLine reports a torn final JSONL line dropped while
 	// bootstrapping from a plain sink file.
 	TruncatedLine bool
-	// Dropped counts sequence gaps in the recovered stream: entries
-	// the sink dropped under DropOnFull before the shutdown.
-	Dropped uint64
 	// IndexGroups is the number of refinement-index groups rebuilt.
 	IndexGroups int
 	// Elapsed is the wall-clock recovery time.
 	Elapsed time.Duration
 }
 
-// app blob layout: "ADU3" + ckptSeq + count + dropped + epoch. Stores
-// that also kept a JSONL checkpoint wrote "ADU1" (ckptSeq + JSONL
-// length + count + dropped + epoch) or "ADU2" (the same plus a flags
-// word); their index already held every checkpointed entry, so they
-// decode with the JSONL length and the flags ignored.
+// app blob layout: "ADU3" + ckptSeq + count + drop word + epoch. The
+// drop word counted entries a lossy sink policy once skipped; it is
+// written as zero and ignored on read. Stores that also kept a JSONL
+// checkpoint wrote "ADU1" (ckptSeq + JSONL length + count + drop word
+// + epoch) or "ADU2" (the same plus a flags word); their index already
+// held every checkpointed entry, so they decode with the JSONL length
+// and the flags ignored.
 const (
 	appMagic = "ADU3"
 	appLen   = 4 + 8*4
 )
 
-func encodeApp(ckptSeq, count, dropped, epoch uint64) []byte {
+func encodeApp(ckptSeq, count, epoch uint64) []byte {
 	b := make([]byte, appLen)
 	copy(b[0:4], appMagic)
 	binary.LittleEndian.PutUint64(b[4:], ckptSeq)
 	binary.LittleEndian.PutUint64(b[12:], count)
-	binary.LittleEndian.PutUint64(b[20:], dropped)
 	binary.LittleEndian.PutUint64(b[28:], epoch)
 	return b
 }
 
-func decodeApp(b []byte) (ckptSeq, count, dropped, epoch uint64, err error) {
-	var off [4]int // byte offsets of ckptSeq, count, dropped, epoch
+func decodeApp(b []byte) (ckptSeq, count, epoch uint64, err error) {
+	var off [3]int // byte offsets of ckptSeq, count, epoch
 	switch magic := string(b[:min(len(b), 4)]); {
 	case len(b) == 0:
-		return 0, 0, 0, 0, nil
+		return 0, 0, 0, nil
 	case len(b) == appLen && magic == appMagic:
-		off = [4]int{4, 12, 20, 28}
+		off = [3]int{4, 12, 28}
 	case len(b) == 4+8*5 && magic == "ADU1", len(b) == 4+8*6 && magic == "ADU2":
-		off = [4]int{4, 20, 28, 36}
+		off = [3]int{4, 20, 36}
 	default:
-		return 0, 0, 0, 0, fmt.Errorf("audit: unrecognized durable meta blob (%d bytes)", len(b))
+		return 0, 0, 0, fmt.Errorf("audit: unrecognized durable meta blob (%d bytes)", len(b))
 	}
 	u := func(i int) uint64 { return binary.LittleEndian.Uint64(b[off[i]:]) }
-	return u(0), u(1), u(2), u(3), nil
+	return u(0), u(1), u(2), nil
 }
 
 // appendStamped encodes one (seq, entry) pair: the WAL record format
@@ -234,32 +231,18 @@ func indexKeyTime(k []byte) (time.Time, Status) {
 
 // walFeed adapts the WAL to the sink's stampedWriter: one WAL record
 // per entry, appended by the single sink flusher goroutine, made
-// durable by the WAL's own group-commit flusher. When the sink has
-// dropped entries under DropOnFull, a drop-marker record carries the
-// highest dropped sequence number, so recovery can count gaps past
-// the last surviving entry record. A marker's first byte is 0x00 — a
-// value no entry record starts with, since its leading uvarint is a
-// sequence number >= 1.
+// durable by the WAL's own group-commit flusher.
 type walFeed struct {
-	w      *storage.WAL
-	buf    []byte
-	marker uint64 // highest drop marker already written
+	w   *storage.WAL
+	buf []byte
 }
 
-func (f *walFeed) writeStamped(batch []stamped, dropHigh uint64) error {
+func (f *walFeed) writeStamped(batch []stamped) error {
 	for i := range batch {
 		f.buf = appendStamped(f.buf[:0], batch[i].seq, &batch[i].e)
 		if _, err := f.w.Append(f.buf); err != nil {
 			return err
 		}
-	}
-	if dropHigh > f.marker {
-		f.buf = append(f.buf[:0], 0x00)
-		f.buf = binary.AppendUvarint(f.buf, dropHigh)
-		if _, err := f.w.Append(f.buf); err != nil {
-			return err
-		}
-		f.marker = dropHigh
 	}
 	return nil
 }
@@ -296,7 +279,7 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 		return nil, rs, err
 	}
 	var epoch uint64
-	d.ckptSeq, d.count, d.dropped, epoch, err = decodeApp(st.App())
+	d.ckptSeq, d.count, epoch, err = decodeApp(st.App())
 	if err != nil {
 		return fail(err)
 	}
@@ -309,20 +292,17 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 	var maxSeq uint64
 	wst, err := storage.Replay(walDir, o.OpenFile, func(lsn uint64, p []byte) error {
 		if len(p) > 0 && p[0] == 0x00 {
-			// Drop marker: the highest seq the sink dropped. It extends
-			// the gap accounting past the last surviving entry record.
-			dh, n := binary.Uvarint(p[1:])
-			if n <= 0 {
-				return fmt.Errorf("audit: short drop marker record")
-			}
-			if dh > maxSeq {
-				maxSeq = dh
-			}
+			// A drop marker, written by stores whose sink could skip
+			// entries. No entry record starts with 0x00: its leading
+			// uvarint is a sequence number >= 1.
 			return nil
 		}
 		seq, e, derr := decodeStamped(p)
+		if derr == nil {
+			derr = e.Validate()
+		}
 		if derr != nil {
-			return derr
+			return fmt.Errorf("audit: WAL record %d: %w", lsn, derr)
 		}
 		if seq <= d.ckptSeq {
 			return nil
@@ -367,18 +347,18 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 	d.log = NewLog(site)
 	d.log.bulkLoad(entries)
 	if d.ckptSeq > d.log.seq.Load() {
-		// Sequence gaps (dropped or expired entries) below the cut:
-		// resume numbering past it so WAL-tail seqs stay above every
-		// in-memory one.
+		// Sequence gaps (expired entries) below the cut: resume
+		// numbering past it so WAL-tail seqs stay above every in-memory
+		// one.
 		d.log.seq.Store(d.ckptSeq)
 	}
 	d.log.bulkLoad(tail)
 	if maxSeq > d.log.seq.Load() {
-		// bulkLoad numbers the tail densely from the cut. Gaps in the
-		// WAL's own numbering are DropOnFull drops: resume numbering past
-		// the highest seq the WAL holds, so the concluding checkpoint
-		// below counts the gaps once and its cut covers every WAL record
-		// — none is replayed again by the next open.
+		// bulkLoad numbers the tail densely from the cut. A WAL written
+		// while the sink could skip entries has gaps in its numbering:
+		// resume numbering past the highest seq the WAL holds, so the
+		// concluding checkpoint's cut covers every WAL record — none is
+		// replayed again by the next open.
 		d.log.seq.Store(maxSeq)
 	}
 
@@ -413,7 +393,6 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 			return fail(err)
 		}
 	}
-	rs.Dropped = d.dropped
 
 	d.log.setBatchSink(&walFeed{w: d.wal}, o.OnErr, o.Sink)
 	rs.IndexGroups = len(d.log.Groups())
@@ -478,9 +457,9 @@ func readSinkFile(path string) ([]Entry, bool, error) {
 // it flow into the WAL via the attached sink. Structural mutation
 // does NOT: retention must go through Durable.Expire — calling
 // Expire/Rotate/Reset directly on the returned Log changes the shards
-// without the persistent index or the drop accounting following, and
-// the next Checkpoint refuses to persist the divergence (the log
-// epoch moved outside the store) rather than corrupt it silently.
+// without the persistent index following, and the next Checkpoint
+// refuses to persist the divergence (the log epoch moved outside the
+// store) rather than corrupt it silently.
 func (d *Durable) Log() *Log { return d.log }
 
 // Append forwards to the underlying log.
@@ -489,14 +468,6 @@ func (d *Durable) Append(entries ...Entry) error { return d.log.Append(entries..
 // Sync blocks until every entry appended before the call is durable
 // in the WAL (one shared group-commit fsync away, not one per entry).
 func (d *Durable) Sync() { d.log.Flush() }
-
-// Dropped reports the total entries dropped under the DropOnFull
-// policy across the store's lifetime, including recovered gaps.
-func (d *Durable) Dropped() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.dropped + d.log.SinkDropped()
-}
 
 // CheckpointSeq returns the sequence number of the last checkpoint
 // cut (entries at or below it live in the index).
@@ -521,16 +492,14 @@ func (d *Durable) Checkpoint() error {
 }
 
 func (d *Durable) checkpointLocked() error {
-	// Gap accounting in cutLocked attributes every missing seq in
-	// (ckptSeq, cur] to a DropOnFull drop. That only holds while
-	// entries leave the shards through this store: a direct
-	// Log.Expire/Rotate/Reset moved the log epoch without the index or
-	// the drop counter following, and persisting on top would corrupt
-	// both. Refuse instead.
+	// The index mirrors the shards only while entries leave them
+	// through this store: a direct Log.Expire/Rotate/Reset moved the
+	// log epoch without the index following, and a cut on top would
+	// persist the divergence. Refuse instead.
 	if e := d.log.epoch.Load(); e != d.seenEpoch {
 		return fmt.Errorf("audit: log epoch moved %d -> %d outside the durable store (direct Log.Expire/Rotate/Reset?): retention on a durable store must go through Durable.Expire", d.seenEpoch, e)
 	}
-	return d.cutLocked(0, false)
+	return d.cutLocked(0)
 }
 
 // cutLocked indexes the entries appended since the last cut and
@@ -538,7 +507,7 @@ func (d *Durable) checkpointLocked() error {
 // store checkpoint — the single meta swap that is the commit point —
 // then truncates the WAL behind the cut. removed is the number of
 // index entries deleted since the last cut.
-func (d *Durable) cutLocked(removed uint64, expiry bool) error {
+func (d *Durable) cutLocked(removed uint64) error {
 	// Capture the truncation bound BEFORE the cut: every WAL record at
 	// or below this LSN was appended before cur was read, so its seq
 	// is at or below cur and the checkpoint below covers it.
@@ -556,15 +525,7 @@ func (d *Durable) cutLocked(removed uint64, expiry bool) error {
 		}
 	}
 	count := d.count - removed + uint64(len(batch))
-	dropped := d.dropped
-	if !expiry {
-		// Gaps in (ckptSeq, cur] are sequence numbers that were
-		// assigned but never reached a shard: DropOnFull drops. After
-		// an expiry the gaps are expired entries instead; drops were
-		// counted when they became gaps.
-		dropped += (cur - d.ckptSeq) - uint64(len(batch))
-	}
-	if err := d.store.Checkpoint(encodeApp(cur, count, dropped, d.log.epoch.Load())); err != nil {
+	if err := d.store.Checkpoint(encodeApp(cur, count, d.log.epoch.Load())); err != nil {
 		return err
 	}
 	if err := d.wal.TruncateBefore(lsnCut + 1); err != nil {
@@ -572,7 +533,6 @@ func (d *Durable) cutLocked(removed uint64, expiry bool) error {
 	}
 	d.ckptSeq = cur
 	d.count = count
-	d.dropped = dropped
 	return nil
 }
 
@@ -723,7 +683,7 @@ func (d *Durable) Expire(cutoff, exceptionCutoff time.Time) (int, error) {
 	}
 	dropped := d.log.Expire(cutoff, exceptionCutoff)
 	d.seenEpoch = d.log.epoch.Load()
-	return dropped, d.cutLocked(uint64(len(victims)), true)
+	return dropped, d.cutLocked(uint64(len(victims)))
 }
 
 // Close drains the sink (a final WAL group commit makes every

@@ -364,66 +364,6 @@ func TestReadJSONLTolerant(t *testing.T) {
 	}
 }
 
-// TestDurableDroppedCounter drives the DropOnFull policy hard enough
-// to drop entries and checks the counter survives checkpoint and
-// recovery as sequence gaps.
-func TestDurableDroppedCounter(t *testing.T) {
-	dir := t.TempDir()
-	d, _, err := OpenDurable("s", dir, DurableOptions{
-		Sink: SinkOptions{Queue: 8, DropOnFull: true},
-		// A long commit interval keeps the WAL flusher lazy so the tiny
-		// queue actually overflows.
-		CommitInterval: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := genDurableEntries(4000, 8)
-	for i := range entries {
-		if err := d.Append(entries[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	d.Sync()
-	if d.Dropped() == 0 {
-		t.Skip("queue never overflowed on this machine")
-	}
-	memLen := d.Log().Len()
-	if memLen != len(entries) {
-		t.Fatalf("in-memory append must never drop: %d/%d", memLen, len(entries))
-	}
-	d.Close()
-
-	d2, rs, err := OpenDurable("s", dir, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Dropped == 0 {
-		t.Fatalf("recovery did not surface the dropped count: %+v", rs)
-	}
-	if got := rs.CheckpointEntries + rs.WALEntries; uint64(got)+rs.Dropped != uint64(len(entries)) {
-		t.Fatalf("recovered %d + dropped %d != appended %d", got, rs.Dropped, len(entries))
-	}
-	if d2.Dropped() != rs.Dropped {
-		t.Fatalf("Dropped() = %d, stats say %d", d2.Dropped(), rs.Dropped)
-	}
-	// Recovery checkpointed past every WAL record: a second reopen
-	// replays nothing and counts no gap twice.
-	want := jsonlBytes(t, d2.Log().Snapshot())
-	d2.Close()
-	d3, rs3, err := OpenDurable("s", dir, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d3.Close()
-	if rs3.WALEntries != 0 || rs3.Dropped != rs.Dropped || d3.Dropped() != rs.Dropped {
-		t.Fatalf("second reopen: %+v, Dropped() = %d; first reopen dropped %d", rs3, d3.Dropped(), rs.Dropped)
-	}
-	if !bytes.Equal(jsonlBytes(t, d3.Log().Snapshot()), want) {
-		t.Fatal("second reopen diverges from the first")
-	}
-}
-
 // TestDurableDeltaResyncAfterRecovery: a Delta cursor taken before a
 // crash must be detected as stale after recovery replays a WAL tail,
 // so incremental mining state is rebuilt instead of silently skipping
@@ -687,8 +627,8 @@ func TestDurableConcurrentCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if rs.CheckpointEntries != writers*perWriter || rs.WALEntries != 0 || rs.Dropped != 0 {
-		t.Fatalf("recovery after concurrent run: %+v", rs)
+	if rs.CheckpointEntries != writers*perWriter || rs.WALEntries != 0 || d2.CheckpointSeq() != writers*perWriter {
+		t.Fatalf("recovery after concurrent run: %+v, cut at seq %d", rs, d2.CheckpointSeq())
 	}
 }
 
@@ -901,10 +841,11 @@ func writeWALTail(t *testing.T, dir string, records [][]byte) {
 }
 
 // TestDurableReopenIdempotent: recovering a WAL tail whose sequence
-// numbers have DropOnFull gaps must leave nothing for the next open to
-// replay. N reopens give the log and drop count of one — also when a
-// crash between the concluding store checkpoint and the WAL truncation
-// leaves the pre-recovery WAL in place.
+// numbers have gaps, closed by a drop marker — what a sink that could
+// skip entries left behind — must leave nothing for the next open to
+// replay. N reopens give the log of one — also when a crash between
+// the concluding store checkpoint and the WAL truncation leaves the
+// pre-recovery WAL in place.
 func TestDurableReopenIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	entries := genDurableEntries(5, 16)
@@ -923,8 +864,13 @@ func TestDurableReopenIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.WALEntries != len(entries) || rs.Dropped != 5 {
-		t.Fatalf("first reopen recovered %d entries, %d dropped; want %d, 5", rs.WALEntries, rs.Dropped, len(entries))
+	if rs.WALEntries != len(entries) {
+		t.Fatalf("first reopen recovered %d entries, want %d", rs.WALEntries, len(entries))
+	}
+	// Numbering resumes past the highest seq the WAL holds; the marker
+	// is skipped.
+	if got := d.CheckpointSeq(); got != 8 {
+		t.Fatalf("recovery cut at seq %d, want 8", got)
 	}
 	want := jsonlBytes(t, d.Log().Snapshot())
 	if !bytes.Equal(want, jsonlBytes(t, entries)) {
@@ -945,9 +891,6 @@ func TestDurableReopenIdempotent(t *testing.T) {
 		if !bytes.Equal(jsonlBytes(t, d.Log().Snapshot()), want) {
 			t.Fatalf("%s: log diverges from the first reopen (%d entries)", label, d.Log().Len())
 		}
-		if got := d.Dropped(); got != 5 {
-			t.Fatalf("%s: Dropped() = %d, want 5", label, got)
-		}
 	}
 	reopen("second reopen")
 	reopen("third reopen")
@@ -959,11 +902,12 @@ func TestDurableReopenIdempotent(t *testing.T) {
 	reopen("reopen after that")
 }
 
-// writeLegacyLayout builds a store as the JSONL-checkpointing layout
-// left it: index.db holding every checkpointed entry under its stored
-// seq, and a meta blob in that layout's "ADU1"/"ADU2" form with the
-// JSONL byte length (and, for ADU2, a flags word) in it. log.jsonl and
-// log.compact.jsonl beside it hold bytes recovery must never read.
+// writeLegacyLayout builds a store as an earlier layout left it:
+// index.db holding every checkpointed entry under its stored seq, and
+// a meta blob in the JSONL-checkpointing layout's "ADU1"/"ADU2" form
+// with the JSONL byte length (and, for ADU2, a flags word) in it, or
+// in the "ADU3" form with a drop word. log.jsonl and log.compact.jsonl
+// beside it hold bytes recovery must never read.
 func writeLegacyLayout(t *testing.T, dir, magic string, flags uint64, entries []Entry, seqs []uint64, dropped, epoch uint64) {
 	t.Helper()
 	st, err := storage.OpenStore(filepath.Join(dir, "index.db"), storage.Options{})
@@ -977,7 +921,11 @@ func writeLegacyLayout(t *testing.T, dir, magic string, flags uint64, entries []
 		}
 	}
 	blob := []byte(magic)
-	for _, w := range []uint64{seqs[len(seqs)-1] + 2, 12345, uint64(len(entries)), dropped, epoch} {
+	words := []uint64{seqs[len(seqs)-1] + 2, 12345, uint64(len(entries)), dropped, epoch}
+	if magic == "ADU3" {
+		words = append(words[:1], words[2:]...)
+	}
+	for _, w := range words {
 		blob = binary.LittleEndian.AppendUint64(blob, w)
 	}
 	if magic == "ADU2" {
@@ -1024,7 +972,7 @@ func TestDurableOpensLegacyLayout(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rs.CheckpointEntries != len(entries) || rs.WALEntries != 0 || rs.Dropped != 7 {
+			if rs.CheckpointEntries != len(entries) || rs.WALEntries != 0 {
 				t.Fatalf("recovery stats %+v", rs)
 			}
 			if !bytes.Equal(jsonlBytes(t, d.Log().Snapshot()), want) {
@@ -1032,9 +980,6 @@ func TestDurableOpensLegacyLayout(t *testing.T) {
 			}
 			if got := d.Log().epoch.Load(); got != 4 {
 				t.Fatalf("epoch %d, want 4", got)
-			}
-			if got := d.Dropped(); got != 7 {
-				t.Fatalf("Dropped() = %d, want 7", got)
 			}
 			extra := genDurableEntries(10, 18)
 			if err := d.Append(extra...); err != nil {
@@ -1050,8 +995,11 @@ func TestDurableOpensLegacyLayout(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer d2.Close()
-			if rs2.CheckpointEntries != len(entries)+len(extra) || d2.Dropped() != 7 {
-				t.Fatalf("after a new checkpoint: %+v, Dropped() = %d", rs2, d2.Dropped())
+			if rs2.CheckpointEntries != len(entries)+len(extra) {
+				t.Fatalf("after a new checkpoint: %+v", rs2)
+			}
+			if app := d2.store.App(); string(app[:4]) != appMagic || binary.LittleEndian.Uint64(app[20:]) != 0 {
+				t.Fatalf("new checkpoint wrote meta %q with drop word %d, want ADU3 with 0", app[:4], binary.LittleEndian.Uint64(app[20:]))
 			}
 			if !bytes.Equal(jsonlBytes(t, d2.Log().Snapshot()), all) {
 				t.Fatal("appends on a legacy-layout store did not round-trip")
@@ -1081,9 +1029,65 @@ func TestDurableOpensLegacyLayout(t *testing.T) {
 	})
 }
 
+// TestDurableOpensParentLayout: a store written while the sink could
+// skip entries — an ADU3 meta with a non-zero drop word over an index
+// with seq gaps, and a WAL tail with a gap and a drop marker — opens
+// with every entry in append order, replays its tail once, and writes
+// a zero drop word at its next checkpoint.
+func TestDurableOpensParentLayout(t *testing.T) {
+	entries := genDurableEntries(30, 21)
+	for i := range entries {
+		entries[i].Site = "s"
+	}
+	ckpt, tail := entries[:20], entries[20:]
+	seqs := make([]uint64, len(ckpt))
+	for i := range seqs {
+		seqs[i] = uint64(2*i + 1)
+	}
+	dir := t.TempDir()
+	writeLegacyLayout(t, dir, "ADU3", 0, ckpt, seqs, 9, 3) // cut at seq 41
+	var records [][]byte
+	for i := range tail {
+		records = append(records, appendStamped(nil, uint64(42+i+i/4), &tail[i]))
+	}
+	records = append(records, binary.AppendUvarint([]byte{0x00}, 60))
+	writeWALTail(t, dir, records)
+
+	want := jsonlBytes(t, entries)
+	d, rs, err := OpenDurable("s", dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.CheckpointEntries != len(ckpt) || rs.WALEntries != len(tail) {
+		t.Fatalf("recovery stats %+v", rs)
+	}
+	if !bytes.Equal(jsonlBytes(t, d.Log().Snapshot()), want) {
+		t.Fatal("parent-layout store opened with different entries")
+	}
+	if got := d.Log().epoch.Load(); got != 4 {
+		t.Fatalf("epoch %d, want 4 (the replayed tail advances it)", got)
+	}
+	d.Close()
+
+	d2, rs2, err := OpenDurable("s", dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	if rs2.CheckpointEntries != len(entries) || rs2.WALEntries != 0 {
+		t.Fatalf("second open: %+v", rs2)
+	}
+	if !bytes.Equal(jsonlBytes(t, d2.Log().Snapshot()), want) {
+		t.Fatal("second open diverges from the first")
+	}
+	if app := d2.store.App(); string(app[:4]) != appMagic || binary.LittleEndian.Uint64(app[20:]) != 0 {
+		t.Fatalf("recovery checkpoint wrote meta %q with drop word %d, want ADU3 with 0", app[:4], binary.LittleEndian.Uint64(app[20:]))
+	}
+}
+
 // TestDecodeStampedStrict: the checkpoint's only copy of an entry is
 // rejected when it carries trailing bytes or an op or status Validate
-// refuses.
+// refuses, and recovery refuses a WAL record Validate refuses.
 func TestDecodeStampedStrict(t *testing.T) {
 	e := genDurableEntries(1, 19)[0]
 	rec := appendStamped(nil, 7, &e)
@@ -1104,5 +1108,15 @@ func TestDecodeStampedStrict(t *testing.T) {
 		if _, _, err := decodeStamped(appendStamped(nil, 7, &b)); err == nil {
 			t.Errorf("op %d status %d accepted", b.Op, b.Status)
 		}
+	}
+	// A WAL tail record Validate refuses keeps the store from opening,
+	// as an index record would.
+	bad := e
+	bad.Time = e.Time.In(time.FixedZone("", 25*3600))
+	dir := t.TempDir()
+	writeWALTail(t, dir, [][]byte{appendStamped(nil, 1, &bad)})
+	if d, _, err := OpenDurable("s", dir, DurableOptions{}); err == nil {
+		d.Close()
+		t.Error("a WAL record with a 25-hour zone offset opened")
 	}
 }

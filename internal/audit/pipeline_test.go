@@ -297,6 +297,8 @@ func TestAppendJSONLineMatchesStdlib(t *testing.T) {
 		Entry{Time: t0, Op: Allow, User: "søster", Data: "journal\tnotat", Purpose: "p", Authorized: "r", Status: Regular},
 		Entry{Time: t0.Add(123456789 * time.Nanosecond), Op: Allow, User: "u", Data: "d", Purpose: "p",
 			Authorized: "r", Status: Regular, Site: "oslo", Reason: "on-call cover"},
+		Entry{Time: t0.In(time.FixedZone("", 5*3600+1800)), Op: Allow, User: "u", Data: "d", Purpose: "p", Authorized: "r"},
+		Entry{Time: t0.In(time.FixedZone("", -MaxZoneOffset)), Op: Deny, User: "u", Data: "d", Purpose: "p", Authorized: "r"},
 	)
 	var want bytes.Buffer
 	enc := json.NewEncoder(&want)
@@ -312,6 +314,18 @@ func TestAppendJSONLineMatchesStdlib(t *testing.T) {
 	}
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("encoder output diverges:\n got %q\nwant %q", got, want.Bytes())
+	}
+	// Times RFC 3339 cannot express fail in both encoders.
+	for _, tm := range []time.Time{
+		t0.In(time.FixedZone("", 24*3600)),
+		t0.In(time.FixedZone("", -25*3600)),
+		time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC),
+		time.Date(-1, 1, 1, 0, 0, 0, 0, time.UTC),
+	} {
+		e := Entry{Time: tm, User: "u", Data: "d", Purpose: "p", Authorized: "r"}
+		if _, err := appendJSONLine(nil, &e); err == nil || enc.Encode(e) == nil {
+			t.Errorf("time %v: appendJSONLine err %v; both encoders must refuse it", tm, err)
+		}
 	}
 }
 
@@ -377,49 +391,47 @@ func TestSinkConcurrentAppendOrdered(t *testing.T) {
 	}
 }
 
-// TestSinkBackpressureDrop exercises the DropOnFull policy: a stalled
-// writer with a tiny queue must drop (and report) rather than block.
-func TestSinkBackpressureDrop(t *testing.T) {
+// TestSinkFullQueueBlocks: a stalled writer with a tiny queue holds
+// the appender back instead of losing entries, and once the writer
+// drains, the sink stream is every entry in append order.
+func TestSinkFullQueueBlocks(t *testing.T) {
 	release := make(chan struct{})
-	var once sync.Once
-	var written atomic.Int64
+	var mu sync.Mutex
+	var buf bytes.Buffer
 	stall := writerFunc(func(p []byte) (int, error) {
 		<-release
-		written.Add(int64(bytes.Count(p, []byte("\n"))))
-		return len(p), nil
+		mu.Lock()
+		defer mu.Unlock()
+		return buf.Write(p)
 	})
-	errs := make(chan error, 64)
 	l := NewLog("ward")
-	l.SetSinkOptions(stall, func(err error) { errs <- err }, SinkOptions{
-		BatchSize: 1, Interval: -1, Queue: 2, DropOnFull: true,
-	})
-	defer once.Do(func() { close(release) })
-	for i := 0; i < 32; i++ {
-		if err := l.Append(entry(t0, fmt.Sprintf("u%d", i), "d", "p", "r", Regular)); err != nil {
-			t.Fatal(err)
+	l.SetSinkOptions(stall, nil, SinkOptions{BatchSize: 1, Interval: -1, Queue: 2})
+	const n = 32
+	var appended atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			if err := l.Append(entry(t0, fmt.Sprintf("u%d", i), "d", "p", "r", Regular)); err != nil {
+				t.Error(err)
+				return
+			}
+			appended.Add(1)
 		}
+	}()
+	time.Sleep(50 * time.Millisecond)
+	if got := appended.Load(); got >= n {
+		t.Fatalf("all %d appends returned past a stalled writer with a 2-entry queue", got)
 	}
-	if l.Len() != 32 {
-		t.Fatalf("in-memory appends must not drop: len=%d", l.Len())
-	}
-	if l.SinkDropped() == 0 {
-		t.Fatal("expected drops under a stalled writer with DropOnFull")
-	}
-	select {
-	case err := <-errs:
-		if err != ErrSinkOverflow {
-			t.Fatalf("err = %v, want ErrSinkOverflow", err)
-		}
-	default:
-		t.Fatal("expected ErrSinkOverflow on the error callback")
-	}
-	dropped := l.SinkDropped()
-	once.Do(func() { close(release) })
+	close(release)
+	<-done
 	l.CloseSink()
-	// Conservation: every appended entry was either written by the
-	// sink or counted as dropped — none vanish silently.
-	if got := written.Load() + int64(dropped); got != 32 {
-		t.Fatalf("written %d + dropped %d != appended 32", written.Load(), dropped)
+	got, err := ReadJSONL(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := l.Snapshot(); len(want) != n || !reflect.DeepEqual(got, want) {
+		t.Fatalf("sink stream (%d entries) != append order (%d entries)", len(got), len(want))
 	}
 }
 

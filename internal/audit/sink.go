@@ -2,11 +2,9 @@ package audit
 
 import (
 	"encoding/json"
-	"errors"
 	"io"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -19,10 +17,6 @@ import (
 // owns the encoder and the batch buffer, encodes outside every log
 // lock, and writes batches triggered by size or interval.
 
-// ErrSinkOverflow is reported through the error callback when the
-// sink queue is full and the backpressure policy is DropOnFull.
-var ErrSinkOverflow = errors.New("audit: sink queue full, entry dropped")
-
 // SinkOptions tunes the asynchronous sink attached by SetSinkOptions.
 // The zero value selects the defaults noted per field.
 type SinkOptions struct {
@@ -33,15 +27,10 @@ type SinkOptions struct {
 	// before a flush. Default 50ms. Negative disables the timer
 	// (flushes happen on BatchSize, Flush, and close only).
 	Interval time.Duration
-	// Queue is the bounded channel capacity between appenders and the
-	// flusher. Default 4096.
+	// Queue bounds the entries waiting for the flusher. A full queue
+	// blocks the appender until the flusher catches up, so the sink
+	// never loses an entry. Default 4096.
 	Queue int
-	// DropOnFull selects the backpressure policy when the queue is
-	// full: true drops the entry (reported via the error callback as
-	// ErrSinkOverflow; the in-memory append still succeeds), false
-	// blocks the appender until the flusher catches up. Default
-	// false — audit durability is lossless unless explicitly traded.
-	DropOnFull bool
 }
 
 // stampedWriter receives the flusher's batches as (seq, entry) pairs
@@ -51,10 +40,7 @@ type SinkOptions struct {
 // goroutine with batches in sequence order; syncStamped is the
 // durability barrier behind Flush/CloseSink.
 type stampedWriter interface {
-	// dropHigh is the highest sequence number assigned to an entry the
-	// sink dropped under DropOnFull (0 if none): the writer persists it
-	// so recovery can count gaps past the last surviving record.
-	writeStamped(batch []stamped, dropHigh uint64) error
+	writeStamped(batch []stamped) error
 	syncStamped() error
 }
 
@@ -68,7 +54,7 @@ type sink struct {
 	closed   bool
 	pending  []stamped       // enqueued entries, in sequence order
 	barriers []chan struct{} // flush waiters, closed after the next drain
-	full     sync.Cond       // blocking-backpressure waiters (on mu)
+	full     sync.Cond       // backpressure waiters (on mu)
 
 	wake     chan struct{} // cap 1: coalesced flusher wakeup
 	done     chan struct{}
@@ -78,9 +64,6 @@ type sink struct {
 	batch    int
 	queue    int
 	interval time.Duration
-	drop     bool
-	dropped  atomic.Uint64
-	dropHigh uint64 // highest dropped seq (under mu); see stampedWriter
 }
 
 func newSink(w io.Writer, onErr func(error), opts SinkOptions) *sink {
@@ -101,7 +84,6 @@ func newSink(w io.Writer, onErr func(error), opts SinkOptions) *sink {
 		batch:    opts.BatchSize,
 		queue:    opts.Queue,
 		interval: opts.Interval,
-		drop:     opts.DropOnFull,
 	}
 	s.full.L = &s.mu
 	return s
@@ -118,21 +100,14 @@ func (s *sink) wakeFlusher() {
 
 // send assigns the entries' sequence numbers, in order, into seqs and
 // enqueues them for the flusher in one critical section, which
-// blocking backpressure leaves only while it waits for the flusher.
+// backpressure leaves only while it waits for the flusher.
 // After close it only assigns sequences — the in-memory append must
 // not be blocked by a torn-down sink. Each enqueued copy without a
 // site is stamped with site.
 func (s *sink) send(l *Log, entries []Entry, site string, seqs []uint64) {
-	drops := 0
 	s.mu.Lock()
 	for i := range entries {
-		if s.drop && !s.closed && len(s.pending) >= s.queue {
-			seqs[i] = l.seq.Add(1)
-			s.dropHigh = seqs[i]
-			drops++
-			continue
-		}
-		if !s.drop && !s.closed && len(s.pending) >= s.queue {
+		if !s.closed && len(s.pending) >= s.queue {
 			s.wakeFlusher() // drain what this batch enqueued so far
 			for !s.closed && len(s.pending) >= s.queue {
 				s.full.Wait()
@@ -149,14 +124,6 @@ func (s *sink) send(l *Log, entries []Entry, site string, seqs []uint64) {
 	}
 	s.mu.Unlock()
 	s.wakeFlusher()
-	if drops > 0 {
-		s.dropped.Add(uint64(drops))
-		if s.onErr != nil {
-			for ; drops > 0; drops-- {
-				s.onErr(ErrSinkOverflow)
-			}
-		}
-	}
 }
 
 // plainJSON reports whether every byte of v can be emitted inside a
@@ -173,15 +140,23 @@ func plainJSON(v string) bool {
 	return true
 }
 
+// rfc3339 reports whether RFC 3339, and with it encoding/json, can
+// express t: a four-digit year and a zone offset under a day.
+func rfc3339(t time.Time) bool {
+	_, off := t.Zone()
+	y := t.Year()
+	return 0 <= y && y <= 9999 && -MaxZoneOffset <= off && off <= MaxZoneOffset
+}
+
 // appendJSONLine encodes the entry exactly as a stdlib json.Encoder
 // would — same field order, omitempty handling, HTML escaping and
 // trailing newline — but without reflection, which is the flusher's
 // dominant per-entry cost. Entries carrying bytes outside the plain
-// ASCII fast path fall back to encoding/json for byte-identical
-// escaping.
+// ASCII fast path, or a time RFC 3339 cannot express, fall back to
+// encoding/json for byte-identical escaping and the same error.
 func appendJSONLine(dst []byte, e *Entry) ([]byte, error) {
 	if !plainJSON(e.User) || !plainJSON(e.Data) || !plainJSON(e.Purpose) ||
-		!plainJSON(e.Authorized) || !plainJSON(e.Site) || !plainJSON(e.Reason) {
+		!plainJSON(e.Authorized) || !plainJSON(e.Site) || !plainJSON(e.Reason) || !rfc3339(e.Time) {
 		b, err := json.Marshal(e)
 		if err != nil {
 			return dst, err
@@ -272,14 +247,13 @@ func (s *sink) run() {
 		barriers := s.barriers
 		s.barriers = nil
 		closed := s.closed
-		dropHigh := s.dropHigh
-		if len(batch) > 0 && !s.drop {
+		if len(batch) > 0 {
 			s.full.Broadcast()
 		}
 		s.mu.Unlock()
 		if s.bw != nil {
-			if len(batch) > 0 || dropHigh > 0 {
-				if err := s.bw.writeStamped(batch, dropHigh); err != nil && s.onErr != nil {
+			if len(batch) > 0 {
+				if err := s.bw.writeStamped(batch); err != nil && s.onErr != nil {
 					s.onErr(err)
 				}
 			}
@@ -341,16 +315,15 @@ func (s *sink) close() {
 // SetSink attaches a durable writer with default SinkOptions: every
 // appended entry is encoded as one JSON line by a background flusher
 // and written in append order. onErr (may be nil) is invoked when a
-// sink write fails or an entry is dropped under the DropOnFull
-// policy; the in-memory append always succeeds. Replacing or
+// sink write fails; the in-memory append always succeeds. Replacing or
 // clearing (w == nil) a previous sink flushes and stops it first.
 // Call Flush to wait for pending writes, CloseSink to detach.
 func (l *Log) SetSink(w io.Writer, onErr func(error)) {
 	l.SetSinkOptions(w, onErr, SinkOptions{})
 }
 
-// SetSinkOptions is SetSink with explicit batching, queue, and
-// backpressure configuration.
+// SetSinkOptions is SetSink with explicit batching and queue
+// configuration.
 func (l *Log) SetSinkOptions(w io.Writer, onErr func(error), opts SinkOptions) {
 	var ns *sink
 	if w != nil {
@@ -388,13 +361,4 @@ func (l *Log) CloseSink() {
 	if old := l.sink.Swap(nil); old != nil {
 		old.close()
 	}
-}
-
-// SinkDropped reports how many entries the current sink has dropped
-// under the DropOnFull policy (0 without a sink).
-func (l *Log) SinkDropped() uint64 {
-	if s := l.sink.Load(); s != nil {
-		return s.dropped.Load()
-	}
-	return 0
 }

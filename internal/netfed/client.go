@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/audit"
+	"repro/internal/storage"
 )
 
 // Streamer is the site side of the wire federation: it tails a live
@@ -191,14 +192,14 @@ func (s *Streamer) session(ctx context.Context, conn net.Conn) error {
 	}()
 
 	bw := bufio.NewWriterSize(conn, 256<<10)
-	fr := NewFrameReader(conn)
+	fr := storage.NewFrameReader(conn, MaxFrame)
 
 	// Handshake, synchronous: hello out, hello ack in.
-	hb := AppendFrame(nil, MsgHello, appendHello(nil, hello{version: ProtocolVersion, site: s.site}))
+	hb := storage.AppendFrame(nil, appendHello([]byte{MsgHello}, hello{version: ProtocolVersion, site: s.site}))
 	if _, err := conn.Write(hb); err != nil {
 		return fmt.Errorf("netfed: hello: %w", err)
 	}
-	typ, payload, err := fr.Next()
+	typ, payload, err := nextMsg(fr)
 	if err != nil {
 		return fmt.Errorf("netfed: hello ack: %w", err)
 	}
@@ -229,7 +230,7 @@ func (s *Streamer) session(ctx context.Context, conn net.Conn) error {
 	errCh := make(chan error, 1)
 	go func() {
 		for {
-			typ, payload, err := fr.Next()
+			typ, payload, err := nextMsg(fr)
 			if err != nil {
 				errCh <- err
 				return
@@ -303,8 +304,8 @@ func (s *Streamer) session(ctx context.Context, conn net.Conn) error {
 			continue
 		}
 		base := s.cursor.Seq() + 1
-		payloadBuf = enc.AppendBatch(payloadBuf[:0], base, entries)
-		frame := AppendFrame(getBuf(), MsgBatch, payloadBuf)
+		payloadBuf = enc.AppendBatch(append(payloadBuf[:0], MsgBatch), base, entries)
+		frame := storage.AppendFrame(getBuf(), payloadBuf)
 		s.cursor = next
 		s.trackSent(sentBatch{base: base, last: next.Seq(), frame: frame, sentAt: time.Now()})
 		if _, err := bw.Write(frame); err != nil {

@@ -45,10 +45,6 @@ const (
 	flagHasZone   = 1 << 4 // a varint zone offset in seconds follows the flags
 )
 
-// maxZoneOffset bounds a decoded zone offset: RFC 3339, and with it
-// the JSONL export, has no notation for an offset of a day or more.
-const maxZoneOffset = 24*3600 - 1
-
 // Encoder carries the per-batch dictionary state so repeated encodes
 // reuse one map allocation. Not safe for concurrent use; each
 // streamer connection owns one.
@@ -207,7 +203,7 @@ func (dec *Decoder) DecodeBatch(payload []byte) (baseSeq uint64, entries []audit
 		e.Time = time.Unix(0, prev).UTC()
 		if flags&flagHasZone != 0 {
 			off, n := binary.Varint(payload[pos:])
-			if n <= 0 || off == 0 || off < -maxZoneOffset || off > maxZoneOffset {
+			if n <= 0 || off == 0 || off < -audit.MaxZoneOffset || off > audit.MaxZoneOffset {
 				return 0, nil, fmt.Errorf("%w: zone offset", ErrBatchCorrupt)
 			}
 			pos += n

@@ -2,8 +2,6 @@ package netfed
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -48,101 +46,6 @@ func genEntries(seed int64, n int) []audit.Entry {
 		out[i] = e
 	}
 	return out
-}
-
-func TestFrameRoundTrip(t *testing.T) {
-	payloads := [][]byte{nil, {}, {0}, []byte("hello"), bytes.Repeat([]byte{0xAB}, 100000)}
-	for _, p := range payloads {
-		for typ := byte(1); typ <= 5; typ++ {
-			b := AppendFrame(nil, typ, p)
-			gotTyp, gotPayload, n, err := DecodeFrame(b)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			if gotTyp != typ || n != len(b) || !bytes.Equal(gotPayload, p) {
-				t.Fatalf("round trip mismatch: typ %d/%d, n %d/%d", gotTyp, typ, n, len(b))
-			}
-		}
-	}
-}
-
-func TestFrameDecodeTruncatedAndCorrupt(t *testing.T) {
-	b := AppendFrame(nil, MsgBatch, []byte("payload bytes"))
-	for i := 0; i < len(b); i++ {
-		if _, _, _, err := DecodeFrame(b[:i]); err != io.ErrUnexpectedEOF {
-			t.Fatalf("truncated at %d: err = %v, want ErrUnexpectedEOF", i, err)
-		}
-	}
-	for i := 0; i < len(b); i++ {
-		mut := append([]byte(nil), b...)
-		mut[i] ^= 0xFF
-		_, _, _, err := DecodeFrame(mut)
-		if err == nil {
-			t.Fatalf("flip at %d: corrupt frame decoded cleanly", i)
-		}
-	}
-	// A hostile length prefix is rejected before allocation.
-	huge := []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}
-	if _, _, _, err := DecodeFrame(huge); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("huge length: err = %v, want ErrFrameTooLarge", err)
-	}
-}
-
-// fragReader hands out at most frag bytes per Read to exercise the
-// FrameReader's refill and compaction paths.
-type fragReader struct {
-	b    []byte
-	frag int
-}
-
-func (f *fragReader) Read(p []byte) (int, error) {
-	if len(f.b) == 0 {
-		return 0, io.EOF
-	}
-	n := f.frag
-	if n > len(f.b) {
-		n = len(f.b)
-	}
-	if n > len(p) {
-		n = len(p)
-	}
-	copy(p, f.b[:n])
-	f.b = f.b[n:]
-	return n, nil
-}
-
-func TestFrameReaderFragmented(t *testing.T) {
-	var stream []byte
-	var want [][]byte
-	for i := 0; i < 40; i++ {
-		p := bytes.Repeat([]byte{byte(i)}, i*137)
-		want = append(want, p)
-		stream = AppendFrame(stream, MsgBatch, p)
-	}
-	for _, frag := range []int{1, 3, 64, 1 << 16} {
-		fr := NewFrameReader(&fragReader{b: stream, frag: frag})
-		for i := range want {
-			typ, payload, err := fr.Next()
-			if err != nil {
-				t.Fatalf("frag %d frame %d: %v", frag, i, err)
-			}
-			if typ != MsgBatch || !bytes.Equal(payload, want[i]) {
-				t.Fatalf("frag %d frame %d: payload mismatch", frag, i)
-			}
-		}
-		if _, _, err := fr.Next(); err != io.EOF {
-			t.Fatalf("frag %d: end err = %v, want EOF", frag, err)
-		}
-	}
-	// A stream torn inside a frame is ErrUnexpectedEOF, not EOF.
-	fr := NewFrameReader(&fragReader{b: stream[:len(stream)-3], frag: 7})
-	var err error
-	for err == nil {
-		_, _, err = fr.Next()
-	}
-	if err != io.ErrUnexpectedEOF {
-		t.Fatalf("torn stream: err = %v, want ErrUnexpectedEOF", err)
-	}
 }
 
 func TestBatchCodecRoundTrip(t *testing.T) {

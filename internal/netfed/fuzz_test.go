@@ -2,47 +2,9 @@ package netfed
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"testing"
 )
-
-// FuzzFrameDecode pins the frame layer's hostile-input contract: no
-// panic, no over-read, and every successful decode is re-encodable to
-// a frame that decodes to the same message.
-func FuzzFrameDecode(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(AppendFrame(nil, MsgHello, []byte("seed")))
-	f.Add(AppendFrame(nil, MsgBatch, bytes.Repeat([]byte{7}, 300)))
-	f.Add(AppendFrame(AppendFrame(nil, MsgAck, []byte{1}), MsgError, []byte("two frames")))
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F})
-	corrupt := AppendFrame(nil, MsgBatch, []byte("payload"))
-	corrupt[len(corrupt)-1] ^= 0xFF
-	f.Add(corrupt)
-	f.Fuzz(func(t *testing.T, b []byte) {
-		typ, payload, n, err := DecodeFrame(b)
-		if err != nil {
-			return
-		}
-		if n <= 0 || n > len(b) {
-			t.Fatalf("consumed %d of %d bytes", n, len(b))
-		}
-		re := AppendFrame(nil, typ, payload)
-		typ2, payload2, n2, err := DecodeFrame(re)
-		if err != nil || typ2 != typ || n2 != len(re) || !bytes.Equal(payload2, payload) {
-			t.Fatalf("re-encoded frame does not round-trip: %v", err)
-		}
-		// The reader path agrees with the slice path.
-		fr := NewFrameReader(bytes.NewReader(b[:n]))
-		rtyp, rpayload, rerr := fr.Next()
-		if rerr != nil || rtyp != typ || !bytes.Equal(rpayload, payload) {
-			t.Fatalf("FrameReader disagrees with DecodeFrame: %v", rerr)
-		}
-		if _, _, rerr := fr.Next(); rerr != io.EOF {
-			t.Fatalf("trailing read err = %v, want EOF", rerr)
-		}
-	})
-}
 
 // FuzzEntryCodec pins the batch codec: arbitrary payloads never panic
 // or over-read, and any payload that decodes re-encodes to the

@@ -13,6 +13,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/policy"
+	"repro/internal/storage"
 	"repro/internal/vocab"
 )
 
@@ -284,8 +285,8 @@ func (a *ackSender) run(wg *sync.WaitGroup) {
 		if seq == last {
 			continue
 		}
-		payload = appendAck(payload[:0], seq)
-		frame = AppendFrame(frame[:0], MsgAck, payload)
+		payload = appendAck(append(payload[:0], MsgAck), seq)
+		frame = storage.AppendFrame(frame[:0], payload)
 		if _, err := a.conn.Write(frame); err != nil {
 			return
 		}
@@ -301,9 +302,9 @@ func (c *Consolidator) handleConn(conn net.Conn) {
 	defer c.pool.remove(conn)
 	defer conn.Close()
 
-	fr := NewFrameReader(conn)
+	fr := storage.NewFrameReader(conn, MaxFrame)
 	conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-	typ, payload, err := fr.Next()
+	typ, payload, err := nextMsg(fr)
 	if err != nil {
 		c.report(fmt.Errorf("netfed: handshake read: %w", err))
 		return
@@ -331,7 +332,7 @@ func (c *Consolidator) handleConn(conn net.Conn) {
 	site.mu.Lock()
 	resume := site.seq
 	site.mu.Unlock()
-	hb := AppendFrame(nil, MsgHelloAck, appendHelloAck(nil, helloAck{
+	hb := storage.AppendFrame(nil, appendHelloAck([]byte{MsgHelloAck}, helloAck{
 		version: ProtocolVersion,
 		resume:  resume,
 		window:  uint64(c.opts.Window),
@@ -348,7 +349,7 @@ func (c *Consolidator) handleConn(conn net.Conn) {
 
 	dec := NewDecoder()
 	for {
-		typ, payload, err := fr.Next()
+		typ, payload, err := nextMsg(fr)
 		if err != nil {
 			if err != io.EOF {
 				c.report(fmt.Errorf("netfed: site %s: %w", h.site, err))
@@ -415,7 +416,7 @@ func (c *Consolidator) fold(site *siteState, base uint64, entries []audit.Entry)
 func (c *Consolidator) refuse(conn net.Conn, msg string) {
 	c.report(fmt.Errorf("netfed: refusing connection: %s", msg))
 	conn.SetWriteDeadline(time.Now().Add(time.Second))
-	conn.Write(AppendFrame(nil, MsgError, []byte(msg)))
+	conn.Write(storage.AppendFrame(nil, append([]byte{MsgError}, msg...)))
 }
 
 // report surfaces a per-connection fault.

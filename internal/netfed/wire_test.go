@@ -6,8 +6,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +18,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/core"
 	"repro/internal/scenario"
+	"repro/internal/storage"
 )
 
 // buildSiteLogs populates nsites logs with n total entries including
@@ -447,27 +450,69 @@ func TestConsolidatorSuspicionReview(t *testing.T) {
 }
 
 // TestConsolidatorRefusals: protocol faults are answered with an error
-// frame and the connection dropped, without disturbing the store.
+// frame and the connection dropped, without disturbing the store. A
+// peer whose first bytes are not a valid frame — one still speaking
+// the version-2 framing (uvarint length, type byte, body, CRC32-C
+// trailer), or sending a frame with no type byte — is reported and
+// dropped without an answer; it must not stall the server.
 func TestConsolidatorRefusals(t *testing.T) {
-	cons, addr := startConsolidator(t, ConsolidatorOptions{})
-	refused := func(name string, frame []byte) {
+	var mu sync.Mutex
+	var reported []error
+	cons, addr := startConsolidator(t, ConsolidatorOptions{OnError: func(err error) {
+		mu.Lock()
+		reported = append(reported, err)
+		mu.Unlock()
+	}})
+	send := func(name string, b []byte) net.Conn {
 		t.Helper()
 		c, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer c.Close()
-		if _, err := c.Write(frame); err != nil {
+		t.Cleanup(func() { c.Close() })
+		if _, err := c.Write(b); err != nil {
 			t.Fatalf("%s: write: %v", name, err)
 		}
-		typ, _, err := NewFrameReader(c).Next()
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		return c
+	}
+	refused := func(name string, payload []byte) {
+		t.Helper()
+		c := send(name, storage.AppendFrame(nil, payload))
+		typ, _, err := nextMsg(storage.NewFrameReader(c, MaxFrame))
 		if err != nil || typ != MsgError {
 			t.Fatalf("%s: typ %d err %v, want a MsgError refusal", name, typ, err)
 		}
 	}
-	refused("wrong version", AppendFrame(nil, MsgHello, appendHello(nil, hello{version: 99, site: "x"})))
-	refused("empty site", AppendFrame(nil, MsgHello, appendHello(nil, hello{version: ProtocolVersion, site: ""})))
-	refused("batch before hello", AppendFrame(nil, MsgBatch, []byte{0x01, 0x00}))
+	refused("wrong version", appendHello([]byte{MsgHello}, hello{version: 99, site: "x"}))
+	refused("previous version", appendHello([]byte{MsgHello}, hello{version: ProtocolVersion - 1, site: "x"}))
+	refused("empty site", appendHello([]byte{MsgHello}, hello{version: ProtocolVersion, site: ""}))
+	refused("batch before hello", []byte{MsgBatch, 0x01, 0x00})
+
+	dropped := func(name string, b []byte, want error) {
+		t.Helper()
+		mu.Lock()
+		before := len(reported)
+		mu.Unlock()
+		c := send(name, b)
+		n, err := c.Read(make([]byte, 1))
+		if n != 0 || err != io.EOF {
+			t.Fatalf("%s: read %d bytes, err %v; want the connection closed unanswered", name, n, err)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if len(reported) != before+1 || !errors.Is(reported[before], want) {
+			t.Fatalf("%s: reported %v, want one %v", name, reported[before:], want)
+		}
+	}
+	for _, site := range []string{"x", "general-hospital", strings.Repeat("s", 300)} {
+		body := appendHello([]byte{MsgHello}, hello{version: 2, site: site})
+		v2 := binary.AppendUvarint(nil, uint64(len(body)))
+		v2 = append(v2, body...)
+		v2 = append(v2, storage.AppendFrame(nil, body)[4:8]...) // CRC32-C of body
+		dropped(fmt.Sprintf("v2-framed hello from %d-byte site", len(site)), v2, storage.ErrFrameTooLarge)
+	}
+	dropped("frame without a type byte", storage.AppendFrame(nil, nil), errEmptyFrame)
 	if st := cons.Stats(); st.Sites != 0 || st.Entries != 0 {
 		t.Fatalf("refused connections touched the store: %+v", st)
 	}

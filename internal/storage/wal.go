@@ -3,7 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,16 +11,16 @@ import (
 	"time"
 )
 
-// Group-commit write-ahead log. Records are CRC-framed
-// ([u32 length][u32 crc][payload]) inside segment files named
-// wal-<firstLSN>.seg; the LSN of a record is implicit in its position
-// (segment firstLSN + record index), so frames carry no redundant
-// sequence field. Appends land in an in-memory buffer and return
-// immediately with their LSN; a single flusher goroutine swaps the
-// double buffer, writes the batch, fsyncs once, and wakes every
-// committer waiting at or below the batch's last LSN — that one fsync
-// amortized over the whole batch is the group commit. Commit callers
-// therefore wait at most one commit interval plus one write+fsync.
+// Group-commit write-ahead log. Records are CRC frames (frame.go)
+// inside segment files named wal-<firstLSN>.seg; the LSN of a record
+// is implicit in its position (segment firstLSN + record index), so
+// frames carry no redundant sequence field. Appends land in an
+// in-memory buffer and return immediately with their LSN; a single
+// flusher goroutine swaps the double buffer, writes the batch, fsyncs
+// once, and wakes every committer waiting at or below the batch's last
+// LSN — that one fsync amortized over the whole batch is the group
+// commit. Commit callers therefore wait at most one commit interval
+// plus one write+fsync.
 //
 // Recovery reads segments in LSN order verifying each frame CRC. An
 // invalid frame at the tail of the final segment is a torn tail —
@@ -32,7 +32,6 @@ import (
 const (
 	walMagic      = 0x4c415750 // "PWAL"
 	walHeaderSize = 16
-	walFrameHead  = 8 // u32 len + u32 crc
 )
 
 // WALOptions tunes OpenWAL.
@@ -223,11 +222,7 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 	}
 	lsn := w.nextLSN
 	w.nextLSN++
-	var head [walFrameHead]byte
-	binary.LittleEndian.PutUint32(head[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(head[4:8], crc32.Checksum(payload, crcTable))
-	w.buf = append(w.buf, head[:]...)
-	w.buf = append(w.buf, payload...)
+	w.buf = AppendFrame(w.buf, payload)
 	w.bufEnd = lsn
 	w.work.Signal()
 	return lsn, nil
@@ -435,7 +430,8 @@ type ReplayStats struct {
 // Replay streams every valid record in dir to fn in LSN order. A
 // corrupt frame at the tail of the final segment stops replay cleanly
 // (TornTail); corruption anywhere else is an error. fn returning an
-// error aborts.
+// error aborts. The payload passed to fn is valid only until fn
+// returns.
 func Replay(dir string, open OpenFileFunc, fn func(lsn uint64, payload []byte) error) (ReplayStats, error) {
 	var st ReplayStats
 	if open == nil {
@@ -483,7 +479,7 @@ func scanSegment(f File) (records int, validBytes int64, torn bool, err error) {
 	return scanSegmentFunc(f, 0, nil)
 }
 
-// scanSegmentFunc walks one segment frame by frame, verifying CRCs,
+// scanSegmentFunc walks one segment's frames through a FrameReader,
 // optionally delivering payloads. It stops at the first invalid frame
 // (torn=true) rather than erroring: the caller decides whether a torn
 // tail is acceptable for this segment's position.
@@ -507,26 +503,18 @@ func scanSegmentFunc(f File, firstLSN uint64, fn func(lsn uint64, payload []byte
 	if firstLSN == 0 {
 		firstLSN = binary.LittleEndian.Uint64(hdr[8:16])
 	}
+	fr := NewFrameReader(io.NewSectionReader(f, walHeaderSize, size-walHeaderSize), int(size-walHeaderSize))
 	off := int64(walHeaderSize)
-	var head [walFrameHead]byte
 	for {
-		if off+walFrameHead > size {
-			return records, off, off < size, nil
-		}
-		if _, err := f.ReadAt(head[:], off); err != nil {
-			return records, off, false, err
-		}
-		plen := int64(binary.LittleEndian.Uint32(head[0:4]))
-		want := binary.LittleEndian.Uint32(head[4:8])
-		if plen < 0 || off+walFrameHead+plen > size {
+		payload, err := fr.Next()
+		switch err {
+		case nil:
+		case io.EOF:
+			return records, off, false, nil
+		case io.ErrUnexpectedEOF, ErrFrameCorrupt, ErrFrameTooLarge:
 			return records, off, true, nil
-		}
-		payload := make([]byte, plen)
-		if _, err := f.ReadAt(payload, off+walFrameHead); err != nil {
+		default:
 			return records, off, false, err
-		}
-		if crc32.Checksum(payload, crcTable) != want {
-			return records, off, true, nil
 		}
 		if fn != nil {
 			if err := fn(firstLSN+uint64(records), payload); err != nil {
@@ -534,6 +522,6 @@ func scanSegmentFunc(f File, firstLSN uint64, fn func(lsn uint64, payload []byte
 			}
 		}
 		records++
-		off += walFrameHead + plen
+		off += frameHeader + int64(len(payload))
 	}
 }

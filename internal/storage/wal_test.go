@@ -198,6 +198,39 @@ func TestWALTornTail(t *testing.T) {
 	}
 }
 
+// TestWALTornTailHugeLength: a final frame whose length word points
+// past the end of the segment — stale bytes where a crash cut the
+// frame — is a torn tail like any other, not corruption.
+func TestWALTornTailHugeLength(t *testing.T) {
+	dir := t.TempDir()
+	w, _ := OpenWAL(dir, WALOptions{})
+	for i := 0; i < 3; i++ {
+		w.Append([]byte("rec"))
+	}
+	w.Sync()
+	w.Close()
+	segs, _ := listSegments(dir)
+	f, err := os.OpenFile(segs[len(segs)-1].path, os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0, 'x'})
+	f.Close()
+	var n int
+	st, err := Replay(dir, nil, func(lsn uint64, p []byte) error { n++; return nil })
+	if err != nil || !st.TornTail || n != 3 {
+		t.Fatalf("replay n=%d st=%+v err=%v, want 3 records and a torn tail", n, st, err)
+	}
+	w, err = OpenWAL(dir, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if lsn, err := w.Append([]byte("next")); err != nil || lsn != 4 {
+		t.Fatalf("append after reopen: lsn %d, err %v", lsn, err)
+	}
+}
+
 // TestWALCRCCorruption flips payload bytes mid-stream: corruption in a
 // non-final segment must fail replay loudly, not silently skip.
 func TestWALCRCCorruption(t *testing.T) {
@@ -216,7 +249,7 @@ func TestWALCRCCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[walHeaderSize+walFrameHead+5] ^= 0xff
+	raw[walHeaderSize+frameHeader+5] ^= 0xff
 	os.WriteFile(segs[0].path, raw, 0o644)
 	_, err = Replay(dir, nil, func(lsn uint64, p []byte) error { return nil })
 	if err == nil {

@@ -57,14 +57,14 @@ go tool cover -func=coverage-prima-vet.out | awk '
         if ($3 + 0 < 70) { print "coverage below the 70% floor" > "/dev/stderr"; exit 1 }
     }'
 
-echo "==> fuzz smoke (~80s: decoders, the durable record codec, WAL replay and the wire frame/entry codecs must not panic, symbolic algebra and FP-growth must match their ground oracles)"
+echo "==> fuzz smoke (~80s: decoders, the durable record codec, WAL replay, the CRC frame and the wire entry codec must not panic, symbolic algebra and FP-growth must match their ground oracles)"
 go test -fuzz=FuzzDecodePolicy -fuzztime=10s -run=NONE ./internal/policy > /dev/null
 go test -fuzz=FuzzDecodeEntry -fuzztime=10s -run=NONE ./internal/audit > /dev/null
 go test -fuzz=FuzzDurableRecord -fuzztime=10s -run=NONE ./internal/audit > /dev/null
 go test -fuzz=FuzzSymbolicVsMaterialized -fuzztime=10s -run=NONE ./internal/policy > /dev/null
 go test -fuzz=FuzzFPGrowthVsApriori -fuzztime=10s -run=NONE ./internal/mining > /dev/null
 go test -fuzz=FuzzWALReplay -fuzztime=10s -run=NONE ./internal/storage > /dev/null
-go test -fuzz=FuzzFrameDecode -fuzztime=10s -run=NONE ./internal/netfed > /dev/null
+go test -fuzz=FuzzFrameDecode -fuzztime=10s -run=NONE ./internal/storage > /dev/null
 go test -fuzz=FuzzEntryCodec -fuzztime=10s -run=NONE ./internal/netfed > /dev/null
 
 echo "==> go test -race (concurrency suites: audit, consent, core, hdb, lint, minidb, mining, netfed, policy, storage, workflow, server)"

@@ -79,8 +79,8 @@ func assemble(cfg Config, db *minidb.Database, log *audit.Log, durable *audit.Du
 }
 
 // SystemOptions places a System's state on disk: the audit log
-// becomes a durable store (group-commit WAL + checkpointed JSONL +
-// B+tree index) and the clinical database gains the file backend for
+// becomes a durable store (group-commit WAL + a B+tree index that is
+// the checkpoint) and the clinical database gains the file backend for
 // tables created with STORAGE file.
 type SystemOptions struct {
 	// Dir is the root state directory: the audit store lives under
@@ -130,9 +130,9 @@ func (s *System) SyncStorage() error {
 	return s.db.Sync()
 }
 
-// CheckpointStorage folds the WALs into their checkpoints (audit
-// JSONL + index, clinical B+trees) and truncates them, bounding the
-// next recovery's replay work. No-op without storage.
+// CheckpointStorage folds the WALs into their checkpoints (the audit
+// index, the clinical B+trees) and truncates them, bounding the next
+// recovery's replay work. No-op without storage.
 func (s *System) CheckpointStorage() error {
 	if s.durable != nil {
 		if err := s.durable.Checkpoint(); err != nil {
