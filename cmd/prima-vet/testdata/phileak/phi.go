@@ -71,3 +71,21 @@ func reboundBranch(r Record, ok bool) {
 	}
 	fmt.Println(s) // want phileak "PHI may reach fmt.Println"
 }
+
+// dictionary interns values the way a compact audit shard does: rows
+// hold ids, and the values live in an annotated slice.
+type dictionary struct {
+	strs []string // prima:phi — interned values by id
+	ids  []uint32
+}
+
+// unknownID reads PHI through the annotated slice: the index read
+// carries the field's taint into the error string.
+func (d *dictionary) unknownID(i int) error {
+	return fmt.Errorf("no row for %s", d.strs[d.ids[i]]) // want phileak "PHI may reach fmt.Errorf"
+}
+
+// countIDs reads only the ids, which are not marked.
+func (d *dictionary) countIDs() error {
+	return fmt.Errorf("%d ids, first %d", len(d.ids), d.ids[0]) // clean: ids are not PHI
+}

@@ -224,33 +224,35 @@ func (e Entry) String() string {
 		e.Time.Format(time.RFC3339), e.Op, e.User, e.Data, e.Purpose, e.Authorized, e.Status)
 }
 
-// stamped is an entry plus its global sequence number; shards store
-// stamped entries so any cross-shard read can restore append order.
+// stamped is an entry plus its global sequence number: the pair the
+// sink queue carries to its writer and the durable store's range read
+// decodes from its index. Shards hold records instead (record.go).
 type stamped struct {
 	seq uint64
 	e   Entry
 }
 
-// shard is one lock stripe of the log: a run of stamped entries plus
-// the incremental group/stats accumulators for exactly those entries.
+// shard is one lock stripe of the log: its entries as compact records
+// (record.go), the dictionary they index, and the incremental
+// group/stats accumulators for exactly those entries.
 type shard struct {
-	mu      sync.RWMutex
-	entries []stamped
-	groups  map[groupKey]*groupAcc
-	stats   statsAcc
+	mu   sync.RWMutex
+	recs []record
+	dict
+	groups map[groupKey]*groupAcc
+	stats  statsAcc
 }
 
-// add appends one stamped entry and folds it into the shard's index
-// under a single critical section.
+// add appends one entry and folds it into the shard's index under a
+// single critical section.
 func (s *shard) add(seq uint64, e *Entry) {
 	s.mu.Lock()
-	if s.entries == nil {
-		// First write to the stripe: skip the doubling ramp, stamped
-		// entries are wide and the early reallocations are pure churn.
-		s.entries = make([]stamped, 0, 64)
+	if s.recs == nil {
+		// First write to the stripe: skip the doubling ramp.
+		s.recs = make([]record, 0, 64)
 	}
-	s.entries = append(s.entries, stamped{seq: seq, e: *e})
-	s.indexLocked(&s.entries[len(s.entries)-1])
+	s.recs = append(s.recs, s.record(seq, e))
+	s.indexLocked(&s.recs[len(s.recs)-1])
 	s.mu.Unlock()
 }
 
@@ -323,23 +325,28 @@ func (l *Log) Seq() uint64 { return l.seq.Load() }
 // deliberately excluded so replicas and conflicting records of the
 // same event land in the same stripe.
 func (l *Log) shardIndex(e *Entry) uint64 {
+	return route(e.User, e.Data, e.Purpose) & l.mask
+}
+
+// route is shardIndex's hash, over strings or a decoded record's bytes.
+func route[S string | []byte](user, data, purpose S) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for i := 0; i < len(e.User); i++ {
-		h = (h ^ uint64(e.User[i])) * prime64
+	for i := 0; i < len(user); i++ {
+		h = (h ^ uint64(user[i])) * prime64
 	}
 	h = (h ^ '|') * prime64
-	for i := 0; i < len(e.Data); i++ {
-		h = (h ^ uint64(e.Data[i])) * prime64
+	for i := 0; i < len(data); i++ {
+		h = (h ^ uint64(data[i])) * prime64
 	}
 	h = (h ^ '|') * prime64
-	for i := 0; i < len(e.Purpose); i++ {
-		h = (h ^ uint64(e.Purpose[i])) * prime64
+	for i := 0; i < len(purpose); i++ {
+		h = (h ^ uint64(purpose[i])) * prime64
 	}
-	return h & l.mask
+	return h
 }
 
 // Append validates and appends entries. The log's site is stamped on
@@ -438,33 +445,35 @@ func (l *Log) addToShards(entries []Entry, stampSite bool, base uint64, seqs []u
 		bucket := perm[pos : pos+counts[si]]
 		pos += counts[si]
 		sh.mu.Lock()
+		var site uint32 // l.site's id, interned at its first use
 		if seqs != nil {
-			sh.entries = slices.Grow(sh.entries, counts[si])
-		} else if need := len(sh.entries) + counts[si]; cap(sh.entries) < need {
-			c := 2 * cap(sh.entries)
+			sh.recs = slices.Grow(sh.recs, counts[si])
+		} else if need := len(sh.recs) + counts[si]; cap(sh.recs) < need {
+			c := 2 * cap(sh.recs)
 			if c < need {
 				c = need
 			}
 			if c < 64 {
 				c = 64
 			}
-			grown := make([]stamped, len(sh.entries), c)
-			copy(grown, sh.entries)
-			sh.entries = grown
+			grown := make([]record, len(sh.recs), c)
+			copy(grown, sh.recs)
+			sh.recs = grown
 		}
 		for _, i := range bucket {
-			// Copy straight into the shard slice and patch the site
-			// stamp in place: the wide Entry is moved once, not twice.
 			seq := base + uint64(i) + 1
 			if seqs != nil {
 				seq = seqs[i]
 			}
-			sh.entries = append(sh.entries, stamped{seq: seq, e: entries[i]})
-			st := &sh.entries[len(sh.entries)-1]
-			if stampSite && st.e.Site == "" {
-				st.e.Site = l.site
+			r := sh.record(seq, &entries[i])
+			if stampSite && r.site == 0 {
+				if site == 0 {
+					site = sh.intern(l.site)
+				}
+				r.site = site
 			}
-			sh.indexLocked(st)
+			sh.recs = append(sh.recs, r)
+			sh.indexLocked(&sh.recs[len(sh.recs)-1])
 		}
 		sh.mu.Unlock()
 	}
@@ -481,30 +490,10 @@ func (l *Log) Len() int {
 	n := 0
 	for _, sh := range l.shards {
 		sh.mu.RLock()
-		n += len(sh.entries)
+		n += len(sh.recs)
 		sh.mu.RUnlock()
 	}
 	return n
-}
-
-// collect copies every shard's stamped entries into one slice, in no
-// particular order. Shards are read one at a time; a concurrent
-// append may or may not be included, exactly like a racing Snapshot
-// on a single-mutex log.
-func (l *Log) collect() []stamped {
-	n := 0
-	for _, sh := range l.shards {
-		sh.mu.RLock()
-		n += len(sh.entries)
-		sh.mu.RUnlock()
-	}
-	buf := make([]stamped, 0, n+8)
-	for _, sh := range l.shards {
-		sh.mu.RLock()
-		buf = append(buf, sh.entries...)
-		sh.mu.RUnlock()
-	}
-	return buf
 }
 
 // settle is the durable checkpoint's fence: after it returns, every
@@ -517,56 +506,40 @@ func (l *Log) settle() {
 	l.addMu.Unlock()
 }
 
-// collectRange returns the stamped entries with lo < seq <= hi in
-// ascending sequence order.
-func (l *Log) collectRange(lo, hi uint64) []stamped {
-	var buf []stamped
-	for _, sh := range l.shards {
-		sh.mu.RLock()
-		for _, se := range sh.entries {
-			if se.seq > lo && se.seq <= hi {
-				buf = append(buf, se)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i].seq < buf[j].seq })
-	return buf
-}
-
-// unstamp strips sequence numbers after ordering.
-func unstamp(buf []stamped) []Entry {
-	out := make([]Entry, len(buf))
-	for i := range buf {
-		out[i] = buf[i].e
-	}
-	return out
+// collectRange returns the runs of the records with lo < seq <= hi.
+func (l *Log) collectRange(lo, hi uint64) []run {
+	return l.runs(func(r *record) bool { return r.seq > lo && r.seq <= hi })
 }
 
 // Snapshot returns a copy of the entries in append order (ascending
 // sequence number — the deterministic total order the sequence
-// invariant guarantees).
+// invariant guarantees). Entry values are rebuilt from the shards'
+// compact records, so their times carry no monotonic clock reading,
+// as entries recovered from the durable store or read off the wire do.
 func (l *Log) Snapshot() []Entry {
-	buf := l.collect()
-	sort.Slice(buf, func(i, j int) bool { return buf[i].seq < buf[j].seq })
-	return unstamp(buf)
+	return mergeEntries(l.runs(nil), bySeq)
 }
 
 // Filtered returns a copy of the entries satisfying keep, in append
 // order.
 func (l *Log) Filtered(keep func(Entry) bool) []Entry {
-	buf := l.collect()
-	kept := buf[:0]
-	for _, se := range buf {
-		if keep(se.e) {
-			kept = append(kept, se)
+	runs := l.runs(nil)
+	n := 0
+	for i := range runs {
+		rn := &runs[i]
+		kept := rn.recs[:0]
+		for j := range rn.recs {
+			if keep(rn.d.entry(&rn.recs[j])) {
+				kept = append(kept, rn.recs[j])
+			}
 		}
+		rn.recs = kept
+		n += len(kept)
 	}
-	sort.Slice(kept, func(i, j int) bool { return kept[i].seq < kept[j].seq })
-	if len(kept) == 0 {
+	if n == 0 {
 		return nil
 	}
-	return unstamp(kept)
+	return mergeEntries(runs, bySeq)
 }
 
 // Since returns entries with Time >= t, preserving order.
@@ -584,18 +557,22 @@ func (l *Log) Exceptions() []Entry {
 // the life of the log — but the index epoch advances, invalidating
 // outstanding cursors.
 func (l *Log) Reset() {
+	// The epoch moves before any shard does: a reader that observes a
+	// changed shard then sees the move (see ExportDelta).
+	l.floor.Store(l.seq.Load())
+	l.epoch.Add(1)
 	for _, sh := range l.shards {
 		sh.mu.Lock()
-		// Keep the backing array: a reset log is usually about to
-		// ingest again (rotation, tests, sustained pipelines), and
-		// snapshots never alias shard storage, so truncation is safe.
-		sh.entries = sh.entries[:0]
+		// Keep the record array: a reset log is usually about to ingest
+		// again (rotation, tests, sustained pipelines), and readers never
+		// alias shard storage, so truncation is safe. The dictionary is
+		// dropped with the entries.
+		sh.recs = sh.recs[:0]
+		sh.dict = dict{}
 		sh.groups = nil
 		sh.stats = statsAcc{}
 		sh.mu.Unlock()
 	}
-	l.floor.Store(l.seq.Load())
-	l.epoch.Add(1)
 }
 
 // Grow pre-allocates capacity for about n further entries, spread
@@ -613,10 +590,10 @@ func (l *Log) Grow(n int) {
 	per += per/8 + 8
 	for _, sh := range l.shards {
 		sh.mu.Lock()
-		if need := len(sh.entries) + per; cap(sh.entries) < need {
-			grown := make([]stamped, len(sh.entries), need)
-			copy(grown, sh.entries)
-			sh.entries = grown
+		if need := len(sh.recs) + per; cap(sh.recs) < need {
+			grown := make([]record, len(sh.recs), need)
+			copy(grown, sh.recs)
+			sh.recs = grown
 		}
 		sh.mu.Unlock()
 	}
@@ -639,14 +616,15 @@ type ExportCursor struct {
 	seq   uint64
 	epoch uint64
 	pos   []int
-	// deferred holds entries observed past the positional scan but
-	// above the export horizon: with concurrent appenders, a shard
-	// tail can interleave seq numbers around the horizon (the fence
-	// only guarantees everything at or below it is present). Entries
-	// beyond the horizon are carried here, sorted by seq, and consumed
-	// by prefix as the horizon passes them, keeping the positional
-	// cursor strictly forward.
-	deferred []stamped
+	// deferred holds, per shard, the records observed past the
+	// positional scan but above the export horizon: with concurrent
+	// appenders, a shard tail can interleave seq numbers around the
+	// horizon (the fence only guarantees everything at or below it is
+	// present). Records beyond the horizon are carried here, sorted by
+	// seq, and consumed by prefix as the horizon passes them, keeping
+	// the positional cursor strictly forward. Within one epoch a shard's
+	// dictionary only grows, so their ids stay valid.
+	deferred [][]record
 }
 
 // Seq returns the highest sequence number the cursor has exported.
@@ -684,61 +662,80 @@ func (l *Log) ExportDelta(c ExportCursor, max int) ([]Entry, ExportCursor, error
 	// the horizon (a later sequence number landed in a shard before an
 	// earlier one); the full scan then defers the stragglers' cohort
 	// and stays correct under arbitrary interleaving.
-	buf, next, ok := l.exportScan(c, hi, ep, false)
+	runs, next, ok := l.exportScan(c, hi, ep, false)
 	if !ok {
-		buf, next, ok = l.exportScan(c, hi, ep, true)
+		runs, next, ok = l.exportScan(c, hi, ep, true)
 	}
+	// Structural ops move the epoch before they change a shard, so an
+	// unmoved epoch means every record read (and every deferred one)
+	// indexes the dictionary copied with its shard's run.
 	if !ok || l.epoch.Load() != ep {
 		// A structural op raced the scan, or entries inside the range
 		// are gone: the contiguity guarantee cannot be kept.
 		return nil, c, ErrExportInvalidated
 	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i].seq < buf[j].seq })
-	return unstamp(buf), next, nil
+	return mergeEntries(runs, bySeq), next, nil
 }
 
-// exportScan collects the stamped entries in (c.seq, hi] and builds
-// the successor cursor. With full=false each shard's scan stops at
-// the first entry above the horizon; with full=true it scans to the
-// shard end, deferring above-horizon entries (sorted by seq). ok is
-// false when the collected count does not match the range — a raced
-// horizon on the fast path, an invalidated cursor on the full one.
-func (l *Log) exportScan(c ExportCursor, hi uint64, ep uint64, full bool) ([]stamped, ExportCursor, bool) {
-	buf := make([]stamped, 0, hi-c.seq)
+// exportScan collects the records in (c.seq, hi] and builds the
+// successor cursor. With full=false each shard's scan stops at the
+// first record above the horizon; with full=true it scans to the shard
+// end, deferring above-horizon records (sorted by seq). ok is false
+// when the collected count does not match the range — a raced horizon
+// on the fast path, an invalidated cursor on the full one.
+func (l *Log) exportScan(c ExportCursor, hi uint64, ep uint64, full bool) ([]run, ExportCursor, bool) {
 	next := ExportCursor{seq: hi, epoch: ep, pos: make([]int, len(l.shards))}
-	// The deferred buffer is sorted by seq: consume the prefix the
-	// horizon has passed, alias the rest.
-	k := sort.Search(len(c.deferred), func(i int) bool { return c.deferred[i].seq > hi })
-	buf = append(buf, c.deferred[:k]...)
-	next.deferred = c.deferred[k:]
-	newDeferred := false
+	runs := make([]run, 0, len(l.shards))
+	n := uint64(0)
 	for i, sh := range l.shards {
+		var recs, later []record
+		if c.deferred != nil {
+			// Consume the prefix the horizon has passed; carry the rest
+			// (capped, so appending to it copies instead of writing into
+			// c's array).
+			def := c.deferred[i]
+			k := sort.Search(len(def), func(j int) bool { return def[j].seq > hi })
+			recs = append(recs, def[:k]...)
+			later = def[k:len(def):len(def)]
+		}
 		from := c.pos[i]
 		sh.mu.RLock()
-		n := len(sh.entries)
-		if from > n {
+		m := len(sh.recs)
+		if from > m {
 			sh.mu.RUnlock()
 			return nil, c, false
 		}
-		next.pos[i] = n
-		for j := from; j < n; j++ {
-			se := sh.entries[j]
-			if se.seq <= hi {
-				buf = append(buf, se)
+		next.pos[i] = m
+		grew := false
+		for j := from; j < m; j++ {
+			r := sh.recs[j]
+			if r.seq <= hi {
+				recs = append(recs, r)
 			} else if full {
-				next.deferred = append(next.deferred, se)
-				newDeferred = true
+				later = append(later, r)
+				grew = true
 			} else {
 				next.pos[i] = j
 				break
 			}
 		}
+		d := sh.dict
 		sh.mu.RUnlock()
+		if grew {
+			slices.SortFunc(later, bySeq)
+		}
+		if len(later) > 0 {
+			if next.deferred == nil {
+				next.deferred = make([][]record, len(l.shards))
+			}
+			next.deferred[i] = later
+		}
+		if len(recs) > 0 {
+			runs = append(runs, run{recs: recs, d: d})
+			n += uint64(len(recs))
+		}
 	}
-	if newDeferred {
-		sort.Slice(next.deferred, func(i, j int) bool { return next.deferred[i].seq < next.deferred[j].seq })
-	}
-	return buf, next, uint64(len(buf)) == hi-c.seq
+	return runs, next, n == hi-c.seq
 }
 
 // ToPolicy builds the ground policy P_AL from entries: one rule per

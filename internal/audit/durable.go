@@ -148,10 +148,42 @@ func appendStamped(dst []byte, seq uint64, e *Entry) []byte {
 	return dst
 }
 
+// rawRecord is a durable record parsed in place: its strings are
+// subslices of the record bytes.
+type rawRecord struct {
+	seq        uint64
+	ns, off    int64 // Time.UnixNano() and zone offset in seconds
+	op, status uint8
+	strs       [6][]byte // user, data, purpose, authorized, site, reason
+}
+
+// entry copies the record out into an Entry.
+func (rr *rawRecord) entry() Entry {
+	e := Entry{Op: Op(rr.op), Status: Status(rr.status)}
+	if rr.off == 0 {
+		e.Time = time.Unix(0, rr.ns).UTC()
+	} else {
+		e.Time = time.Unix(0, rr.ns).In(time.FixedZone("", int(rr.off)))
+	}
+	for i, p := range [...]*string{&e.User, &e.Data, &e.Purpose, &e.Authorized, &e.Site, &e.Reason} {
+		*p = string(rr.strs[i])
+	}
+	return e
+}
+
 // decodeStamped is appendStamped's strict inverse: a record must hold
 // exactly one entry, with an op and a status Validate accepts.
 func decodeStamped(b []byte) (uint64, Entry, error) {
-	var e Entry
+	var rr rawRecord
+	if err := parseStamped(b, &rr); err != nil {
+		return 0, Entry{}, err
+	}
+	return rr.seq, rr.entry(), nil
+}
+
+// parseStamped is decodeStamped without the copy: it checks the same
+// rules and leaves the strings in b.
+func parseStamped(b []byte, rr *rawRecord) error {
 	next := func() (uint64, bool) {
 		v, n := binary.Uvarint(b)
 		if n <= 0 {
@@ -174,30 +206,47 @@ func decodeStamped(b []byte) (uint64, Entry, error) {
 	op, ok4 := next()
 	st, ok5 := next()
 	if !ok || !ok2 || !ok3 || !ok4 || !ok5 {
-		return 0, e, fmt.Errorf("audit: short durable record header")
+		return fmt.Errorf("audit: short durable record header")
 	}
 	if op > uint64(Allow) || st > uint64(Regular) {
-		return 0, e, fmt.Errorf("audit: durable record has op %d, status %d", op, st)
+		return fmt.Errorf("audit: durable record has op %d, status %d", op, st)
 	}
-	if off == 0 {
-		e.Time = time.Unix(0, ns).UTC()
-	} else {
-		e.Time = time.Unix(0, ns).In(time.FixedZone("", int(off)))
-	}
-	e.Op = Op(op)
-	e.Status = Status(st)
-	for _, p := range [...]*string{&e.User, &e.Data, &e.Purpose, &e.Authorized, &e.Site, &e.Reason} {
+	*rr = rawRecord{seq: seq, ns: ns, off: off, op: uint8(op), status: uint8(st)}
+	for i := range rr.strs {
 		n, ok := next()
 		if !ok || uint64(len(b)) < n {
-			return 0, e, fmt.Errorf("audit: short durable record string")
+			return fmt.Errorf("audit: short durable record string")
 		}
-		*p = string(b[:n])
+		rr.strs[i] = b[:n]
 		b = b[n:]
 	}
 	if len(b) != 0 {
-		return 0, e, fmt.Errorf("audit: %d trailing bytes after durable record", len(b))
+		return fmt.Errorf("audit: %d trailing bytes after durable record", len(b))
 	}
-	return seq, e, nil
+	return nil
+}
+
+// load decodes a parsed record straight into its shard, under the
+// sequence number it was stored with. Strings are interned from the
+// record bytes, so only a value the shard has not seen yet allocates,
+// and the entry must pass Validate. The log's counter is raised to the
+// record's seq. OpenDurable orders and folds the shards once loading is
+// done; the log is not shared before.
+func (l *Log) load(rr *rawRecord) error {
+	sh := l.shards[route(rr.strs[0], rr.strs[1], rr.strs[2])&l.mask]
+	r := record{seq: rr.seq, ns: rr.ns, zone: sh.zoneOffset(int(rr.off)), op: rr.op, status: rr.status}
+	for i, id := range [...]*uint32{&r.user, &r.data, &r.purpose, &r.authorized, &r.site, &r.reason} {
+		*id = sh.internBytes(rr.strs[i])
+	}
+	e := sh.entry(&r)
+	if err := e.Validate(); err != nil {
+		return err
+	}
+	sh.recs = append(sh.recs, r)
+	if r.seq > l.seq.Load() {
+		l.seq.Store(r.seq)
+	}
+	return nil
 }
 
 // indexKey builds the composite secondary-index key: big-endian
@@ -224,9 +273,9 @@ func indexTimeBound(t time.Time) []byte {
 	return k
 }
 
-func indexKeyTime(k []byte) (time.Time, Status) {
-	ns := int64(binary.BigEndian.Uint64(k[0:8]) ^ (1 << 63))
-	return time.Unix(0, ns).UTC(), Status(k[8])
+// indexKeyTime returns the nanoseconds and status a key holds.
+func indexKeyTime(k []byte) (int64, Status) {
+	return int64(binary.BigEndian.Uint64(k[0:8]) ^ (1 << 63)), Status(k[8])
 }
 
 // walFeed adapts the WAL to the sink's stampedWriter: one WAL record
@@ -284,12 +333,24 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 		return fail(err)
 	}
 
+	d.log = NewLog(site)
+	if st.Version() > 0 {
+		if err := d.loadCheckpoint(); err != nil {
+			return fail(err)
+		}
+		rs.CheckpointEntries = int(d.count)
+		// The scan read every page once; later work touches a few
+		// (checkpoints append at the newest keys), so do not keep the
+		// pool filled with the rest.
+		st.DropCache()
+	}
+
 	// WAL tail: everything with seq > ckptSeq is newer than the last
-	// checkpoint; anything at or below is a stale frame from a crash
-	// between checkpoint and truncation.
+	// checkpoint and is loaded; anything at or below is a stale frame
+	// from a crash between checkpoint and truncation, checked but not
+	// loaded.
 	walDir := filepath.Join(dir, "wal")
-	var tail []Entry
-	var maxSeq uint64
+	var rr rawRecord
 	wst, err := storage.Replay(walDir, o.OpenFile, func(lsn uint64, p []byte) error {
 		if len(p) > 0 && p[0] == 0x00 {
 			// A drop marker, written by stores whose sink could skip
@@ -297,69 +358,59 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 			// uvarint is a sequence number >= 1.
 			return nil
 		}
-		seq, e, derr := decodeStamped(p)
-		if derr == nil {
+		derr := parseStamped(p, &rr)
+		switch {
+		case derr != nil:
+		case rr.seq <= d.ckptSeq:
+			e := rr.entry()
 			derr = e.Validate()
+		default:
+			if derr = d.log.load(&rr); derr == nil {
+				rs.WALEntries++
+			}
 		}
 		if derr != nil {
 			return fmt.Errorf("audit: WAL record %d: %w", lsn, derr)
 		}
-		if seq <= d.ckptSeq {
-			return nil
-		}
-		if seq > maxSeq {
-			maxSeq = seq
-		}
-		tail = append(tail, e)
 		return nil
 	})
 	if err != nil {
 		return fail(err)
 	}
-	rs.WALEntries = len(tail)
 	rs.WALSegments = wst.Segments
 	rs.TornTail = wst.TornTail
+	// Records keep their stored sequence numbers, which ascend in
+	// append order across recovery generations; the index scan ran in
+	// (time, status, seq) key order, so sorting by them restores append
+	// order before the shards are folded into the index.
+	for _, sh := range d.log.shards {
+		sortRecords(sh.recs, bySeq)
+		sh.foldLocked()
+	}
+	if d.ckptSeq > d.log.seq.Load() {
+		// Sequence gaps (expired entries) at the cut: resume numbering
+		// past it so new seqs stay above every stored one. The loads
+		// already raised the counter past every WAL record, so the
+		// concluding checkpoint's cut covers them all and none is
+		// replayed again by the next open.
+		d.log.seq.Store(d.ckptSeq)
+	}
 
-	var entries []Entry
 	bootstrap := false
-	if st.Version() > 0 {
-		if entries, err = d.loadCheckpoint(); err != nil {
-			return fail(err)
-		}
-		// The scan read every page once; later work touches a few
-		// (checkpoints append at the newest keys), so do not keep the
-		// pool filled with the rest.
-		st.DropCache()
-	} else if wst.Records == 0 {
+	if st.Version() == 0 && wst.Records == 0 {
 		// A store that never checkpointed and has no WAL records may sit
 		// on a plain sink file from before the durable store existed:
 		// adopt its contents and convert by checkpointing them below.
 		// With WAL records present the WAL covers everything appended
 		// through this store, so the file is not the store's to read.
-		entries, rs.TruncatedLine, err = readSinkFile(filepath.Join(dir, "log.jsonl"))
+		entries, truncated, err := readSinkFile(filepath.Join(dir, "log.jsonl"))
 		if err != nil {
 			return fail(fmt.Errorf("audit: bootstrap from log.jsonl: %w", err))
 		}
-		bootstrap = len(entries) > 0 || rs.TruncatedLine
-	}
-	rs.CheckpointEntries = len(entries)
-
-	d.log = NewLog(site)
-	d.log.bulkLoad(entries)
-	if d.ckptSeq > d.log.seq.Load() {
-		// Sequence gaps (expired entries) below the cut: resume
-		// numbering past it so WAL-tail seqs stay above every in-memory
-		// one.
-		d.log.seq.Store(d.ckptSeq)
-	}
-	d.log.bulkLoad(tail)
-	if maxSeq > d.log.seq.Load() {
-		// bulkLoad numbers the tail densely from the cut. A WAL written
-		// while the sink could skip entries has gaps in its numbering:
-		// resume numbering past the highest seq the WAL holds, so the
-		// concluding checkpoint's cut covers every WAL record — none is
-		// replayed again by the next open.
-		d.log.seq.Store(maxSeq)
+		rs.TruncatedLine = truncated
+		rs.CheckpointEntries = len(entries)
+		d.log.bulkLoad(entries)
+		bootstrap = len(entries) > 0 || truncated
 	}
 
 	d.wal, err = storage.OpenWAL(walDir, storage.WALOptions{
@@ -379,7 +430,7 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 	// advances the epoch so stale cursors mismatch and their consumers
 	// (mining sessions included) resync instead of silently skipping
 	// recovered entries.
-	recovered := bootstrap || len(tail) > 0 || rs.TornTail
+	recovered := bootstrap || rs.WALEntries > 0 || rs.TornTail
 	if recovered {
 		epoch++
 	}
@@ -400,26 +451,43 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 	return d, rs, nil
 }
 
-// loadCheckpoint reads the checkpointed prefix back from the index in
-// append order: the stored sequence numbers, which ascend in append
-// order across recovery generations, restore that order. The count
-// must match the one the meta blob attests.
-func (d *Durable) loadCheckpoint() ([]Entry, error) {
-	ckpt, err := d.scanIndex(nil, nil, d.count)
+// loadCheckpoint reads the checkpointed prefix back from the index
+// straight into the log's shards, sized from the count the meta blob
+// attests. The count must match.
+func (d *Durable) loadCheckpoint() error {
+	l := d.log
+	l.Grow(int(d.count))
+	var rr rawRecord
+	var n uint64
+	var decErr error
+	err := d.store.Scan(nil, nil, func(k, v []byte) bool {
+		derr := parseStamped(v, &rr)
+		if derr == nil {
+			derr = l.load(&rr)
+		}
+		if derr != nil {
+			decErr = fmt.Errorf("audit: index record %d: %w", n, derr)
+			return false
+		}
+		n++
+		return true
+	})
+	if err == nil {
+		err = decErr
+	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if uint64(len(ckpt)) != d.count {
-		return nil, fmt.Errorf("audit: index holds %d entries, checkpoint attests %d", len(ckpt), d.count)
+	if n != d.count {
+		return fmt.Errorf("audit: index holds %d entries, checkpoint attests %d", n, d.count)
 	}
-	sort.Slice(ckpt, func(i, j int) bool { return ckpt[i].seq < ckpt[j].seq })
-	return unstamp(ckpt), nil
+	return nil
 }
 
 // scanIndex decodes and validates the index records with keys in
-// [lo, hi), in key order; n is a capacity hint.
-func (d *Durable) scanIndex(lo, hi []byte, n uint64) ([]stamped, error) {
-	out := make([]stamped, 0, n)
+// [lo, hi), in key order.
+func (d *Durable) scanIndex(lo, hi []byte) ([]stamped, error) {
+	var out []stamped
 	var decErr error
 	err := d.store.Scan(lo, hi, func(k, v []byte) bool {
 		seq, e, derr := decodeStamped(v)
@@ -515,16 +583,22 @@ func (d *Durable) cutLocked(removed uint64) error {
 	cur := d.log.seq.Load()
 	// Fence: after settle, every seq <= cur is visible in its shard.
 	d.log.settle()
-	batch := d.log.collectRange(d.ckptSeq, cur)
 	var val []byte
-	for i := range batch {
-		se := &batch[i]
-		val = appendStamped(val[:0], se.seq, &se.e)
-		if err := d.store.Put(indexKey(se.e.Time, se.e.Status, se.seq), val); err != nil {
-			return err
+	var err error
+	added := uint64(0)
+	merge(d.log.collectRange(d.ckptSeq, cur), bySeq, func(dc *dict, r *record) {
+		if err != nil {
+			return
 		}
+		e := dc.entry(r)
+		val = appendStamped(val[:0], r.seq, &e)
+		err = d.store.Put(indexKey(e.Time, e.Status, r.seq), val)
+		added++
+	})
+	if err != nil {
+		return err
 	}
-	count := d.count - removed + uint64(len(batch))
+	count := d.count - removed + added
 	if err := d.store.Checkpoint(encodeApp(cur, count, d.log.epoch.Load())); err != nil {
 		return err
 	}
@@ -555,55 +629,42 @@ func (d *Durable) snapshotRangeLocked(from, to time.Time) ([]Entry, error) {
 	if !to.IsZero() {
 		hi = indexTimeBound(to)
 	}
-	ckpt, err := d.scanIndex(lo, hi, 0)
+	ckpt, err := d.scanIndex(lo, hi)
 	if err != nil {
 		return nil, err
 	}
 	// Index byte order is (time, status, seq); restore (time, seq)
 	// order. Sequence spaces across recovery generations ascend, so
 	// seq order within an instant is append order.
-	sortStamped(ckpt)
-
-	inRange := func(t time.Time) bool {
-		return (from.IsZero() || !t.Before(from)) && (to.IsZero() || t.Before(to))
-	}
-	var tail []stamped
-	for _, se := range d.log.collectRange(d.ckptSeq, ^uint64(0)) {
-		if inRange(se.e.Time) {
-			tail = append(tail, se)
+	sort.Slice(ckpt, func(i, j int) bool {
+		if a, b := ckpt[i].e.Time.UnixNano(), ckpt[j].e.Time.UnixNano(); a != b {
+			return a < b
 		}
-	}
-	sortStamped(tail)
+		return ckpt[i].seq < ckpt[j].seq
+	})
+
+	fromCut, toCut := newCutoff(from), newCutoff(to)
+	tail := mergeEntries(d.log.runs(func(r *record) bool {
+		return r.seq > d.ckptSeq && (from.IsZero() || !fromCut.before(r.ns)) && (to.IsZero() || toCut.before(r.ns))
+	}), byTime)
 
 	// Merge; on equal instants the checkpointed side wins — its
 	// entries were appended before every tail entry.
 	out := make([]Entry, 0, len(ckpt)+len(tail))
 	i, j := 0, 0
 	for i < len(ckpt) && j < len(tail) {
-		if !tail[j].e.Time.Before(ckpt[i].e.Time) {
+		if !tail[j].Time.Before(ckpt[i].e.Time) {
 			out = append(out, ckpt[i].e)
 			i++
 		} else {
-			out = append(out, tail[j].e)
+			out = append(out, tail[j])
 			j++
 		}
 	}
 	for ; i < len(ckpt); i++ {
 		out = append(out, ckpt[i].e)
 	}
-	for ; j < len(tail); j++ {
-		out = append(out, tail[j].e)
-	}
-	return out, nil
-}
-
-func sortStamped(buf []stamped) {
-	sort.Slice(buf, func(i, j int) bool {
-		if !buf[i].e.Time.Equal(buf[j].e.Time) {
-			return buf[i].e.Time.Before(buf[j].e.Time)
-		}
-		return buf[i].seq < buf[j].seq
-	})
+	return append(out, tail[j:]...), nil
 }
 
 // SnapshotByTime serves the federation TimeSource contract from the
@@ -628,14 +689,9 @@ func (d *Durable) ExpireScan(cutoff, exceptionCutoff time.Time) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	n := 0
-	keep := func(t time.Time, st Status) bool {
-		if !t.Before(cutoff) {
-			return true
-		}
-		return st == Exception && !exceptionCutoff.IsZero() && !t.Before(exceptionCutoff)
-	}
+	keep := retention(cutoff, exceptionCutoff)
 	err := d.store.Scan(nil, indexTimeBound(cutoff), func(k, v []byte) bool {
-		if t, st := indexKeyTime(k); !keep(t, st) {
+		if !keep(indexKeyTime(k)) {
 			n++
 		}
 		return true
@@ -643,10 +699,10 @@ func (d *Durable) ExpireScan(cutoff, exceptionCutoff time.Time) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	for _, se := range d.log.collectRange(d.ckptSeq, ^uint64(0)) {
-		if !keep(se.e.Time, se.e.Status) {
-			n++
-		}
+	for _, rn := range d.log.runs(func(r *record) bool {
+		return r.seq > d.ckptSeq && !keep(r.ns, Status(r.status))
+	}) {
+		n += len(rn.recs)
 	}
 	return n, nil
 }
@@ -661,14 +717,9 @@ func (d *Durable) Expire(cutoff, exceptionCutoff time.Time) (int, error) {
 	defer d.mu.Unlock()
 	// Index-driven scan for the checkpointed victims' keys.
 	var victims [][]byte
-	keep := func(t time.Time, st Status) bool {
-		if !t.Before(cutoff) {
-			return true
-		}
-		return st == Exception && !exceptionCutoff.IsZero() && !t.Before(exceptionCutoff)
-	}
+	keep := retention(cutoff, exceptionCutoff)
 	err := d.store.Scan(nil, indexTimeBound(cutoff), func(k, v []byte) bool {
-		if t, st := indexKeyTime(k); !keep(t, st) {
+		if !keep(indexKeyTime(k)) {
 			victims = append(victims, append([]byte(nil), k...))
 		}
 		return true

@@ -2,6 +2,7 @@ package audit
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -28,27 +29,41 @@ import (
 // group caches the canonical rule key once for coverage membership
 // tests. Per-group distinct users count raw user values, mirroring
 // SQL COUNT(DISTINCT user); the log-wide Stats normalize users,
-// mirroring Summarize.
+// mirroring Summarize. Within a shard, values are the dictionary ids
+// of its records (one id per raw value), and instants are a record's
+// nanoseconds and zone id; readers resolve them under the read lock.
 
 // groupKey is the raw GROUP BY identity of the default analysis
-// attribute set (data, purpose, authorized).
+// attribute set (data, purpose, authorized), as dictionary ids.
 type groupKey struct {
+	data       uint32
+	purpose    uint32
+	authorized uint32
+}
+
+// groupName is a groupKey resolved to its raw values.
+type groupName struct {
 	data       string
 	purpose    string
 	authorized string
 }
 
+// instant is a record's time: nanoseconds and zone id.
+type instant struct {
+	ns   int64
+	zone uint32
+}
+
 // groupAcc is one shard's accumulator for a group.
 type groupAcc struct {
-	canon    string         // canonical rule key, computed once
-	firstSeq uint64         // lowest sequence number over all rows
-	total    int            // all rows in the group
-	practice int            // rows surviving Filter (exception + allow)
-	users    map[string]int // raw user -> practice rows
-	offHours int            // practice rows with OffHours(time)
-	days     []int32        // distinct UTCDay of practice rows, ascending
-	first    time.Time      // practice window
-	last     time.Time
+	canon       string         // canonical rule key, computed once
+	firstSeq    uint64         // lowest sequence number over all rows
+	total       int            // all rows in the group
+	practice    int            // rows surviving Filter (exception + allow)
+	users       map[uint32]int // raw user id -> practice rows
+	offHours    int            // practice rows with OffHours(time)
+	days        []int32        // distinct UTCDay of practice rows, ascending
+	first, last instant        // practice window; set once practice > 0
 }
 
 // OffHours reports whether t falls outside 06:00–18:00 on the clock of
@@ -109,85 +124,110 @@ func unionDays(a, b []int32) []int32 {
 
 // statsAcc is one shard's Stats accumulator.
 type statsAcc struct {
-	total      int
-	allowed    int
-	denied     int
-	exceptions int
-	regular    int
-	users      map[string]struct{} // raw; normalized at read by Summary
-	first      time.Time
-	last       time.Time
+	total       int
+	allowed     int
+	denied      int
+	exceptions  int
+	regular     int
+	users       []uint64 // raw user ids, one bit per dictionary id; normalized at read by Summary
+	first, last instant  // set once total > 0
 }
 
-// indexLocked folds one stamped entry into the shard's accumulators;
-// the shard lock must be held. Users are recorded raw and normalized
-// on the O(users) read side instead of the O(entries) write side —
+// addUser records user id u. A bit set indexed by dictionary id keeps
+// the per-append cost to one word in a small, cache-resident slice.
+func (st *statsAcc) addUser(u uint32) {
+	w := int(u / 64)
+	for len(st.users) <= w {
+		st.users = append(st.users, 0)
+	}
+	st.users[w] |= 1 << (u % 64)
+}
+
+// indexLocked folds one record into the shard's accumulators; the
+// shard lock must be held. Users are recorded raw and normalized on
+// the O(users) read side instead of the O(entries) write side —
 // normalize(union raw) equals union(normalize) so Summary is
-// unchanged.
-func (s *shard) indexLocked(se *stamped) {
-	e := &se.e
+// unchanged. Windows keep the first-folded of equal instants, as
+// Summarize does.
+func (s *shard) indexLocked(r *record) {
+	at := instant{ns: r.ns, zone: r.zone}
+	allow, exception := Op(r.op) == Allow, Status(r.status) == Exception
 	st := &s.stats
+	if st.total == 0 {
+		st.first, st.last = at, at
+	} else if r.ns < st.first.ns {
+		st.first = at
+	} else if r.ns > st.last.ns {
+		st.last = at
+	}
 	st.total++
-	if e.Op == Allow {
+	if allow {
 		st.allowed++
 	} else {
 		st.denied++
 	}
-	if e.Status == Exception {
+	if exception {
 		st.exceptions++
 	} else {
 		st.regular++
 	}
-	if st.users == nil {
-		st.users = make(map[string]struct{})
-	}
-	st.users[e.User] = struct{}{}
-	if st.first.IsZero() || e.Time.Before(st.first) {
-		st.first = e.Time
-	}
-	if e.Time.After(st.last) {
-		st.last = e.Time
-	}
+	st.addUser(r.user)
 
 	if s.groups == nil {
 		s.groups = make(map[groupKey]*groupAcc)
 	}
-	k := groupKey{data: e.Data, purpose: e.Purpose, authorized: e.Authorized}
+	k := groupKey{data: r.data, purpose: r.purpose, authorized: r.authorized}
 	g := s.groups[k]
 	if g == nil {
-		g = &groupAcc{canon: e.RuleKey(), firstSeq: se.seq}
+		g = &groupAcc{canon: policy.TripleKey(s.strs[r.data], s.strs[r.purpose], s.strs[r.authorized]), firstSeq: r.seq}
 		s.groups[k] = g
-	} else if se.seq < g.firstSeq {
-		g.firstSeq = se.seq
+	} else if r.seq < g.firstSeq {
+		g.firstSeq = r.seq
 	}
 	g.total++
-	if e.Status == Exception && e.Op == Allow {
+	if exception && allow {
+		if g.practice == 0 {
+			g.first, g.last = at, at
+		} else if r.ns < g.first.ns {
+			g.first = at
+		} else if r.ns > g.last.ns {
+			g.last = at
+		}
 		g.practice++
 		if g.users == nil {
-			g.users = make(map[string]int)
+			g.users = make(map[uint32]int)
 		}
-		g.users[e.User]++
-		if OffHours(e.Time) {
+		g.users[r.user]++
+		t := s.time(r.ns, r.zone)
+		if OffHours(t) {
 			g.offHours++
 		}
-		g.days = addDay(g.days, UTCDay(e.Time))
-		if g.first.IsZero() || e.Time.Before(g.first) {
-			g.first = e.Time
-		}
-		if e.Time.After(g.last) {
-			g.last = e.Time
-		}
+		g.days = addDay(g.days, UTCDay(t))
 	}
 }
 
-// rebuildLocked recomputes the shard's accumulators from its entries
-// after a structural change (Expire/Rotate); the shard lock must be
-// held.
+// rebuildLocked re-interns the shard's records into a fresh dictionary
+// and zone table and recomputes its accumulators, after a structural
+// change (Expire/Rotate) dropped records; the shard lock must be held.
+// A value or zone no surviving record uses is gone from memory with
+// its entries: an expired user's name or break-glass reason does not
+// outlive them.
 func (s *shard) rebuildLocked() {
+	old := s.dict
+	s.dict = dict{}
+	for i := range s.recs {
+		s.reintern(&s.recs[i], &old)
+	}
+	s.foldLocked()
+}
+
+// foldLocked folds every record into freshly reset accumulators; the
+// shard lock must be held.
+func (s *shard) foldLocked() {
 	s.groups = nil
 	s.stats = statsAcc{}
-	for i := range s.entries {
-		s.indexLocked(&s.entries[i])
+	for i := range s.recs {
+		s.indexLocked(&s.recs[i])
 	}
 }
 
@@ -237,16 +277,17 @@ func (l *Log) Groups() []Group { return MergeGroups(l) }
 // l.Groups(). FirstSeq is the minimum over the logs, so it orders
 // rules only within one log.
 func MergeGroups(logs ...*Log) []Group {
-	acc := make(map[groupKey]*Group)
+	acc := make(map[groupName]*Group)
 	for _, l := range logs {
 		for _, sh := range l.shards {
 			sh.mu.RLock()
 			for k, g := range sh.groups {
-				m := acc[k]
+				name := groupName{sh.strs[k.data], sh.strs[k.purpose], sh.strs[k.authorized]}
+				m := acc[name]
 				if m == nil {
-					m = &Group{Data: k.data, Purpose: k.purpose, Authorized: k.authorized,
+					m = &Group{Data: name.data, Purpose: name.purpose, Authorized: name.authorized,
 						Key: g.canon, FirstSeq: g.firstSeq}
-					acc[k] = m
+					acc[name] = m
 				}
 				if g.firstSeq < m.FirstSeq {
 					m.FirstSeq = g.firstSeq
@@ -259,17 +300,19 @@ func MergeGroups(logs ...*Log) []Group {
 						m.Users = make(map[string]int, len(g.users))
 					}
 					for u, n := range g.users {
-						m.Users[u] += n
+						m.Users[sh.strs[u]] += n
 					}
 				}
 				if len(g.days) > 0 {
 					m.Days = unionDays(m.Days, g.days)
 				}
-				if !g.first.IsZero() && (m.First.IsZero() || g.first.Before(m.First)) {
-					m.First = g.first
-				}
-				if g.last.After(m.Last) {
-					m.Last = g.last
+				if g.practice > 0 {
+					if first := sh.time(g.first.ns, g.first.zone); m.First.IsZero() || first.Before(m.First) {
+						m.First = first
+					}
+					if last := sh.time(g.last.ns, g.last.zone); last.After(m.Last) {
+						m.Last = last
+					}
 				}
 			}
 			sh.mu.RUnlock()
@@ -350,17 +393,17 @@ func (l *Log) PracticeShards() [][]PracticeGroup {
 			}
 			users := make([]string, 0, len(g.users))
 			for u := range g.users {
-				users = append(users, u)
+				users = append(users, sh.strs[u])
 			}
 			sort.Strings(users)
 			gs = append(gs, PracticeGroup{
-				Data:       k.data,
-				Purpose:    k.purpose,
-				Authorized: k.authorized,
+				Data:       sh.strs[k.data],
+				Purpose:    sh.strs[k.purpose],
+				Authorized: sh.strs[k.authorized],
 				Weight:     g.practice,
 				Users:      users,
-				First:      g.first,
-				Last:       g.last,
+				First:      sh.time(g.first.ns, g.first.zone),
+				Last:       sh.time(g.last.ns, g.last.zone),
 			})
 		}
 		sh.mu.RUnlock()
@@ -392,14 +435,18 @@ func (l *Log) Summary() Stats {
 		s.Denied += st.denied
 		s.Exceptions += st.exceptions
 		s.Regular += st.regular
-		for u := range st.users {
-			users[vocab.Norm(u)] = struct{}{}
+		for w, word := range st.users {
+			for ; word != 0; word &= word - 1 {
+				users[vocab.Norm(sh.strs[w*64+bits.TrailingZeros64(word)])] = struct{}{}
+			}
 		}
-		if !st.first.IsZero() && (s.First.IsZero() || st.first.Before(s.First)) {
-			s.First = st.first
-		}
-		if st.last.After(s.Last) {
-			s.Last = st.last
+		if st.total > 0 {
+			if first := sh.time(st.first.ns, st.first.zone); s.First.IsZero() || first.Before(s.First) {
+				s.First = first
+			}
+			if last := sh.time(st.last.ns, st.last.zone); last.After(s.Last) {
+				s.Last = last
+			}
 		}
 		sh.mu.RUnlock()
 	}
@@ -426,18 +473,20 @@ func (l *Log) Delta(c Cursor) (delta []Entry, next Cursor, resync bool) {
 	ep := l.epoch.Load()
 	resync = c.pos == nil || c.epoch != ep || len(c.pos) != len(l.shards)
 	next = Cursor{epoch: ep, pos: make([]int, len(l.shards))}
-	var buf []stamped
+	runs := make([]run, 0, len(l.shards))
 	for i, sh := range l.shards {
 		from := 0
 		if !resync {
 			from = c.pos[i]
 		}
 		sh.mu.RLock()
-		n := len(sh.entries)
+		n := len(sh.recs)
 		if from > n {
 			from = n
 		}
-		buf = append(buf, sh.entries[from:n]...)
+		if from < n {
+			runs = append(runs, run{recs: slices.Clone(sh.recs[from:n]), d: sh.dict})
+		}
 		next.pos[i] = n
 		sh.mu.RUnlock()
 	}
@@ -445,8 +494,7 @@ func (l *Log) Delta(c Cursor) (delta []Entry, next Cursor, resync bool) {
 		// A structural change raced the read; restart from scratch.
 		return l.Delta(Cursor{})
 	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i].seq < buf[j].seq })
-	return unstamp(buf), next, resync
+	return mergeEntries(runs, bySeq), next, resync
 }
 
 // SnapshotByTime returns a copy of the entries in chronological
@@ -455,62 +503,23 @@ func (l *Log) Delta(c Cursor) (delta []Entry, next Cursor, resync bool) {
 // GOMAXPROCS allows) and k-way merged. Federation consolidation reads
 // its sources through this.
 func (l *Log) SnapshotByTime() []Entry {
-	runs := make([][]stamped, len(l.shards))
+	runs := l.runs(nil)
 	total := 0
-	for i, sh := range l.shards {
-		sh.mu.RLock()
-		if len(sh.entries) > 0 {
-			runs[i] = append([]stamped(nil), sh.entries...)
-		}
-		sh.mu.RUnlock()
-		total += len(runs[i])
-	}
-	less := func(a, b stamped) bool {
-		if !a.e.Time.Equal(b.e.Time) {
-			return a.e.Time.Before(b.e.Time)
-		}
-		return a.seq < b.seq
-	}
-	sortRun := func(r []stamped) {
-		sort.Slice(r, func(i, j int) bool { return less(r[i], r[j]) })
+	for i := range runs {
+		total += len(runs[i].recs)
 	}
 	if runtime.GOMAXPROCS(0) > 1 && total > 4096 {
 		var wg sync.WaitGroup
 		for i := range runs {
-			if len(runs[i]) == 0 {
-				continue
-			}
 			wg.Add(1)
-			go func(r []stamped) {
+			go func(recs []record) {
 				defer wg.Done()
-				sortRun(r)
-			}(runs[i])
+				sortRecords(recs, byTime)
+			}(runs[i].recs)
 		}
 		wg.Wait()
-	} else {
-		for i := range runs {
-			sortRun(runs[i])
-		}
 	}
-	// K-way merge by (time, seq); the shard count is small, so a
-	// linear head scan beats heap bookkeeping.
-	out := make([]Entry, 0, total)
-	heads := make([]int, len(runs))
-	for len(out) < total {
-		best := -1
-		for i := range runs {
-			if heads[i] >= len(runs[i]) {
-				continue
-			}
-			if best == -1 || less(runs[i][heads[i]], runs[best][heads[best]]) {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		out = append(out, runs[best][heads[best]].e)
-		heads[best]++
-	}
-	return out
+	// mergeEntries sorts whatever is still unsorted, then k-way merges
+	// by (time, seq).
+	return mergeEntries(runs, byTime)
 }

@@ -130,8 +130,11 @@ func TestIndexMatchesRescan(t *testing.T) {
 // sequence number (Group.FirstSeq is part of the view).
 func groupsByRescan(l *Log) []Group {
 	fresh := NewLogShards("", 1)
-	for _, se := range l.collect() {
-		fresh.shards[0].add(se.seq, &se.e)
+	for _, rn := range l.runs(nil) {
+		for i := range rn.recs {
+			e := rn.d.entry(&rn.recs[i])
+			fresh.shards[0].add(rn.recs[i].seq, &e)
+		}
 	}
 	return fresh.Groups()
 }

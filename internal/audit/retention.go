@@ -18,36 +18,22 @@ import (
 // exceptionCutoff, because undiscovered informal practice is exactly
 // what refinement still needs; pass the zero time to expire
 // uniformly. Shards are trimmed one at a time, each rebuilding its
-// incremental index under its own lock; when anything was dropped the
-// index epoch advances, invalidating outstanding Delta cursors.
+// dictionary and incremental index under its own lock; when anything
+// is dropped the index epoch advances, invalidating outstanding Delta
+// cursors.
 func (l *Log) Expire(cutoff, exceptionCutoff time.Time) int {
-	dropped := 0
-	for _, sh := range l.shards {
-		sh.mu.Lock()
-		kept := sh.entries[:0:0]
-		changed := false
-		for _, se := range sh.entries {
-			keep := !se.e.Time.Before(cutoff)
-			if !keep && se.e.Status == Exception && !exceptionCutoff.IsZero() && !se.e.Time.Before(exceptionCutoff) {
-				keep = true
-			}
-			if keep {
-				kept = append(kept, se)
-			} else {
-				dropped++
-				changed = true
-			}
-		}
-		if changed {
-			sh.entries = kept
-			sh.rebuildLocked()
-		}
-		sh.mu.Unlock()
+	keep := retention(cutoff, exceptionCutoff)
+	return l.trim(func(r *record) bool { return keep(r.ns, Status(r.status)) }, nil)
+}
+
+// retention is Expire's rule: whether an entry at ns nanoseconds with
+// status st survives the cutoffs.
+func retention(cutoff, exceptionCutoff time.Time) func(ns int64, st Status) bool {
+	before, exBefore := newCutoff(cutoff), newCutoff(exceptionCutoff)
+	uniform := exceptionCutoff.IsZero()
+	return func(ns int64, st Status) bool {
+		return !before.before(ns) || (!uniform && st == Exception && !exBefore.before(ns))
 	}
-	if dropped > 0 {
-		l.epoch.Add(1)
-	}
-	return dropped
 }
 
 // Rotate atomically returns and removes every entry older than
@@ -56,31 +42,57 @@ func (l *Log) Expire(cutoff, exceptionCutoff time.Time) int {
 // append order. Like Expire, a non-empty rotation advances the index
 // epoch.
 func (l *Log) Rotate(cutoff time.Time) []Entry {
-	var rotated []stamped
+	before := newCutoff(cutoff)
+	var runs []run
+	l.trim(func(r *record) bool { return !before.before(r.ns) }, func(rotated run) {
+		runs = append(runs, rotated)
+	})
+	if len(runs) == 0 {
+		return nil
+	}
+	return mergeEntries(runs, bySeq)
+}
+
+// trim keeps, shard by shard under its write lock, the records keep
+// accepts, and returns how many it dropped. A shard that loses records
+// is rebuilt (rebuildLocked); when removed is non-nil it receives the
+// dropped records with the dictionary they index. The first change
+// moves the epoch before it happens, so a reader that observes a
+// trimmed shard sees the move.
+func (l *Log) trim(keep func(r *record) bool, removed func(run)) int {
+	dropped := 0
 	for _, sh := range l.shards {
 		sh.mu.Lock()
-		kept := sh.entries[:0:0]
-		changed := false
-		for _, se := range sh.entries {
-			if se.e.Time.Before(cutoff) {
-				rotated = append(rotated, se)
-				changed = true
-			} else {
-				kept = append(kept, se)
+		n := 0
+		for i := range sh.recs {
+			if keep(&sh.recs[i]) {
+				n++
 			}
 		}
-		if changed {
-			sh.entries = kept
+		if n < len(sh.recs) {
+			if dropped == 0 {
+				l.epoch.Add(1)
+			}
+			dropped += len(sh.recs) - n
+			kept := make([]record, 0, n)
+			var gone []record
+			for i := range sh.recs {
+				if keep(&sh.recs[i]) {
+					kept = append(kept, sh.recs[i])
+				} else if removed != nil {
+					gone = append(gone, sh.recs[i])
+				}
+			}
+			d := sh.dict
+			sh.recs = kept
 			sh.rebuildLocked()
+			if removed != nil {
+				removed(run{recs: gone, d: d})
+			}
 		}
 		sh.mu.Unlock()
 	}
-	if len(rotated) == 0 {
-		return nil
-	}
-	sort.Slice(rotated, func(i, j int) bool { return rotated[i].seq < rotated[j].seq })
-	l.epoch.Add(1)
-	return unstamp(rotated)
+	return dropped
 }
 
 // Count is a (value, count) pair used by the analysis helpers.

@@ -1,7 +1,10 @@
 #!/usr/bin/env sh
 # bench.sh — run the experiment benchmarks (bench_test.go) and record
-# the results as a JSON map {benchmark name -> {ns_per_op, allocs_per_op,
-# bytes_per_op}} so successive PRs can diff performance numbers.
+# the results as a JSON map {benchmark name -> {metric -> value}} so
+# successive PRs can diff performance numbers. ns/op, B/op and
+# allocs/op are recorded as ns_per_op, bytes_per_op and allocs_per_op;
+# every other value/unit pair a benchmark reports (b.ReportMetric:
+# B/entry, fsyncs/op, entries/s, ...) is recorded under its unit.
 #
 # Usage: scripts/bench.sh [output.json]
 # Default output: BENCH.json in the repo root. Committed snapshots are
@@ -14,8 +17,9 @@
 # code, so their rows run from their own packages:
 # E12_ReferenceEnforcement (internal/hdb, compiled vs reference
 # interpreter) and E14_CoverageOracle (internal/core, symbolic vs
-# materializing coverage). check.sh smokes the same set at one
-# iteration so the harness cannot rot.
+# materializing coverage). LogRetainedBytes (internal/audit) reports
+# the audit log's retained heap per entry. check.sh smokes the same set
+# at one iteration so the harness cannot rot.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -25,21 +29,23 @@ tmp=$(mktemp)
 trap 'rm -f "$tmp"' EXIT
 
 echo "==> go test -bench=. -benchmem (this takes a few minutes)"
-go test -bench=. -benchmem -benchtime=1s -count=1 -run=NONE . ./internal/hdb ./internal/core | tee "$tmp"
+go test -bench=. -benchmem -benchtime=1s -count=1 -run=NONE . ./internal/hdb ./internal/core ./internal/audit | tee "$tmp"
 
 awk '
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)   # strip the -GOMAXPROCS suffix
-    ns = ""; bytes = ""; allocs = ""
-    for (i = 2; i <= NF; i++) {
-        if ($i == "ns/op")     ns = $(i-1)
-        if ($i == "B/op")      bytes = $(i-1)
-        if ($i == "allocs/op") allocs = $(i-1)
+    # $2 is the iteration count; value/unit pairs follow.
+    row = ""
+    for (i = 3; i + 1 <= NF; i += 2) {
+        key = $(i+1)
+        if (key == "ns/op")     key = "ns_per_op"
+        if (key == "B/op")      key = "bytes_per_op"
+        if (key == "allocs/op") key = "allocs_per_op"
+        row = row (row == "" ? "" : ", ") sprintf("\"%s\": %s", key, $i)
     }
-    if (ns != "") {
-        rows[++n] = sprintf("  \"%s\": {\"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}",
-                            name, ns, bytes == "" ? "null" : bytes, allocs == "" ? "null" : allocs)
+    if (row != "") {
+        rows[++n] = sprintf("  \"%s\": {%s}", name, row)
     }
 }
 END {
