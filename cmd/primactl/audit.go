@@ -51,9 +51,6 @@ func cmdAuditRecover(args []string) error {
 	if rs.TornTail {
 		fmt.Println("  torn WAL tail:      truncated (crash mid-flush)")
 	}
-	if rs.TruncatedLine {
-		fmt.Println("  torn JSONL line:    dropped (bootstrap from sink file)")
-	}
 	fmt.Printf("  index groups:       %d\n", rs.IndexGroups)
 	fmt.Printf("  elapsed:            %s\n", rs.Elapsed.Round(time.Microsecond))
 

@@ -7,17 +7,16 @@
 //
 // The log is a streaming pipeline, not a snapshot store: ingestion is
 // lock-striped across shards, every append updates an incremental
-// per-rule index (see index.go), and durability goes through an
-// asynchronous batching sink (see sink.go). Three invariants hold:
+// per-rule index (see index.go), and a durable log feeds its WAL
+// through an asynchronous sink (see sink.go). Three invariants hold:
 //
 //   - sequence monotonicity: every entry carries a globally unique,
 //     monotonically increasing sequence number assigned at append;
 //     Snapshot and Delta order by it, so the sharded log observes the
 //     exact append order a single-mutex log would;
 //   - flush ordering: when a sink is attached, sequence assignment and
-//     sink enqueue are a single atomic step, so the sink stream (a
-//     JSONL file, or the durable store's WAL) is written in sequence
-//     order;
+//     sink enqueue are a single atomic step, so the durable store's
+//     WAL is written in sequence order;
 //   - index consistency: per-shard group and stats accumulators are
 //     updated under the same shard lock as the entry append, so a
 //     merged index view always equals a full rescan of the entries it
@@ -225,7 +224,7 @@ func (e Entry) String() string {
 }
 
 // stamped is an entry plus its global sequence number: the pair the
-// sink queue carries to its writer and the durable store's range read
+// sink queue carries to the WAL and the durable store's range read
 // decodes from its index. Shards hold records instead (record.go).
 type stamped struct {
 	seq uint64

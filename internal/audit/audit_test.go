@@ -1,8 +1,6 @@
 package audit
 
 import (
-	"bytes"
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -180,53 +178,3 @@ func TestEntryString(t *testing.T) {
 		}
 	}
 }
-
-func TestSinkStreamsEntries(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLog("ward")
-	l.SetSink(&buf, nil)
-	e1 := entry(t0, "a", "referral", "treatment", "nurse", Regular)
-	e2 := entry(t0.Add(time.Hour), "b", "psychiatry", "treatment", "nurse", Exception)
-	if err := l.Append(e1); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(e2); err != nil {
-		t.Fatal(err)
-	}
-	// The sink is asynchronous: join the flusher before reading.
-	l.CloseSink()
-	got, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].User != "a" || got[1].User != "b" {
-		t.Fatalf("sink contents: %v", got)
-	}
-	if got[0].Site != "ward" {
-		t.Errorf("sink entry missing site stamp: %+v", got[0])
-	}
-}
-
-func TestSinkFailureDoesNotBlockAppend(t *testing.T) {
-	var failures int
-	l := NewLog("ward")
-	l.SetSink(failWriter{}, func(error) { failures++ })
-	if err := l.Append(entry(t0, "a", "d", "p", "r", Regular)); err != nil {
-		t.Fatalf("append failed on sink error: %v", err)
-	}
-	l.CloseSink() // joins the flusher; the write error has been reported
-	if l.Len() != 1 || failures != 1 {
-		t.Errorf("len=%d failures=%d", l.Len(), failures)
-	}
-	// Without an error callback, failures are silent but appends work.
-	l2 := NewLog("ward")
-	l2.SetSink(failWriter{}, nil)
-	if err := l2.Append(entry(t0, "a", "d", "p", "r", Regular)); err != nil || l2.Len() != 1 {
-		t.Errorf("silent sink failure broke append: %v", err)
-	}
-	l2.CloseSink()
-}
-
-type failWriter struct{}
-
-func (failWriter) Write([]byte) (int, error) { return 0, fmt.Errorf("disk full") }

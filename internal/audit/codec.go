@@ -46,36 +46,78 @@ func ReadJSONL(r io.Reader) ([]Entry, error) {
 	return out, nil
 }
 
-// ReadJSONLTolerant reads entries like ReadJSONL but tolerates the
-// one kind of damage a crash mid-append leaves behind: a truncated
-// final line. A last line that does not parse as a complete entry
-// (and is not newline-terminated) is dropped and reported through
-// truncated; a malformed line anywhere else is still an error, since
-// mid-file corruption is never the product of a torn write.
-func ReadJSONLTolerant(r io.Reader) (entries []Entry, truncated bool, err error) {
-	br := bufio.NewReader(r)
-	for i := 0; ; i++ {
-		line, rerr := br.ReadBytes('\n')
-		if len(line) == 0 && rerr != nil {
-			break
-		}
-		var e Entry
-		if jerr := json.Unmarshal(line, &e); jerr != nil {
-			if rerr == io.EOF {
-				// Torn tail: the file ends inside this line.
-				return entries, true, nil
-			}
-			return nil, false, fmt.Errorf("audit: decode entry %d: %w", i, jerr)
-		}
-		if verr := e.Validate(); verr != nil {
-			return nil, false, fmt.Errorf("audit: entry %d: %w", i, verr)
-		}
-		entries = append(entries, e)
-		if rerr != nil {
-			break
+// plainJSON reports whether every byte of v can be emitted inside a
+// JSON string verbatim under encoding/json's default (HTML-escaping)
+// rules: printable ASCII excluding the quote, backslash and the
+// HTML-significant characters.
+func plainJSON(v string) bool {
+	for i := 0; i < len(v); i++ {
+		c := v[i]
+		if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
 		}
 	}
-	return entries, false, nil
+	return true
+}
+
+// rfc3339 reports whether RFC 3339, and with it encoding/json, can
+// express t: a four-digit year and a zone offset under a day.
+func rfc3339(t time.Time) bool {
+	_, off := t.Zone()
+	y := t.Year()
+	return 0 <= y && y <= 9999 && -MaxZoneOffset <= off && off <= MaxZoneOffset
+}
+
+// appendJSONLine encodes the entry exactly as a stdlib json.Encoder
+// would — same field order, omitempty handling, HTML escaping and
+// trailing newline — but without reflection, which would dominate the
+// per-entry export cost. Entries carrying bytes outside the plain
+// ASCII fast path, or a time RFC 3339 cannot express, fall back to
+// encoding/json for byte-identical escaping and the same error.
+func appendJSONLine(dst []byte, e *Entry) ([]byte, error) {
+	if !plainJSON(e.User) || !plainJSON(e.Data) || !plainJSON(e.Purpose) ||
+		!plainJSON(e.Authorized) || !plainJSON(e.Site) || !plainJSON(e.Reason) || !rfc3339(e.Time) {
+		b, err := json.Marshal(e)
+		if err != nil {
+			return dst, err
+		}
+		return append(append(dst, b...), '\n'), nil
+	}
+	dst = append(dst, `{"time":"`...)
+	dst = e.Time.AppendFormat(dst, time.RFC3339Nano)
+	dst = append(dst, `","op":`...)
+	dst = strconv.AppendInt(dst, int64(e.Op), 10)
+	dst = append(dst, `,"user":"`...)
+	dst = append(dst, e.User...)
+	dst = append(dst, `","data":"`...)
+	dst = append(dst, e.Data...)
+	dst = append(dst, `","purpose":"`...)
+	dst = append(dst, e.Purpose...)
+	dst = append(dst, `","authorized":"`...)
+	dst = append(dst, e.Authorized...)
+	dst = append(dst, `","status":`...)
+	dst = strconv.AppendInt(dst, int64(e.Status), 10)
+	if e.Site != "" {
+		dst = append(dst, `,"site":"`...)
+		dst = append(dst, e.Site...)
+		dst = append(dst, '"')
+	}
+	if e.Reason != "" {
+		dst = append(dst, `,"reason":"`...)
+		dst = append(dst, e.Reason...)
+		dst = append(dst, '"')
+	}
+	return append(dst, "}\n"...), nil
+}
+
+// AppendSinkJSON appends the hand-rolled JSON-line encoding of e to
+// dst — the exact bytes WriteJSONL writes per entry, the JSONL export
+// format. The durable store writes no JSONL; its WAL and index hold
+// binary records. Exported as the baseline for the wire codec
+// benchmarks: the binary batch codec's per-entry cost is measured
+// against this encoder.
+func AppendSinkJSON(dst []byte, e *Entry) ([]byte, error) {
+	return appendJSONLine(dst, e)
 }
 
 // csvHeader is the column order of the CSV codec; the first seven

@@ -17,8 +17,9 @@ import (
 //
 //   - wal/ — a group-commit WAL of binary (seq, entry) records
 //     covering everything appended since the last checkpoint. Appends
-//     flow into it through the log's asynchronous sink; the WAL's
-//     single fsync per commit window is shared by the whole batch.
+//     flow into it through the log's asynchronous sink (sink.go); the
+//     WAL's single fsync per commit window is shared by the whole
+//     batch.
 //   - index.db — a storage.Store B+tree keyed (time, status, seq) whose
 //     values are the same (seq, entry) records: the checkpoint itself,
 //     the one durable copy of every entry at or below the checkpoint
@@ -29,12 +30,11 @@ import (
 //     instead of a full in-memory sort.
 //
 // Recovery scans index.db plus the WAL tail to rebuild the in-memory
-// log — per-shard refinement index included, since bulkLoad folds the
-// accumulators as it goes — and concludes with a checkpoint that
+// log — per-shard refinement index included, folded once the records
+// are loaded — and concludes with a checkpoint that
 // re-persists the tail, so the WAL never grows across restarts. JSONL
-// is an import/export edge only: a plain sink file is adopted once by
-// a store that never checkpointed, and WriteJSONL of Log().Snapshot()
-// exports a copy.
+// is an export edge only: WriteJSONL of Log().Snapshot() exports a
+// copy.
 type Durable struct {
 	log   *Log
 	store *storage.Store
@@ -54,9 +54,6 @@ type Durable struct {
 
 // DurableOptions tunes OpenDurable. The zero value selects defaults.
 type DurableOptions struct {
-	// Sink configures the in-process queue feeding the WAL (batching
-	// and queue depth).
-	Sink SinkOptions
 	// CommitInterval is the WAL group-commit window (storage.WALOptions).
 	CommitInterval time.Duration
 	// SegmentBytes is the WAL segment roll size.
@@ -73,8 +70,7 @@ type DurableOptions struct {
 
 // RecoveryStats reports what OpenDurable rebuilt.
 type RecoveryStats struct {
-	// CheckpointEntries were loaded from the checkpoint: the index
-	// store, or the plain sink file a fresh store bootstrapped from.
+	// CheckpointEntries were loaded from the index store's checkpoint.
 	CheckpointEntries int
 	// WALEntries were replayed from the WAL tail.
 	WALEntries int
@@ -83,9 +79,6 @@ type RecoveryStats struct {
 	// TornTail reports a torn frame at the end of the WAL (the
 	// expected wreckage of a crash mid-flush), truncated on reopen.
 	TornTail bool
-	// TruncatedLine reports a torn final JSONL line dropped while
-	// bootstrapping from a plain sink file.
-	TruncatedLine bool
 	// IndexGroups is the number of refinement-index groups rebuilt.
 	IndexGroups int
 	// Elapsed is the wall-clock recovery time.
@@ -278,32 +271,9 @@ func indexKeyTime(k []byte) (int64, Status) {
 	return int64(binary.BigEndian.Uint64(k[0:8]) ^ (1 << 63)), Status(k[8])
 }
 
-// walFeed adapts the WAL to the sink's stampedWriter: one WAL record
-// per entry, appended by the single sink flusher goroutine, made
-// durable by the WAL's own group-commit flusher.
-type walFeed struct {
-	w   *storage.WAL
-	buf []byte
-}
-
-func (f *walFeed) writeStamped(batch []stamped) error {
-	for i := range batch {
-		f.buf = appendStamped(f.buf[:0], batch[i].seq, &batch[i].e)
-		if _, err := f.w.Append(f.buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (f *walFeed) syncStamped() error { return f.w.Sync() }
-
 // OpenDurable opens (creating if needed) the durable audit store in
 // dir for the named site. Recovery rebuilds the in-memory log from the
-// index store's checkpoint plus the WAL tail; if a store that never
-// checkpointed finds a plain log.jsonl written by the file sink beside
-// an empty WAL, it bootstraps from that file, tolerating a torn final
-// line. Once the store has checkpointed, a log.jsonl in dir is never
+// index store's checkpoint plus the WAL tail; no other file in dir is
 // read.
 func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, error) {
 	start := time.Now()
@@ -396,23 +366,6 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 		d.log.seq.Store(d.ckptSeq)
 	}
 
-	bootstrap := false
-	if st.Version() == 0 && wst.Records == 0 {
-		// A store that never checkpointed and has no WAL records may sit
-		// on a plain sink file from before the durable store existed:
-		// adopt its contents and convert by checkpointing them below.
-		// With WAL records present the WAL covers everything appended
-		// through this store, so the file is not the store's to read.
-		entries, truncated, err := readSinkFile(filepath.Join(dir, "log.jsonl"))
-		if err != nil {
-			return fail(fmt.Errorf("audit: bootstrap from log.jsonl: %w", err))
-		}
-		rs.TruncatedLine = truncated
-		rs.CheckpointEntries = len(entries)
-		d.log.bulkLoad(entries)
-		bootstrap = len(entries) > 0 || truncated
-	}
-
 	d.wal, err = storage.OpenWAL(walDir, storage.WALOptions{
 		SegmentBytes:   o.SegmentBytes,
 		CommitInterval: o.CommitInterval,
@@ -426,11 +379,11 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 	// Epoch continuity: a clean restart (no tail, no wreckage) rebuilds
 	// the log byte-for-byte, so restoring the checkpointed epoch keeps
 	// old Delta cursors valid. Any recovery that changed what a cursor
-	// would have seen — a replayed tail, a bootstrap, a torn WAL —
-	// advances the epoch so stale cursors mismatch and their consumers
-	// (mining sessions included) resync instead of silently skipping
-	// recovered entries.
-	recovered := bootstrap || rs.WALEntries > 0 || rs.TornTail
+	// would have seen — a replayed tail or a torn WAL — advances the
+	// epoch so stale cursors mismatch and their consumers (mining
+	// sessions included) resync instead of silently skipping recovered
+	// entries.
+	recovered := rs.WALEntries > 0 || rs.TornTail
 	if recovered {
 		epoch++
 	}
@@ -445,7 +398,7 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 		}
 	}
 
-	d.log.setBatchSink(&walFeed{w: d.wal}, o.OnErr, o.Sink)
+	d.log.attachWAL(d.wal, o.OnErr)
 	rs.IndexGroups = len(d.log.Groups())
 	rs.Elapsed = time.Since(start)
 	return d, rs, nil
@@ -507,20 +460,6 @@ func (d *Durable) scanIndex(lo, hi []byte) ([]stamped, error) {
 	return out, err
 }
 
-// readSinkFile reads a plain JSONL sink file, tolerating a torn final
-// line; a missing file reads as empty.
-func readSinkFile(path string) ([]Entry, bool, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	defer f.Close()
-	return ReadJSONLTolerant(f)
-}
-
 // Log returns the in-memory log backed by this store. Appends through
 // it flow into the WAL via the attached sink. Structural mutation
 // does NOT: retention must go through Durable.Expire — calling
@@ -535,7 +474,7 @@ func (d *Durable) Append(entries ...Entry) error { return d.log.Append(entries..
 
 // Sync blocks until every entry appended before the call is durable
 // in the WAL (one shared group-commit fsync away, not one per entry).
-func (d *Durable) Sync() { d.log.Flush() }
+func (d *Durable) Sync() { d.log.flush() }
 
 // CheckpointSeq returns the sequence number of the last checkpoint
 // cut (entries at or below it live in the index).
@@ -741,7 +680,7 @@ func (d *Durable) Expire(cutoff, exceptionCutoff time.Time) (int, error) {
 // acknowledged append durable), then releases the WAL and the index
 // store. It does not checkpoint; reopening replays the WAL tail.
 func (d *Durable) Close() error {
-	d.log.CloseSink()
+	d.log.closeSink()
 	err := d.wal.Close()
 	if e := d.store.Close(); err == nil {
 		err = e

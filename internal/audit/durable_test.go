@@ -288,82 +288,6 @@ func TestDurableExpireDifferential(t *testing.T) {
 	check(d2)
 }
 
-// TestDurableBootstrapFromSinkFile adopts a plain JSONL sink file —
-// including a torn final line, the wreckage the old sink path could
-// leave — as the initial durable state.
-func TestDurableBootstrapFromSinkFile(t *testing.T) {
-	dir := t.TempDir()
-	entries := genDurableEntries(120, 5)
-	for i := range entries {
-		entries[i].Site = "legacy"
-	}
-	var b bytes.Buffer
-	if err := WriteJSONL(&b, entries); err != nil {
-		t.Fatal(err)
-	}
-	raw := b.Bytes()
-	torn := raw[:len(raw)-17] // cut into the final line
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "log.jsonl"), torn, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	d, rs, err := OpenDurable("legacy", dir, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rs.TruncatedLine {
-		t.Fatalf("torn final line not reported: %+v", rs)
-	}
-	if rs.CheckpointEntries != len(entries)-1 {
-		t.Fatalf("bootstrapped %d entries, want %d", rs.CheckpointEntries, len(entries)-1)
-	}
-	if err := d.Append(genDurableEntries(10, 6)...); err != nil {
-		t.Fatal(err)
-	}
-	want := d.Log().Snapshot()
-	d.Close()
-
-	d2, _, err := OpenDurable("legacy", dir, DurableOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	if !bytes.Equal(jsonlBytes(t, d2.Log().Snapshot()), jsonlBytes(t, want)) {
-		t.Fatal("bootstrap + append did not round-trip")
-	}
-}
-
-func TestReadJSONLTolerant(t *testing.T) {
-	entries := genDurableEntries(5, 7)
-	var b bytes.Buffer
-	if err := WriteJSONL(&b, entries); err != nil {
-		t.Fatal(err)
-	}
-	raw := b.Bytes()
-
-	got, truncated, err := ReadJSONLTolerant(bytes.NewReader(raw))
-	if err != nil || truncated || len(got) != 5 {
-		t.Fatalf("clean file: n=%d truncated=%v err=%v", len(got), truncated, err)
-	}
-	got, truncated, err = ReadJSONLTolerant(bytes.NewReader(raw[:len(raw)-9]))
-	if err != nil || !truncated || len(got) != 4 {
-		t.Fatalf("torn tail: n=%d truncated=%v err=%v", len(got), truncated, err)
-	}
-	// Trailing newline missing but the line complete: not truncated.
-	got, truncated, err = ReadJSONLTolerant(bytes.NewReader(raw[:len(raw)-1]))
-	if err != nil || truncated || len(got) != 5 {
-		t.Fatalf("missing newline: n=%d truncated=%v err=%v", len(got), truncated, err)
-	}
-	// Mid-file corruption is an error, not tolerance.
-	bad := append([]byte("{garbage}\n"), raw...)
-	if _, _, err := ReadJSONLTolerant(bytes.NewReader(bad)); err == nil {
-		t.Fatal("mid-file corruption read without error")
-	}
-}
-
 // TestDurableDeltaResyncAfterRecovery: a Delta cursor taken before a
 // crash must be detected as stale after recovery replays a WAL tail,
 // so incremental mining state is rebuilt instead of silently skipping
@@ -776,15 +700,23 @@ func TestDurableDirectExpireRejected(t *testing.T) {
 	}
 }
 
-// TestDurableDirLayout: the store's directory holds exactly the two
-// artifacts — index.db and wal/ — through appends, a checkpoint, an
-// expiry and a reopen. No JSONL copy of the log is written.
+// TestDurableDirLayout: the store writes exactly two artifacts —
+// index.db and wal/ — through appends, a checkpoint, an expiry and a
+// reopen. No JSONL copy of the log is written, and a well-formed
+// log.jsonl beside a fresh store is never read.
 func TestDurableDirLayout(t *testing.T) {
 	dir := t.TempDir()
+	stray := jsonlBytes(t, genDurableEntries(5, 16))
+	if err := os.WriteFile(filepath.Join(dir, "log.jsonl"), stray, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	entries := genDurableEntries(120, 15)
-	d, _, err := OpenDurable("s", dir, DurableOptions{})
+	d, rs, err := OpenDurable("s", dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rs.CheckpointEntries != 0 || d.Log().Len() != 0 {
+		t.Fatalf("fresh store opened with %d entries (stats %+v)", d.Log().Len(), rs)
 	}
 	if err := d.Append(entries[:80]...); err != nil {
 		t.Fatal(err)
@@ -817,8 +749,11 @@ func TestDurableDirLayout(t *testing.T) {
 	for _, de := range des {
 		names = append(names, de.Name())
 	}
-	if fmt.Sprint(names) != "[index.db wal]" {
-		t.Fatalf("store directory holds %v, want [index.db wal]", names)
+	if fmt.Sprint(names) != "[index.db log.jsonl wal]" {
+		t.Fatalf("store directory holds %v, want [index.db log.jsonl wal]", names)
+	}
+	if raw, err := os.ReadFile(filepath.Join(dir, "log.jsonl")); err != nil || !bytes.Equal(raw, stray) {
+		t.Fatalf("log.jsonl changed (err %v)", err)
 	}
 }
 

@@ -31,7 +31,8 @@ import (
 // SQL COUNT(DISTINCT user); the log-wide Stats normalize users,
 // mirroring Summarize. Within a shard, values are the dictionary ids
 // of its records (one id per raw value), and instants are a record's
-// nanoseconds and zone id; readers resolve them under the read lock.
+// nanoseconds, sequence number and zone id; readers resolve them under
+// the read lock.
 
 // groupKey is the raw GROUP BY identity of the default analysis
 // attribute set (data, purpose, authorized), as dictionary ids.
@@ -48,10 +49,37 @@ type groupName struct {
 	authorized string
 }
 
-// instant is a record's time: nanoseconds and zone id.
+// instant is a record's time: nanoseconds and zone id, plus the
+// record's sequence number to order equal times.
 type instant struct {
 	ns   int64
+	seq  uint64
 	zone uint32
+}
+
+// before reports whether a is a better window start than b: an earlier
+// time, or the same time at a lower sequence number. after is the same
+// for the window end. Of equal instants, whatever their zones, both
+// bounds keep the row appended first, as Summarize over a Snapshot
+// does, independent of shard and fold order.
+func (a instant) before(b instant) bool { return a.ns < b.ns || a.ns == b.ns && a.seq < b.seq }
+
+func (a instant) after(b instant) bool { return a.ns > b.ns || a.ns == b.ns && a.seq < b.seq }
+
+// widen extends the window [first, last] to cover at. Appends mostly
+// arrive in time order, so a later time than the window's end returns
+// after one comparison.
+func widen(first, last *instant, at instant) {
+	if at.ns > last.ns {
+		*last = at
+		return
+	}
+	if at.before(*first) {
+		*first = at
+	}
+	if at.after(*last) {
+		*last = at
+	}
 }
 
 // groupAcc is one shard's accumulator for a group.
@@ -147,18 +175,16 @@ func (st *statsAcc) addUser(u uint32) {
 // shard lock must be held. Users are recorded raw and normalized on
 // the O(users) read side instead of the O(entries) write side —
 // normalize(union raw) equals union(normalize) so Summary is
-// unchanged. Windows keep the first-folded of equal instants, as
+// unchanged. Windows keep the lowest-seq of equal instants, as
 // Summarize does.
 func (s *shard) indexLocked(r *record) {
-	at := instant{ns: r.ns, zone: r.zone}
+	at := instant{ns: r.ns, seq: r.seq, zone: r.zone}
 	allow, exception := Op(r.op) == Allow, Status(r.status) == Exception
 	st := &s.stats
 	if st.total == 0 {
 		st.first, st.last = at, at
-	} else if r.ns < st.first.ns {
-		st.first = at
-	} else if r.ns > st.last.ns {
-		st.last = at
+	} else {
+		widen(&st.first, &st.last, at)
 	}
 	st.total++
 	if allow {
@@ -188,10 +214,8 @@ func (s *shard) indexLocked(r *record) {
 	if exception && allow {
 		if g.practice == 0 {
 			g.first, g.last = at, at
-		} else if r.ns < g.first.ns {
-			g.first = at
-		} else if r.ns > g.last.ns {
-			g.last = at
+		} else {
+			widen(&g.first, &g.last, at)
 		}
 		g.practice++
 		if g.users == nil {
@@ -275,9 +299,14 @@ func (l *Log) Groups() []Group { return MergeGroups(l) }
 // unioned active days, widened practice windows) in O(groups) without
 // materializing a merged entry stream. MergeGroups(l) is exactly
 // l.Groups(). FirstSeq is the minimum over the logs, so it orders
-// rules only within one log.
+// rules only within one log; so do the sequence numbers that pick the
+// zone of equal-instant window bounds.
 func MergeGroups(logs ...*Log) []Group {
-	acc := make(map[groupName]*Group)
+	type merged struct {
+		Group
+		first, last instant // the window bounds First and Last resolve
+	}
+	acc := make(map[groupName]*merged)
 	for _, l := range logs {
 		for _, sh := range l.shards {
 			sh.mu.RLock()
@@ -285,8 +314,8 @@ func MergeGroups(logs ...*Log) []Group {
 				name := groupName{sh.strs[k.data], sh.strs[k.purpose], sh.strs[k.authorized]}
 				m := acc[name]
 				if m == nil {
-					m = &Group{Data: name.data, Purpose: name.purpose, Authorized: name.authorized,
-						Key: g.canon, FirstSeq: g.firstSeq}
+					m = &merged{Group: Group{Data: name.data, Purpose: name.purpose, Authorized: name.authorized,
+						Key: g.canon, FirstSeq: g.firstSeq}}
 					acc[name] = m
 				}
 				if g.firstSeq < m.FirstSeq {
@@ -307,11 +336,12 @@ func MergeGroups(logs ...*Log) []Group {
 					m.Days = unionDays(m.Days, g.days)
 				}
 				if g.practice > 0 {
-					if first := sh.time(g.first.ns, g.first.zone); m.First.IsZero() || first.Before(m.First) {
-						m.First = first
+					// m.Practice == g.practice: the first practice rows seen.
+					if m.Practice == g.practice || g.first.before(m.first) {
+						m.first, m.First = g.first, sh.time(g.first.ns, g.first.zone)
 					}
-					if last := sh.time(g.last.ns, g.last.zone); last.After(m.Last) {
-						m.Last = last
+					if m.Practice == g.practice || g.last.after(m.last) {
+						m.last, m.Last = g.last, sh.time(g.last.ns, g.last.zone)
 					}
 				}
 			}
@@ -321,7 +351,7 @@ func MergeGroups(logs ...*Log) []Group {
 	out := make([]Group, 0, len(acc))
 	for _, m := range acc {
 		m.PracticeUsers = len(m.Users)
-		out = append(out, *m)
+		out = append(out, m.Group)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Data != out[j].Data {
@@ -426,6 +456,7 @@ func (l *Log) PracticeShards() [][]PracticeGroup {
 // materializing a snapshot.
 func (l *Log) Summary() Stats {
 	var s Stats
+	var first, last instant // the window bounds s.First and s.Last resolve
 	users := make(map[string]struct{})
 	for _, sh := range l.shards {
 		sh.mu.RLock()
@@ -441,11 +472,12 @@ func (l *Log) Summary() Stats {
 			}
 		}
 		if st.total > 0 {
-			if first := sh.time(st.first.ns, st.first.zone); s.First.IsZero() || first.Before(s.First) {
-				s.First = first
+			// s.Total == st.total: the first rows seen.
+			if s.Total == st.total || st.first.before(first) {
+				first, s.First = st.first, sh.time(st.first.ns, st.first.zone)
 			}
-			if last := sh.time(st.last.ns, st.last.zone); last.After(s.Last) {
-				s.Last = last
+			if s.Total == st.total || st.last.after(last) {
+				last, s.Last = st.last, sh.time(st.last.ns, st.last.zone)
 			}
 		}
 		sh.mu.RUnlock()

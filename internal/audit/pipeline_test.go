@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -254,41 +252,6 @@ func TestConcurrentAppendSnapshotExceptions(t *testing.T) {
 	}
 }
 
-// TestSinkFlushOnClose verifies the flusher drains everything on
-// CloseSink even when no size/interval trigger fired.
-func TestSinkFlushOnClose(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLog("ward")
-	l.SetSinkOptions(&buf, nil, SinkOptions{BatchSize: 1 << 20, Interval: -1})
-	entries := genEntries(57)
-	if err := l.Append(entries...); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() != 0 {
-		// Nothing should have been written yet: batch trigger is huge
-		// and the timer is disabled. (Reading buf here is safe only
-		// because the flusher cannot have flushed.)
-		t.Log("early flush observed; continuing")
-	}
-	l.CloseSink()
-	got, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(entries) {
-		t.Fatalf("sink drained %d entries, want %d", len(got), len(entries))
-	}
-	// Flush ordering: the durable stream is in append (sequence) order.
-	if !reflect.DeepEqual(got, l.Snapshot()) {
-		t.Fatal("sink stream order != append order")
-	}
-	// CloseSink is idempotent and detaches.
-	l.CloseSink()
-	if err := l.Append(entries[0]); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestAppendJSONLineMatchesStdlib pins the flusher's reflection-free
 // encoder to the stdlib json.Encoder byte for byte, across the plain
 // fast path, the omitempty fields, and the escaping fallback.
@@ -331,139 +294,6 @@ func TestAppendJSONLineMatchesStdlib(t *testing.T) {
 		}
 	}
 }
-
-// TestSinkFlushBarrier verifies Flush waits for everything appended
-// before it, without closing the sink.
-func TestSinkFlushBarrier(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLog("ward")
-	l.SetSinkOptions(&buf, nil, SinkOptions{BatchSize: 1 << 20, Interval: -1})
-	if err := l.Append(genEntries(10)...); err != nil {
-		t.Fatal(err)
-	}
-	l.Flush()
-	if got, err := ReadJSONL(bytes.NewReader(buf.Bytes())); err != nil || len(got) != 10 {
-		t.Fatalf("after Flush: %d entries, err %v", len(got), err)
-	}
-	l.CloseSink()
-}
-
-// TestSinkConcurrentAppendOrdered runs concurrent appenders against a
-// sink and checks the durable stream is exactly the sequence order —
-// the flush-ordering invariant under contention (run with -race).
-func TestSinkConcurrentAppendOrdered(t *testing.T) {
-	var mu sync.Mutex
-	var buf bytes.Buffer
-	w := writerFunc(func(p []byte) (int, error) {
-		mu.Lock()
-		defer mu.Unlock()
-		return buf.Write(p)
-	})
-	l := NewLog("ward")
-	l.SetSinkOptions(w, nil, SinkOptions{BatchSize: 8, Interval: time.Millisecond})
-	const writers = 6
-	const perWriter = 150
-	var wg sync.WaitGroup
-	for wi := 0; wi < writers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				e := Entry{
-					Time: t0, Op: Allow, Status: Regular,
-					User: fmt.Sprintf("w%d-%d", wi, i),
-					Data: "referral", Purpose: "treatment", Authorized: "nurse",
-				}
-				if err := l.Append(e); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(wi)
-	}
-	wg.Wait()
-	l.CloseSink()
-	mu.Lock()
-	got, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
-	mu.Unlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := l.Snapshot(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("durable stream (%d entries) != append order (%d entries)", len(got), len(want))
-	}
-}
-
-// TestSinkFullQueueBlocks: a stalled writer with a tiny queue holds
-// the appender back instead of losing entries, and once the writer
-// drains, the sink stream is every entry in append order.
-func TestSinkFullQueueBlocks(t *testing.T) {
-	release := make(chan struct{})
-	var mu sync.Mutex
-	var buf bytes.Buffer
-	stall := writerFunc(func(p []byte) (int, error) {
-		<-release
-		mu.Lock()
-		defer mu.Unlock()
-		return buf.Write(p)
-	})
-	l := NewLog("ward")
-	l.SetSinkOptions(stall, nil, SinkOptions{BatchSize: 1, Interval: -1, Queue: 2})
-	const n = 32
-	var appended atomic.Int64
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < n; i++ {
-			if err := l.Append(entry(t0, fmt.Sprintf("u%d", i), "d", "p", "r", Regular)); err != nil {
-				t.Error(err)
-				return
-			}
-			appended.Add(1)
-		}
-	}()
-	time.Sleep(50 * time.Millisecond)
-	if got := appended.Load(); got >= n {
-		t.Fatalf("all %d appends returned past a stalled writer with a 2-entry queue", got)
-	}
-	close(release)
-	<-done
-	l.CloseSink()
-	got, err := ReadJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := l.Snapshot(); len(want) != n || !reflect.DeepEqual(got, want) {
-		t.Fatalf("sink stream (%d entries) != append order (%d entries)", len(got), len(want))
-	}
-}
-
-// TestSetSinkReplacesAndDrains: swapping sinks flushes the old one.
-func TestSetSinkReplacesAndDrains(t *testing.T) {
-	var first, second bytes.Buffer
-	l := NewLog("ward")
-	l.SetSinkOptions(&first, nil, SinkOptions{BatchSize: 1 << 20, Interval: -1})
-	if err := l.Append(genEntries(5)...); err != nil {
-		t.Fatal(err)
-	}
-	l.SetSinkOptions(&second, nil, SinkOptions{BatchSize: 1 << 20, Interval: -1})
-	if got, err := ReadJSONL(&first); err != nil || len(got) != 5 {
-		t.Fatalf("old sink drained %d entries, err %v", len(got), err)
-	}
-	if err := l.Append(genEntries(3)...); err != nil {
-		t.Fatal(err)
-	}
-	l.CloseSink()
-	if got, err := ReadJSONL(&second); err != nil || len(got) != 3 {
-		t.Fatalf("new sink drained %d entries, err %v", len(got), err)
-	}
-}
-
-type writerFunc func([]byte) (int, error)
-
-func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
-
-var _ io.Writer = writerFunc(nil)
 
 // TestEvidenceFoldUsesEntryClock pins the evidence features the index
 // folds: off-hours on the entry's own zone clock, active days on UTC

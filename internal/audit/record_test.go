@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"sort"
 	"sync"
@@ -14,6 +15,7 @@ import (
 	"unsafe"
 
 	"repro/internal/policy"
+	"repro/internal/storage"
 )
 
 // TestRecordLayout pins the retained-entry layout: a shard record is at
@@ -150,31 +152,27 @@ func containsDay(days []int32, d int32) bool {
 	return false
 }
 
-// sameGroups compares index views. Window bounds compare as instants:
-// of equal instants in different zones, the merged view keeps the one
-// from the lowest shard, not the earliest row.
-func sameGroups(a, b []Group) bool {
-	if len(a) != len(b) {
-		return false
+// walEntries replays the durable store's WAL in dir and decodes every
+// record, in LSN order.
+func walEntries(t *testing.T, dir string) []stamped {
+	t.Helper()
+	var out []stamped
+	if _, err := storage.Replay(filepath.Join(dir, "wal"), nil, func(lsn uint64, p []byte) error {
+		seq, e, err := decodeStamped(p)
+		out = append(out, stamped{seq: seq, e: e})
+		return err
+	}); err != nil {
+		t.Fatal(err)
 	}
-	for i := range a {
-		x, y := a[i], b[i]
-		if !x.First.Equal(y.First) || !x.Last.Equal(y.Last) {
-			return false
-		}
-		x.First, x.Last, y.First, y.Last = time.Time{}, time.Time{}, time.Time{}, time.Time{}
-		if !reflect.DeepEqual(x, y) {
-			return false
-		}
-	}
-	return true
+	return out
 }
 
 // TestCompactLogMatchesEntries differentially checks the compact record
-// layout: seeded single, batch and sink-attached appends of entries
-// with monotonic, fixed-zone, local and UTC times, interleaved with
-// Expire, Rotate and Reset, read back through every view equal a plain
-// []Entry model.
+// layout: seeded single and batch appends, through a durable store's
+// sink, of entries with monotonic, fixed-zone, local and UTC times,
+// interleaved with Expire, Rotate and Reset, read back through every
+// view — window bounds with their zones — equal a plain []Entry model,
+// and the WAL holds every appended entry in append order.
 func TestCompactLogMatchesEntries(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	est := time.FixedZone("EST", -5*3600)
@@ -211,7 +209,13 @@ func TestCompactLogMatchesEntries(t *testing.T) {
 		return e
 	}
 
-	l := NewLog("main")
+	dir := t.TempDir()
+	d, _, err := OpenDurable("main", dir, DurableOptions{NoSync: true, OnErr: func(err error) { t.Error(err) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	l := d.Log()
 	m := &compactModel{site: "main"}
 	var cur Cursor
 	var seenLen int // model entries the Delta cursor has returned
@@ -248,10 +252,10 @@ func TestCompactLogMatchesEntries(t *testing.T) {
 		if got := l.SnapshotByTime(); len(got)+len(byTime) > 0 && !reflect.DeepEqual(got, byTime) {
 			fail("SnapshotByTime", got, byTime)
 		}
-		if got, w := l.Summary(), Summarize(want); !sameStats(got, w) {
+		if got, w := l.Summary(), Summarize(want); !reflect.DeepEqual(got, w) {
 			fail("Summary", got, w)
 		}
-		if got, w := l.Groups(), m.groups(); !sameGroups(got, w) {
+		if got, w := l.Groups(), m.groups(); len(got)+len(w) > 0 && !reflect.DeepEqual(got, w) {
 			fail("Groups", got, w)
 		}
 
@@ -287,9 +291,7 @@ func TestCompactLogMatchesEntries(t *testing.T) {
 		}
 	}
 
-	var sinkBuf bytes.Buffer
-	var sunk []Entry // model entries appended while the sink was attached
-	sinkOn := false
+	var appended []Entry // every model entry, retention aside
 	for step := 0; step < 300; step++ {
 		var what string
 		switch k := rng.Intn(20); {
@@ -300,9 +302,7 @@ func TestCompactLogMatchesEntries(t *testing.T) {
 				t.Fatal(err)
 			}
 			m.add(e)
-			if sinkOn {
-				sunk = append(sunk, m.entries[len(m.entries)-1])
-			}
+			appended = append(appended, m.entries[len(m.entries)-1])
 		case k < 14:
 			what = "batch append"
 			batch := make([]Entry, 2+rng.Intn(30))
@@ -314,24 +314,23 @@ func TestCompactLogMatchesEntries(t *testing.T) {
 			}
 			for _, e := range batch {
 				m.add(e)
-				if sinkOn {
-					sunk = append(sunk, m.entries[len(m.entries)-1])
-				}
+				appended = append(appended, m.entries[len(m.entries)-1])
 			}
 		case k < 16:
-			if sinkOn {
-				what = "sink detach"
-				l.CloseSink()
-				if got, w := sinkBuf.Bytes(), jsonlBytes(t, sunk); !bytes.Equal(got, w) {
-					t.Fatalf("step %d: sink bytes differ\ngot  %s\nwant %s", step, got, w)
+			what = "WAL"
+			d.Sync()
+			recs := walEntries(t, dir)
+			got := make([]Entry, len(recs))
+			for i, r := range recs {
+				if r.seq != uint64(i+1) {
+					t.Fatalf("step %d: WAL record %d has seq %d", step, i, r.seq)
 				}
-				sinkOn = false
-			} else {
-				what = "sink attach"
-				sinkBuf.Reset()
-				sunk = nil
-				l.SetSinkOptions(&sinkBuf, func(err error) { t.Error(err) }, SinkOptions{BatchSize: 7})
-				sinkOn = true
+				got[i] = r.e
+			}
+			// Decoded times keep instant and offset, which is what JSON
+			// encodes.
+			if g, w := jsonlBytes(t, got), jsonlBytes(t, appended); !bytes.Equal(g, w) {
+				t.Fatalf("step %d: WAL entries differ\ngot  %s\nwant %s", step, g, w)
 			}
 		case k < 18:
 			cut := base.Add(time.Duration(rng.Intn(48*60)-24*60) * time.Minute)
@@ -366,12 +365,51 @@ func TestCompactLogMatchesEntries(t *testing.T) {
 			exportable = true
 			exp, exported = ExportCursor{}, nil
 		}
-		if sinkOn {
-			l.Flush()
-		}
 		check(step, what)
 	}
-	l.CloseSink()
+}
+
+// TestWindowBoundsKeepFirstAppended: of equal instants in different
+// zones, the index's window bounds keep the zone of the row appended
+// first — what Summarize over a Snapshot picks for First and Last —
+// even when a later row sits in a lower-numbered shard.
+func TestWindowBoundsKeepFirstAppended(t *testing.T) {
+	l := NewLog("s")
+	est := time.FixedZone("EST", -5*3600)
+	first := entry(t0, "", "referral", "treatment", "nurse", Exception)
+	second := entry(t0.In(est), "", "referral", "treatment", "nurse", Exception)
+	// Route the EST row (seq 2) to a lower shard than the UTC row (seq 1).
+	for i := 0; first.User == "" || second.User == ""; i++ {
+		u := fmt.Sprintf("user%d", i)
+		probe := first
+		probe.User = u
+		switch si := l.shardIndex(&probe); {
+		case second.User == "" && si == 0:
+			second.User = u
+		case first.User == "" && si > 0:
+			first.User = u
+		}
+	}
+	if err := l.Append(first); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Append(second); err != nil {
+		t.Fatal(err)
+	}
+	want := Summarize(l.Snapshot())
+	if want.First.Location() != time.UTC || want.Last.Location() != time.UTC {
+		t.Fatalf("Summarize bounds in %v and %v, want UTC", want.First.Location(), want.Last.Location())
+	}
+	if got := l.Summary(); !reflect.DeepEqual(got, want) {
+		t.Errorf("Summary = %+v, want %+v", got, want)
+	}
+	gs := l.Groups()
+	if len(gs) != 1 {
+		t.Fatalf("%d groups, want 1", len(gs))
+	}
+	if !reflect.DeepEqual(gs[0].First, want.First) || !reflect.DeepEqual(gs[0].Last, want.Last) {
+		t.Errorf("group window [%v, %v], want [%v, %v]", gs[0].First, gs[0].Last, want.First, want.Last)
+	}
 }
 
 // shardStrings returns every value the log's shard dictionaries hold.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -137,16 +136,19 @@ func TestIndexReadsMatchSnapshotAcrossEpochs(t *testing.T) {
 }
 
 // TestIndexReadsMatchSnapshotConcurrent appends from several
-// goroutines, with and without a sink (whose batches take a different
-// append path), while a reader serves the index reads, then compares
-// with the oracle once the appends quiesce. Run under -race.
+// goroutines, to a plain log and to a durable one (whose sink batches
+// take a different append path), while a reader serves the index
+// reads, then compares with the oracle once the appends quiesce. Run
+// under -race.
 func TestIndexReadsMatchSnapshotConcurrent(t *testing.T) {
 	t.Run("plain", func(t *testing.T) { concurrentIndexReads(t, audit.NewLog("s")) })
-	t.Run("sink", func(t *testing.T) {
-		l := audit.NewLog("s")
-		l.SetSink(io.Discard, nil)
-		defer l.CloseSink()
-		concurrentIndexReads(t, l)
+	t.Run("durable", func(t *testing.T) {
+		d, _, err := audit.OpenDurable("s", t.TempDir(), audit.DurableOptions{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		concurrentIndexReads(t, d.Log())
 	})
 }
 

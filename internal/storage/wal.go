@@ -20,7 +20,10 @@ import (
 // once, and wakes every committer waiting at or below the batch's last
 // LSN — that one fsync amortized over the whole batch is the group
 // commit. Commit callers therefore wait at most one commit interval
-// plus one write+fsync.
+// plus one write+fsync. The append buffer holds at most
+// maxBufferedBytes of frames: past that, Append waits for the flusher
+// to swap the buffer out, so a stalled disk holds appenders back after
+// a fixed number of bytes instead of letting the buffer grow.
 //
 // Recovery reads segments in LSN order verifying each frame CRC. An
 // invalid frame at the tail of the final segment is a torn tail —
@@ -52,6 +55,10 @@ type WALOptions struct {
 const (
 	defaultSegmentBytes   = 16 << 20
 	defaultCommitInterval = 2 * time.Millisecond
+	// maxBufferedBytes bounds the frames waiting in the append buffer.
+	// A record larger than the bound is still admitted into an empty
+	// buffer.
+	maxBufferedBytes = 4 << 20
 )
 
 type walSegment struct {
@@ -75,6 +82,7 @@ type WAL struct {
 	closing  bool
 
 	work    sync.Cond // appenders -> flusher: buffer non-empty
+	room    sync.Cond // flusher -> appenders: buffer swapped out
 	synced  sync.Cond // flusher -> committers: durable advanced
 	done    chan struct{}
 	started bool
@@ -104,6 +112,7 @@ func OpenWAL(dir string, o WALOptions) (*WAL, error) {
 	}
 	w := &WAL{dir: dir, open: o.OpenFile, opts: o, done: make(chan struct{})}
 	w.work.L = &w.mu
+	w.room.L = &w.mu
 	w.synced.L = &w.mu
 
 	segs, err := listSegments(dir)
@@ -210,10 +219,15 @@ func writeSegmentHeader(f File, first uint64) error {
 }
 
 // Append buffers one record and returns its LSN. The record is not
-// durable until Commit(lsn) (or Sync) returns.
+// durable until Commit(lsn) (or Sync) returns. While the buffer cannot
+// take the record's frame within maxBufferedBytes, Append waits for the
+// flusher to swap it out; Close and a flusher error release it.
 func (w *WAL) Append(payload []byte) (uint64, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	for len(w.buf) > 0 && len(w.buf)+frameHeader+len(payload) > maxBufferedBytes && w.err == nil && !w.closing {
+		w.room.Wait()
+	}
 	if w.err != nil {
 		return 0, w.err
 	}
@@ -283,6 +297,7 @@ func (w *WAL) run() {
 		}
 		if (w.closing && len(w.buf) == 0) || w.err != nil {
 			w.synced.Broadcast() // release any committer still waiting
+			w.room.Broadcast()   // and any appender
 			w.mu.Unlock()
 			return
 		}
@@ -295,6 +310,7 @@ func (w *WAL) run() {
 		w.mu.Lock()
 		w.buf, w.flushing = w.flushing[:0], w.buf
 		batchEnd := w.bufEnd
+		w.room.Broadcast()
 		w.mu.Unlock()
 
 		err := w.writeBatch(w.flushing)
@@ -404,6 +420,7 @@ func (w *WAL) Close() error {
 	}
 	w.closing = true
 	w.work.Signal()
+	w.room.Broadcast()
 	w.mu.Unlock()
 	<-w.done
 	w.mu.Lock()

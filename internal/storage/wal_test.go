@@ -2,10 +2,12 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -389,4 +391,202 @@ func FuzzWALReplay(f *testing.F) {
 		w.Close()
 		Replay(dir, nil, func(lsn uint64, p []byte) error { return nil })
 	})
+}
+
+// stallFile stands in for a stalled disk: every write past the segment
+// header waits until release is closed, then fails with err when err is
+// set.
+type stallFile struct {
+	File
+	release <-chan struct{}
+	err     error
+}
+
+func (f stallFile) WriteAt(p []byte, off int64) (int, error) {
+	if off >= walHeaderSize {
+		<-f.release
+		if f.err != nil {
+			return 0, f.err
+		}
+	}
+	return f.File.WriteAt(p, off)
+}
+
+// openStalled opens a WAL in dir whose segment writes stall until
+// release is closed and then fail with err (nil: succeed).
+func openStalled(t *testing.T, dir string, release <-chan struct{}, err error) *WAL {
+	t.Helper()
+	w, oerr := OpenWAL(dir, WALOptions{CommitInterval: -1, OpenFile: func(p string) (File, error) {
+		f, err2 := OpenOSFile(p)
+		if err2 != nil {
+			return nil, err2
+		}
+		return stallFile{File: f, release: release, err: err}, nil
+	}})
+	if oerr != nil {
+		t.Fatal(oerr)
+	}
+	return w
+}
+
+// waitFull waits until the append buffer cannot take one more frame of
+// size frame, i.e. until the next Append of that size blocks.
+func waitFull(t *testing.T, w *WAL, frame int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		w.mu.Lock()
+		full := len(w.buf) > 0 && len(w.buf)+frame > maxBufferedBytes
+		w.mu.Unlock()
+		if full {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("append buffer never filled")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestWALAppendBlocksAtBound: with the disk stalled, appenders stop
+// once the buffer holds maxBufferedBytes of frames, whatever the
+// timing; once the disk moves again every record lands in LSN order.
+func TestWALAppendBlocksAtBound(t *testing.T) {
+	dir := t.TempDir()
+	release := make(chan struct{})
+	w := openStalled(t, dir, release, nil)
+	payload := bytes.Repeat([]byte{'p'}, 4096)
+	frame := frameHeader + len(payload)
+	n := 3 * maxBufferedBytes / frame
+	var appended atomic.Int64
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			binary.LittleEndian.PutUint32(payload, uint32(i))
+			if _, err := w.Append(payload); err != nil {
+				t.Error(err)
+				return
+			}
+			appended.Add(1)
+		}
+	}()
+	waitFull(t, w, frame)
+	time.Sleep(20 * time.Millisecond)
+	got := int(appended.Load())
+	// The flusher holds the first swapped-out batch, the buffer at most
+	// maxBufferedBytes more.
+	if got >= n || got*frame > 2*maxBufferedBytes {
+		t.Fatalf("%d appends (%d bytes) returned past a stalled disk", got, got*frame)
+	}
+	close(release)
+	<-done
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var replayed int
+	if _, err := Replay(dir, nil, func(lsn uint64, p []byte) error {
+		if i := binary.LittleEndian.Uint32(p); uint64(i) != lsn-1 {
+			return fmt.Errorf("lsn %d holds record %d", lsn, i)
+		}
+		replayed++
+		return nil
+	}); err != nil || replayed != n {
+		t.Fatalf("replayed %d of %d records, err %v", replayed, n, err)
+	}
+}
+
+// TestWALOversizedRecordAdmitted: a record larger than the bound still
+// goes into an empty buffer, and the next record waits behind it.
+func TestWALOversizedRecordAdmitted(t *testing.T) {
+	dir := t.TempDir()
+	release := make(chan struct{})
+	w := openStalled(t, dir, release, nil)
+	if _, err := w.Append([]byte("first")); err != nil {
+		t.Fatal(err)
+	}
+	big := bytes.Repeat([]byte{'b'}, maxBufferedBytes+1)
+	if _, err := w.Append(big); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := w.Append([]byte("last"))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("append returned (err %v) behind a full buffer and a stalled disk", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var sizes []int
+	if _, err := Replay(dir, nil, func(lsn uint64, p []byte) error {
+		sizes = append(sizes, len(p))
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{5, len(big), 4}; fmt.Sprint(sizes) != fmt.Sprint(want) {
+		t.Fatalf("replayed record sizes %v, want %v", sizes, want)
+	}
+}
+
+// TestWALBlockedAppendersReleased: Close and a sticky flusher error
+// each release appenders waiting at the bound with an error.
+func TestWALBlockedAppendersReleased(t *testing.T) {
+	diskErr := fmt.Errorf("disk gone")
+	for _, tc := range []struct {
+		name string
+		err  error // what the stalled write returns once released
+	}{{"close", nil}, {"flusher-error", diskErr}} {
+		t.Run(tc.name, func(t *testing.T) {
+			release := make(chan struct{})
+			w := openStalled(t, t.TempDir(), release, tc.err)
+			payload := bytes.Repeat([]byte{'p'}, 64<<10)
+			const appenders = 3
+			errs := make(chan error, appenders)
+			for g := 0; g < appenders; g++ {
+				go func() {
+					for {
+						if _, err := w.Append(payload); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}()
+			}
+			waitFull(t, w, frameHeader+len(payload))
+			closed := make(chan error, 1)
+			if tc.err == nil {
+				go func() { closed <- w.Close() }()
+			} else {
+				close(release)
+			}
+			for g := 0; g < appenders; g++ {
+				select {
+				case err := <-errs:
+					if tc.err != nil && err != tc.err {
+						t.Errorf("appender error %v, want %v", err, tc.err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatal("blocked appender never released")
+				}
+			}
+			if tc.err == nil {
+				close(release)
+				if err := <-closed; err != nil {
+					t.Fatal(err)
+				}
+			} else if err := w.Close(); err != tc.err {
+				t.Fatalf("Close = %v, want %v", err, tc.err)
+			}
+		})
+	}
 }
