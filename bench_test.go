@@ -465,10 +465,11 @@ func BenchmarkA1_IndexAblation(b *testing.B) {
 	}
 }
 
-// BenchmarkA2_PolicyRangeCache measures the enforcer's policy-range
-// cache: a stable policy hits the cache, while mutating the policy
-// between queries forces recomputation every time.
-func BenchmarkA2_PolicyRangeCache(b *testing.B) {
+// BenchmarkA2_DecisionSnapshot measures the enforcer's decision
+// snapshot: a stable policy reuses the published snapshot, while
+// mutating the policy between queries forces a rebuild (and a fresh
+// symbolic range) every time.
+func BenchmarkA2_DecisionSnapshot(b *testing.B) {
 	const sql = `SELECT referral FROM records`
 	b.Run("cache-hit", func(b *testing.B) {
 		sys := benchSystem(b)

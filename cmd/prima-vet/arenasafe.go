@@ -10,8 +10,9 @@ import (
 
 // arenasafe guards the immutable-after-publish contract of arena-
 // backed values (types marked prima:arena — policy.Range, whose rules
-// and key map are built once from the grounding arena and then shared
-// lock-free through RangeCache). The life cycle:
+// and key map are built once from the grounding arena, and the hdb
+// decision snapshot, query plan and specialization, which are read
+// lock-free once published). The life cycle:
 //
 //	fresh      the value was allocated here (composite literal) and
 //	           may be freely filled in;

@@ -122,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	prog := BuildProgram(loader, pkgs)
 
 	if *writeLO {
-		return regenerateLockOrder(prog, stderr)
+		return writeLockOrder(prog, stderr)
 	}
 
 	findings = append(findings, runProgramAnalyzers(selected, prog)...)

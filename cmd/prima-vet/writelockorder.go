@@ -10,8 +10,28 @@ import (
 	"strings"
 )
 
-// regenerateLockOrder rewrites cmd/prima-vet/lockorder.txt from the
-// acquisition graph observed in the loaded program:
+// writeLockOrder is the -write-lockorder path: it regenerates
+// cmd/prima-vet/lockorder.txt against the file's current contents and
+// writes the result back.
+func writeLockOrder(prog *Program, stderr io.Writer) int {
+	path := filepath.Join(prog.Loader.Root, "cmd", "prima-vet", "lockorder.txt")
+	existing := lockOrderPins
+	if data, err := os.ReadFile(path); err == nil {
+		existing = string(data)
+	}
+	out, err := regenerateLockOrder(prog, existing)
+	if err == nil {
+		err = os.WriteFile(path, []byte(out), 0o644)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "prima-vet: %v\n", err)
+		return 2
+	}
+	return 0
+}
+
+// regenerateLockOrder renders lockorder.txt from the acquisition
+// graph observed in the loaded program, given the existing file:
 //
 //   - the node set is every lock class acquired anywhere, plus every
 //     class already pinned (manual pins for classes the analysis
@@ -23,15 +43,10 @@ import (
 //
 // Leading comment lines of the existing file are preserved verbatim.
 // An acquisition cycle cannot be linearized: the classes involved are
-// reported and nothing is written (run the lockorder analyzer to see
-// the offending edges).
-func regenerateLockOrder(prog *Program, stderr io.Writer) int {
-	path := filepath.Join(prog.Loader.Root, "cmd", "prima-vet", "lockorder.txt")
+// named in the error (run the lockorder analyzer to see the offending
+// edges).
+func regenerateLockOrder(prog *Program, existing string) (string, error) {
 	var header []string
-	existing := lockOrderPins
-	if data, err := os.ReadFile(path); err == nil {
-		existing = string(data)
-	}
 	for _, line := range strings.Split(existing, "\n") {
 		if t := strings.TrimSpace(line); t != "" && !strings.HasPrefix(t, "#") {
 			break
@@ -119,9 +134,8 @@ func regenerateLockOrder(prog *Program, stderr io.Writer) int {
 			}
 		}
 		sort.Strings(stuck)
-		fmt.Fprintf(stderr, "prima-vet: acquisition graph has a cycle through %s; fix the deadlock before pinning an order\n",
+		return "", fmt.Errorf("acquisition graph has a cycle through %s; fix the deadlock before pinning an order",
 			strings.Join(stuck, ", "))
-		return 2
 	}
 
 	var sb strings.Builder
@@ -133,9 +147,5 @@ func regenerateLockOrder(prog *Program, stderr io.Writer) int {
 		sb.WriteString(c)
 		sb.WriteString("\n")
 	}
-	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
-		fmt.Fprintf(stderr, "prima-vet: %v\n", err)
-		return 2
-	}
-	return 0
+	return sb.String(), nil
 }

@@ -59,17 +59,10 @@ func main() {
 	// Policy decision, reusing the exact coverage machinery: a
 	// category is visible when (category, purpose, role) lies in the
 	// policy store's range.
-	rg, err := policy.NewRange(ps, v, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
+	rg := policy.SharedSym.Range(ps, v)
 	show := func(role, purpose string) {
 		allowed := func(category string) bool {
-			return rg.Contains(policy.MustRule(
-				policy.T("data", category),
-				policy.T("purpose", purpose),
-				policy.T("authorized", role),
-			))
+			return rg.ContainsTriple(v, category, purpose, role)
 		}
 		red := m.Redact(rec, allowed)
 		fmt.Printf("--- view for %s / %s (kept: %v, redacted: %d subtrees)\n",

@@ -67,7 +67,7 @@ type Store struct {
 	// inv memoizes OptedOut results per normalized (data, purpose),
 	// valid while gen is unchanged and no candidate record expires.
 	// Bounded by invCacheMax with wholesale drop, like
-	// policy.RangeCache.
+	// policy.SymCache.
 	inv map[invKey]invEntry
 	// gen counts mutations (Set/SetWithExpiry/Revoke). Read lock-free
 	// by the enforcement decision snapshot and the inv cache.

@@ -78,40 +78,19 @@ type Report struct {
 }
 
 // Coverage computes the coverage of px in relation to py and explains
-// every gap.
+// every gap. Only Range(Py) is listed (its ground rules are the
+// report's Matched and Gaps); Px is consulted symbolically, so a wide
+// composite store never needs expanding.
 func Coverage(px, py *policy.Policy, v *vocab.Vocabulary) (*Report, error) {
-	ry, err := policy.Shared.Range(py, v, 0)
+	ry, err := policy.NewRange(py, v, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: range of %s: %w", py.Name, err)
 	}
-	return coverageOf(px, ry, v)
-}
-
-// AuditCoverage is Coverage of ps in relation to the audit policy
-// P_AL built from a log's index groups (audit.GroupsPolicy): the same
-// report as Coverage(ps, audit.ToPolicy("AL", l.Snapshot()), v),
-// without the snapshot. P_AL is rebuilt on every call, so its range is
-// expanded directly instead of through policy.Shared, where one
-// throwaway policy per call would fill the cache and flush the
-// long-lived store ranges with it.
-func AuditCoverage(ps *policy.Policy, groups []audit.Group, v *vocab.Vocabulary) (*Report, error) {
-	al := audit.GroupsPolicy("AL", groups)
-	ry, err := policy.NewRange(al, v, 0)
-	if err != nil {
-		return nil, fmt.Errorf("core: range of %s: %w", al.Name, err)
-	}
-	return coverageOf(ps, ry, v)
-}
-
-// coverageOf measures px against the range ry and explains every gap.
-func coverageOf(px *policy.Policy, ry *policy.Range, v *vocab.Vocabulary) (*Report, error) {
-	rx, err := policy.Shared.Range(px, v, 0)
-	if err != nil {
-		return nil, fmt.Errorf("core: range of %s: %w", px.Name, err)
-	}
-	rep := &Report{RangeX: rx.Len(), RangeY: ry.Len()}
+	sx := policy.SharedSym.Range(px, v)
+	rep := &Report{RangeX: int(sx.Card()), RangeY: ry.Len()}
 	for _, g := range ry.Rules() {
-		if rx.Contains(g) {
+		sg, _ := policy.CompileRule(g, v)
+		if sx.Covers(sg) {
 			rep.Matched = append(rep.Matched, g)
 			continue
 		}
@@ -124,6 +103,14 @@ func coverageOf(px *policy.Policy, ry *policy.Range, v *vocab.Vocabulary) (*Repo
 		rep.Coverage = float64(rep.Overlap) / float64(rep.RangeY)
 	}
 	return rep, nil
+}
+
+// AuditCoverage is Coverage of ps in relation to the audit policy
+// P_AL built from a log's index groups (audit.GroupsPolicy): the same
+// report as Coverage(ps, audit.ToPolicy("AL", l.Snapshot()), v),
+// without the snapshot.
+func AuditCoverage(ps *policy.Policy, groups []audit.Group, v *vocab.Vocabulary) (*Report, error) {
+	return Coverage(ps, audit.GroupsPolicy("AL", groups), v)
 }
 
 // nearMisses finds the policy rules of px that cover g on all but one

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -225,5 +226,53 @@ func TestCoverageMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// wideVocabulary has 1100 data leaves under "records" and 1000
+// purpose leaves under "any", so the one rule {records, any, nurse}
+// derives 1.1M ground rules, more than policy.DefaultRangeLimit.
+func wideVocabulary() *vocab.Vocabulary {
+	v := vocab.New()
+	data := v.MustAttribute("data")
+	data.MustAdd("", "records")
+	for i := 0; i < 1100; i++ {
+		data.MustAdd("records", fmt.Sprintf("d%d", i))
+	}
+	purpose := v.MustAttribute("purpose")
+	purpose.MustAdd("", "any")
+	for i := 0; i < 1000; i++ {
+		purpose.MustAdd("any", fmt.Sprintf("p%d", i))
+	}
+	role := v.MustAttribute("authorized")
+	role.MustAdd("", "staff")
+	role.MustAdd("staff", "nurse")
+	role.MustAdd("staff", "clerk")
+	return v
+}
+
+// TestCoverageOfWideStore: Coverage lists only Range(Py); a covering
+// store whose range exceeds the expansion limit is consulted
+// symbolically and never materialized.
+func TestCoverageOfWideStore(t *testing.T) {
+	v := wideVocabulary()
+	px := policy.FromRules("PS", policy.MustRule(
+		policy.T("data", "records"), policy.T("purpose", "any"), policy.T("authorized", "nurse")))
+	if n := policy.NewSymRange(px, v).Card(); n <= policy.DefaultRangeLimit {
+		t.Fatalf("fixture: #Range(px) = %d, want above the expansion limit", n)
+	}
+	py := policy.FromRules("AL",
+		policy.MustRule(policy.T("data", "d3"), policy.T("purpose", "p7"), policy.T("authorized", "nurse")),
+		policy.MustRule(policy.T("data", "d3"), policy.T("purpose", "p7"), policy.T("authorized", "clerk")),
+	)
+	rep, err := Coverage(px, py, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RangeX != 1100*1000 || rep.RangeY != 2 || rep.Overlap != 1 || !almost(rep.Coverage, 0.5) {
+		t.Fatalf("report = RangeX %d RangeY %d Overlap %d Coverage %v", rep.RangeX, rep.RangeY, rep.Overlap, rep.Coverage)
+	}
+	if len(rep.Gaps) != 1 || len(rep.Gaps[0].NearMisses) != 1 || rep.Gaps[0].NearMisses[0].Attr != "authorized" {
+		t.Fatalf("gaps = %+v", rep.Gaps)
 	}
 }

@@ -35,13 +35,12 @@ type GeneralizeResult struct {
 }
 
 // Generalize rewrites ps into an equivalent minimal-ish policy over v.
-// The input policy is not modified.
+// The input policy is not modified. Every range question is answered
+// by the interval algebra (policy.SymRange), so no ground rule is
+// enumerated whatever the vocabulary's width.
 func Generalize(ps *policy.Policy, v *vocab.Vocabulary) (*GeneralizeResult, error) {
-	target, err := policy.NewRange(ps, v, 0)
-	if err != nil {
-		return nil, fmt.Errorf("core: range of %s: %w", ps.Name, err)
-	}
-	res := &GeneralizeResult{RulesBefore: ps.Len(), RangeSize: target.Len()}
+	target := policy.NewSymRange(ps, v)
+	res := &GeneralizeResult{RulesBefore: ps.Len(), RangeSize: int(target.Card())}
 
 	work := append([]policy.Rule(nil), ps.Rules()...)
 
@@ -73,64 +72,39 @@ func Generalize(ps *policy.Policy, v *vocab.Vocabulary) (*GeneralizeResult, erro
 	// Prune rules whose range is covered by the others. Consider
 	// bigger contributors last so specific leftovers are dropped in
 	// favour of the lifted composites.
+	compiled := make(map[string]policy.SymRule, len(work))
+	for _, r := range work {
+		compiled[r.Key()], _ = policy.CompileRule(r, v)
+	}
 	sort.SliceStable(work, func(i, j int) bool {
-		return rangeSize(work[i], v) > rangeSize(work[j], v)
+		return compiled[work[i].Key()].Card() > compiled[work[j].Key()].Card()
 	})
-	kept := policy.New(ps.Name)
+	var kept []policy.Rule
 	for i, r := range work {
-		others := policy.New("others")
-		for _, k := range kept.Rules() {
-			others.Add(k)
-		}
-		for _, later := range work[i+1:] {
-			others.Add(later)
-		}
-		orange, err := policy.NewRange(others, v, 0)
-		if err != nil {
-			return nil, err
-		}
-		grounds, truncated := r.Groundings(v, policy.DefaultRangeLimit)
-		if truncated {
-			return nil, fmt.Errorf("core: rule %s expands beyond the range limit", r)
-		}
-		redundant := true
-		for _, g := range grounds {
-			if !orange.Contains(g) {
-				redundant = false
-				break
-			}
-		}
-		if redundant {
+		others := policy.CompileRules(append(append([]policy.Rule(nil), kept...), work[i+1:]...), v)
+		if others.Covers(compiled[r.Key()]) {
 			res.Removed++
 			continue
 		}
-		kept.Add(r)
+		kept = append(kept, r)
 	}
 
 	// Sanity: the rewritten policy has the identical range.
-	after, err := policy.NewRange(kept, v, 0)
-	if err != nil {
-		return nil, err
-	}
-	if len(after.Keys()) != len(target.Keys()) {
+	after := policy.CompileRules(kept, v)
+	if after.Card() != target.Card() || !after.Subsumes(target) {
 		return nil, fmt.Errorf("core: generalization changed the range (%d -> %d ground rules); this is a bug",
-			target.Len(), after.Len())
-	}
-	for _, k := range target.Rules() {
-		if !after.Contains(k) {
-			return nil, fmt.Errorf("core: generalization lost ground rule %s; this is a bug", k)
-		}
+			target.Card(), after.Card())
 	}
 
-	res.Policy = kept
-	res.RulesAfter = kept.Len()
+	res.Policy = policy.FromRules(ps.Name, kept...)
+	res.RulesAfter = res.Policy.Len()
 	return res, nil
 }
 
 // liftOnce tries to replace one term's value with its parent such
 // that the lifted rule's range stays inside target. It returns the
 // first applicable lift (deterministic order).
-func liftOnce(r policy.Rule, v *vocab.Vocabulary, target *policy.Range) (policy.Rule, bool, error) {
+func liftOnce(r policy.Rule, v *vocab.Vocabulary, target *policy.SymRange) (policy.Rule, bool, error) {
 	for _, t := range r.Terms() {
 		h := v.Hierarchy(t.Attr)
 		if h == nil {
@@ -153,28 +127,9 @@ func liftOnce(r policy.Rule, v *vocab.Vocabulary, target *policy.Range) (policy.
 		if err != nil {
 			return policy.Rule{}, false, err
 		}
-		grounds, truncated := lifted.Groundings(v, policy.DefaultRangeLimit)
-		if truncated {
-			continue // too wide to verify; leave as is
-		}
-		within := true
-		for _, g := range grounds {
-			if !target.Contains(g) {
-				within = false
-				break
-			}
-		}
-		if within {
+		if sr, _ := policy.CompileRule(lifted, v); target.Covers(sr) {
 			return lifted, true, nil
 		}
 	}
 	return policy.Rule{}, false, nil
-}
-
-func rangeSize(r policy.Rule, v *vocab.Vocabulary) int {
-	n := 1
-	for _, t := range r.Terms() {
-		n *= len(v.GroundSet(t.Attr, t.Value))
-	}
-	return n
 }

@@ -9,20 +9,20 @@ import (
 )
 
 // This file holds the materializing oracles for Algorithm 1 and
-// Algorithm 6: every range is enumerated as ground rules through the
-// shared policy.RangeCache and compared by membership. They are exact
+// Algorithm 6: every range is enumerated as ground rules with
+// policy.NewRange and compared by membership. They are exact
 // wherever the ground ranges fit under policy.DefaultRangeLimit; the
 // differential tests in symbolic_test.go hold the symbolic production
 // paths to them.
 
 // materializedCoverage is ComputeCoverage over ground ranges: the
-// intersection is counted by membership against the cached range.
+// intersection is counted by membership against the ground range.
 func materializedCoverage(px, py *policy.Policy, v *vocab.Vocabulary) (float64, error) {
-	rx, err := policy.Shared.Range(px, v, 0) // getRange(Px, V)
+	rx, err := policy.NewRange(px, v, 0) // getRange(Px, V)
 	if err != nil {
 		return 0, fmt.Errorf("core: range of %s: %w", px.Name, err)
 	}
-	ry, err := policy.Shared.Range(py, v, 0) // getRange(Py, V)
+	ry, err := policy.NewRange(py, v, 0) // getRange(Py, V)
 	if err != nil {
 		return 0, fmt.Errorf("core: range of %s: %w", py.Name, err)
 	}
@@ -34,9 +34,9 @@ func materializedCoverage(px, py *policy.Policy, v *vocab.Vocabulary) (float64, 
 }
 
 // materializedEntryCoverage is EntryCoverage with each row tested by
-// canonical key against the cached ground range, sequentially.
+// canonical key against the ground range, sequentially.
 func materializedEntryCoverage(ps *policy.Policy, entries []audit.Entry, v *vocab.Vocabulary) (*EntryReport, error) {
-	rg, err := policy.Shared.Range(ps, v, 0)
+	rg, err := policy.NewRange(ps, v, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: range of %s: %w", ps.Name, err)
 	}
@@ -59,7 +59,7 @@ func materializedEntryCoverage(ps *policy.Policy, entries []audit.Entry, v *voca
 // materializedPrune is Prune by ground expansion: a pattern is covered
 // when every one of its ground rules is in the store's range.
 func materializedPrune(patterns []Pattern, ps *policy.Policy, v *vocab.Vocabulary) ([]Pattern, error) {
-	rg, err := policy.Shared.Range(ps, v, 0)
+	rg, err := policy.NewRange(ps, v, 0)
 	if err != nil {
 		return nil, fmt.Errorf("core: range of %s: %w", ps.Name, err)
 	}

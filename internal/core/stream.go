@@ -95,21 +95,20 @@ func PatternsFromGroups(groups []audit.Group, opts Options) ([]Pattern, error) {
 }
 
 // GroupCoverage computes §5 row-level coverage from the incremental
-// index in O(groups): every group's rows share one canonical rule
-// key, so membership is tested once per group and weighted by the
-// group size. Counts equal EntryCoverage over the same entries; the
-// Uncovered row list is not materialized (use EntryCoverage when the
-// offending rows themselves are needed).
+// index in O(groups): every group's rows share one (data, purpose,
+// authorized) triple, so membership is tested once per group — the
+// same interval probe EntryCoverage makes per row — and weighted by
+// the group size. Counts equal EntryCoverage over the same entries;
+// the Uncovered row list is not materialized (use EntryCoverage when
+// the offending rows themselves are needed). The error result is
+// always nil.
 func GroupCoverage(ps *policy.Policy, groups []audit.Group, v *vocab.Vocabulary) (*EntryReport, error) {
-	rg, err := policy.Shared.Range(ps, v, 0)
-	if err != nil {
-		return nil, fmt.Errorf("core: range of %s: %w", ps.Name, err)
-	}
+	srg := policy.SharedSym.Range(ps, v)
 	rep := &EntryReport{}
 	for i := range groups {
 		g := &groups[i]
 		rep.Total += g.Total
-		if rg.ContainsKey(g.Key) {
+		if srg.ContainsTriple(v, g.Data, g.Purpose, g.Authorized) {
 			rep.Covered += g.Total
 		}
 	}

@@ -24,7 +24,7 @@ import (
 // outcomes.
 
 // planCacheMax bounds the compiled-plan cache. On overflow the whole
-// cache is dropped (generation sweep), mirroring policy.RangeCache: a
+// cache is dropped (generation sweep), mirroring policy.SymCache: a
 // workload that overflows it is already paying parse costs, and
 // wholesale reset keeps the bound free of LRU bookkeeping on the hot
 // path.
@@ -42,12 +42,12 @@ type snapshotBuilder struct {
 
 // decisionSnapshot is an immutable compilation of one
 // (policy version, vocabulary generation, consent generation) state.
-// Ground (category, purpose, role) triples are interned to dense ids
-// and the permitted set is a flat bitset, so the common allowed()
-// check is two map probes and one bit test; composite values fall back
-// to range expansion, memoized per triple key. Snapshots are published
-// through Enforcer.snap with RCU semantics: readers atomically load
-// and never lock, writers build a fresh snapshot and swap the pointer.
+// It holds the policy store's symbolic range, so the allowed() check
+// for a ground (category, purpose, role) triple is an allocation-free
+// interval probe; composite values are decided by symbolic coverage,
+// memoized per triple key. Snapshots are published through
+// Enforcer.snap with RCU semantics: readers atomically load and never
+// lock, writers build a fresh snapshot and swap the pointer.
 //
 // prima:arena — a snapshot is filled during build and frozen at
 // publication; the only post-publication writes go through its
@@ -61,24 +61,11 @@ type decisionSnapshot struct {
 	// before a store mutation or the instant just after the horizon.
 	horizon time.Time
 
-	rg *policy.Range // compiled range, for composite fallback
+	rg *policy.SymRange // the policy store's Range(P), symbolically
 
-	// comp{Data,Purpose,Role} hold the normalized composite (non-leaf)
-	// values of each hierarchy: a value absent from its set is ground,
-	// so the bitset answers for it; a present value needs expansion.
-	compData    map[string]struct{}
-	compPurpose map[string]struct{}
-	compRole    map[string]struct{}
-
-	// Dense interning of the ground triples present in the range.
-	catID  map[string]int32
-	purID  map[string]int32
-	roleID map[string]int32
-	nPur   int
-	nRole  int
-	bits   []uint64 // (cat*nPur+pur)*nRole+role bit set => permitted
-
-	// composite memoizes fallback verdicts by canonical triple key.
+	// composite memoizes, by canonical triple key, the verdicts for
+	// triples ContainsTriple rejects: composite values and denied
+	// ground triples.
 	composite sync.Map // string -> bool
 }
 
@@ -100,50 +87,19 @@ func (s *decisionSnapshot) valid(e *Enforcer) bool {
 	return true
 }
 
-// allowed decides one (category, purpose, role) triple: bitset probe
-// for ground triples, memoized range expansion for composite values.
+// allowed decides one (category, purpose, role) triple: an interval
+// probe for ground triples; a composite value is allowed when every
+// ground rule it derives is in the range, decided symbolically and
+// memoized.
 func (s *decisionSnapshot) allowed(v *vocab.Vocabulary, category, purpose, role string) bool {
-	nc, np, nr := vocab.Norm(category), vocab.Norm(purpose), vocab.Norm(role)
-	_, cd := s.compData[nc]
-	_, cp := s.compPurpose[np]
-	_, cr := s.compRole[nr]
-	if !cd && !cp && !cr {
-		ci, ok := s.catID[nc]
-		if !ok {
-			return false
-		}
-		pi, ok := s.purID[np]
-		if !ok {
-			return false
-		}
-		ri, ok := s.roleID[nr]
-		if !ok {
-			return false
-		}
-		idx := (int(ci)*s.nPur+int(pi))*s.nRole + int(ri)
-		return s.bits[idx>>6]&(1<<uint(idx&63)) != 0
+	if s.rg.ContainsTriple(v, category, purpose, role) {
+		return true
 	}
 	key := policy.TripleKey(category, purpose, role)
-	if v, ok := s.composite.Load(key); ok {
-		return v.(bool)
+	if hit, ok := s.composite.Load(key); ok {
+		return hit.(bool)
 	}
-	rule := policy.MustRule(
-		policy.T("data", category),
-		policy.T("purpose", purpose),
-		policy.T("authorized", role),
-	)
-	res := true
-	grounds, truncated := rule.Groundings(v, policy.DefaultRangeLimit)
-	if truncated {
-		res = false
-	} else {
-		for _, g := range grounds {
-			if !s.rg.Contains(g) {
-				res = false
-				break
-			}
-		}
-	}
+	res := s.rg.CoversTriple(v, category, purpose, role)
 	s.composite.Store(key, res)
 	return res
 }
@@ -152,21 +108,18 @@ func (s *decisionSnapshot) allowed(v *vocab.Vocabulary, category, purpose, role 
 // builder lock when any version counter (or the consent expiry
 // horizon) has moved. The fast case is one atomic load plus three
 // atomic version compares.
-func (e *Enforcer) snapshot() (*decisionSnapshot, error) {
+func (e *Enforcer) snapshot() *decisionSnapshot {
 	if s := e.snap.Load(); s != nil && s.valid(e) {
-		return s, nil
+		return s
 	}
 	e.snapb.mu.Lock()
 	defer e.snapb.mu.Unlock()
 	if s := e.snap.Load(); s != nil && s.valid(e) {
-		return s, nil
+		return s
 	}
-	s, err := e.buildSnapshot()
-	if err != nil {
-		return nil, err
-	}
+	s := e.buildSnapshot()
 	e.snap.Store(s)
-	return s, nil
+	return s
 }
 
 // buildSnapshot compiles the current policy/vocabulary/consent state.
@@ -174,7 +127,7 @@ func (e *Enforcer) snapshot() (*decisionSnapshot, error) {
 // mutation mid-build leaves the snapshot stale-at-birth, which the
 // next valid() probe detects — the snapshot can claim an older state
 // than it holds, never a newer one.
-func (e *Enforcer) buildSnapshot() (*decisionSnapshot, error) {
+func (e *Enforcer) buildSnapshot() *decisionSnapshot {
 	s := &decisionSnapshot{
 		pver: e.ps.Version(),
 		vgen: e.v.Generation(),
@@ -183,68 +136,8 @@ func (e *Enforcer) buildSnapshot() (*decisionSnapshot, error) {
 		s.cgen = e.consent.Generation()
 		s.horizon = e.consent.ExpiryHorizon(time.Now())
 	}
-	rg, err := e.policyRange()
-	if err != nil {
-		return nil, err
-	}
-	s.rg = rg
-	s.compData = compositeSet(e.v, "data")
-	s.compPurpose = compositeSet(e.v, "purpose")
-	s.compRole = compositeSet(e.v, "authorized")
-
-	// Intern the ground triples of the range. Only rules of exactly
-	// the shape {data, purpose, authorized} can match an enforcement
-	// triple key, so others are skipped (the composite fallback works
-	// on the full range regardless).
-	type triple struct{ c, p, r string }
-	var triples []triple
-	s.catID = make(map[string]int32)
-	s.purID = make(map[string]int32)
-	s.roleID = make(map[string]int32)
-	for _, r := range rg.Rules() {
-		if r.Len() != 3 {
-			continue
-		}
-		d, okD := r.Value("data")
-		p, okP := r.Value("purpose")
-		a, okA := r.Value("authorized")
-		if !okD || !okP || !okA {
-			continue
-		}
-		t := triple{c: vocab.Norm(d), p: vocab.Norm(p), r: vocab.Norm(a)}
-		if _, ok := s.catID[t.c]; !ok {
-			s.catID[t.c] = int32(len(s.catID))
-		}
-		if _, ok := s.purID[t.p]; !ok {
-			s.purID[t.p] = int32(len(s.purID))
-		}
-		if _, ok := s.roleID[t.r]; !ok {
-			s.roleID[t.r] = int32(len(s.roleID))
-		}
-		triples = append(triples, t)
-	}
-	s.nPur = len(s.purID)
-	s.nRole = len(s.roleID)
-	total := len(s.catID) * s.nPur * s.nRole
-	s.bits = make([]uint64, (total+63)/64)
-	for _, t := range triples {
-		idx := (int(s.catID[t.c])*s.nPur+int(s.purID[t.p]))*s.nRole + int(s.roleID[t.r])
-		s.bits[idx>>6] |= 1 << uint(idx&63)
-	}
-	return s, nil
-}
-
-// compositeSet collects the normalized composite values of one
-// attribute hierarchy; nil-hierarchy attributes have none (every value
-// is atomic by definition).
-func compositeSet(v *vocab.Vocabulary, attr string) map[string]struct{} {
-	out := make(map[string]struct{})
-	if h := v.Hierarchy(attr); h != nil {
-		for _, val := range h.CompositeValues() {
-			out[val] = struct{}{}
-		}
-	}
-	return out
+	s.rg = policy.SharedSym.Range(e.ps, e.v)
+	return s
 }
 
 // planItem is the per-output-item analysis a specialization needs to
@@ -513,10 +406,7 @@ func (e *Enforcer) runFast(p Principal, purpose, reason, sql string, breakGlass 
 		return res, acc, nil
 	}
 
-	s, err := e.snapshot()
-	if err != nil {
-		return nil, nil, err
-	}
+	s := e.snapshot()
 	sp := pl.specFor(s, purpose, p.Role)
 	if sp == nil {
 		sp = e.specialize(pl, s, purpose, p.Role)

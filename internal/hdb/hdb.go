@@ -195,13 +195,6 @@ func (e *Enforcer) mapping(table string) (*TableMapping, error) {
 	return nil, fmt.Errorf("hdb: table %q is not registered for enforcement", table)
 }
 
-// policyRange returns the ground range of the policy store from the
-// shared range cache. The store's version counter makes the staleness
-// check O(1): no per-query fingerprint of the rule set.
-func (e *Enforcer) policyRange() (*policy.Range, error) {
-	return policy.Shared.Range(e.ps, e.v, 0)
-}
-
 // Access describes the outcome of one enforced query.
 type Access struct {
 	Categories []string // data categories the query touched

@@ -2,6 +2,7 @@ package hdb
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/audit"
 	"repro/internal/consent"
 	"repro/internal/minidb"
+	"repro/internal/policy"
 	"repro/internal/scenario"
 	"repro/internal/vocab"
 )
@@ -403,5 +405,60 @@ func TestDeniedCategoryInOrderByAndGroupByRejects(t *testing.T) {
 	if _, _, err := enf.Query(nurse(), "treatment",
 		`SELECT COUNT(*) FROM records HAVING MIN(psychiatry) = 'none'`); !errors.Is(err, ErrDenied) {
 		t.Errorf("HAVING leak: %v", err)
+	}
+}
+
+// TestQueryUnderWideStore: a store rule whose range exceeds the
+// ground-expansion limit (1100 data leaves × 1000 purpose leaves) is
+// enforced without being materialized, for ground and composite
+// categories alike.
+func TestQueryUnderWideStore(t *testing.T) {
+	v := vocab.New()
+	data := v.MustAttribute("data")
+	data.MustAdd("", "records")
+	data.MustAdd("records", "labs")
+	for i := 0; i < 1100; i++ {
+		data.MustAdd("labs", fmt.Sprintf("d%d", i))
+	}
+	purpose := v.MustAttribute("purpose")
+	purpose.MustAdd("", "any")
+	for i := 0; i < 1000; i++ {
+		purpose.MustAdd("any", fmt.Sprintf("p%d", i))
+	}
+	role := v.MustAttribute("authorized")
+	role.MustAdd("", "staff")
+	role.MustAdd("staff", "nurse")
+	role.MustAdd("staff", "clerk")
+	ps := policy.FromRules("PS", policy.MustRule(
+		policy.T("data", "labs"), policy.T("purpose", "any"), policy.T("authorized", "nurse")))
+	if n := policy.NewSymRange(ps, v).Card(); n <= policy.DefaultRangeLimit {
+		t.Fatalf("fixture: #Range(ps) = %d, want above the expansion limit", n)
+	}
+
+	db := minidb.NewDatabase()
+	db.MustExec(`CREATE TABLE results (patient TEXT, glucose TEXT, panel TEXT)`)
+	db.MustExec(`INSERT INTO results VALUES ('p1', '5.4', 'cbc')`)
+	enf := New(db, ps, v, nil, audit.NewLog("clinic"))
+	if err := enf.RegisterTable(TableMapping{
+		Table:      "results",
+		PatientCol: "patient",
+		Categories: map[string]string{"glucose": "d7", "panel": "labs"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const sql = `SELECT glucose, panel FROM results`
+	res, acc, err := enf.Query(Principal{User: "tim", Role: "nurse"}, "p42", sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 1 || len(acc.Masked) != 0 {
+		t.Fatalf("nurse: rows %d, access %+v", len(res.Rows), acc)
+	}
+	// "any" is composite: every one of its purposes is covered.
+	if _, acc, err := enf.Query(Principal{User: "tim", Role: "nurse"}, "any", sql); err != nil || len(acc.Masked) != 0 {
+		t.Fatalf("nurse for any purpose: access %+v, err %v", acc, err)
+	}
+	if _, _, err := enf.Query(Principal{User: "bill", Role: "clerk"}, "p42", sql); !errors.Is(err, ErrDenied) {
+		t.Fatalf("clerk: err = %v, want ErrDenied", err)
 	}
 }

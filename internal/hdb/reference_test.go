@@ -103,7 +103,7 @@ func (e *Enforcer) runSlow(p Principal, purpose, reason, sql string, breakGlass 
 	acc := &Access{Categories: allCats, Exception: breakGlass}
 
 	if !breakGlass {
-		rg, err := e.policyRange()
+		rg, err := policy.NewRange(e.ps, e.v, 0)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -2,7 +2,6 @@ package policy
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -24,9 +23,9 @@ type Policy struct {
 	// making Add/Contains/Remove O(1) instead of a linear scan.
 	index map[string]int
 	// version counts mutations. Every change to the rule set bumps it
-	// while mu is held, so caches (the enforcer's policy range,
-	// RangeCache, the enforcement decision snapshot) detect staleness
-	// with one integer compare instead of re-fingerprinting the store.
+	// while mu is held, so caches (SymCache, the enforcement decision
+	// snapshot) detect staleness with one integer compare instead of
+	// re-fingerprinting the store.
 	// The counter is atomic so the per-query validity probe on the
 	// enforcement fast path is a lock-free load.
 	version atomic.Uint64
@@ -121,7 +120,7 @@ func (p *Policy) SetRules(rules []Rule) {
 
 // Version returns the mutation counter: it increases on every change
 // to the rule set, so a cache can validate a derived artifact (the
-// policy's ground range, the enforcement decision snapshot) with one
+// policy's symbolic range, the enforcement decision snapshot) with one
 // integer compare. The read is lock-free.
 func (p *Policy) Version() uint64 {
 	return p.version.Load()
@@ -183,9 +182,8 @@ func (p *Policy) String() string {
 // (Definition 8), deduplicated by canonical key.
 //
 // prima:arena — a Range is built once over the grounding arena's flat
-// term arrays and key builder, then shared lock-free (RangeCache, the
-// enforcer); prima-vet's arenasafe analyzer rejects any write to a
-// Range after it has been published.
+// term arrays and key builder, then only read; prima-vet's arenasafe
+// analyzer rejects any write to a Range after it has been published.
 type Range struct {
 	rules []Rule
 	keys  map[string]int // canonical key -> index into rules
@@ -199,35 +197,33 @@ const DefaultRangeLimit = 1 << 20
 // ErrRangeTooLarge is returned when range expansion exceeds the limit.
 var ErrRangeTooLarge = fmt.Errorf("policy: range expansion exceeds limit")
 
-// NewRange computes Range_P under v (the paper's getRange(P, V)).
-// limit ≤ 0 applies DefaultRangeLimit.
-//
-// When the policy holds several rules and GOMAXPROCS > 1, the
-// groundings of each rule are expanded on a worker pool and merged
-// into the dedup map in rule order, so the result — rule order, key
-// set, and the ErrRangeTooLarge decision — is identical to the
-// sequential expansion.
+// NewRange computes Range_P under v (the paper's getRange(P, V)),
+// listing every ground rule. limit ≤ 0 applies DefaultRangeLimit.
+// Membership questions do not need the listing: SymRange answers them
+// without expansion. NewRange is for callers that emit ground rules.
 func NewRange(p *Policy, v *vocab.Vocabulary, limit int) (*Range, error) {
 	if limit <= 0 {
 		limit = DefaultRangeLimit
 	}
 	rules := p.Rules()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(rules) {
-		workers = len(rules)
+	sets, est := expandSets(rules, v, limit)
+	rg := &Range{keys: make(map[string]int, est), rules: make([]Rule, 0, est)}
+	for i, r := range rules {
+		grounds, truncated := groundProduct(sets[i], limit-len(rg.rules)+1)
+		if truncated || len(rg.rules)+len(grounds) > limit {
+			return nil, fmt.Errorf("%w (limit %d) expanding %s", ErrRangeTooLarge, limit, r)
+		}
+		for _, g := range grounds {
+			rg.add(g)
+		}
 	}
-	if workers <= 1 {
-		return newRangeSequential(rules, v, limit)
-	}
-	return newRangeParallel(rules, v, limit, workers)
+	return rg, nil
 }
 
 // expandSets derives the keyed ground set of every rule's terms up
 // front, sharing identical composite terms across rules via a memo,
 // and estimates the total grounding count (clamped at limit) so the
-// dedup map can be presized. Running this in the calling goroutine
-// keeps all vocabulary access single-threaded; workers then only
-// enumerate cartesian products.
+// dedup map can be presized.
 func expandSets(rules []Rule, v *vocab.Vocabulary, limit int) ([][][]Term, int) {
 	memo := make(map[string][]Term)
 	sets := make([][][]Term, len(rules))
@@ -248,68 +244,6 @@ func expandSets(rules []Rule, v *vocab.Vocabulary, limit int) ([][][]Term, int) 
 		}
 	}
 	return sets, est
-}
-
-func newRangeSequential(rules []Rule, v *vocab.Vocabulary, limit int) (*Range, error) {
-	sets, est := expandSets(rules, v, limit)
-	rg := &Range{keys: make(map[string]int, est), rules: make([]Rule, 0, est)}
-	for i, r := range rules {
-		grounds, truncated := groundProduct(sets[i], limit-len(rg.rules)+1)
-		if truncated || len(rg.rules)+len(grounds) > limit {
-			return nil, fmt.Errorf("%w (limit %d) expanding %s", ErrRangeTooLarge, limit, r)
-		}
-		for _, g := range grounds {
-			rg.add(g)
-		}
-	}
-	return rg, nil
-}
-
-// newRangeParallel fans the per-rule product enumerations out across
-// workers and merges the batches in rule order. Each worker expands
-// with cap limit+1 (it cannot know how much of the budget dedup will
-// consume), and the merge re-derives the exact sequential truncation
-// decision from the batch size and the deduplicated count so far.
-func newRangeParallel(rules []Rule, v *vocab.Vocabulary, limit, workers int) (*Range, error) {
-	sets, est := expandSets(rules, v, limit)
-	type batch struct {
-		grounds   []Rule
-		truncated bool
-	}
-	batches := make([]batch, len(rules))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				g, tr := groundProduct(sets[i], limit+1)
-				batches[i] = batch{grounds: g, truncated: tr}
-			}
-		}()
-	}
-	for i := range rules {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-
-	rg := &Range{keys: make(map[string]int, est), rules: make([]Rule, 0, est)}
-	for i, r := range rules {
-		b := batches[i]
-		// Sequential would have expanded with cap limit-#rg+1; it
-		// truncates iff the rule's grounding count exceeds that cap,
-		// and errors on truncation or on exceeding the limit.
-		lim := limit - len(rg.rules) + 1
-		if b.truncated || len(b.grounds) > lim || len(rg.rules)+len(b.grounds) > limit {
-			return nil, fmt.Errorf("%w (limit %d) expanding %s", ErrRangeTooLarge, limit, r)
-		}
-		for _, g := range b.grounds {
-			rg.add(g)
-		}
-	}
-	return rg, nil
 }
 
 func (rg *Range) add(g Rule) {
@@ -342,18 +276,6 @@ func (rg *Range) ContainsKey(key string) bool {
 	return ok
 }
 
-// Intersect returns the rules common to rg and other, using rule
-// identity over canonical keys (ground-rule equivalence, Definition 6).
-func (rg *Range) Intersect(other *Range) []Rule {
-	var out []Rule
-	for _, r := range rg.rules {
-		if other.Contains(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // IntersectCount returns #(rg ∩ other) without materializing the
 // intersection, counting membership against the smaller side — the
 // quantity Algorithm 1 actually needs.
@@ -369,18 +291,6 @@ func (rg *Range) IntersectCount(other *Range) int {
 		}
 	}
 	return n
-}
-
-// Complement returns the rules of rg that are not in other — the
-// paper's getComplement used by Prune (Algorithm 6).
-func (rg *Range) Complement(other *Range) []Rule {
-	var out []Rule
-	for _, r := range rg.rules {
-		if !other.Contains(r) {
-			out = append(out, r)
-		}
-	}
-	return out
 }
 
 // Keys returns the sorted canonical keys of the range; useful for

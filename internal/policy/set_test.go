@@ -58,37 +58,6 @@ func TestRangeLimit(t *testing.T) {
 	}
 }
 
-func TestRangeIntersectComplement(t *testing.T) {
-	v := sampleVocab()
-	a := FromRules("A",
-		MustRule(T("data", "demographic"), T("purpose", "billing")),
-	)
-	b := FromRules("B",
-		MustRule(T("data", "address"), T("purpose", "billing")),
-		MustRule(T("data", "referral"), T("purpose", "billing")),
-	)
-	ra, err := NewRange(a, v, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rb, err := NewRange(b, v, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inter := ra.Intersect(rb)
-	if len(inter) != 1 || inter[0].Key() != "data=address&purpose=billing" {
-		t.Errorf("intersection = %v", inter)
-	}
-	// Complement is symmetric-difference half: rb \ ra keeps referral.
-	comp := rb.Complement(ra)
-	if len(comp) != 1 || comp[0].Key() != "data=referral&purpose=billing" {
-		t.Errorf("complement = %v", comp)
-	}
-	if got := ra.Complement(ra); len(got) != 0 {
-		t.Errorf("self-complement = %v", got)
-	}
-}
-
 func TestRangeKeysSorted(t *testing.T) {
 	v := sampleVocab()
 	p := FromRules("PS", MustRule(T("data", "demographic"), T("purpose", "billing")))

@@ -439,6 +439,19 @@ func (rg *SymRange) ContainsTriple(v *vocab.Vocabulary, data, purpose, authorize
 	return false
 }
 
+// CoversTriple reports whether every ground rule derived from
+// {(data, d) ∧ (purpose, p) ∧ (authorized, a)} lies in the range: the
+// enforcement decision, which unlike ContainsTriple accepts composite
+// values. Ground triples take the ContainsTriple probe; a composite
+// one is compiled and decided by Covers.
+func (rg *SymRange) CoversTriple(v *vocab.Vocabulary, data, purpose, authorized string) bool {
+	if rg.ContainsTriple(v, data, purpose, authorized) {
+		return true
+	}
+	sr, _ := CompileRule(MustRule(T("data", data), T("purpose", purpose), T("authorized", authorized)), v)
+	return rg.Covers(sr)
+}
+
 // symPoint is one ground coordinate: a leaf position, or a foreign
 // value when the hierarchy does not know it.
 type symPoint struct {

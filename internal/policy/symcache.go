@@ -6,12 +6,11 @@ import (
 	"repro/internal/vocab"
 )
 
-// SymCache memoizes symbolic range compilations the way RangeCache
-// memoizes ground expansions: keyed on policy and vocabulary identity,
-// validated against their mutation counters. Compilation is cheap
-// (linear in the rule count), but the eager union-cardinality sweep is
-// not free, and the coverage fast path and lint both probe the same
-// slowly-changing store.
+// SymCache memoizes symbolic range compilations, keyed on policy and
+// vocabulary identity and validated against their mutation counters.
+// Compilation is cheap (linear in the rule count), but the eager
+// union-cardinality sweep is not free, and coverage, enforcement and
+// lint all probe the same slowly-changing store.
 //
 // A cached *SymRange is immutable after construction and safe for any
 // number of concurrent readers.
@@ -19,6 +18,13 @@ type SymCache struct {
 	mu      sync.Mutex
 	entries map[symCacheKey]symCacheEntry
 }
+
+// rangeCacheMax bounds the cache; short-lived policies (refinement
+// scratch stores, test fixtures) would otherwise pin their ranges
+// forever. Exceeding the bound drops the whole map: the cache exists
+// for the steady state of a few long-lived stores, where it never
+// trips.
+const rangeCacheMax = 256
 
 type symCacheKey struct {
 	p *Policy
@@ -36,14 +42,14 @@ func NewSymCache() *SymCache {
 	return &SymCache{entries: make(map[symCacheKey]symCacheEntry)}
 }
 
-// SharedSym is the process-wide symbolic range cache used by the
-// coverage algorithms and the lint pass.
+// SharedSym is the process-wide symbolic range cache: every
+// "is this rule in Range(P)?" question of coverage, enforcement,
+// tree-record redaction and lint goes through it.
 var SharedSym = NewSymCache()
 
 // Range returns the symbolic range of p under v, recompiling only when
 // the policy's version or the vocabulary's generation has moved since
-// the last call. Unlike RangeCache.Range it cannot fail: no ground
-// rule is ever materialized.
+// the last call. It cannot fail: no ground rule is ever materialized.
 func (c *SymCache) Range(p *Policy, v *vocab.Vocabulary) *SymRange {
 	key := symCacheKey{p: p, v: v}
 	pver := p.Version()
@@ -75,17 +81,6 @@ func (c *SymCache) Range(p *Policy, v *vocab.Vocabulary) *SymRange {
 	}
 	c.mu.Unlock()
 	return rg
-}
-
-// Invalidate drops any cached symbolic range for the given policy.
-func (c *SymCache) Invalidate(p *Policy) {
-	c.mu.Lock()
-	for k := range c.entries {
-		if k.p == p {
-			delete(c.entries, k)
-		}
-	}
-	c.mu.Unlock()
 }
 
 // Len reports how many symbolic ranges are currently cached.

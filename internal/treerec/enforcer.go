@@ -47,12 +47,9 @@ func (e *Enforcer) Fetch(p hdb.Principal, purpose string, rec *Node) (Redaction,
 	if strings.TrimSpace(purpose) == "" {
 		return Redaction{}, fmt.Errorf("treerec: a purpose is required")
 	}
-	rg, err := policy.NewRange(e.ps, e.v, 0)
-	if err != nil {
-		return Redaction{}, err
-	}
+	rg := policy.SharedSym.Range(e.ps, e.v)
 	red := e.mapping.Redact(rec, func(category string) bool {
-		return e.allowed(rg, category, purpose, p.Role)
+		return rg.CoversTriple(e.v, category, purpose, p.Role)
 	})
 	if len(red.Kept) == 0 && len(e.mapping.Classify(rec)) > 0 {
 		if err := e.auditCats(p, purpose, "", e.mapping.Classify(rec), audit.Deny, audit.Regular); err != nil {
@@ -84,24 +81,6 @@ func (e *Enforcer) BreakGlass(p hdb.Principal, purpose, reason string, rec *Node
 		return nil, err
 	}
 	return rec.Clone(), nil
-}
-
-func (e *Enforcer) allowed(rg *policy.Range, category, purpose, role string) bool {
-	rule := policy.MustRule(
-		policy.T("data", category),
-		policy.T("purpose", purpose),
-		policy.T("authorized", role),
-	)
-	grounds, truncated := rule.Groundings(e.v, policy.DefaultRangeLimit)
-	if truncated {
-		return false
-	}
-	for _, g := range grounds {
-		if !rg.Contains(g) {
-			return false
-		}
-	}
-	return true
 }
 
 // auditCats appends one entry per category and fails on the first

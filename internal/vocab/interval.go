@@ -89,8 +89,7 @@ func (ix *Intervals) Interval(value string) (Span, bool) {
 func (ix *Intervals) Len() int { return len(ix.spans) }
 
 // intervalCache publishes the hierarchy's interval snapshot. The
-// discipline mirrors the repo's other generation-validated caches
-// (policy.RangeCache, the hdb decision snapshot): readers load the
+// discipline mirrors the hdb decision snapshot: readers load the
 // atomic pointer and compare the snapshot's generation against the
 // vocabulary's counter lock-free; the mutex only serializes rebuilds
 // (singleflight) so concurrent readers of a stale cache do not all

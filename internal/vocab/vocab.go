@@ -196,23 +196,6 @@ func (h *Hierarchy) GroundSet(value string) []string {
 	return out
 }
 
-// CompositeValues returns the normalized form of every registered
-// value that is not ground (it has children), sorted. The enforcement
-// decision snapshot uses it to tell "ground but unlisted ⇒ deny" apart
-// from "composite ⇒ expand" without consulting the hierarchy per query.
-func (h *Hierarchy) CompositeValues() []string {
-	h.owner.mu.RLock()
-	defer h.owner.mu.RUnlock()
-	var out []string
-	for key, n := range h.nodes {
-		if len(n.children) > 0 {
-			out = append(out, key)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Subsumes reports whether b lies in the subtree rooted at a
 // (inclusive). Unknown values subsume only themselves.
 func (h *Hierarchy) Subsumes(a, b string) bool {
@@ -406,7 +389,7 @@ func (v *Vocabulary) Equivalent(attr, a, b string) bool {
 
 // Generation returns a counter that increases on every mutation of
 // the vocabulary — adding an attribute or adding a value to any
-// hierarchy. Derived-artifact caches (policy.RangeCache, the
+// hierarchy. Derived-artifact caches (policy.SymCache, the
 // enforcement decision snapshot) use it to detect staleness without
 // walking the forest; the read is a single lock-free atomic load. The
 // vocabulary has no removal operations, so equal generations imply an

@@ -105,10 +105,6 @@ type Simulator struct {
 	// rules and staff pools resolved once, so the per-event path does
 	// no rule construction or roster lookups.
 	behaviors []behaviorState
-	// ranges caches the policy's expanded range across Run calls; the
-	// cache revalidates against Policy.Version, so adopting refined
-	// rules between runs still relabels subsequent traffic.
-	ranges *policy.RangeCache
 	// sortKeys and sortScratch are the per-day sort buffers, kept on
 	// the simulator so successive runs reuse them.
 	sortKeys    []uint64
@@ -137,7 +133,6 @@ func New(cfg Config) (*Simulator, error) {
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
 		byRole: make(map[string][]string),
-		ranges: policy.NewRangeCache(),
 	}
 	for _, st := range cfg.Staff {
 		if st.Name == "" || st.Role == "" {
@@ -189,7 +184,10 @@ func (s *Simulator) Run(startDay, days int) ([]audit.Entry, error) {
 // caller draining epochs into a log can recycle one buffer instead of
 // allocating a fresh slice per run.
 func (s *Simulator) RunInto(dst []audit.Entry, startDay, days int) ([]audit.Entry, error) {
-	rg, err := s.ranges.Range(s.cfg.Policy, s.cfg.Vocab, 0)
+	// The documented traffic draws from the listed ground rules of the
+	// current store, so adopting refined rules between runs relabels
+	// subsequent traffic.
+	rg, err := policy.NewRange(s.cfg.Policy, s.cfg.Vocab, 0)
 	if err != nil {
 		return nil, fmt.Errorf("workflow: policy range: %w", err)
 	}

@@ -429,27 +429,24 @@ func TestFacadeConstructorsAndEvidenceHelpers(t *testing.T) {
 	}
 }
 
-// TestCoverageKeepsSharedRange: System.Coverage ranges its per-call
-// audit policy privately, so the process-wide range cache keeps the
-// policy store's range across many officer reads instead of being
-// flushed once enough throwaway policies have entered it.
+// TestCoverageKeepsSharedRange: System.Coverage lists only its
+// per-call audit policy, so the process-wide symbolic range cache
+// keeps the policy store's compiled range across many officer reads
+// instead of recompiling it on each.
 func TestCoverageKeepsSharedRange(t *testing.T) {
 	sys := New(Config{Policy: scenario.PolicyStore()})
 	if err := sys.AuditLog().Append(scenario.Table1()...); err != nil {
 		t.Fatal(err)
 	}
 	ps, v := sys.PolicyStore(), sys.Vocabulary()
-	want, err := policy.Shared.Range(ps, v, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := policy.SharedSym.Range(ps, v)
 	for i := 0; i < 300; i++ {
 		if _, err := sys.Coverage(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, err := policy.Shared.Range(ps, v, 0); err != nil || got != want {
-		t.Fatalf("policy store range re-expanded after 300 Coverage calls (err %v)", err)
+	if got := policy.SharedSym.Range(ps, v); got != want {
+		t.Fatal("policy store range recompiled after 300 Coverage calls")
 	}
 }
 
