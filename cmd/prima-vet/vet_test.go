@@ -332,3 +332,22 @@ func TestWriteLockOrder(t *testing.T) {
 		t.Errorf("regenerated lockorder.txt differs from checked-in file:\n%s", got)
 	}
 }
+
+// TestWriteLockOrderDropsDeadClasses: regeneration keeps a pinned class
+// the analysis cannot see lock (Pinned) but drops a pin whose type was
+// deleted from its package and one whose whole package is gone.
+func TestWriteLockOrderDropsDeadClasses(t *testing.T) {
+	loader, pkg := loadFixture(t, "writelockorder")
+	class := func(name string) string { return shortClass(pkg.Path+"."+name, loader.Module) }
+	gonePkg := shortClass(pkg.Path+"gone.Type", loader.Module)
+	existing := "# pinned order\n" + class("Outer") + "\n" + class("Deleted") + "\n" + gonePkg + "\n" +
+		class("Pinned") + "\n" + class("Inner") + "\n"
+	got, err := regenerateLockOrder(BuildProgram(loader, []*Package{pkg}), existing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "# pinned order\n" + class("Outer") + "\n" + class("Pinned") + "\n" + class("Inner") + "\n"
+	if got != want {
+		t.Errorf("regenerated\n%s\nwant\n%s", got, want)
+	}
+}

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"go/ast"
+	"go/types"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -35,7 +38,9 @@ func writeLockOrder(prog *Program, stderr io.Writer) int {
 //
 //   - the node set is every lock class acquired anywhere, plus every
 //     class already pinned (manual pins for classes the analysis
-//     cannot currently see stay put);
+//     cannot currently see stay put) whose type still exists: a pin
+//     naming a deleted type, or a type in a deleted package, is
+//     dropped;
 //   - the edges are the observed held->acquired pairs;
 //   - the order is a topological sort, tie-broken by the existing
 //     file's rank (then name) so regeneration is stable and minimal
@@ -58,7 +63,9 @@ func regenerateLockOrder(prog *Program, existing string) (string, error) {
 	short := func(class string) string { return shortClass(class, prog.Loader.Module) }
 	classes := make(map[string]bool, len(rank))
 	for c := range rank {
-		classes[c] = true
+		if !deadClass(prog, c) {
+			classes[c] = true
+		}
 	}
 	for _, n := range prog.CG.Nodes() {
 		n := n
@@ -148,4 +155,30 @@ func regenerateLockOrder(prog *Program, existing string) (string, error) {
 		sb.WriteString("\n")
 	}
 	return sb.String(), nil
+}
+
+// deadClass reports whether the pinned class (a type name qualified by
+// its module-relative package path) names a type that no longer
+// exists: its package is loaded and declares no such type, or its
+// package directory is gone from the module. A class of a package that
+// exists but was not loaded is not judged.
+func deadClass(prog *Program, class string) bool {
+	dot := strings.LastIndex(class, ".")
+	if dot < 0 {
+		return false
+	}
+	pkgPath, name := class[:dot], class[dot+1:]
+	for _, p := range prog.All {
+		if shortClass(p.Path, prog.Loader.Module) != pkgPath {
+			continue
+		}
+		_, ok := p.Pkg.Scope().Lookup(name).(*types.TypeName)
+		return !ok
+	}
+	dir := prog.Loader.Root
+	if pkgPath != prog.Loader.Module {
+		dir = filepath.Join(dir, filepath.FromSlash(pkgPath))
+	}
+	_, err := os.Stat(dir)
+	return errors.Is(err, fs.ErrNotExist)
 }

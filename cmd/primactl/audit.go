@@ -1,9 +1,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"sync"
 	"time"
 
 	"repro/internal/audit"
@@ -39,7 +41,16 @@ func cmdAuditRecover(args []string) error {
 	if *dir == "" {
 		return fmt.Errorf("audit recover requires -dir")
 	}
-	d, rs, err := audit.OpenDurable(*site, *dir, audit.DurableOptions{})
+	// Store errors with no caller to return to (a failed index read
+	// under Snapshot, a WAL fault) fail the command.
+	var errMu sync.Mutex
+	var storeErr error
+	onErr := func(err error) {
+		errMu.Lock()
+		storeErr = errors.Join(storeErr, err)
+		errMu.Unlock()
+	}
+	d, rs, err := audit.OpenDurable(*site, *dir, audit.DurableOptions{OnErr: onErr})
 	if err != nil {
 		return fmt.Errorf("recover %s: %w", *dir, err)
 	}
@@ -72,18 +83,25 @@ func cmdAuditRecover(args []string) error {
 		fmt.Println()
 	}
 	if *export != "" {
+		es := d.Log().Snapshot()
+		errMu.Lock()
+		err := storeErr
+		errMu.Unlock()
+		if err != nil {
+			return fmt.Errorf("export: %w", err)
+		}
 		f, err := os.Create(*export)
 		if err != nil {
 			return err
 		}
-		if err := audit.WriteJSONL(f, d.Log().Snapshot()); err != nil {
+		if err := audit.WriteJSONL(f, es); err != nil {
 			f.Close()
 			return err
 		}
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("exported %d entries to %s\n", d.Log().Len(), *export)
+		fmt.Printf("exported %d entries to %s\n", len(es), *export)
 	}
 	return nil
 }

@@ -233,9 +233,15 @@ type stamped struct {
 
 // shard is one lock stripe of the log: its entries as compact records
 // (record.go), the dictionary they index, and the incremental
-// group/stats accumulators for exactly those entries.
+// group/stats accumulators for exactly those entries. A durable log's
+// shard holds only the tail above the checkpoint cut; its accumulators
+// cover the checkpointed entries too.
 type shard struct {
-	mu   sync.RWMutex
+	mu sync.RWMutex
+	// base is the position of recs[0] among every record the shard was
+	// given: a checkpoint cut drops a prefix of recs and advances base
+	// by its length, so positions stay valid across cuts.
+	base int
 	recs []record
 	dict
 	groups map[groupKey]*groupAcc
@@ -277,13 +283,17 @@ type Log struct {
 	// leave the floor alone — such logs are not wire-exportable.
 	floor atomic.Uint64
 	// addMu brackets the assign-sequence-then-add-to-shard window of
-	// every append (shared side). The durable checkpoint takes the
-	// exclusive side as a fence: once acquired, every sequence number
-	// at or below a previously read l.seq is visible in its shard, so
-	// a checkpoint cut at that sequence loses nothing.
+	// every append (shared side). fence takes the exclusive side: while
+	// it is held, every assigned sequence number is visible in its
+	// shard and none is being assigned, so a checkpoint cut or a Delta
+	// cursor at l.seq loses nothing.
 	addMu  sync.RWMutex
 	sink   atomic.Pointer[sink]
 	shards []*shard
+	// cold is the store holding the checkpointed prefix, which the
+	// shards no longer hold; nil for an in-memory log, whose readers
+	// then find nothing on the cold side.
+	cold *Durable
 }
 
 // NewLog returns an empty log for the named site (may be empty).
@@ -486,59 +496,205 @@ func (l *Log) bulkLoad(entries []Entry) {
 
 // Len returns the number of entries.
 func (l *Log) Len() int {
-	n := 0
+	_, n, release := l.holdCold()
+	defer release()
 	for _, sh := range l.shards {
 		sh.mu.RLock()
-		n += len(sh.recs)
+		n += uint64(len(sh.recs))
 		sh.mu.RUnlock()
 	}
-	return n
+	return int(n)
 }
 
-// settle is the durable checkpoint's fence: after it returns, every
-// append whose sequence number was assigned before the call has
-// finished adding to its shard, so collectRange over a sequence read
-// before the fence observes a complete cut.
-func (l *Log) settle() {
+// noRelease is holdCold's release for a log without a cold side.
+func noRelease() {}
+
+// holdCold keeps the cold side still for one read: until release runs,
+// no cut, expiry or reset moves entries between the index and the
+// shards, so the read sees each entry once. Reads share the hold; cuts
+// and retention take it exclusively. cut is the checkpoint cut
+// (entries at or below it are cold, every shard record is above it)
+// and n the number of cold entries; both are 0 for an in-memory log.
+func (l *Log) holdCold() (cut, n uint64, release func()) {
+	d := l.cold
+	if d == nil {
+		return 0, 0, noRelease
+	}
+	d.mu.RLock()
+	return d.ckptSeq, d.count, d.mu.RUnlock
+}
+
+// coldRun returns the checkpointed entries with lo < seq <= hi as one
+// run, sorted by seq (see Durable.coldRun), or none; an in-memory log
+// has none. The caller holds the cold side (holdCold).
+func (l *Log) coldRun(lo, hi uint64, limit int) ([]run, error) {
+	d := l.cold
+	if d == nil || lo >= hi {
+		return nil, nil
+	}
+	rn, err := d.coldRun(lo, hi, limit)
+	if err != nil || len(rn.recs) == 0 {
+		return nil, err
+	}
+	return []run{rn}, nil
+}
+
+// allRuns returns every entry as runs: the cold prefix as one, then
+// each shard's. A reader with no error result calls it; a failed index
+// read goes to the store's OnErr, and the read serves the in-memory
+// tail alone.
+func (l *Log) allRuns() []run {
+	cut, _, release := l.holdCold()
+	runs, err := l.coldRun(0, cut, 0)
+	runs = append(runs, l.runs(nil)...)
+	release()
+	if err != nil {
+		l.cold.report(err)
+	}
+	return runs
+}
+
+// fence returns the last assigned sequence number and, per shard, the
+// position one past its last record, taken while no append is between
+// its sequence assignment and its shard add (appends hold addMu's read
+// side across both). So the records before ends[i] are exactly shard
+// i's records with seq <= cur, and every record after them is above
+// cur.
+func (l *Log) fence() (cur uint64, ends []int) {
+	ends = make([]int, len(l.shards))
 	l.addMu.Lock()
-	//lint:ignore SA2001 the empty critical section is the fence
+	cur = l.seq.Load()
+	for i, sh := range l.shards {
+		sh.mu.RLock()
+		ends[i] = sh.base + len(sh.recs)
+		sh.mu.RUnlock()
+	}
 	l.addMu.Unlock()
+	return cur, ends
 }
 
-// collectRange returns the runs of the records with lo < seq <= hi.
-func (l *Log) collectRange(lo, hi uint64) []run {
-	return l.runs(func(r *record) bool { return r.seq > lo && r.seq <= hi })
+// runsBefore copies each shard's records before position ends[i] with
+// their dictionary.
+func (l *Log) runsBefore(ends []int) []run {
+	out := make([]run, 0, len(l.shards))
+	for i, sh := range l.shards {
+		sh.mu.RLock()
+		if k := ends[i] - sh.base; k > 0 {
+			out = append(out, run{recs: slices.Clone(sh.recs[:k]), d: sh.dict})
+		}
+		sh.mu.RUnlock()
+	}
+	return out
+}
+
+// dropBefore drops each shard's records before position ends[i]: the
+// ones a committed cut moved into the index. The survivors move to a
+// new array, so the dropped ones' memory is freed.
+func (l *Log) dropBefore(ends []int) {
+	for i, sh := range l.shards {
+		sh.mu.Lock()
+		if k := ends[i] - sh.base; k > 0 {
+			sh.recs = slices.Clone(sh.recs[k:])
+			sh.base = ends[i]
+		}
+		sh.mu.Unlock()
+	}
 }
 
 // Snapshot returns a copy of the entries in append order (ascending
 // sequence number — the deterministic total order the sequence
-// invariant guarantees). Entry values are rebuilt from the shards'
-// compact records, so their times carry no monotonic clock reading,
-// as entries recovered from the durable store or read off the wire do.
-func (l *Log) Snapshot() []Entry {
-	return mergeEntries(l.runs(nil), bySeq)
-}
+// invariant guarantees): a durable log's checkpointed prefix, read
+// from its index, then the in-memory tail. Entry values are rebuilt
+// from compact records, so their times carry no monotonic clock
+// reading, as entries recovered from the durable store or read off
+// the wire do; a checkpointed entry's time carries its zone offset
+// only, as a recovered one does.
+func (l *Log) Snapshot() []Entry { return l.entries(nil) }
 
 // Filtered returns a copy of the entries satisfying keep, in append
 // order.
 func (l *Log) Filtered(keep func(Entry) bool) []Entry {
-	runs := l.runs(nil)
-	n := 0
-	for i := range runs {
-		rn := &runs[i]
-		kept := rn.recs[:0]
-		for j := range rn.recs {
-			if keep(rn.d.entry(&rn.recs[j])) {
-				kept = append(kept, rn.recs[j])
-			}
-		}
-		rn.recs = kept
-		n += len(kept)
+	if es := l.entries(keep); len(es) > 0 {
+		return es
 	}
-	if n == 0 {
-		return nil
+	return nil
+}
+
+// entries returns the entries keep accepts (every one when keep is
+// nil) in append order, the cold prefix merged in as one more run.
+func (l *Log) entries(keep func(Entry) bool) []Entry {
+	runs := l.allRuns()
+	if keep != nil {
+		for i := range runs {
+			rn := &runs[i]
+			kept := rn.recs[:0]
+			for j := range rn.recs {
+				if keep(rn.d.entry(&rn.recs[j])) {
+					kept = append(kept, rn.recs[j])
+				}
+			}
+			rn.recs = kept
+		}
 	}
 	return mergeEntries(runs, bySeq)
+}
+
+// Page returns, in append order, at most limit entries with sequence
+// numbers above after, and the sequence number of the last one (after
+// when there is none): a bounded read for paging through the log from
+// the zero sequence number. Each shard, and a durable log's
+// checkpointed part, contributes at most its limit lowest entries, so
+// a page holds O(limit) records whatever the log's size; it still
+// scans every record above after (the checkpointed ones by one index
+// scan). A page ends at a fenced sequence number, so a racing append
+// is on this page or a later one. An error reading the checkpointed
+// part fails the page, which never skips past it.
+func (l *Log) Page(after uint64, limit int) ([]Entry, uint64, error) {
+	if limit <= 0 {
+		return nil, after, nil
+	}
+	cut, _, release := l.holdCold()
+	runs, err := l.coldRun(after, cut, limit)
+	if err == nil {
+		// Only fenced records: an append whose seq is assigned but not
+		// yet in its shard would otherwise be skipped by the next page.
+		hi, _ := l.fence()
+		runs = append(runs, l.runsIn(after, hi, limit)...)
+	}
+	release()
+	if err != nil {
+		return nil, after, err
+	}
+	out := make([]Entry, 0, limit)
+	next := after
+	merge(runs, bySeq, func(d *dict, r *record) {
+		if len(out) < limit {
+			out = append(out, d.entry(r))
+			next = r.seq
+		}
+	})
+	return out, next, nil
+}
+
+// runsIn copies, shard by shard under its read lock, the limit
+// lowest-seq records with lo < seq <= hi, with their dictionary.
+func (l *Log) runsIn(lo, hi uint64, limit int) []run {
+	out := make([]run, 0, len(l.shards))
+	for _, sh := range l.shards {
+		low := lowestSeqs{limit: limit}
+		sh.mu.RLock()
+		for i := range sh.recs {
+			if seq := sh.recs[i].seq; seq > lo && seq <= hi {
+				low.push(sh.recs[i])
+			}
+		}
+		d := sh.dict
+		sh.mu.RUnlock()
+		if recs := low.sorted(); len(recs) > 0 {
+			out = append(out, run{recs: recs, d: d})
+		}
+	}
+	return out
 }
 
 // Since returns entries with Time >= t, preserving order.
@@ -554,12 +710,18 @@ func (l *Log) Exceptions() []Entry {
 // Reset discards all entries; used between training periods. The
 // sequence counter is not rewound — sequence numbers stay unique for
 // the life of the log — but the index epoch advances, invalidating
-// outstanding cursors.
+// outstanding cursors. A durable log empties its index too.
 func (l *Log) Reset() {
 	// The epoch moves before any shard does: a reader that observes a
 	// changed shard then sees the move (see ExportDelta).
 	l.floor.Store(l.seq.Load())
 	l.epoch.Add(1)
+	if d := l.cold; d != nil {
+		if _, err := d.retain(nil, func(int64, Status) bool { return false }, nil); err != nil {
+			d.report(err)
+		}
+		return
+	}
 	for _, sh := range l.shards {
 		sh.mu.Lock()
 		// Keep the record array: a reset log is usually about to ingest
@@ -624,6 +786,12 @@ type ExportCursor struct {
 	// the positional cursor strictly forward. Within one epoch a shard's
 	// dictionary only grows, so their ids stay valid.
 	deferred [][]record
+	// cold holds, while the cursor is behind a durable log's checkpoint
+	// cut, the checkpointed records it has yet to export, in seq order
+	// with their own dictionary: read by one index scan per cut and
+	// consumed by prefix, so exporting n checkpointed entries costs
+	// O(n log n) whatever the batch size.
+	cold run
 }
 
 // Seq returns the highest sequence number the cursor has exported.
@@ -634,8 +802,10 @@ func (c ExportCursor) Seq() uint64 { return c.seq }
 // (c.Seq(), next.Seq()] — advancing the cursor. max bounds the batch
 // (0 means unbounded). The cost is O(delta), not O(log): per-shard
 // positions let each call scan only the tails appended since the last
-// one. A structural change (Reset/Expire/Rotate) invalidates the
-// cursor and every later call returns ErrExportInvalidated.
+// one, and a durable log's checkpointed part of the range is one
+// seq-ordered index read. A structural change (Reset/Expire/Rotate)
+// invalidates the cursor and every later call returns
+// ErrExportInvalidated.
 func (l *Log) ExportDelta(c ExportCursor, max int) ([]Entry, ExportCursor, error) {
 	ep := l.epoch.Load()
 	if c.pos == nil && c.seq == 0 {
@@ -644,6 +814,8 @@ func (l *Log) ExportDelta(c ExportCursor, max int) ([]Entry, ExportCursor, error
 	if c.epoch != ep || len(c.pos) != len(l.shards) {
 		return nil, c, ErrExportInvalidated
 	}
+	cut, _, release := l.holdCold()
+	defer release()
 	hi := l.seq.Load()
 	if max > 0 && hi > c.seq+uint64(max) {
 		hi = c.seq + uint64(max)
@@ -651,10 +823,45 @@ func (l *Log) ExportDelta(c ExportCursor, max int) ([]Entry, ExportCursor, error
 	if hi <= c.seq {
 		return nil, c, nil
 	}
+	var cold []run
+	if c.seq <= cut {
+		// The cursor is at or behind the checkpoint cut: its positions
+		// and deferred records may name dropped records, or records of
+		// an earlier process. Export the checkpointed part of the range
+		// from the cursor's cold queue, read from the index when empty,
+		// then resume the tail from the shards' first positions, where
+		// every record lies above the cut.
+		q := c.cold
+		if len(q.recs) == 0 && c.seq < cut {
+			rs, err := l.coldRun(c.seq, cut, 0)
+			if err != nil {
+				return nil, c, err
+			}
+			if len(rs) > 0 {
+				q = rs[0]
+			}
+			if uint64(len(q.recs)) != cut-c.seq {
+				return nil, c, ErrExportInvalidated
+			}
+		}
+		k := min(hi-c.seq, uint64(len(q.recs)))
+		if k > 0 {
+			cold = []run{{recs: q.recs[:k], d: q.d}}
+		}
+		c = ExportCursor{seq: c.seq + k, epoch: ep, pos: make([]int, len(l.shards)), cold: run{recs: q.recs[k:], d: q.d}}
+		for i, sh := range l.shards {
+			sh.mu.RLock()
+			c.pos[i] = sh.base
+			sh.mu.RUnlock()
+		}
+		if c.seq == hi || c.seq < cut {
+			return mergeEntries(cold, bySeq), c, nil
+		}
+	}
 	// The fence guarantees every sequence number at or below hi has
 	// finished adding to its shard, so the positional scan below
 	// observes the complete range.
-	l.settle()
+	l.fence()
 	// Fast path first: stop each shard at its first above-horizon
 	// entry, so catching up on a deep log costs O(batch) per call, not
 	// O(remaining log). It comes up short only when an append raced
@@ -673,7 +880,7 @@ func (l *Log) ExportDelta(c ExportCursor, max int) ([]Entry, ExportCursor, error
 		// are gone: the contiguity guarantee cannot be kept.
 		return nil, c, ErrExportInvalidated
 	}
-	return mergeEntries(runs, bySeq), next, nil
+	return mergeEntries(append(cold, runs...), bySeq), next, nil
 }
 
 // exportScan collects the records in (c.seq, hi] and builds the
@@ -697,14 +904,13 @@ func (l *Log) exportScan(c ExportCursor, hi uint64, ep uint64, full bool) ([]run
 			recs = append(recs, def[:k]...)
 			later = def[k:len(def):len(def)]
 		}
-		from := c.pos[i]
 		sh.mu.RLock()
-		m := len(sh.recs)
-		if from > m {
+		from, m := c.pos[i]-sh.base, len(sh.recs)
+		if from < 0 || from > m {
 			sh.mu.RUnlock()
 			return nil, c, false
 		}
-		next.pos[i] = m
+		next.pos[i] = sh.base + m
 		grew := false
 		for j := from; j < m; j++ {
 			r := sh.recs[j]
@@ -714,7 +920,7 @@ func (l *Log) exportScan(c ExportCursor, hi uint64, ep uint64, full bool) ([]run
 				later = append(later, r)
 				grew = true
 			} else {
-				next.pos[i] = j
+				next.pos[i] = sh.base + j
 				break
 			}
 		}

@@ -2,6 +2,8 @@ package audit
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -175,6 +177,38 @@ func TestEntryString(t *testing.T) {
 	for _, want := range []string{"john", "referral", "treatment", "nurse", "exception", "allow"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("String() = %q missing %q", s, want)
+		}
+	}
+}
+
+// TestUnionDays checks the in-place day-set merge against a sort of
+// the concatenation: random ascending sets, subsets, disjoint sets and
+// a with spare capacity, which the merge may write into but b must
+// come through untouched.
+func TestUnionDays(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	set := func(n, span int) []int32 {
+		var out []int32
+		for i := 0; i < n; i++ {
+			out = append(out, int32(rng.Intn(span)))
+		}
+		slices.Sort(out)
+		return slices.Compact(out)
+	}
+	for trial := 0; trial < 2000; trial++ {
+		a, b := set(rng.Intn(12), 20), set(rng.Intn(12), 20)
+		if trial%3 == 0 {
+			b = slices.Clone(a[:rng.Intn(len(a)+1)])
+		}
+		if trial%2 == 0 {
+			a = append(make([]int32, 0, len(a)+rng.Intn(8)), a...)
+		}
+		want := append(slices.Clone(a), b...)
+		slices.Sort(want)
+		want = slices.Compact(want)
+		aWas, bWas := slices.Clone(a), slices.Clone(b)
+		if got := unionDays(a, b); !slices.Equal(got, want) || !slices.Equal(b, bWas) {
+			t.Fatalf("unionDays(%v, %v) = %v (b now %v), want %v", aWas, bWas, got, b, want)
 		}
 	}
 }

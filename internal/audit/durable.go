@@ -20,37 +20,52 @@ import (
 //     flow into it through the log's asynchronous sink (sink.go); the
 //     WAL's single fsync per commit window is shared by the whole
 //     batch.
-//   - index.db — a storage.Store B+tree keyed (time, status, seq) whose
-//     values are the same (seq, entry) records: the checkpoint itself,
-//     the one durable copy of every entry at or below the checkpoint
-//     cut. The store's meta blob attests the cut, the entry count and
-//     the log epoch, so one shadow-paged meta swap commits a
-//     checkpoint and a retention expiry alike. Retention expiry scans
-//     and SnapshotByTime range reads are served from the same tree
-//     instead of a full in-memory sort.
+//   - index.db — a storage.Store B+tree holding every entry at or
+//     below the checkpoint cut, and nothing else holds those entries:
+//     once a cut commits, the shards drop them. Each entry is the
+//     value under its (time, status, seq) key. Time-ordered reads and
+//     retention are key ranges; append-order reads are one scan and a
+//     sort by seq (coldRun). The store's meta blob attests the cut,
+//     the entry count and the log epoch, so one shadow-paged meta swap
+//     commits a checkpoint and a retention expiry alike.
 //
-// Recovery scans index.db plus the WAL tail to rebuild the in-memory
-// log — per-shard refinement index included, folded once the records
-// are loaded — and concludes with a checkpoint that
-// re-persists the tail, so the WAL never grows across restarts. JSONL
-// is an export edge only: WriteJSONL of Log().Snapshot() exports a
-// copy.
+// The log reads the checkpointed prefix through its cold side (the
+// Log.cold pointer to this store): every entry reader merges it with
+// the shards' in-memory tail under mu's shared side, and cuts take it
+// exclusively, so a concurrent cut never shows an entry twice or not
+// at all. The refinement index stays in
+// memory: it is O(groups).
+//
+// Recovery folds index.db straight into the per-shard index without
+// keeping its records, loads the WAL tail, and concludes with a
+// checkpoint that re-persists the tail, so the WAL never grows across
+// restarts. While the store runs, the sink wakes a background
+// checkpointer after every checkpointBytes of WAL, so neither the WAL
+// nor the shards grow past that between cuts. JSONL is an export edge
+// only: WriteJSONL of Log().Snapshot() exports a copy.
 type Durable struct {
 	log   *Log
 	store *storage.Store
 	wal   *storage.WAL
 	onErr func(error)
 
-	mu      sync.Mutex // serializes checkpoint/expire/index reads
-	ckptSeq uint64     // entries with seq <= ckptSeq are in the index
-	count   uint64     // entries in the index
-	// seenEpoch is the log epoch the store has accounted for. The log
-	// epoch moves on structural mutation (Expire/Rotate/Reset); only
-	// Durable.Expire keeps the index in step, so a checkpoint that
-	// observes an unexplained epoch move refuses to persist the
-	// divergence.
-	seenEpoch uint64
+	mu      sync.RWMutex // cuts and retention hold it, cold reads share it
+	ckptSeq uint64       // entries with seq <= ckptSeq are in the index, and only there
+	count   uint64       // entries in the index
+
+	// The background checkpointer: the sink sends on wake, Close
+	// closes quit (once) and waits for done.
+	wake     chan struct{}
+	quit     chan struct{}
+	done     chan struct{}
+	quitOnce sync.Once
 }
+
+// checkpointBytes is the WAL volume after which the sink wakes the
+// background checkpointer: the size of the WAL's own append buffer.
+// It bounds the un-checkpointed tail, and with it the shards, to a
+// few tens of thousands of entries.
+const checkpointBytes = 4 << 20
 
 // DurableOptions tunes OpenDurable. The zero value selects defaults.
 type DurableOptions struct {
@@ -219,27 +234,46 @@ func parseStamped(b []byte, rr *rawRecord) error {
 	return nil
 }
 
-// load decodes a parsed record straight into its shard, under the
-// sequence number it was stored with. Strings are interned from the
-// record bytes, so only a value the shard has not seen yet allocates,
-// and the entry must pass Validate. The log's counter is raised to the
-// record's seq. OpenDurable orders and folds the shards once loading is
-// done; the log is not shared before.
+// fromRaw interns a parsed record's columns and zone into a record.
+func (d *dict) fromRaw(rr *rawRecord) record {
+	r := record{seq: rr.seq, ns: rr.ns, zone: d.zoneOffset(int(rr.off)), op: rr.op, status: rr.status}
+	for i, id := range [...]*uint32{&r.user, &r.data, &r.purpose, &r.authorized, &r.site, &r.reason} {
+		*id = d.internBytes(rr.strs[i])
+	}
+	return r
+}
+
+// load decodes a WAL tail record straight into its shard, under the
+// sequence number it was stored with, and folds it into the shard's
+// index. Strings are interned from the record bytes, so only a value
+// the shard has not seen yet allocates, and the entry must pass
+// Validate. The log's counter is raised to the record's seq. The log
+// is not shared before recovery ends.
 func (l *Log) load(rr *rawRecord) error {
 	sh := l.shards[route(rr.strs[0], rr.strs[1], rr.strs[2])&l.mask]
-	r := record{seq: rr.seq, ns: rr.ns, zone: sh.zoneOffset(int(rr.off)), op: rr.op, status: rr.status}
-	for i, id := range [...]*uint32{&r.user, &r.data, &r.purpose, &r.authorized, &r.site, &r.reason} {
-		*id = sh.internBytes(rr.strs[i])
-	}
+	r := sh.fromRaw(rr)
 	e := sh.entry(&r)
 	if err := e.Validate(); err != nil {
 		return err
 	}
 	sh.recs = append(sh.recs, r)
+	sh.indexLocked(&r)
 	if r.seq > l.seq.Load() {
 		l.seq.Store(r.seq)
 	}
 	return nil
+}
+
+// coldRecord interns a checkpointed record into the shard for folding,
+// without keeping it: only the columns the index keys by (user, data,
+// purpose, authorized) and the zone are interned. The entry must pass
+// Validate. The caller holds the shard's write lock or owns the shard.
+func (s *shard) coldRecord(rr *rawRecord) (record, error) {
+	r := record{seq: rr.seq, ns: rr.ns, zone: s.zoneOffset(int(rr.off)), op: rr.op, status: rr.status,
+		user: s.internBytes(rr.strs[0]), data: s.internBytes(rr.strs[1]),
+		purpose: s.internBytes(rr.strs[2]), authorized: s.internBytes(rr.strs[3])}
+	e := s.entry(&r)
+	return r, e.Validate()
 }
 
 // indexKey builds the composite secondary-index key: big-endian
@@ -271,10 +305,13 @@ func indexKeyTime(k []byte) (int64, Status) {
 	return int64(binary.BigEndian.Uint64(k[0:8]) ^ (1 << 63)), Status(k[8])
 }
 
+// indexKeySeq returns the sequence number a key holds.
+func indexKeySeq(k []byte) uint64 { return binary.BigEndian.Uint64(k[9:]) }
+
 // OpenDurable opens (creating if needed) the durable audit store in
-// dir for the named site. Recovery rebuilds the in-memory log from the
-// index store's checkpoint plus the WAL tail; no other file in dir is
-// read.
+// dir for the named site. Recovery rebuilds the in-memory index from
+// the index store's checkpoint and the log's tail from the WAL; no
+// other file in dir is read.
 func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, error) {
 	start := time.Now()
 	var rs RecoveryStats
@@ -304,6 +341,7 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 	}
 
 	d.log = NewLog(site)
+	d.log.cold = d
 	if st.Version() > 0 {
 		if err := d.loadCheckpoint(); err != nil {
 			return fail(err)
@@ -321,6 +359,7 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 	// loaded.
 	walDir := filepath.Join(dir, "wal")
 	var rr rawRecord
+	var stale dict // checks stale frames without a string copy per frame
 	wst, err := storage.Replay(walDir, o.OpenFile, func(lsn uint64, p []byte) error {
 		if len(p) > 0 && p[0] == 0x00 {
 			// A drop marker, written by stores whose sink could skip
@@ -332,7 +371,8 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 		switch {
 		case derr != nil:
 		case rr.seq <= d.ckptSeq:
-			e := rr.entry()
+			r := stale.fromRaw(&rr)
+			e := stale.entry(&r)
 			derr = e.Validate()
 		default:
 			if derr = d.log.load(&rr); derr == nil {
@@ -349,13 +389,11 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 	}
 	rs.WALSegments = wst.Segments
 	rs.TornTail = wst.TornTail
-	// Records keep their stored sequence numbers, which ascend in
-	// append order across recovery generations; the index scan ran in
-	// (time, status, seq) key order, so sorting by them restores append
-	// order before the shards are folded into the index.
+	// A shard's tail must be in sequence order (Delta binary-searches
+	// it). The WAL is written in sequence order, so this sort only
+	// checks, unless a store from an older writer says otherwise.
 	for _, sh := range d.log.shards {
 		sortRecords(sh.recs, bySeq)
-		sh.foldLocked()
 	}
 	if d.ckptSeq > d.log.seq.Load() {
 		// Sequence gaps (expired entries) at the cut: resume numbering
@@ -388,61 +426,132 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 		epoch++
 	}
 	d.log.epoch.Store(epoch)
-	d.seenEpoch = epoch
 	if recovered || d.log.seq.Load() > d.ckptSeq {
 		// Conclude recovery with a checkpoint: the tail is re-persisted
 		// into the index, and the WAL shrinks back to (almost) nothing,
 		// so recovery work never accumulates.
-		if err := d.checkpointLocked(); err != nil {
+		if err := d.cutLocked(0); err != nil {
 			return fail(err)
 		}
 	}
 
-	d.log.attachWAL(d.wal, o.OnErr)
+	d.wake = make(chan struct{}, 1)
+	d.quit = make(chan struct{})
+	d.done = make(chan struct{})
+	go d.checkpointer()
+	d.log.attachWAL(d.wal, o.OnErr, d.wake)
 	rs.IndexGroups = len(d.log.Groups())
 	rs.Elapsed = time.Since(start)
 	return d, rs, nil
 }
 
-// loadCheckpoint reads the checkpointed prefix back from the index
-// straight into the log's shards, sized from the count the meta blob
-// attests. The count must match.
-func (d *Durable) loadCheckpoint() error {
-	l := d.log
-	l.Grow(int(d.count))
-	var rr rawRecord
-	var n uint64
-	var decErr error
-	err := d.store.Scan(nil, nil, func(k, v []byte) bool {
-		derr := parseStamped(v, &rr)
-		if derr == nil {
-			derr = l.load(&rr)
+// checkpointer is the background checkpoint goroutine: one cut per
+// wakeup from the sink, until Close.
+func (d *Durable) checkpointer() {
+	defer close(d.done)
+	for {
+		select {
+		case <-d.quit:
+			return
+		case <-d.wake:
+			if err := d.Checkpoint(); err != nil {
+				d.report(err)
+			}
 		}
-		if derr != nil {
-			decErr = fmt.Errorf("audit: index record %d: %w", n, derr)
-			return false
-		}
-		n++
-		return true
-	})
-	if err == nil {
-		err = decErr
 	}
+}
+
+// report hands an error no caller waits for to OnErr.
+func (d *Durable) report(err error) {
+	if d.onErr != nil {
+		d.onErr(err)
+	}
+}
+
+// loadCheckpoint folds the checkpointed prefix into the log's shard
+// indexes, keeping none of its records, and raises the log's counter
+// to its highest seq. The count must match the one the meta blob
+// attests.
+func (d *Durable) loadCheckpoint() error {
+	n, maxSeq, err := d.foldIndex(d.log.shards)
 	if err != nil {
 		return err
 	}
 	if n != d.count {
 		return fmt.Errorf("audit: index holds %d entries, checkpoint attests %d", n, d.count)
 	}
+	if maxSeq > d.log.seq.Load() {
+		d.log.seq.Store(maxSeq)
+	}
 	return nil
 }
 
-// scanIndex decodes and validates the index records with keys in
-// [lo, hi), in key order.
+// foldBatch is how many index records foldIndex buffers before it
+// folds them into the index shard by shard: one shard's groups at a
+// time stay in cache, where folding in key order would touch every
+// shard's per record.
+const foldBatch = 1 << 16
+
+// foldIndex folds every checkpointed entry in the index into shards —
+// the log's own during recovery, fresh ones when retention rebuilds
+// the index — routed as appends are, keeping no record. Entries above
+// the cut, which a failed cut can leave in the working tree while the
+// shards still hold them, are skipped. It returns the number of
+// entries folded and the highest seq.
+func (d *Durable) foldIndex(shards []*shard) (n, maxSeq uint64, err error) {
+	mask := uint64(len(shards) - 1)
+	pending := make([][]record, len(shards))
+	buffered := 0
+	flush := func() {
+		for i, p := range pending {
+			for j := range p {
+				shards[i].indexLocked(&p[j])
+			}
+			pending[i] = p[:0]
+		}
+		buffered = 0
+	}
+	var rr rawRecord
+	var bad error
+	err = d.store.Scan(nil, nil, func(k, v []byte) bool {
+		if indexKeySeq(k) > d.ckptSeq {
+			return true
+		}
+		bad = parseStamped(v, &rr)
+		var r record
+		si := uint64(0)
+		if bad == nil {
+			si = route(rr.strs[0], rr.strs[1], rr.strs[2]) & mask
+			r, bad = shards[si].coldRecord(&rr)
+		}
+		if bad != nil {
+			bad = fmt.Errorf("audit: index record %d: %w", n, bad)
+			return false
+		}
+		pending[si] = append(pending[si], r)
+		n++
+		maxSeq = max(maxSeq, r.seq)
+		if buffered++; buffered == foldBatch {
+			flush()
+		}
+		return true
+	})
+	if err == nil {
+		err = bad
+	}
+	flush()
+	return n, maxSeq, err
+}
+
+// scanIndex decodes and validates the checkpointed index records with
+// keys in [lo, hi), in key order.
 func (d *Durable) scanIndex(lo, hi []byte) ([]stamped, error) {
 	var out []stamped
 	var decErr error
 	err := d.store.Scan(lo, hi, func(k, v []byte) bool {
+		if indexKeySeq(k) > d.ckptSeq {
+			return true
+		}
 		seq, e, derr := decodeStamped(v)
 		if derr == nil {
 			derr = e.Validate()
@@ -460,13 +569,53 @@ func (d *Durable) scanIndex(lo, hi []byte) ([]stamped, error) {
 	return out, err
 }
 
-// Log returns the in-memory log backed by this store. Appends through
-// it flow into the WAL via the attached sink. Structural mutation
-// does NOT: retention must go through Durable.Expire — calling
-// Expire/Rotate/Reset directly on the returned Log changes the shards
-// without the persistent index following, and the next Checkpoint
-// refuses to persist the divergence (the log epoch moved outside the
-// store) rather than corrupt it silently.
+// coldRun reads the checkpointed entries with lo < seq <= hi into one
+// run sorted by seq, their strings interned in the run's own
+// dictionary; with limit > 0 only the limit lowest seqs. The index is
+// keyed (time, status, seq), so append order is one scan — values
+// outside the range are skipped by their key alone — and a sort: an
+// O(n log n) read, where a second, seq-ordered key would double the
+// index writes of every cut (DESIGN.md has the measurements). The
+// caller holds d.mu, shared or not.
+func (d *Durable) coldRun(lo, hi uint64, limit int) (run, error) {
+	if lo >= hi {
+		return run{}, nil
+	}
+	var dc dict
+	low := lowestSeqs{limit: limit}
+	var rr rawRecord
+	var bad error
+	err := d.store.Scan(nil, nil, func(k, v []byte) bool {
+		if seq := indexKeySeq(k); seq <= lo || seq > hi {
+			return true
+		}
+		if bad = parseStamped(v, &rr); bad != nil {
+			bad = fmt.Errorf("audit: index record of seq %d: %w", indexKeySeq(k), bad)
+			return false
+		}
+		r := dc.fromRaw(&rr)
+		e := dc.entry(&r)
+		if bad = e.Validate(); bad != nil {
+			bad = fmt.Errorf("audit: index record of seq %d: %w", r.seq, bad)
+			return false
+		}
+		low.push(r)
+		return true
+	})
+	if err == nil {
+		err = bad
+	}
+	if err != nil {
+		return run{}, err
+	}
+	return run{recs: low.sorted(), d: dc}, nil
+}
+
+// Log returns the log backed by this store: the checkpointed prefix
+// read from the index plus the in-memory tail. Appends through it flow
+// into the WAL via the attached sink, and its structural operations
+// (Expire, Rotate, Reset) go through the store as Durable.Expire does,
+// so the index always holds exactly the log's checkpointed entries.
 func (d *Durable) Log() *Log { return d.log }
 
 // Append forwards to the underlying log.
@@ -479,8 +628,8 @@ func (d *Durable) Sync() { d.log.flush() }
 // CheckpointSeq returns the sequence number of the last checkpoint
 // cut (entries at or below it live in the index).
 func (d *Durable) CheckpointSeq() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	return d.ckptSeq
 }
 
@@ -491,41 +640,31 @@ func (d *Durable) PoolStats() storage.PoolStats { return d.store.PoolStats() }
 func (d *Durable) WALSyncs() uint64 { return d.wal.Syncs() }
 
 // Checkpoint durably folds everything appended so far into the index
-// store, then truncates the WAL behind the cut.
+// store, drops it from the shards, then truncates the WAL behind the
+// cut. The store also checkpoints itself in the background (see
+// checkpointBytes).
 func (d *Durable) Checkpoint() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.checkpointLocked()
-}
-
-func (d *Durable) checkpointLocked() error {
-	// The index mirrors the shards only while entries leave them
-	// through this store: a direct Log.Expire/Rotate/Reset moved the
-	// log epoch without the index following, and a cut on top would
-	// persist the divergence. Refuse instead.
-	if e := d.log.epoch.Load(); e != d.seenEpoch {
-		return fmt.Errorf("audit: log epoch moved %d -> %d outside the durable store (direct Log.Expire/Rotate/Reset?): retention on a durable store must go through Durable.Expire", d.seenEpoch, e)
-	}
 	return d.cutLocked(0)
 }
 
 // cutLocked indexes the entries appended since the last cut and
 // commits them, together with every index deletion made since, by one
-// store checkpoint — the single meta swap that is the commit point —
-// then truncates the WAL behind the cut. removed is the number of
-// index entries deleted since the last cut.
+// store checkpoint — the single meta swap that is the commit point.
+// The shards then drop the cut's records, and the WAL is truncated
+// behind it. removed is the number of index entries deleted since the
+// last cut. The caller holds d.mu.
 func (d *Durable) cutLocked(removed uint64) error {
 	// Capture the truncation bound BEFORE the cut: every WAL record at
 	// or below this LSN was appended before cur was read, so its seq
 	// is at or below cur and the checkpoint below covers it.
 	lsnCut := d.wal.LastLSN()
-	cur := d.log.seq.Load()
-	// Fence: after settle, every seq <= cur is visible in its shard.
-	d.log.settle()
+	cur, ends := d.log.fence()
 	var val []byte
 	var err error
 	added := uint64(0)
-	merge(d.log.collectRange(d.ckptSeq, cur), bySeq, func(dc *dict, r *record) {
+	merge(d.log.runsBefore(ends), bySeq, func(dc *dict, r *record) {
 		if err != nil {
 			return
 		}
@@ -541,12 +680,13 @@ func (d *Durable) cutLocked(removed uint64) error {
 	if err := d.store.Checkpoint(encodeApp(cur, count, d.log.epoch.Load())); err != nil {
 		return err
 	}
-	if err := d.wal.TruncateBefore(lsnCut + 1); err != nil {
-		return err
-	}
 	d.ckptSeq = cur
 	d.count = count
-	return nil
+	d.log.dropBefore(ends)
+	// The pages the cut wrote are on disk; the next cut touches only
+	// the newest few again.
+	d.store.DropCache()
+	return d.wal.TruncateBefore(lsnCut + 1)
 }
 
 // SnapshotRange returns the entries with from <= time < to in
@@ -555,8 +695,8 @@ func (d *Durable) cutLocked(removed uint64) error {
 // is a single index range read; only the un-checkpointed tail touches
 // the in-memory shards. A zero bound means unbounded.
 func (d *Durable) SnapshotRange(from, to time.Time) ([]Entry, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	return d.snapshotRangeLocked(from, to)
 }
 
@@ -584,7 +724,7 @@ func (d *Durable) snapshotRangeLocked(from, to time.Time) ([]Entry, error) {
 
 	fromCut, toCut := newCutoff(from), newCutoff(to)
 	tail := mergeEntries(d.log.runs(func(r *record) bool {
-		return r.seq > d.ckptSeq && (from.IsZero() || !fromCut.before(r.ns)) && (to.IsZero() || toCut.before(r.ns))
+		return (from.IsZero() || !fromCut.before(r.ns)) && (to.IsZero() || toCut.before(r.ns))
 	}), byTime)
 
 	// Merge; on equal instants the checkpointed side wins — its
@@ -608,14 +748,12 @@ func (d *Durable) snapshotRangeLocked(from, to time.Time) ([]Entry, error) {
 
 // SnapshotByTime serves the federation TimeSource contract from the
 // persistent index. Index read errors are reported through OnErr and
-// answered from memory, so a consolidation never sees a partial view.
+// answered with the in-memory tail alone.
 func (d *Durable) SnapshotByTime() []Entry {
 	es, err := d.SnapshotRange(time.Time{}, time.Time{})
 	if err != nil {
-		if d.onErr != nil {
-			d.onErr(err)
-		}
-		return d.log.SnapshotByTime()
+		d.report(err)
+		return mergeEntries(d.log.runs(nil), byTime)
 	}
 	return es
 }
@@ -625,12 +763,12 @@ func (d *Durable) SnapshotByTime() []Entry {
 // without touching entry values: the composite key alone carries the
 // timestamp and status the retention rule needs.
 func (d *Durable) ExpireScan(cutoff, exceptionCutoff time.Time) (int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	n := 0
 	keep := retention(cutoff, exceptionCutoff)
 	err := d.store.Scan(nil, indexTimeBound(cutoff), func(k, v []byte) bool {
-		if !keep(indexKeyTime(k)) {
+		if indexKeySeq(k) <= d.ckptSeq && !keep(indexKeyTime(k)) {
 			n++
 		}
 		return true
@@ -638,31 +776,60 @@ func (d *Durable) ExpireScan(cutoff, exceptionCutoff time.Time) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	for _, rn := range d.log.runs(func(r *record) bool {
-		return r.seq > d.ckptSeq && !keep(r.ns, Status(r.status))
-	}) {
+	for _, rn := range d.log.runs(func(r *record) bool { return !keep(r.ns, Status(r.status)) }) {
 		n += len(rn.recs)
 	}
 	return n, nil
 }
 
 // Expire drops entries older than cutoff (with the same
-// exception-retention rule as Log.Expire) from memory and the index:
-// the checkpointed victims are a key-range delete, and one store
-// checkpoint commits the deletes together with the surviving tail, so
-// a crash leaves either the pre-expiry or the post-expiry generation.
+// exception-retention rule as Log.Expire, which calls it) from the
+// index and the in-memory tail: the checkpointed victims are a
+// key-range delete, and one store checkpoint commits the deletes
+// together with the surviving tail, so a crash leaves either the
+// pre-expiry or the post-expiry generation.
 func (d *Durable) Expire(cutoff, exceptionCutoff time.Time) (int, error) {
+	return d.retain(indexTimeBound(cutoff), retention(cutoff, exceptionCutoff), nil)
+}
+
+// retain drops every entry keep rejects — the checkpointed ones among
+// the index keys below the time bound before (nil for all) — and
+// commits the result with one cut. When removed is non-nil it receives
+// the dropped entries: the checkpointed ones as one run, then the
+// tail's, shard by shard. Any drop advances the log epoch and rebuilds
+// every shard's index from the surviving entries, checkpointed and
+// in memory alike.
+func (d *Durable) retain(before []byte, keep func(ns int64, st Status) bool, removed func(run)) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// Index-driven scan for the checkpointed victims' keys.
+	// Victims above the cut are left in the working tree by a failed
+	// cut; the shards hold them, so they are deleted here but counted
+	// and returned with the tail.
 	var victims [][]byte
-	keep := retention(cutoff, exceptionCutoff)
-	err := d.store.Scan(nil, indexTimeBound(cutoff), func(k, v []byte) bool {
-		if !keep(indexKeyTime(k)) {
-			victims = append(victims, append([]byte(nil), k...))
+	cold := uint64(0)
+	var gone run
+	var rr rawRecord
+	var decErr error
+	err := d.store.Scan(nil, before, func(k, v []byte) bool {
+		if keep(indexKeyTime(k)) {
+			return true
+		}
+		victims = append(victims, k)
+		if indexKeySeq(k) > d.ckptSeq {
+			return true
+		}
+		cold++
+		if removed != nil {
+			if decErr = parseStamped(v, &rr); decErr != nil {
+				return false
+			}
+			gone.recs = append(gone.recs, gone.d.fromRaw(&rr))
 		}
 		return true
 	})
+	if err == nil {
+		err = decErr
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -671,16 +838,35 @@ func (d *Durable) Expire(cutoff, exceptionCutoff time.Time) (int, error) {
 			return 0, err
 		}
 	}
-	dropped := d.log.Expire(cutoff, exceptionCutoff)
-	d.seenEpoch = d.log.epoch.Load()
-	return dropped, d.cutLocked(uint64(len(victims)))
+	hot := func(r *record) bool { return keep(r.ns, Status(r.status)) }
+	dropped := 0
+	if cold > 0 || d.log.anyRejected(hot) {
+		// The epoch moves before any shard changes: a reader that
+		// observes a changed shard then sees the move.
+		d.log.epoch.Add(1)
+		fresh := make([]*shard, len(d.log.shards))
+		for i := range fresh {
+			fresh[i] = &shard{}
+		}
+		if _, _, err := d.foldIndex(fresh); err != nil {
+			return 0, err
+		}
+		if removed != nil && len(gone.recs) > 0 {
+			removed(gone)
+		}
+		dropped = d.log.trimShards(hot, removed, fresh)
+	}
+	return int(cold) + dropped, d.cutLocked(cold)
 }
 
 // Close drains the sink (a final WAL group commit makes every
-// acknowledged append durable), then releases the WAL and the index
-// store. It does not checkpoint; reopening replays the WAL tail.
+// acknowledged append durable), stops the background checkpointer,
+// then releases the WAL and the index store. It does not checkpoint;
+// reopening replays the WAL tail.
 func (d *Durable) Close() error {
 	d.log.closeSink()
+	d.quitOnce.Do(func() { close(d.quit) })
+	<-d.done
 	err := d.wal.Close()
 	if e := d.store.Close(); err == nil {
 		err = e

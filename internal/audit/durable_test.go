@@ -380,7 +380,8 @@ func TestDurableFederation(t *testing.T) {
 
 // TestDurableCrashInjectionDifferential is the torn-write differential
 // suite: the whole store (index pages, WAL segments, checkpoint log)
-// shares one byte budget and dies mid-write at a randomized offset.
+// shares one byte budget and dies mid-write at a randomized offset,
+// with explicit and background checkpoints interleaved.
 // Recovery must always produce a clean prefix of the oracle's append
 // order — byte-identical JSONL, matching refinement-index stats, and
 // an index view equal to the in-memory one — and must include every
@@ -423,6 +424,10 @@ func TestDurableCrashInjectionDifferential(t *testing.T) {
 				if err := d.Checkpoint(); err != nil {
 					break
 				}
+			}
+			if i%90 == 44 {
+				// A background checkpoint races the appends that follow.
+				d.wake <- struct{}{}
 			}
 			if fb.Failed() {
 				break
@@ -588,8 +593,9 @@ func TestDurableExpireCrashSweep(t *testing.T) {
 }
 
 // expireCrashTrial returns a trial that seeds a fully checkpointed
-// store, runs Expire on it with a write budget, reopens, and checks the
-// result against the pre- and post-expiry oracles. A trial reports
+// store, runs Expire on it with a write budget and a background
+// checkpoint racing it, reopens, and checks the result against the
+// pre- and post-expiry oracles. A trial reports
 // whether Expire completed within the budget.
 func expireCrashTrial(t *testing.T) func(trial int, budget int64) bool {
 	entries := genDurableEntries(200, 13)
@@ -639,6 +645,8 @@ func expireCrashTrial(t *testing.T) func(trial int, budget int64) bool {
 		if err != nil {
 			return false // budget died during open's own bookkeeping
 		}
+		// A background checkpoint races the expiry for the budget.
+		d2.wake <- struct{}{}
 		_, eerr := d2.Expire(cutoff, time.Time{})
 		completed := eerr == nil && !fb.Failed()
 		d2.Close()
@@ -668,35 +676,68 @@ func expireCrashTrial(t *testing.T) func(trial int, budget int64) bool {
 	}
 }
 
-// TestDurableDirectExpireRejected: calling Expire on the wrapped Log
-// instead of Durable.Expire desynchronizes the shards from the index
-// and the drop accounting; the next checkpoint must refuse to persist
-// that instead of miscounting the expired tail as drops.
-func TestDurableDirectExpireRejected(t *testing.T) {
+// TestDurableDirectRetention: Expire, Rotate and Reset called on a
+// durable store's Log go through the store, checkpointed entries
+// included. Each matches the in-memory oracle, commits (a reopen
+// replays no WAL tail and serves exactly the survivors), and leaves
+// the store checkpointing.
+func TestDurableDirectRetention(t *testing.T) {
 	dir := t.TempDir()
 	d, _, err := OpenDurable("s", dir, DurableOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
 	entries := genDurableEntries(100, 14)
-	if err := d.Append(entries...); err != nil {
+	oracle := NewLog("s")
+	if err := oracle.Append(entries...); err != nil {
 		t.Fatal(err)
 	}
-	d.Sync()
-	base := time.Date(2026, 3, 1, 8, 0, 0, 0, time.UTC)
-	if d.Log().Expire(base.Add(20*time.Second), time.Time{}) == 0 {
-		t.Fatal("workload has nothing to expire")
-	}
-	if err := d.Checkpoint(); err == nil {
-		t.Fatal("checkpoint persisted a direct Log.Expire silently")
-	}
-	// The sanctioned path still works afterwards.
-	if _, err := d.Expire(base.Add(25*time.Second), time.Time{}); err != nil {
-		t.Fatalf("Durable.Expire after rejection: %v", err)
+	if err := d.Append(entries[:60]...); err != nil {
+		t.Fatal(err)
 	}
 	if err := d.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint after sanctioned expiry: %v", err)
+		t.Fatal(err)
+	}
+	if err := d.Append(entries[60:]...); err != nil {
+		t.Fatal(err)
+	}
+	base := time.Date(2026, 3, 1, 8, 0, 0, 0, time.UTC)
+	got, want := d.Log().Expire(base.Add(10*time.Second), time.Time{}), oracle.Expire(base.Add(10*time.Second), time.Time{})
+	if got != want || want == 0 {
+		t.Fatalf("Log.Expire dropped %d, oracle %d", got, want)
+	}
+	rotated, wantRotated := d.Log().Rotate(base.Add(20*time.Second)), oracle.Rotate(base.Add(20*time.Second))
+	if len(wantRotated) == 0 || !bytes.Equal(jsonlBytes(t, rotated), jsonlBytes(t, wantRotated)) {
+		t.Fatalf("Log.Rotate returned %d entries, oracle %d", len(rotated), len(wantRotated))
+	}
+	wantLog := jsonlBytes(t, oracle.Snapshot())
+	if !bytes.Equal(jsonlBytes(t, d.Log().Snapshot()), wantLog) {
+		t.Fatal("log after direct retention diverges from the oracle")
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after direct retention: %v", err)
+	}
+	d.Close()
+
+	d2, rs, err := OpenDurable("s", dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs.WALEntries != 0 || rs.CheckpointEntries != oracle.Len() || !bytes.Equal(jsonlBytes(t, d2.Log().Snapshot()), wantLog) {
+		t.Fatalf("reopen after direct retention: %+v", rs)
+	}
+	d2.Log().Reset()
+	if n := d2.Log().Len(); n != 0 {
+		t.Fatalf("Log.Reset left %d entries", n)
+	}
+	d2.Close()
+	d3, rs, err := OpenDurable("s", dir, DurableOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d3.Close()
+	if rs.CheckpointEntries != 0 || rs.WALEntries != 0 || d3.Log().Len() != 0 {
+		t.Fatalf("reopen after Log.Reset: %+v, %d entries", rs, d3.Log().Len())
 	}
 }
 

@@ -127,27 +127,43 @@ func addDay(days []int32, d int32) []int32 {
 	return slices.Insert(days, i, d)
 }
 
-// unionDays returns the union of the ascending sets a and b in new
-// storage.
+// unionDays merges the ascending set b into the ascending set a, in
+// a's storage when it has room. The shards of a group mostly share
+// their days, so b is usually a subset of a already: then one
+// read-only pass returns a unchanged. a never aliases b.
 func unionDays(a, b []int32) []int32 {
-	out := make([]int32, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
+	extra := 0 // days of b missing from a
+	for i, j := 0, 0; j < len(b); j++ {
+		for i < len(a) && a[i] < b[j] {
 			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
+		}
+		if i == len(a) || a[i] != b[j] {
+			extra++
 		}
 	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
+	if extra == 0 {
+		return a
+	}
+	n := len(a)
+	a = slices.Grow(a, extra)[:n+extra]
+	// Merge from the back, so no element of a is overwritten before it
+	// is read; a day in both is written once.
+	i, k := n-1, n+extra-1
+	for j := len(b) - 1; j >= 0; k-- {
+		switch {
+		case i >= 0 && a[i] > b[j]:
+			a[k] = a[i]
+			i--
+		case i >= 0 && a[i] == b[j]:
+			a[k] = a[i]
+			i--
+			j--
+		default:
+			a[k] = b[j]
+			j--
+		}
+	}
+	return a
 }
 
 // statsAcc is one shard's Stats accumulator.
@@ -227,31 +243,6 @@ func (s *shard) indexLocked(r *record) {
 			g.offHours++
 		}
 		g.days = addDay(g.days, UTCDay(t))
-	}
-}
-
-// rebuildLocked re-interns the shard's records into a fresh dictionary
-// and zone table and recomputes its accumulators, after a structural
-// change (Expire/Rotate) dropped records; the shard lock must be held.
-// A value or zone no surviving record uses is gone from memory with
-// its entries: an expired user's name or break-glass reason does not
-// outlive them.
-func (s *shard) rebuildLocked() {
-	old := s.dict
-	s.dict = dict{}
-	for i := range s.recs {
-		s.reintern(&s.recs[i], &old)
-	}
-	s.foldLocked()
-}
-
-// foldLocked folds every record into freshly reset accumulators; the
-// shard lock must be held.
-func (s *shard) foldLocked() {
-	s.groups = nil
-	s.stats = statsAcc{}
-	for i := range s.recs {
-		s.indexLocked(&s.recs[i])
 	}
 }
 
@@ -487,55 +478,69 @@ func (l *Log) Summary() Stats {
 }
 
 // Cursor marks a read position in the log for O(delta) consumption:
-// the per-shard entry counts at the time of the last read, tied to
-// the index epoch. The zero Cursor reads from the start. A cursor
-// taken before a structural change (Reset/Expire/Rotate) is detected
-// via the epoch and triggers a resync from the start.
+// the sequence number the last read was fenced at (see Log.fence),
+// tied to the index epoch. The zero Cursor reads from the start. A
+// cursor taken before a structural change (Reset/Expire/Rotate) is
+// detected via the epoch and triggers a resync from the start.
 type Cursor struct {
 	epoch uint64
-	pos   []int
+	seq   uint64
+	valid bool
 }
 
 // Delta returns the entries appended since the cursor, in append
 // order, plus the advanced cursor. resync reports that the cursor
-// was stale (zero, wrong epoch, or wrong shape) and the returned
-// entries restart from the beginning of the log — consumers keeping
-// derived state must discard it when resync is true.
+// was stale (zero or wrong epoch) and the returned entries restart
+// from the beginning of the log — consumers keeping derived state
+// must discard it when resync is true. A durable log serves the part
+// of the delta at or below its checkpoint cut from the index; when
+// that read fails, the error goes to the store's OnErr and Delta
+// returns no entries and the cursor it was given, so the next call
+// reads the same range again.
 func (l *Log) Delta(c Cursor) (delta []Entry, next Cursor, resync bool) {
 	ep := l.epoch.Load()
-	resync = c.pos == nil || c.epoch != ep || len(c.pos) != len(l.shards)
-	next = Cursor{epoch: ep, pos: make([]int, len(l.shards))}
-	runs := make([]run, 0, len(l.shards))
-	for i, sh := range l.shards {
-		from := 0
-		if !resync {
-			from = c.pos[i]
-		}
+	resync = !c.valid || c.epoch != ep
+	from := c.seq
+	if resync {
+		from = 0
+	}
+	cut, _, release := l.holdCold()
+	runs, err := l.coldRun(from, cut, 0)
+	if err != nil {
+		release()
+		l.cold.report(err)
+		return nil, c, false
+	}
+	hi, _ := l.fence()
+	for _, sh := range l.shards {
 		sh.mu.RLock()
-		n := len(sh.recs)
-		if from > n {
-			from = n
+		// In a shard, the records at or below a fenced sequence number
+		// precede every record above it, so both ends of the range are
+		// a binary search. from is a fenced number too (or 0).
+		recs := sh.recs
+		lo := sort.Search(len(recs), func(j int) bool { return recs[j].seq > from })
+		end := sort.Search(len(recs), func(j int) bool { return recs[j].seq > hi })
+		if lo < end {
+			runs = append(runs, run{recs: slices.Clone(recs[lo:end]), d: sh.dict})
 		}
-		if from < n {
-			runs = append(runs, run{recs: slices.Clone(sh.recs[from:n]), d: sh.dict})
-		}
-		next.pos[i] = n
 		sh.mu.RUnlock()
 	}
+	release()
 	if l.epoch.Load() != ep {
 		// A structural change raced the read; restart from scratch.
 		return l.Delta(Cursor{})
 	}
-	return mergeEntries(runs, bySeq), next, resync
+	return mergeEntries(runs, bySeq), Cursor{epoch: ep, seq: hi, valid: true}, resync
 }
 
 // SnapshotByTime returns a copy of the entries in chronological
 // order, same-instant entries in append order — byte-identical to
 // SortByTime(Snapshot()) but sorted per shard (concurrently when
-// GOMAXPROCS allows) and k-way merged. Federation consolidation reads
-// its sources through this.
+// GOMAXPROCS allows) and k-way merged, a durable log's checkpointed
+// prefix as one more run. Federation consolidation reads its sources
+// through this.
 func (l *Log) SnapshotByTime() []Entry {
-	runs := l.runs(nil)
+	runs := l.allRuns()
 	total := 0
 	for i := range runs {
 		total += len(runs[i].recs)

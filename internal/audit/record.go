@@ -206,6 +206,31 @@ func sortRecords(recs []record, order func(a, b record) int) {
 	}
 }
 
+// lowestSeqs collects the limit lowest-seq records pushed into it
+// (every record when limit is 0) in O(n log limit) time and O(limit)
+// memory: at 2*limit records it sorts and cuts back to limit.
+type lowestSeqs struct {
+	recs  []record
+	limit int
+}
+
+func (c *lowestSeqs) push(r record) {
+	c.recs = append(c.recs, r)
+	if c.limit > 0 && len(c.recs) == 2*c.limit {
+		slices.SortFunc(c.recs, bySeq)
+		c.recs = c.recs[:c.limit]
+	}
+}
+
+// sorted returns the kept records in seq order.
+func (c *lowestSeqs) sorted() []record {
+	sortRecords(c.recs, bySeq)
+	if c.limit > 0 && len(c.recs) > c.limit {
+		c.recs = c.recs[:c.limit]
+	}
+	return c.recs
+}
+
 // merge sorts each run by order, then walks the records of all runs in
 // order, calling emit with each record and the dictionary it indexes.
 // The run count is a shard count, so a linear head scan beats heap

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -168,12 +169,33 @@ func walEntries(t *testing.T, dir string) []stamped {
 }
 
 // TestCompactLogMatchesEntries differentially checks the compact record
-// layout: seeded single and batch appends, through a durable store's
-// sink, of entries with monotonic, fixed-zone, local and UTC times,
-// interleaved with Expire, Rotate and Reset, read back through every
-// view — window bounds with their zones — equal a plain []Entry model,
-// and the WAL holds every appended entry in append order.
+// layout: seeded single and batch appends of entries with monotonic,
+// fixed-zone, local and UTC times, interleaved with Expire, Rotate and
+// Reset, read back through every view — window bounds with their
+// zones, pages of Page — equal a plain []Entry model. The durable variant runs the
+// same steps through a durable store's sink, with background
+// checkpoints interleaved, and checks that the WAL holds every entry
+// above the checkpoint cut in append order. A checkpointed entry keeps
+// its instant and zone offset but not its zone's name, so the durable
+// variant compares times by instant and offset.
 func TestCompactLogMatchesEntries(t *testing.T) {
+	t.Run("memory", func(t *testing.T) { compactLogDifferential(t, false) })
+	t.Run("durable", func(t *testing.T) { compactLogDifferential(t, true) })
+}
+
+// offsetZone returns t at its instant in an unnamed zone at its
+// offset, as a checkpointed entry comes back.
+func offsetZone(t time.Time) time.Time {
+	if t.IsZero() {
+		return t
+	}
+	if _, off := t.Zone(); off != 0 {
+		return time.Unix(0, t.UnixNano()).In(time.FixedZone("", off))
+	}
+	return time.Unix(0, t.UnixNano()).UTC()
+}
+
+func compactLogDifferential(t *testing.T, durable bool) {
 	rng := rand.New(rand.NewSource(19))
 	est := time.FixedZone("EST", -5*3600)
 	base := time.Now()
@@ -210,12 +232,45 @@ func TestCompactLogMatchesEntries(t *testing.T) {
 	}
 
 	dir := t.TempDir()
-	d, _, err := OpenDurable("main", dir, DurableOptions{NoSync: true, OnErr: func(err error) { t.Error(err) }})
-	if err != nil {
-		t.Fatal(err)
+	l := NewLog("main")
+	var d *Durable
+	if durable {
+		var err error
+		d, _, err = OpenDurable("main", dir, DurableOptions{NoSync: true, OnErr: func(err error) { t.Error(err) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.Close()
+		l = d.Log()
 	}
-	defer d.Close()
-	l := d.Log()
+	// same compares a view with the model's, by instant and offset for
+	// the durable log.
+	same := func(got, want any) bool {
+		if !durable {
+			return reflect.DeepEqual(got, want)
+		}
+		zoneless := func(v any) any {
+			switch v := v.(type) {
+			case []Entry:
+				out := slices.Clone(v)
+				for i := range out {
+					out[i].Time = offsetZone(out[i].Time)
+				}
+				return out
+			case Stats:
+				v.First, v.Last = offsetZone(v.First), offsetZone(v.Last)
+				return v
+			case []Group:
+				out := slices.Clone(v)
+				for i := range out {
+					out[i].First, out[i].Last = offsetZone(out[i].First), offsetZone(out[i].Last)
+				}
+				return out
+			}
+			return v
+		}
+		return reflect.DeepEqual(zoneless(got), zoneless(want))
+	}
 	m := &compactModel{site: "main"}
 	var cur Cursor
 	var seenLen int // model entries the Delta cursor has returned
@@ -230,33 +285,48 @@ func TestCompactLogMatchesEntries(t *testing.T) {
 			t.Helper()
 			t.Fatalf("step %d (%s): %s differs\ngot  %v\nwant %v", step, what, view, got, want)
 		}
-		if got := l.Snapshot(); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+		if got := l.Snapshot(); len(got)+len(want) > 0 && !same(got, want) {
 			fail("Snapshot", got, want)
 		}
 		if got, w := jsonlBytes(t, l.Snapshot()), jsonlBytes(t, want); !bytes.Equal(got, w) {
 			fail("WriteJSONL", string(got), string(w))
 		}
 		pick := func(e Entry) bool { return e.User == "alice" || e.Reason != "" }
-		if got, w := l.Filtered(pick), m.filter(pick); !reflect.DeepEqual(got, w) {
+		if got, w := l.Filtered(pick), m.filter(pick); !same(got, w) {
 			fail("Filtered", got, w)
 		}
 		since := base.Add(time.Duration(rng.Intn(48*60)-24*60) * time.Minute)
-		if got, w := l.Since(since), m.filter(func(e Entry) bool { return !e.Time.Before(since) }); !reflect.DeepEqual(got, w) {
+		if got, w := l.Since(since), m.filter(func(e Entry) bool { return !e.Time.Before(since) }); !same(got, w) {
 			fail("Since", got, w)
 		}
-		if got, w := l.Exceptions(), m.filter(func(e Entry) bool { return e.Status == Exception }); !reflect.DeepEqual(got, w) {
+		if got, w := l.Exceptions(), m.filter(func(e Entry) bool { return e.Status == Exception }); !same(got, w) {
 			fail("Exceptions", got, w)
 		}
 		byTime := append([]Entry(nil), want...)
 		SortByTime(byTime)
-		if got := l.SnapshotByTime(); len(got)+len(byTime) > 0 && !reflect.DeepEqual(got, byTime) {
+		if got := l.SnapshotByTime(); len(got)+len(byTime) > 0 && !same(got, byTime) {
 			fail("SnapshotByTime", got, byTime)
 		}
-		if got, w := l.Summary(), Summarize(want); !reflect.DeepEqual(got, w) {
+		if got, w := l.Summary(), Summarize(want); !same(got, w) {
 			fail("Summary", got, w)
 		}
-		if got, w := l.Groups(), m.groups(); len(got)+len(w) > 0 && !reflect.DeepEqual(got, w) {
+		if got, w := l.Groups(), m.groups(); len(got)+len(w) > 0 && !same(got, w) {
 			fail("Groups", got, w)
+		}
+
+		var paged []Entry
+		for after := uint64(0); ; {
+			page, next, err := l.Page(after, 1+rng.Intn(40))
+			if err != nil {
+				fail("Page error", err, nil)
+			}
+			if next == after {
+				break
+			}
+			paged, after = append(paged, page...), next
+		}
+		if len(paged)+len(want) > 0 && !same(paged, want) {
+			fail("Page", paged, want)
 		}
 
 		delta, next, resync := l.Delta(cur)
@@ -264,7 +334,7 @@ func TestCompactLogMatchesEntries(t *testing.T) {
 		if resync {
 			seenLen = 0
 		}
-		if w := want[seenLen:]; len(delta)+len(w) > 0 && !reflect.DeepEqual(delta, w) {
+		if w := want[seenLen:]; len(delta)+len(w) > 0 && !same(delta, w) {
 			fail(fmt.Sprintf("Delta (resync %v)", resync), delta, w)
 		}
 		seenLen = len(want)
@@ -286,7 +356,7 @@ func TestCompactLogMatchesEntries(t *testing.T) {
 			exp = next
 			exported = append(exported, batch...)
 		}
-		if len(exported)+len(want) > 0 && !reflect.DeepEqual(exported, want) {
+		if len(exported)+len(want) > 0 && !same(exported, want) {
 			fail("ExportDelta", exported, want)
 		}
 	}
@@ -316,22 +386,35 @@ func TestCompactLogMatchesEntries(t *testing.T) {
 				m.add(e)
 				appended = append(appended, m.entries[len(m.entries)-1])
 			}
-		case k < 16:
+		case k < 15 && durable:
+			what = "background checkpoint"
+			// Wake the checkpointer and go on: its cut races the steps
+			// that follow.
+			d.wake <- struct{}{}
+		case k < 16 && durable:
 			what = "WAL"
 			d.Sync()
+			// Checkpoints truncate the WAL a segment at a time: it holds
+			// a run of the latest entries that reaches below the cut.
 			recs := walEntries(t, dir)
+			first := len(appended) - len(recs)
+			if cut := d.CheckpointSeq(); first < 0 || uint64(first) > cut {
+				t.Fatalf("step %d: WAL holds %d records of %d appended, cut at %d", step, len(recs), len(appended), cut)
+			}
 			got := make([]Entry, len(recs))
 			for i, r := range recs {
-				if r.seq != uint64(i+1) {
+				if r.seq != uint64(first+i+1) {
 					t.Fatalf("step %d: WAL record %d has seq %d", step, i, r.seq)
 				}
 				got[i] = r.e
 			}
 			// Decoded times keep instant and offset, which is what JSON
 			// encodes.
-			if g, w := jsonlBytes(t, got), jsonlBytes(t, appended); !bytes.Equal(g, w) {
+			if g, w := jsonlBytes(t, got), jsonlBytes(t, appended[first:]); !bytes.Equal(g, w) {
 				t.Fatalf("step %d: WAL entries differ\ngot  %s\nwant %s", step, g, w)
 			}
+		case k < 16:
+			what = "no-op"
 		case k < 18:
 			cut := base.Add(time.Duration(rng.Intn(48*60)-24*60) * time.Minute)
 			var exCut time.Time
@@ -352,7 +435,7 @@ func TestCompactLogMatchesEntries(t *testing.T) {
 			what = "rotate"
 			cut := base.Add(time.Duration(rng.Intn(48*60)-24*60) * time.Minute)
 			want := m.keep(func(e Entry) bool { return !e.Time.Before(cut) })
-			if got := l.Rotate(cut); !reflect.DeepEqual(got, want) {
+			if got := l.Rotate(cut); !same(got, want) {
 				t.Fatalf("step %d: Rotate returned\n%v\nwant\n%v", step, got, want)
 			}
 			if len(want) > 0 {
@@ -455,10 +538,12 @@ func TestRetentionDropsDictionaryStrings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A durable log's shards hold no records after a checkpoint; its
+	// expiry rebuilds every shard from the index.
 	check := func(t *testing.T, l *Log, what string) {
 		t.Helper()
 		for _, sh := range l.shards {
-			if len(sh.recs) == 0 {
+			if len(sh.recs) == 0 && l.cold == nil {
 				t.Fatalf("a shard of the %s log is empty: the rebuild path is not exercised", what)
 			}
 		}

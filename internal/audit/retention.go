@@ -20,10 +20,18 @@ import (
 // uniformly. Shards are trimmed one at a time, each rebuilding its
 // dictionary and incremental index under its own lock; when anything
 // is dropped the index epoch advances, invalidating outstanding Delta
-// cursors.
+// cursors. A durable log expires through its store (Durable.Expire),
+// whose errors go to OnErr.
 func (l *Log) Expire(cutoff, exceptionCutoff time.Time) int {
 	keep := retention(cutoff, exceptionCutoff)
-	return l.trim(func(r *record) bool { return keep(r.ns, Status(r.status)) }, nil)
+	if d := l.cold; d != nil {
+		n, err := d.retain(indexTimeBound(cutoff), keep, nil)
+		if err != nil {
+			d.report(err)
+		}
+		return n
+	}
+	return l.trimShards(func(r *record) bool { return keep(r.ns, Status(r.status)) }, nil, nil)
 }
 
 // retention is Expire's rule: whether an entry at ns nanoseconds with
@@ -44,52 +52,86 @@ func retention(cutoff, exceptionCutoff time.Time) func(ns int64, st Status) bool
 func (l *Log) Rotate(cutoff time.Time) []Entry {
 	before := newCutoff(cutoff)
 	var runs []run
-	l.trim(func(r *record) bool { return !before.before(r.ns) }, func(rotated run) {
-		runs = append(runs, rotated)
-	})
+	collect := func(rotated run) { runs = append(runs, rotated) }
+	if d := l.cold; d != nil {
+		keep := func(ns int64, _ Status) bool { return !before.before(ns) }
+		if _, err := d.retain(indexTimeBound(cutoff), keep, collect); err != nil {
+			d.report(err)
+		}
+	} else {
+		l.trimShards(func(r *record) bool { return !before.before(r.ns) }, collect, nil)
+	}
 	if len(runs) == 0 {
 		return nil
 	}
 	return mergeEntries(runs, bySeq)
 }
 
-// trim keeps, shard by shard under its write lock, the records keep
-// accepts, and returns how many it dropped. A shard that loses records
-// is rebuilt (rebuildLocked); when removed is non-nil it receives the
-// dropped records with the dictionary they index. The first change
-// moves the epoch before it happens, so a reader that observes a
-// trimmed shard sees the move.
-func (l *Log) trim(keep func(r *record) bool, removed func(run)) int {
-	dropped := 0
+// anyRejected reports whether some shard record fails keep.
+func (l *Log) anyRejected(keep func(r *record) bool) bool {
 	for _, sh := range l.shards {
+		sh.mu.RLock()
+		for i := range sh.recs {
+			if !keep(&sh.recs[i]) {
+				sh.mu.RUnlock()
+				return true
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	return false
+}
+
+// trimShards keeps, shard by shard under its write lock, the records
+// keep accepts, and returns how many it dropped. A shard that loses
+// records gets a fresh dictionary and index holding only its
+// survivors, and when removed is non-nil it receives the dropped
+// records with the dictionary they index; the first such change moves
+// the epoch before it happens, so a reader that observes a trimmed
+// shard sees the move. A durable log passes cold: per shard, the
+// index state its surviving checkpointed entries fold to (see
+// Durable.retain, which moves the epoch itself). Every shard is then
+// rebuilt on top of it.
+func (l *Log) trimShards(keep func(r *record) bool, removed func(run), cold []*shard) int {
+	dropped := 0
+	for i, sh := range l.shards {
 		sh.mu.Lock()
 		n := 0
-		for i := range sh.recs {
-			if keep(&sh.recs[i]) {
+		for j := range sh.recs {
+			if keep(&sh.recs[j]) {
 				n++
 			}
 		}
-		if n < len(sh.recs) {
-			if dropped == 0 {
-				l.epoch.Add(1)
-			}
-			dropped += len(sh.recs) - n
-			kept := make([]record, 0, n)
-			var gone []record
-			for i := range sh.recs {
-				if keep(&sh.recs[i]) {
-					kept = append(kept, sh.recs[i])
-				} else if removed != nil {
-					gone = append(gone, sh.recs[i])
-				}
-			}
-			d := sh.dict
-			sh.recs = kept
-			sh.rebuildLocked()
-			if removed != nil {
-				removed(run{recs: gone, d: d})
-			}
+		if n == len(sh.recs) && cold == nil {
+			sh.mu.Unlock()
+			continue
 		}
+		if dropped == 0 && cold == nil {
+			l.epoch.Add(1)
+		}
+		dropped += len(sh.recs) - n
+		fresh := &shard{}
+		if cold != nil {
+			fresh = cold[i]
+		}
+		// A value or zone no surviving record uses is gone from memory
+		// with its entries: an expired user's name or break-glass
+		// reason does not outlive them.
+		kept := make([]record, 0, n)
+		var gone []record
+		for _, r := range sh.recs {
+			if !keep(&r) {
+				gone = append(gone, r)
+				continue
+			}
+			fresh.reintern(&r, &sh.dict)
+			fresh.indexLocked(&r)
+			kept = append(kept, r)
+		}
+		if removed != nil && len(gone) > 0 {
+			removed(run{recs: gone, d: sh.dict})
+		}
+		sh.recs, sh.dict, sh.groups, sh.stats = kept, fresh.dict, fresh.groups, fresh.stats
 		sh.mu.Unlock()
 	}
 	return dropped

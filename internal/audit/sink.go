@@ -36,6 +36,11 @@ type sink struct {
 	done  chan struct{}
 	wal   *storage.WAL
 	onErr func(error)
+
+	// ckpt wakes the durable store's background checkpointer (cap 1,
+	// never blocks the sink) after every checkpointBytes of records
+	// the sink goroutine writes.
+	ckpt chan<- struct{}
 }
 
 // wakeFlusher nudges the sink goroutine; a pending token already
@@ -85,6 +90,7 @@ func (s *sink) send(l *Log, entries []Entry, site string, seqs []uint64) {
 func (s *sink) run() {
 	var batch []stamped
 	var rec []byte
+	written := 0 // record bytes since the last checkpoint wakeup
 	report := func(err error) {
 		if err != nil && s.onErr != nil {
 			s.onErr(err)
@@ -106,6 +112,14 @@ func (s *sink) run() {
 			if _, err := s.wal.Append(rec); err != nil {
 				report(err)
 				break
+			}
+			written += len(rec)
+		}
+		if written >= checkpointBytes {
+			written = 0
+			select {
+			case s.ckpt <- struct{}{}:
+			default: // a wakeup is already pending
 			}
 		}
 		if len(barriers) > 0 || closed {
@@ -152,10 +166,11 @@ func (s *sink) close() {
 	<-s.done
 }
 
-// attachWAL starts a sink feeding every later append into wal. The
-// durable store attaches it once, after recovery.
-func (l *Log) attachWAL(wal *storage.WAL, onErr func(error)) {
-	s := &sink{wake: make(chan struct{}, 1), done: make(chan struct{}), wal: wal, onErr: onErr}
+// attachWAL starts a sink feeding every later append into wal and
+// waking ckpt as the WAL grows. The durable store attaches it once,
+// after recovery.
+func (l *Log) attachWAL(wal *storage.WAL, onErr func(error), ckpt chan<- struct{}) {
+	s := &sink{wake: make(chan struct{}, 1), done: make(chan struct{}), wal: wal, onErr: onErr, ckpt: ckpt}
 	s.full.L = &s.mu
 	go s.run()
 	l.sink.Store(s)

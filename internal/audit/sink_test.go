@@ -238,8 +238,10 @@ func TestSinkFullQueueBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d2.Close()
-	if rs.WALEntries != n || !sameEntries(t, d2.Log().Snapshot(), want) {
-		t.Fatalf("recovered %d WAL entries, want the %d appended in order", rs.WALEntries, n)
+	// The background checkpointer may have moved a prefix into the
+	// index once the WAL passed checkpointBytes.
+	if got := rs.CheckpointEntries + rs.WALEntries; got != n || !sameEntries(t, d2.Log().Snapshot(), want) {
+		t.Fatalf("recovered %d entries (%d from the WAL), want the %d appended in order", got, rs.WALEntries, n)
 	}
 }
 

@@ -255,6 +255,15 @@ type symGroup struct {
 type SymRange struct {
 	groups map[string]*symGroup
 	card   int64
+
+	// The audit-row probe's inputs, resolved once: the tripleSig group
+	// (nil when the range has none), the vocabulary the range was
+	// compiled under, and its authorized, data and purpose hierarchies
+	// (tripleSig order), so a ContainsTriple probe takes no vocabulary
+	// lock.
+	tripleGroup *symGroup
+	vocab       *vocab.Vocabulary
+	triple      [3]*vocab.Hierarchy
 }
 
 // NewSymRange compiles the policy's rules under v. Unlike NewRange it
@@ -267,7 +276,10 @@ func NewSymRange(p *Policy, v *vocab.Vocabulary) *SymRange {
 // CompileRules compiles a bare rule list into a symbolic range.
 // Zero rules contribute nothing (their range is empty).
 func CompileRules(rules []Rule, v *vocab.Vocabulary) *SymRange {
-	rg := &SymRange{groups: make(map[string]*symGroup)}
+	rg := &SymRange{groups: make(map[string]*symGroup), vocab: v}
+	if v != nil {
+		rg.triple = tripleHierarchies(v)
+	}
 	seen := make(map[string]bool, len(rules))
 	for _, r := range rules {
 		sr, ok := CompileRule(r, v)
@@ -293,6 +305,7 @@ func CompileRules(rules []Rule, v *vocab.Vocabulary) *SymRange {
 		g.card = unionCard(g.boxes)
 		rg.card += g.card
 	}
+	rg.tripleGroup = rg.groups[tripleSig]
 	return rg
 }
 
@@ -417,14 +430,18 @@ const tripleSig = "authorized&data&purpose"
 // value never equals a ground rule), and membership is an interval
 // probe per attribute.
 func (rg *SymRange) ContainsTriple(v *vocab.Vocabulary, data, purpose, authorized string) bool {
-	g, ok := rg.groups[tripleSig]
-	if !ok {
+	g := rg.tripleGroup
+	if g == nil {
 		return false
 	}
+	hs := rg.triple
+	if v != rg.vocab {
+		hs = tripleHierarchies(v)
+	}
 	pts := [3]symPoint{
-		compilePoint(v.Hierarchy("authorized"), authorized),
-		compilePoint(v.Hierarchy("data"), data),
-		compilePoint(v.Hierarchy("purpose"), purpose),
+		probePoint(hs[0], authorized),
+		probePoint(hs[1], data),
+		probePoint(hs[2], purpose),
 	}
 	for i := range pts {
 		if !pts[i].ground {
@@ -460,9 +477,18 @@ type symPoint struct {
 	ground  bool
 }
 
-func compilePoint(h *vocab.Hierarchy, value string) symPoint {
+// tripleHierarchies resolves the hierarchies of tripleSig's attributes.
+func tripleHierarchies(v *vocab.Vocabulary) [3]*vocab.Hierarchy {
+	return [3]*vocab.Hierarchy{v.Hierarchy("authorized"), v.Hierarchy("data"), v.Hierarchy("purpose")}
+}
+
+// probePoint compiles one probe value into a point, normalizing it
+// once: its leaf in the hierarchy's interval snapshot, or the foreign
+// value the hierarchy does not know.
+func probePoint(h *vocab.Hierarchy, value string) symPoint {
+	n := vocab.Norm(value)
 	if h != nil {
-		if sp, ok := h.Intervals().Interval(value); ok {
+		if sp, ok := h.Intervals().NormInterval(n); ok {
 			// A composite value is not a ground rule coordinate; the
 			// materialized range holds only leaves, so membership fails.
 			if sp.Len() != 1 {
@@ -471,7 +497,7 @@ func compilePoint(h *vocab.Hierarchy, value string) symPoint {
 			return symPoint{leaf: sp.Lo, ground: true}
 		}
 	}
-	return symPoint{foreign: vocab.Norm(value), ground: true}
+	return symPoint{foreign: n, ground: true}
 }
 
 func (r SymRule) containsPoints(pts *[3]symPoint) bool {

@@ -261,3 +261,27 @@ func TestUnionCardOverlap(t *testing.T) {
 		t.Fatalf("overlapping union card = %d, want %d", got, want)
 	}
 }
+
+// BenchmarkContainsTriple times one audit-row membership probe against
+// the Figure 1 store: ground hits, a ground miss, and a foreign value.
+func BenchmarkContainsTriple(b *testing.B) {
+	v := vocab.Sample()
+	p := FromRules("PS",
+		MustRule(T("data", "general"), T("purpose", "treatment"), T("authorized", "nurse")),
+		MustRule(T("data", "demographic"), T("purpose", "registration"), T("authorized", "clerk")),
+		MustRule(T("data", "financial"), T("purpose", "billing"), T("authorized", "clerk")),
+	)
+	rg := NewSymRange(p, v)
+	probes := [][3]string{
+		{"referral", "treatment", "nurse"},
+		{"Address", "registration", "clerk"},
+		{"psychiatry", "treatment", "nurse"},
+		{"xray", "treatment", "nurse"},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := &probes[i%len(probes)]
+		rg.ContainsTriple(v, q[0], q[1], q[2])
+	}
+}

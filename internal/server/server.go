@@ -506,25 +506,55 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxAuditPage bounds the entries one GET /audit returns.
+const maxAuditPage = 1000
+
+// handleAudit pages through the audit log in append order:
+// ?after=SEQ (default 0) and ?limit=N (default and maximum
+// maxAuditPage) select the next entries with higher sequence numbers,
+// and "next" is the sequence number to pass as after for the page
+// that follows (equal to after once the log is exhausted). With
+// ?status=exception the page returns only the exception-based entries
+// among those it examined. The stats summarize the whole log, from
+// its incremental index.
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeErr(w, http.StatusMethodNotAllowed, errors.New("server: GET required"))
 		return
 	}
+	q := r.URL.Query()
+	var after uint64
+	if v := q.Get("after"); v != "" {
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("server: after must be a sequence number, got %q", v))
+			return
+		}
+		after = n
+	}
+	limit := maxAuditPage
+	if v := q.Get("limit"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 1 {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("server: limit must be a positive integer, got %q", v))
+			return
+		}
+		limit = min(n, maxAuditPage)
+	}
 	l := s.sys.AuditLog()
-	entries := l.Snapshot()
-	// The unfiltered stats come from the log's incremental index;
-	// filtered views still summarize the subset they return.
-	stats := l.Summary()
-	if r.URL.Query().Get("status") == "exception" {
-		var kept []audit.Entry
+	entries, next, err := l.Page(after, limit)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, err)
+		return
+	}
+	if q.Get("status") == "exception" {
+		kept := entries[:0]
 		for _, e := range entries {
 			if e.Status == audit.Exception {
 				kept = append(kept, e)
 			}
 		}
 		entries = kept
-		stats = audit.Summarize(entries)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"entries": entries, "stats": stats})
+	writeJSON(w, http.StatusOK, map[string]any{"entries": entries, "next": next, "stats": l.Summary()})
 }

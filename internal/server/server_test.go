@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -290,22 +291,87 @@ func TestAuditEndpoint(t *testing.T) {
 	do(t, s, http.MethodPost, "/breakglass", QueryRequest{
 		User: "tim", Role: "nurse", Purpose: "registration", Reason: "r", SQL: "SELECT referral FROM records",
 	})
-	rec := do(t, s, http.MethodGet, "/audit", nil)
-	var all struct {
+	type page struct {
 		Entries []prima.Entry `json:"entries"`
+		Next    uint64        `json:"next"`
 	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &all); err != nil {
+	get := func(target string) page {
+		t.Helper()
+		rec := do(t, s, http.MethodGet, target, nil)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s = %d: %s", target, rec.Code, rec.Body.String())
+		}
+		var p page
+		if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	if all := get("/audit"); len(all.Entries) != 2 || all.Next != 2 {
+		t.Fatalf("whole log: %d entries, next %d", len(all.Entries), all.Next)
+	}
+	// Paging one entry at a time walks the log in append order and
+	// ends where next stops moving.
+	first := get("/audit?limit=1")
+	second := get("/audit?limit=1&after=" + strconv.FormatUint(first.Next, 10))
+	last := get("/audit?limit=1&after=" + strconv.FormatUint(second.Next, 10))
+	if len(first.Entries) != 1 || first.Entries[0].Status != prima.StatusRegular ||
+		len(second.Entries) != 1 || second.Entries[0].Status != prima.StatusException ||
+		len(last.Entries) != 0 || last.Next != second.Next {
+		t.Fatalf("paging: %+v, %+v, %+v", first, second, last)
+	}
+	if exc := get("/audit?status=exception"); len(exc.Entries) != 1 || exc.Entries[0].Status != prima.StatusException || exc.Next != 2 {
+		t.Errorf("exception filter = %+v", exc)
+	}
+	for _, bad := range []string{"/audit?limit=0", "/audit?limit=x", "/audit?after=-1"} {
+		if rec := do(t, s, http.MethodGet, bad, nil); rec.Code != http.StatusBadRequest {
+			t.Errorf("%s = %d, want 400", bad, rec.Code)
+		}
+	}
+}
+
+// TestAuditEndpointPageBound: a page holds at most maxAuditPage
+// entries whatever limit asks for, and paging returns every entry once.
+func TestAuditEndpointPageBound(t *testing.T) {
+	s, sys := newServer(t)
+	const n = maxAuditPage + 5
+	es := make([]prima.Entry, n)
+	for i := range es {
+		es[i] = prima.Entry{Time: time.Date(2026, 1, 1, 0, 0, i, 0, time.UTC), Op: prima.OpAllow,
+			User: "u" + strconv.Itoa(i), Data: "referral", Purpose: "treatment", Authorized: "nurse", Status: prima.StatusRegular}
+	}
+	if err := sys.AuditLog().Append(es...); err != nil {
 		t.Fatal(err)
 	}
-	if len(all.Entries) != 2 {
-		t.Fatalf("entries = %d", len(all.Entries))
+	var users []string
+	var after uint64
+	for {
+		rec := do(t, s, http.MethodGet, "/audit?limit=5000&after="+strconv.FormatUint(after, 10), nil)
+		var p struct {
+			Entries []prima.Entry `json:"entries"`
+			Next    uint64        `json:"next"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &p); err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Entries) > maxAuditPage {
+			t.Fatalf("page of %d entries", len(p.Entries))
+		}
+		if p.Next == after {
+			break
+		}
+		for _, e := range p.Entries {
+			users = append(users, e.User)
+		}
+		after = p.Next
 	}
-	rec = do(t, s, http.MethodGet, "/audit?status=exception", nil)
-	if err := json.Unmarshal(rec.Body.Bytes(), &all); err != nil {
-		t.Fatal(err)
+	if len(users) != n {
+		t.Fatalf("paged %d entries, want %d", len(users), n)
 	}
-	if len(all.Entries) != 1 || all.Entries[0].Status != prima.StatusException {
-		t.Errorf("exception filter = %+v", all.Entries)
+	for i, u := range users {
+		if u != "u"+strconv.Itoa(i) {
+			t.Fatalf("entry %d is %s", i, u)
+		}
 	}
 }
 

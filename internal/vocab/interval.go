@@ -81,7 +81,12 @@ func (ix *Intervals) LeafCount() int { return int(ix.leafCount) }
 // the value is registered in the hierarchy. Ground values map to
 // unit intervals.
 func (ix *Intervals) Interval(value string) (Span, bool) {
-	s, ok := ix.spans[Norm(value)]
+	return ix.NormInterval(Norm(value))
+}
+
+// NormInterval is Interval for a value already normalized by Norm.
+func (ix *Intervals) NormInterval(norm string) (Span, bool) {
+	s, ok := ix.spans[norm]
 	return s, ok
 }
 

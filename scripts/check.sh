@@ -36,11 +36,17 @@ if [ "$vet_status" -ne 0 ]; then
 fi
 
 echo "==> lockorder.txt sync check (-write-lockorder must be a no-op)"
-go run ./cmd/prima-vet -write-lockorder
-if ! git diff --quiet -- cmd/prima-vet/lockorder.txt; then
-    echo "cmd/prima-vet/lockorder.txt is out of sync with the observed acquisition graph:" >&2
-    git diff -- cmd/prima-vet/lockorder.txt >&2
-    git checkout -- cmd/prima-vet/lockorder.txt
+# Regenerate in a temporary copy of the working tree (tracked and
+# untracked files, edits included), so the check compares against the
+# file as it is, unstaged edits too, and never rewrites it.
+lo_tmp=$(mktemp -d)
+trap 'rm -rf "$lo_tmp"' EXIT
+git ls-files --cached --others --exclude-standard | while IFS= read -r f; do
+    if [ -f "$f" ]; then printf '%s\n' "$f"; fi
+done | tar -cf - -T - | tar -xf - -C "$lo_tmp"
+(cd "$lo_tmp" && go run ./cmd/prima-vet -write-lockorder)
+if ! diff -u cmd/prima-vet/lockorder.txt "$lo_tmp/cmd/prima-vet/lockorder.txt" >&2; then
+    echo "cmd/prima-vet/lockorder.txt is out of sync with the observed acquisition graph (diff above: -file, +regenerated); the file was not changed" >&2
     exit 1
 fi
 
