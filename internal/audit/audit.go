@@ -245,7 +245,11 @@ type shard struct {
 	recs []record
 	dict
 	groups map[groupKey]*groupAcc
-	stats  statsAcc
+	// gen counts the changes to groups: every fold and every rebuild
+	// moves it, so a gen read with the groups under the lock names
+	// exactly that state (the Groups view's key).
+	gen   uint64
+	stats statsAcc
 }
 
 // add appends one entry and folds it into the shard's index under a
@@ -294,6 +298,8 @@ type Log struct {
 	// shards no longer hold; nil for an in-memory log, whose readers
 	// then find nothing on the cold side.
 	cold *Durable
+	// view is the published Groups result (see Log.Groups).
+	view atomic.Pointer[groupView]
 }
 
 // NewLog returns an empty log for the named site (may be empty).
@@ -731,6 +737,7 @@ func (l *Log) Reset() {
 		sh.recs = sh.recs[:0]
 		sh.dict = dict{}
 		sh.groups = nil
+		sh.gen++
 		sh.stats = statsAcc{}
 		sh.mu.Unlock()
 	}

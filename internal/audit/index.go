@@ -187,13 +187,14 @@ func (st *statsAcc) addUser(u uint32) {
 	st.users[w] |= 1 << (u % 64)
 }
 
-// indexLocked folds one record into the shard's accumulators; the
-// shard lock must be held. Users are recorded raw and normalized on
-// the O(users) read side instead of the O(entries) write side —
-// normalize(union raw) equals union(normalize) so Summary is
-// unchanged. Windows keep the lowest-seq of equal instants, as
+// indexLocked folds one record into the shard's accumulators and
+// moves its gen; the shard lock must be held. Users are recorded raw
+// and normalized on the O(users) read side instead of the O(entries)
+// write side — normalize(union raw) equals union(normalize) so Summary
+// is unchanged. Windows keep the lowest-seq of equal instants, as
 // Summarize does.
 func (s *shard) indexLocked(r *record) {
+	s.gen++
 	at := instant{ns: r.ns, seq: r.seq, zone: r.zone}
 	allow, exception := Op(r.op) == Allow, Status(r.status) == Exception
 	st := &s.stats
@@ -278,36 +279,130 @@ func (g Group) Rule() (policy.Rule, error) {
 	)
 }
 
-// Groups merges the per-shard accumulators into one deterministic
-// view, sorted by the raw group identity. Cost is O(groups), not
-// O(entries): this is the read side of the incremental index.
-func (l *Log) Groups() []Group { return MergeGroups(l) }
+// groupView is one published Groups result and the index state it
+// was merged from: the log's epoch and, per shard, the gen read with
+// that shard's groups. Readers of a matching state share it.
+//
+// prima:arena — a view is filled by one merge and frozen once it is
+// published through Log.view; its groups' Users maps and Days slices
+// are shared by every caller it is returned to.
+type groupView struct {
+	epoch  uint64
+	gens   []uint64
+	groups []Group
+}
+
+// Groups returns the merged view of the per-shard accumulators, sorted
+// by the raw group identity. Cost is O(groups), not O(entries): this
+// is the read side of the incremental index. The view is published
+// RCU-style and rebuilt only when the index has changed since: a call
+// whose epoch and shard gens match the published view's gets that view
+// back with no merge, so the returned slice, its Users maps and its
+// Days slices are shared with other callers and must be treated as
+// read-only. A view is published only when no structural op moved the
+// epoch during its merge. MergeGroups returns a fresh merge instead.
+func (l *Log) Groups() []Group {
+	ep := l.epoch.Load()
+	old := l.view.Load()
+	if old != nil && old.epoch == ep && l.unchanged(old.gens) {
+		return old.groups
+	}
+	v := &groupView{epoch: ep, gens: make([]uint64, len(l.shards))}
+	v.groups = mergeGroups([]*Log{l}, v.gens)
+	// Structural ops move the epoch before they touch a shard, so an
+	// unmoved epoch means no retention pass rebuilt shards mid-merge.
+	// The swap keeps a view another caller published meanwhile; the
+	// next call checks whichever is published against the gens.
+	if l.epoch.Load() == ep {
+		l.view.CompareAndSwap(old, v)
+	}
+	return v.groups
+}
+
+// unchanged reports whether every shard's gen still equals the one in
+// gens: then no shard's groups changed since gens was read.
+func (l *Log) unchanged(gens []uint64) bool {
+	for i, sh := range l.shards {
+		sh.mu.RLock()
+		g := sh.gen
+		sh.mu.RUnlock()
+		if g != gens[i] {
+			return false
+		}
+	}
+	return true
+}
 
 // MergeGroups merges the incremental per-rule indexes of several logs
 // into one deterministic cross-log view, sorted by the raw group
 // identity — the federated analytics feed: a consolidator holding one
 // log per site reads combined groups (summed counts and user counts,
 // unioned active days, widened practice windows) in O(groups) without
-// materializing a merged entry stream. MergeGroups(l) is exactly
-// l.Groups(). FirstSeq is the minimum over the logs, so it orders
-// rules only within one log; so do the sequence numbers that pick the
-// zone of equal-instant window bounds.
-func MergeGroups(logs ...*Log) []Group {
+// materializing a merged entry stream. Each call merges afresh and the
+// caller owns the result. MergeGroups(l) equals l.Groups(). FirstSeq
+// is the minimum over the logs, so it orders rules only within one
+// log; so do the sequence numbers that pick the zone of equal-instant
+// window bounds.
+func MergeGroups(logs ...*Log) []Group { return mergeGroups(logs, nil) }
+
+// name resolves a group key to its raw values; the shard lock must be
+// held.
+func (s *shard) name(k groupKey) groupName {
+	return groupName{s.strs[k.data], s.strs[k.purpose], s.strs[k.authorized]}
+}
+
+// mergeGroups is the one merge behind Groups and MergeGroups. When
+// gens is non-nil (one log), it receives each shard's gen, read under
+// the read lock together with the groups merged from that shard.
+//
+// A counting pass first sums each group's per-shard user counts, so
+// the fill pass makes every Users map at its final size instead of
+// growing it shard by shard. For one log the sum is exact when no
+// append lands between the passes: the shard route hashes (user, data,
+// purpose), so a user's rows of one group sit in one shard. Across
+// logs it is an upper bound. Either way it only sizes the maps; every
+// figure comes from the fill pass.
+func mergeGroups(logs []*Log, gens []uint64) []Group {
 	type merged struct {
 		Group
 		first, last instant // the window bounds First and Last resolve
+		users       int     // Users size from the counting pass
 	}
 	acc := make(map[groupName]*merged)
 	for _, l := range logs {
 		for _, sh := range l.shards {
 			sh.mu.RLock()
 			for k, g := range sh.groups {
-				name := groupName{sh.strs[k.data], sh.strs[k.purpose], sh.strs[k.authorized]}
+				if len(g.users) == 0 {
+					continue
+				}
+				name := sh.name(k)
 				m := acc[name]
 				if m == nil {
-					m = &merged{Group: Group{Data: name.data, Purpose: name.purpose, Authorized: name.authorized,
-						Key: g.canon, FirstSeq: g.firstSeq}}
+					m = &merged{}
 					acc[name] = m
+				}
+				m.users += len(g.users)
+			}
+			sh.mu.RUnlock()
+		}
+	}
+	for _, l := range logs {
+		for i, sh := range l.shards {
+			sh.mu.RLock()
+			if gens != nil {
+				gens[i] = sh.gen
+			}
+			for k, g := range sh.groups {
+				name := sh.name(k)
+				m := acc[name]
+				if m == nil {
+					m = &merged{}
+					acc[name] = m
+				}
+				if m.Total == 0 {
+					m.Data, m.Purpose, m.Authorized = name.data, name.purpose, name.authorized
+					m.Key, m.FirstSeq = g.canon, g.firstSeq
 				}
 				if g.firstSeq < m.FirstSeq {
 					m.FirstSeq = g.firstSeq
@@ -317,7 +412,7 @@ func MergeGroups(logs ...*Log) []Group {
 				m.OffHours += g.offHours
 				if len(g.users) > 0 {
 					if m.Users == nil {
-						m.Users = make(map[string]int, len(g.users))
+						m.Users = make(map[string]int, max(m.users, len(g.users)))
 					}
 					for u, n := range g.users {
 						m.Users[sh.strs[u]] += n
@@ -341,6 +436,10 @@ func MergeGroups(logs ...*Log) []Group {
 	}
 	out := make([]Group, 0, len(acc))
 	for _, m := range acc {
+		if m.Total == 0 {
+			// Counted, then dropped by retention before the fill pass.
+			continue
+		}
 		m.PracticeUsers = len(m.Users)
 		out = append(out, m.Group)
 	}

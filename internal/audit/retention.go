@@ -132,6 +132,7 @@ func (l *Log) trimShards(keep func(r *record) bool, removed func(run), cold []*s
 			removed(run{recs: gone, d: sh.dict})
 		}
 		sh.recs, sh.dict, sh.groups, sh.stats = kept, fresh.dict, fresh.groups, fresh.stats
+		sh.gen++
 		sh.mu.Unlock()
 	}
 	return dropped

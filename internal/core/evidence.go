@@ -80,25 +80,22 @@ func GatherEvidence(practice []audit.Entry, rule policy.Rule) Evidence {
 }
 
 // finishEvidence derives the ratio features from the counts gathered
-// into ev.Support and ev.UserCounts. The Herfindahl sum runs over the
-// users in sorted order so its rounding does not depend on map order.
+// into ev.Support and ev.UserCounts. The Herfindahl index is Σn² /
+// Support² over the per-user counts n: the sum is an exact integer
+// (a uint64 holds it while Support < 2³²), so the result does not
+// depend on map order and needs no sort.
 func finishEvidence(ev *Evidence, offHours, days int) {
 	ev.DaysActive = days
 	if ev.Support == 0 {
 		return
 	}
 	ev.OffHoursFraction = float64(offHours) / float64(ev.Support)
-	users := make([]string, 0, len(ev.UserCounts))
-	for u := range ev.UserCounts {
-		users = append(users, u)
+	var sumSq uint64
+	for _, n := range ev.UserCounts {
+		sumSq += uint64(n) * uint64(n)
 	}
-	sort.Strings(users)
-	sumSq := 0.0
-	for _, u := range users {
-		p := float64(ev.UserCounts[u]) / float64(ev.Support)
-		sumSq += p * p
-	}
-	ev.Concentration = sumSq
+	support := uint64(ev.Support)
+	ev.Concentration = float64(sumSq) / float64(support*support)
 }
 
 // entryMatchesRule reports whether the entry carries every term of

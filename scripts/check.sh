@@ -73,8 +73,8 @@ go test -fuzz=FuzzWALReplay -fuzztime=10s -run=NONE ./internal/storage > /dev/nu
 go test -fuzz=FuzzFrameDecode -fuzztime=10s -run=NONE ./internal/storage > /dev/null
 go test -fuzz=FuzzEntryCodec -fuzztime=10s -run=NONE ./internal/netfed > /dev/null
 
-echo "==> go test -race (concurrency suites: audit, consent, core, hdb, lint, minidb, mining, netfed, policy, storage, workflow, server)"
-go test -race ./internal/audit/ ./internal/consent/ ./internal/core/ ./internal/hdb/ ./internal/lint/ ./internal/minidb/ ./internal/mining/ ./internal/netfed/ ./internal/policy/ ./internal/storage/ ./internal/workflow/ ./internal/server/
+echo "==> go test -race (concurrency suites: root facade, audit, consent, core, hdb, lint, minidb, mining, netfed, policy, storage, workflow, server)"
+go test -race . ./internal/audit/ ./internal/consent/ ./internal/core/ ./internal/hdb/ ./internal/lint/ ./internal/minidb/ ./internal/mining/ ./internal/netfed/ ./internal/policy/ ./internal/storage/ ./internal/workflow/ ./internal/server/
 
 echo "==> benchmark smoke (one iteration per benchmark, including the reference-oracle rows in hdb and core and the retained-bytes row in audit; -short shrinks the E16 recovery corpus)"
 go test -short -bench=. -benchtime=1x -run=NONE . ./internal/hdb ./internal/core ./internal/audit > /dev/null

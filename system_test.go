@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -484,5 +485,72 @@ func TestOfficerReadsMatchSnapshotOracle(t *testing.T) {
 	}
 	if len(got) == 0 || got[0].OffHoursFraction == 0 {
 		t.Fatalf("expected off-hours evidence, got %v", got)
+	}
+}
+
+// TestOfficerReadsConcurrent runs the officer's reads, which share the
+// audit log's published group view, from several goroutines while a
+// writer appends, then checks the reads against the snapshot oracle
+// once the writer stops.
+func TestOfficerReadsConcurrent(t *testing.T) {
+	sys := New(Config{Policy: scenario.PolicyStore()})
+	if err := sys.AuditLog().Append(scenario.Table1()...); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 50; i++ {
+			if err := sys.AuditLog().Append(scenario.Table1()...); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	reads := []func() error{
+		func() error { _, err := sys.Coverage(); return err },
+		func() error { _, err := sys.EntryCoverage(); return err },
+		func() error { _, err := sys.PatternEvidence(); return err },
+		func() error {
+			_, err := sys.RunRefinement(core.ReviewerFunc(func(core.Pattern) core.Decision { return core.Investigate }))
+			return err
+		},
+	}
+	for _, read := range reads {
+		wg.Add(1)
+		go func(read func() error) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				if err := read(); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(read)
+	}
+	wg.Wait()
+	ps, v := sys.PolicyStore(), sys.Vocabulary()
+	snap := sys.AuditLog().Snapshot()
+	wantCov, err := CoverageDetail(ps, EntriesToPolicy("AL", snap), v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sys.Coverage(); err != nil || !reflect.DeepEqual(got, wantCov) {
+		t.Fatalf("Coverage = %+v (err %v), snapshot oracle %+v", got, err, wantCov)
+	}
+	wantRows, err := core.EntryCoverage(ps, snap, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sys.EntryCoverage(); err != nil || got.Total != wantRows.Total || got.Covered != wantRows.Covered {
+		t.Fatalf("EntryCoverage = %+v (err %v), snapshot oracle %+v", got, err, wantRows)
+	}
+	pats, err := Refine(ps, snap, v, RefineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sys.PatternEvidence(); err != nil || !reflect.DeepEqual(got, core.AnnotatePatterns(core.Filter(snap), pats)) {
+		t.Fatalf("PatternEvidence = %v (err %v), snapshot oracle differs", got, err)
 	}
 }
