@@ -446,7 +446,6 @@ func BenchmarkA1_IndexAblation(b *testing.B) {
 			}
 			if indexed {
 				db.MustExec(`CREATE INDEX usr_ix ON t (usr)`)
-				db.MustExec(`SELECT id FROM t WHERE usr = 'u13'`) // build once
 			}
 			name := fmt.Sprintf("rows=%d/indexed=%v", rows, indexed)
 			b.Run(name, func(b *testing.B) {

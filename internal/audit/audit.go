@@ -579,14 +579,25 @@ func (l *Log) fence() (cur uint64, ends []int) {
 	return cur, ends
 }
 
-// runsBefore copies each shard's records before position ends[i] with
-// their dictionary.
+// runsBefore returns each shard's records before position ends[i]
+// with their dictionary, in seq order. It aliases shard storage rather
+// than copying it, which is safe for the cut, the only caller: appends
+// write only past the fence (the capacity-capped slice keeps append
+// from reusing it), and retention, Reset and dropBefore install a
+// fresh array rather than write into this one; retention and the cut
+// both hold Durable.mu exclusively besides. Concurrent appends can
+// leave a shard slightly out of seq order; such a prefix is copied,
+// since sorting it in place would write under concurrent readers.
 func (l *Log) runsBefore(ends []int) []run {
 	out := make([]run, 0, len(l.shards))
 	for i, sh := range l.shards {
 		sh.mu.RLock()
 		if k := ends[i] - sh.base; k > 0 {
-			out = append(out, run{recs: slices.Clone(sh.recs[:k]), d: sh.dict})
+			recs := sh.recs[:k:k]
+			if !slices.IsSortedFunc(recs, bySeq) {
+				recs = slices.Clone(recs)
+			}
+			out = append(out, run{recs: recs, d: sh.dict})
 		}
 		sh.mu.RUnlock()
 	}
@@ -730,11 +741,11 @@ func (l *Log) Reset() {
 	}
 	for _, sh := range l.shards {
 		sh.mu.Lock()
-		// Keep the record array: a reset log is usually about to ingest
-		// again (rotation, tests, sustained pipelines), and readers never
-		// alias shard storage, so truncation is safe. The dictionary is
-		// dropped with the entries.
-		sh.recs = sh.recs[:0]
+		// A fresh record array: a checkpoint cut may still alias the old
+		// one (see runsBefore), so no writer reuses shard storage below
+		// the end of its records. The dictionary is dropped with the
+		// entries.
+		sh.recs = nil
 		sh.dict = dict{}
 		sh.groups = nil
 		sh.gen++

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/audit"
@@ -193,12 +194,21 @@ func RefineFromLog(ps *policy.Policy, l *audit.Log, v *vocab.Vocabulary, opts Op
 // sequential analysis, the practice entries are accumulated through
 // an epoch cursor so each round only reads the appends since the
 // last one (O(delta)).
+//
+// Rounds on one session run one at a time: Run holds the session lock
+// for the whole round, since each round consumes the log from where
+// the last one stopped. Rounds returns a copy of the history that is
+// safe to read while rounds run; History itself is for single-threaded
+// callers.
 type StreamSession struct {
 	Log     *audit.Log
 	PS      *policy.Policy
 	Vocab   *vocab.Vocabulary
 	Opts    Options
 	History []Round // the most recent rounds (see RecordRound)
+
+	// mu serializes rounds and guards History and rejected.
+	mu sync.Mutex
 
 	// rejected remembers reviewer-rejected rules so later rounds do
 	// not resurface behaviour already ruled bad practice.
@@ -224,7 +234,11 @@ func NewStreamSession(l *audit.Log, ps *policy.Policy, v *vocab.Vocabulary, opts
 // measure row coverage, extract and prune patterns, apply the
 // reviewer's decisions, and re-measure — the same protocol as
 // Session.Run, fed by the incremental index instead of a snapshot.
+// The reviewer runs under the session lock, so it must not start a
+// round on the same session.
 func (s *StreamSession) Run(reviewer Reviewer) (Round, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	round := Round{Started: time.Now()}
 	groups := s.Log.Groups()
 	for i := range groups {
@@ -319,5 +333,16 @@ func (s *StreamSession) Run(reviewer Reviewer) (Round, error) {
 	return round, nil
 }
 
+// Rounds returns a copy of the most recent rounds, oldest first.
+func (s *StreamSession) Rounds() []Round {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]Round(nil), s.History...)
+}
+
 // RejectedRules returns how many rules the reviewer has ruled out.
-func (s *StreamSession) RejectedRules() int { return len(s.rejected) }
+func (s *StreamSession) RejectedRules() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.rejected)
+}

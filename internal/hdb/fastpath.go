@@ -27,8 +27,13 @@ import (
 // cache is dropped (generation sweep), mirroring policy.SymCache: a
 // workload that overflows it is already paying parse costs, and
 // wholesale reset keeps the bound free of LRU bookkeeping on the hot
-// path.
-const planCacheMax = 4096
+// path. 1024 plans: clinician traffic embeds the patient in the SQL
+// (a ward of 3000 patients and 11 chart columns sends about 33k
+// distinct strings), and a string comes back mostly for its immediate
+// break-glass retry, so plans past the most recent few hundred never
+// hit again. A larger bound buys no hits, only a bigger sawtooth of
+// heap between flushes (0–3.3 MiB at 4096).
+const planCacheMax = 1024
 
 // snapshotBuilder owns the mutex serializing decision-snapshot
 // rebuilds. It is a distinct type (not a second mutex on Enforcer) so

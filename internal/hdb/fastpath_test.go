@@ -387,3 +387,54 @@ func TestFlushPlans(t *testing.T) {
 		t.Errorf("rows = %d", len(res.Rows))
 	}
 }
+
+// TestEnforcedChartQueryUsesPatientIndex: RegisterTable indexes the
+// mapping's patient column, and a chart query rewritten with the
+// consent filter (`patient = '…' AND patient NOT IN (…)`) still reads
+// through that index.
+func TestEnforcedChartQueryUsesPatientIndex(t *testing.T) {
+	s := newSide(t)
+	tbl, err := s.db.Table("records")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Indexes(); len(got) != 1 || got[0] != "patient" {
+		t.Fatalf("indexes after RegisterTable = %v, want [patient]", got)
+	}
+	// Registering again keeps the one index.
+	if err := s.enf.RegisterTable(TableMapping{Table: "records", PatientCol: "PATIENT"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tbl.Indexes(); len(got) != 1 {
+		t.Fatalf("indexes after re-registration = %v", got)
+	}
+	if err := s.enf.RegisterTable(TableMapping{
+		Table: "records", PatientCol: "patient",
+		Categories: map[string]string{"referral": "referral"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.cs.Set("p2", "referral", "", consent.OptOut, t0); err != nil {
+		t.Fatal(err)
+	}
+	const sql = `SELECT patient, referral FROM records WHERE patient = 'p1'`
+	pl, err := s.enf.plan(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := s.enf.specialize(pl, s.enf.snapshot(), "treatment", "nurse")
+	if sp.optedOut != 1 {
+		t.Fatalf("consent filter excluded %d patients, want 1", sp.optedOut)
+	}
+	res, err := s.db.ExecStmt(&minidb.ExplainStmt{Select: sp.stmt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan := res.Rows[0][0].AsText(); plan != "index lookup records(patient)" {
+		t.Fatalf("enforced chart query plan starts %q, want an index lookup", plan)
+	}
+	got, _, err := s.enf.Query(nurse(), "treatment", sql)
+	if err != nil || len(got.Rows) != 1 || got.Rows[0][1].AsText() != "cardio" {
+		t.Fatalf("enforced chart read = %v, %v", got, err)
+	}
+}

@@ -14,6 +14,7 @@ package hdb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -160,6 +161,15 @@ func (e *Enforcer) RegisterTable(m TableMapping) error {
 			return fmt.Errorf("hdb: data category %q is not in the vocabulary", cat)
 		}
 		norm.Categories[lc] = cat
+	}
+	// The patient column keys chart reads (`WHERE patient = '…'`) and
+	// the consent filter (`patient NOT IN (…)`), so it gets an equality
+	// index: a chart read is an index probe, as over DB2, not a scan.
+	if pc := norm.PatientCol; pc != "" && !slices.Contains(tbl.Indexes(), pc) {
+		// A concurrent registration may have created it meanwhile.
+		if err := e.db.CreateIndex(m.Table, pc); err != nil && !slices.Contains(tbl.Indexes(), pc) {
+			return err
+		}
 	}
 	e.mu.Lock()
 	e.mappings[strings.ToLower(m.Table)] = norm

@@ -139,6 +139,10 @@ func (db *Database) execDelete(s *DeleteStmt) (*Result, error) {
 	kept := t.rows[:0:0]
 	keptIDs := t.ids[:0:0]
 	var victims []uint64
+	var newPos []int // old position -> new, -1 when deleted; for the indexes
+	if len(t.indexes) > 0 {
+		newPos = make([]int, len(t.rows))
+	}
 	for ri, row := range t.rows {
 		match := true
 		if s.Where != nil {
@@ -151,7 +155,13 @@ func (db *Database) execDelete(s *DeleteStmt) (*Result, error) {
 		}
 		if match {
 			victims = append(victims, t.ids[ri])
+			if newPos != nil {
+				newPos[ri] = -1
+			}
 		} else {
+			if newPos != nil {
+				newPos[ri] = len(kept)
+			}
 			kept = append(kept, row)
 			keptIDs = append(keptIDs, t.ids[ri])
 		}
@@ -165,7 +175,11 @@ func (db *Database) execDelete(s *DeleteStmt) (*Result, error) {
 	}
 	t.rows = kept
 	t.ids = keptIDs
-	t.version++
+	if len(victims) > 0 {
+		for _, ix := range t.indexes {
+			ix.renumber(newPos)
+		}
+	}
 	return &Result{Affected: len(victims)}, nil
 }
 
@@ -234,9 +248,11 @@ func (db *Database) execUpdate(s *UpdateStmt) (*Result, error) {
 		}
 	}
 	for i, ri := range rowIdxs {
+		for _, ix := range t.indexes {
+			ix.move(ri, t.rows[ri], nextRow[i])
+		}
 		t.rows[ri] = nextRow[i]
 	}
-	t.version++
 	return &Result{Affected: len(rowIdxs)}, nil
 }
 

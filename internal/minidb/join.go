@@ -117,16 +117,12 @@ func (db *Database) explain(s *SelectStmt) (*Result, error) {
 	}
 	var lines []string
 	source := fmt.Sprintf("scan %s (%d rows)", base.Name(), base.Len())
-	if col, _, ok := indexableEq(s.Where); ok && len(s.Joins) == 0 {
-		key := strings.ToLower(col)
-		if dot := strings.LastIndexByte(key, '.'); dot >= 0 {
-			key = key[dot+1:]
-		}
+	if col, val, ok := indexableEq(s.Where); ok && len(s.Joins) == 0 {
 		base.mu.RLock()
-		_, indexed := base.indexes[key]
+		ix, _, indexed := base.probe(col, val)
 		base.mu.RUnlock()
 		if indexed {
-			source = fmt.Sprintf("index lookup %s(%s)", base.Name(), key)
+			source = fmt.Sprintf("index lookup %s(%s)", base.Name(), strings.ToLower(base.cols[ix.col].Name))
 		}
 	}
 	lines = append(lines, source)

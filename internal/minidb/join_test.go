@@ -155,7 +155,7 @@ func TestIndexCorrectness(t *testing.T) {
 	if len(res.Rows) != 0 {
 		t.Errorf("residual predicate ignored: %v", res.Rows)
 	}
-	// Index stays correct across mutations (lazy rebuild).
+	// Index stays correct across mutations (maintained by each one).
 	db.MustExec(`INSERT INTO access VALUES (11, 'Mark', 'Referral', 'Registration', 'Nurse', 0, '2007-03-02T08:00:00Z')`)
 	if got := len(q(t, db, `SELECT id FROM access WHERE usr = 'Mark'`).Rows); got != 4 {
 		t.Errorf("after insert: %d rows", got)

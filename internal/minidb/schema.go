@@ -27,9 +27,8 @@ type Table struct {
 	rows    [][]Value
 	ids     []uint64 // rowids parallel to rows (durable identity)
 	nextID  uint64
-	store   rowStore // nil for plain in-memory tables
-	version uint64   // bumped on every mutation; used by lazy indexes
-	indexes map[string]*hashIndex
+	store   rowStore              // nil for plain in-memory tables
+	indexes map[string]*hashIndex // lower(column name) -> index
 }
 
 func newTable(name string, cols []Column) (*Table, error) {
@@ -117,7 +116,9 @@ func (t *Table) insert(row []Value) error {
 	t.nextID = id + 1
 	t.rows = append(t.rows, stored)
 	t.ids = append(t.ids, id)
-	t.version++
+	for _, ix := range t.indexes {
+		ix.add(len(t.rows)-1, stored)
+	}
 	t.mu.Unlock()
 	return nil
 }

@@ -30,8 +30,9 @@ type rowStore interface {
 	insert(id uint64, row []Value) error
 	updateRows(ids []uint64, rows [][]Value) error
 	deleteRows(ids []uint64) error
-	sync() error       // durability barrier: fsync the WAL tail
-	checkpoint() error // fold the WAL into the tree, truncate
+	declareIndex(col string) error // persist an index on col
+	sync() error                   // durability barrier: fsync the WAL tail
+	checkpoint() error             // fold the WAL into the tree, truncate
 	close() error
 }
 
@@ -77,7 +78,8 @@ const (
 
 const (
 	schemaKey   = "s"
-	rowKeyLen   = 9 // 'r' + big-endian rowid
+	indexPrefix = 'i' // + lower-case column name: one key per indexed column
+	rowKeyLen   = 9   // 'r' + big-endian rowid
 	storeMagic  = "MDB1"
 	storeAppLen = 4 + 8 + 8 // magic, nextID, ckptLSN
 )
@@ -99,15 +101,11 @@ func encodeRow(dst []byte, row []Value) []byte {
 		switch v.kind {
 		case KindNull:
 		case KindBool:
-			if v.b {
-				dst = append(dst, 1)
-			} else {
-				dst = append(dst, 0)
-			}
+			dst = append(dst, byte(v.n))
 		case KindInt:
-			dst = binary.AppendVarint(dst, v.i)
+			dst = binary.AppendVarint(dst, v.n)
 		case KindFloat:
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.f))
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.n))
 		case KindText:
 			dst = binary.AppendUvarint(dst, uint64(len(v.s)))
 			dst = append(dst, v.s...)
@@ -292,6 +290,15 @@ func (f *fileStore) deleteRows(ids []uint64) error {
 	return nil
 }
 
+// declareIndex persists an index on col the way the schema is: a key
+// in the tree, made durable by a checkpoint before the index is used.
+func (f *fileStore) declareIndex(col string) error {
+	if err := f.st.Put(append([]byte{indexPrefix}, col...), nil); err != nil {
+		return err
+	}
+	return f.checkpoint()
+}
+
 func (f *fileStore) sync() error { return f.w.Sync() }
 
 // checkpoint makes the tree durable and truncates the WAL behind it.
@@ -326,12 +333,20 @@ func (f *fileStore) close() error {
 	return err
 }
 
+// recovered is a file-backed table's state as openFileStore found it.
+type recovered struct {
+	cols    []Column
+	rows    [][]Value // in rowid order
+	ids     []uint64
+	indexes []string // indexed column names, lower case
+}
+
 // openFileStore opens (creating if needed) the durable backend for
-// one table and returns the recovered rows in rowid order, the stored
-// schema (nil on first creation), and the store.
-func openFileStore(dir string, cols []Column, o StorageOptions) (*fileStore, [][]Value, []uint64, error) {
+// one table, checking cols (nil on reopen) against the stored schema,
+// and returns the store with the table's recovered state.
+func openFileStore(dir string, cols []Column, o StorageOptions) (*fileStore, *recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	st, err := storage.OpenStore(filepath.Join(dir, "rows.db"), storage.Options{
 		PoolPages: o.PoolPages,
@@ -339,15 +354,15 @@ func openFileStore(dir string, cols []Column, o StorageOptions) (*fileStore, [][
 		NoSync:    o.NoSync,
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	f := &fileStore{dir: dir, st: st, every: o.CheckpointEvery, nextID: 1}
-	fail := func(err error) (*fileStore, [][]Value, []uint64, error) {
+	fail := func(err error) (*fileStore, *recovered, error) {
 		if f.w != nil {
 			f.w.Close()
 		}
 		st.Close()
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if app := st.App(); len(app) > 0 {
 		if len(app) != storeAppLen || string(app[:4]) != storeMagic {
@@ -379,6 +394,25 @@ func openFileStore(dir string, cols []Column, o StorageOptions) (*fileStore, [][
 			return fail(err)
 		}
 		fresh = true
+	}
+
+	// Index declarations: each must name a column of the schema.
+	rec := &recovered{cols: cols}
+	var declErr error
+	err = st.Scan([]byte{indexPrefix}, []byte{indexPrefix + 1}, func(k, _ []byte) bool {
+		col := string(k[1:])
+		if !hasColumn(cols, col) {
+			declErr = fmt.Errorf("minidb: index declared on unknown column %q", col)
+			return false
+		}
+		rec.indexes = append(rec.indexes, col)
+		return true
+	})
+	if err == nil {
+		err = declErr
+	}
+	if err != nil {
+		return fail(err)
 	}
 
 	// Checkpointed rows, then the WAL tail on top (idempotent).
@@ -479,11 +513,12 @@ func openFileStore(dir string, cols []Column, o StorageOptions) (*fileStore, [][
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	rows := make([][]Value, len(ids))
+	rec.ids = ids
+	rec.rows = make([][]Value, len(ids))
 	for i, id := range ids {
-		rows[i] = byID[id]
-		if len(rows[i]) != len(cols) {
-			return fail(fmt.Errorf("minidb: recovered row has %d values, schema has %d columns", len(rows[i]), len(cols)))
+		rec.rows[i] = byID[id]
+		if len(rec.rows[i]) != len(cols) {
+			return fail(fmt.Errorf("minidb: recovered row has %d values, schema has %d columns", len(rec.rows[i]), len(cols)))
 		}
 	}
 
@@ -498,7 +533,21 @@ func openFileStore(dir string, cols []Column, o StorageOptions) (*fileStore, [][
 			return fail(err)
 		}
 	}
-	return f, rows, ids, nil
+	// The table serves reads from memory: the recovery scan's pages
+	// would only repeat its rows.
+	st.DropCache()
+	return f, rec, nil
+}
+
+// hasColumn reports whether cols has a column whose lower-case name
+// is name.
+func hasColumn(cols []Column, name string) bool {
+	for _, c := range cols {
+		if strings.ToLower(c.Name) == name {
+			return true
+		}
+	}
+	return false
 }
 
 func sameSchema(a, b []Column) bool {
@@ -560,7 +609,7 @@ func OpenDatabase(o StorageOptions) (*Database, error) {
 
 func (db *Database) reopenTable(name string, o StorageOptions) (*Table, error) {
 	dir := filepath.Join(o.Dir, name)
-	fs, rows, ids, err := openFileStore(dir, nil, o)
+	fs, rec, err := openFileStore(dir, nil, o)
 	if err != nil {
 		// A store that never reached its creation checkpoint is the
 		// wreckage of a crashed CREATE TABLE: nothing durable was ever
@@ -570,23 +619,27 @@ func (db *Database) reopenTable(name string, o StorageOptions) (*Table, error) {
 		}
 		return nil, err
 	}
-	cols, err := decodeSchemaOf(fs)
+	t, err := newTable(name, rec.cols)
 	if err != nil {
 		fs.close()
 		return nil, err
 	}
-	t, err := newTable(name, cols)
-	if err != nil {
-		fs.close()
-		return nil, err
+	return db.attach(t, fs, rec)
+}
+
+// attach gives t the store and the state recovered from it, rebuilds
+// the declared indexes, and publishes t.
+func (db *Database) attach(t *Table, fs *fileStore, rec *recovered) (*Table, error) {
+	t.rows, t.ids, t.store, t.nextID = rec.rows, rec.ids, fs, fs.nextID
+	for _, col := range rec.indexes {
+		t.addIndex(col, t.idx[col])
 	}
-	t.rows, t.ids, t.store, t.nextID = rows, ids, fs, fs.nextID
-	key := strings.ToLower(name)
+	key := strings.ToLower(t.name)
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if _, exists := db.tables[key]; exists {
 		fs.close()
-		return nil, fmt.Errorf("minidb: table %q already exists", name)
+		return nil, fmt.Errorf("minidb: table %q already exists", t.name)
 	}
 	db.tables[key] = t
 	db.schemaGen.Add(1)
@@ -614,17 +667,6 @@ func abortedCreation(dir string, o StorageOptions) (bool, error) {
 	return wst.Records == 0, nil
 }
 
-func decodeSchemaOf(f *fileStore) ([]Column, error) {
-	sv, ok, err := f.st.Get([]byte(schemaKey))
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("minidb: table store holds no schema")
-	}
-	return decodeSchema(sv)
-}
-
 // CreateTableStorage creates a table on the named backend: "" or
 // "memory" for the in-memory heap, "file" for the durable backend
 // (requires AttachStorage).
@@ -646,21 +688,11 @@ func (db *Database) CreateTableStorage(name string, cols []Column, backend strin
 	if err != nil {
 		return nil, err
 	}
-	fs, rows, ids, err := openFileStore(filepath.Join(o.Dir, strings.ToLower(name)), cols, *o)
+	fs, rec, err := openFileStore(filepath.Join(o.Dir, strings.ToLower(name)), cols, *o)
 	if err != nil {
 		return nil, err
 	}
-	t.rows, t.ids, t.store, t.nextID = rows, ids, fs, fs.nextID
-	key := strings.ToLower(name)
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, exists := db.tables[key]; exists {
-		fs.close()
-		return nil, fmt.Errorf("minidb: table %q already exists", name)
-	}
-	db.tables[key] = t
-	db.schemaGen.Add(1)
-	return t, nil
+	return db.attach(t, fs, rec)
 }
 
 // Sync blocks until every mutation so far on file-backed tables is

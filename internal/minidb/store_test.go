@@ -324,12 +324,12 @@ func TestFileStorageSchemaMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A different column set against the stored schema is rejected.
-	if _, _, _, err := openFileStore(filepath.Join(dir, "t"),
+	if _, _, err := openFileStore(filepath.Join(dir, "t"),
 		[]Column{{Name: "a", Type: TypeInt}}, StorageOptions{CommitInterval: -1}.withDefaults()); err == nil {
 		t.Fatal("schema mismatch accepted")
 	}
 	// Case-insensitive match is accepted.
-	fs, _, _, err := openFileStore(filepath.Join(dir, "t"),
+	fs, _, err := openFileStore(filepath.Join(dir, "t"),
 		[]Column{{Name: "A", Type: TypeInt}, {Name: "B", Type: TypeText}}, StorageOptions{CommitInterval: -1}.withDefaults())
 	if err != nil {
 		t.Fatalf("case-insensitive schema rejected: %v", err)
@@ -380,7 +380,19 @@ func TestFileStorageAbortedCreation(t *testing.T) {
 // prefix k — with k at least the last statement acknowledged by Sync.
 // Statements are single-row so each is one WAL record (the durability
 // unit is the row operation, not the statement).
-func TestFileStorageCrashDifferential(t *testing.T) {
+func TestFileStorageCrashDifferential(t *testing.T) { crashDifferential(t, false) }
+
+// TestFileStorageCrashDifferentialIndexed is the crash differential
+// with indexes on the updated score column and the id column that
+// selects rows: recovery rebuilds them, and after any torn write the
+// reopened table's indexed reads equal its scans.
+func TestFileStorageCrashDifferentialIndexed(t *testing.T) { crashDifferential(t, true) }
+
+// crashDifferential runs a seeded statement stream against a
+// file-backed table whose files fail after a byte budget, then checks
+// the reopened table equals an in-memory oracle after some statement
+// prefix no shorter than the last sync.
+func crashDifferential(t *testing.T, indexed bool) {
 	const statements = 120
 	for trial := 0; trial < 16; trial++ {
 		trial := trial
@@ -399,13 +411,29 @@ func TestFileStorageCrashDifferential(t *testing.T) {
 					return storage.NewFailFileShared(inner, budget), nil
 				},
 			}
+			if indexed {
+				// The table and its indexes are created outside the
+				// budget, so every trial reopens them under it.
+				setup, err := OpenDatabase(StorageOptions{Dir: dir, CommitInterval: -1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				setup.MustExec(durabilitySchema + ` STORAGE file`)
+				setup.MustExec(`CREATE INDEX t_id ON t (id)`)
+				setup.MustExec(`CREATE INDEX t_score ON t (score)`)
+				if err := setup.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
 			db, err := OpenDatabase(opts)
 			if err != nil {
 				t.Skipf("budget exhausted during open: %v", err)
 			}
-			if _, err := db.Exec(durabilitySchema + ` STORAGE file`); err != nil {
-				db.Close()
-				t.Skipf("budget exhausted during create: %v", err)
+			if !indexed {
+				if _, err := db.Exec(durabilitySchema + ` STORAGE file`); err != nil {
+					db.Close()
+					t.Skipf("budget exhausted during create: %v", err)
+				}
 			}
 
 			// Oracle: snapshot of expected rows after each statement.
@@ -455,6 +483,16 @@ func TestFileStorageCrashDifferential(t *testing.T) {
 				}
 			}
 
+			checkIndexes := func(db2 *Database) {
+				if !indexed {
+					return
+				}
+				if tbl, _ := db2.Table("t"); len(tbl.Indexes()) != 2 {
+					t.Fatalf("recovered indexes = %v, want [id score]", tbl.Indexes())
+				}
+				checkIndexedReads(t, db2, "id")
+				checkIndexedReads(t, db2, "score")
+			}
 			if !budget.Failed() {
 				// Budget larger than the whole run: full equality.
 				db2, err := OpenDatabase(StorageOptions{Dir: dir, CommitInterval: -1})
@@ -465,6 +503,7 @@ func TestFileStorageCrashDifferential(t *testing.T) {
 				if got := selectAll(t, db2, "t"); !sameRows(snaps[applied], got) {
 					t.Fatalf("no-crash reopen diverged at %d statements", applied)
 				}
+				checkIndexes(db2)
 				return
 			}
 
@@ -485,6 +524,7 @@ func TestFileStorageCrashDifferential(t *testing.T) {
 				t.Fatalf("recovered state (%d rows) matches no statement prefix in [%d, %d]",
 					len(got), synced, len(snaps)-1)
 			}
+			checkIndexes(db2)
 			// Recovered database stays writable.
 			if _, err := db2.Exec(`INSERT INTO t (id, name, score, ok) VALUES (7777, 'post', 0.5, TRUE)`); err != nil {
 				t.Fatalf("post-recovery insert: %v", err)

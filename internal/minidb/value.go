@@ -13,6 +13,7 @@ package minidb
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -52,13 +53,14 @@ func (k Kind) String() string {
 }
 
 // Value is a SQL value: one of NULL, BOOL, INT, FLOAT, TEXT, TIMESTAMP.
+// It is 40 bytes, since a table holds one per cell: n carries an INT,
+// a BOOL as 0/1 and a FLOAT's bits; a TIMESTAMP points at its exact
+// time.Time, location included.
 type Value struct {
 	kind Kind
-	b    bool
-	i    int64
-	f    float64
+	n    int64
 	s    string
-	t    time.Time
+	t    *time.Time
 }
 
 // Constructors.
@@ -67,19 +69,24 @@ type Value struct {
 func Null() Value { return Value{kind: KindNull} }
 
 // Bool returns a BOOL value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Int returns an INT value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, n: i} }
 
 // Float returns a FLOAT value.
-func Float(f float64) Value { return Value{kind: KindFloat, f: f} }
+func Float(f float64) Value { return Value{kind: KindFloat, n: int64(math.Float64bits(f))} }
 
 // Text returns a TEXT value.
 func Text(s string) Value { return Value{kind: KindText, s: s} }
 
 // Time returns a TIMESTAMP value.
-func Time(t time.Time) Value { return Value{kind: KindTime, t: t} }
+func Time(t time.Time) Value { return Value{kind: KindTime, t: &t} }
 
 // Kind returns the value's kind.
 func (v Value) Kind() Kind { return v.kind }
@@ -88,20 +95,18 @@ func (v Value) Kind() Kind { return v.kind }
 func (v Value) IsNull() bool { return v.kind == KindNull }
 
 // AsBool returns the boolean payload (valid only for KindBool).
-func (v Value) AsBool() bool { return v.b }
+func (v Value) AsBool() bool { return v.kind == KindBool && v.n != 0 }
+
+// float returns the FLOAT payload (valid only for KindFloat).
+func (v Value) float() float64 { return math.Float64frombits(uint64(v.n)) }
 
 // AsInt returns the integer payload, coercing FLOAT and BOOL.
 func (v Value) AsInt() int64 {
 	switch v.kind {
-	case KindInt:
-		return v.i
+	case KindInt, KindBool:
+		return v.n
 	case KindFloat:
-		return int64(v.f)
-	case KindBool:
-		if v.b {
-			return 1
-		}
-		return 0
+		return int64(v.float())
 	default:
 		return 0
 	}
@@ -111,9 +116,9 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return v.float()
 	case KindInt:
-		return float64(v.i)
+		return float64(v.n)
 	default:
 		return 0
 	}
@@ -128,7 +133,12 @@ func (v Value) AsText() string {
 }
 
 // AsTime returns the timestamp payload (valid only for KindTime).
-func (v Value) AsTime() time.Time { return v.t }
+func (v Value) AsTime() time.Time {
+	if v.kind != KindTime {
+		return time.Time{}
+	}
+	return *v.t
+}
 
 // String renders the value for display.
 func (v Value) String() string {
@@ -136,14 +146,14 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindBool:
-		if v.b {
+		if v.n != 0 {
 			return "TRUE"
 		}
 		return "FALSE"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.n, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindText:
 		return v.s
 	case KindTime:
@@ -161,14 +171,14 @@ func (v Value) key() string {
 	case KindNull:
 		return "n"
 	case KindBool:
-		if v.b {
+		if v.n != 0 {
 			return "b1"
 		}
 		return "b0"
 	case KindInt:
-		return "f" + strconv.FormatFloat(float64(v.i), 'g', -1, 64)
+		return "f" + strconv.FormatFloat(float64(v.n), 'g', -1, 64)
 	case KindFloat:
-		return "f" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return "f" + strconv.FormatFloat(v.float(), 'g', -1, 64)
 	case KindText:
 		return "s" + v.s
 	case KindTime:
@@ -201,18 +211,18 @@ func compare(a, b Value) (int, bool) {
 		return strings.Compare(a.s, b.s), true
 	case a.kind == KindTime && b.kind == KindTime:
 		switch {
-		case a.t.Before(b.t):
+		case a.t.Before(*b.t):
 			return -1, true
-		case a.t.After(b.t):
+		case a.t.After(*b.t):
 			return 1, true
 		default:
 			return 0, true
 		}
 	case a.kind == KindBool && b.kind == KindBool:
 		switch {
-		case a.b == b.b:
+		case a.n == b.n:
 			return 0, true
-		case !a.b:
+		case a.n == 0:
 			return -1, true
 		default:
 			return 1, true
@@ -284,7 +294,7 @@ func coerce(v Value, t ColumnType) (Value, error) {
 		case KindInt:
 			return v, nil
 		case KindFloat:
-			return Int(int64(v.f)), nil
+			return Int(int64(v.float())), nil
 		case KindBool:
 			return Int(v.AsInt()), nil
 		}
@@ -302,7 +312,7 @@ func coerce(v Value, t ColumnType) (Value, error) {
 			return v, nil
 		}
 		if v.kind == KindInt {
-			return Bool(v.i != 0), nil
+			return Bool(v.n != 0), nil
 		}
 	case TypeTime:
 		if v.kind == KindTime {

@@ -76,7 +76,7 @@ go test -fuzz=FuzzEntryCodec -fuzztime=10s -run=NONE ./internal/netfed > /dev/nu
 echo "==> go test -race (concurrency suites: root facade, audit, consent, core, hdb, lint, minidb, mining, netfed, policy, storage, workflow, server)"
 go test -race . ./internal/audit/ ./internal/consent/ ./internal/core/ ./internal/hdb/ ./internal/lint/ ./internal/minidb/ ./internal/mining/ ./internal/netfed/ ./internal/policy/ ./internal/storage/ ./internal/workflow/ ./internal/server/
 
-echo "==> benchmark smoke (one iteration per benchmark, including the reference-oracle rows in hdb and core and the retained-bytes row in audit; -short shrinks the E16 recovery corpus)"
-go test -short -bench=. -benchtime=1x -run=NONE . ./internal/hdb ./internal/core ./internal/audit > /dev/null
+echo "==> benchmark smoke (one iteration per benchmark, including the reference-oracle rows in hdb and core, the retained-bytes row in audit and the indexed chart lookup in minidb; -short shrinks the E16 recovery corpus)"
+go test -short -bench=. -benchtime=1x -run=NONE . ./internal/hdb ./internal/core ./internal/audit ./internal/minidb > /dev/null
 
 echo "All checks passed."

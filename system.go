@@ -269,7 +269,8 @@ func (s *System) RunRefinement(reviewer Reviewer) (Round, error) {
 // core.RecordRound bounds the history of a long-running system; each
 // round's Number is its position among all rounds, so the first kept
 // round tells how many were dropped, and WriteReport says so.
-func (s *System) RefinementHistory() []Round { return s.session.History }
+// The copy is the caller's: rounds that run later do not change it.
+func (s *System) RefinementHistory() []Round { return s.session.Rounds() }
 
 // WriteReport renders the privacy-officer Markdown report for the
 // system's current state: both coverage semantics over the audit log,
@@ -289,7 +290,7 @@ func (s *System) WriteReport(w io.Writer, title string) error {
 		Generated:     time.Now(),
 		Coverage:      cov,
 		EntryCoverage: ec,
-		Rounds:        s.session.History,
+		Rounds:        s.session.Rounds(),
 		Entries:       entries,
 	})
 }

@@ -554,3 +554,88 @@ func TestOfficerReadsConcurrent(t *testing.T) {
 		t.Fatalf("PatternEvidence = %v (err %v), snapshot oracle differs", got, err)
 	}
 }
+
+// TestRunRefinementConcurrent runs refinement rounds on one System
+// from two goroutines (as concurrent POST /refine handlers do) while a
+// third reads the history. Rounds must serialize: the history numbers
+// every round once, and each discovered rule is decided (adopted or
+// rejected) by exactly one round, since later rounds prune adopted
+// rules and skip rejected ones.
+func TestRunRefinementConcurrent(t *testing.T) {
+	sys := New(Config{Policy: scenario.PolicyStore()})
+	if err := sys.AuditLog().Append(scenario.Table1()...); err != nil {
+		t.Fatal(err)
+	}
+	const perWorker = 10
+	reviewers := []Reviewer{
+		AdoptAll,
+		core.ReviewerFunc(func(core.Pattern) core.Decision { return core.Reject }),
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i, r := range sys.RefinementHistory() {
+				if i > 0 && r.Number == 0 {
+					t.Error("history holds an unnumbered round")
+					return
+				}
+			}
+		}
+	}()
+	var workers sync.WaitGroup
+	for _, rev := range reviewers {
+		workers.Add(1)
+		go func(rev Reviewer) {
+			defer workers.Done()
+			for i := 0; i < perWorker; i++ {
+				if _, err := sys.RunRefinement(rev); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(rev)
+	}
+	workers.Wait()
+	close(stop)
+	wg.Wait()
+
+	hist := sys.RefinementHistory()
+	if len(hist) != perWorker*len(reviewers) {
+		t.Fatalf("history holds %d rounds, want %d", len(hist), perWorker*len(reviewers))
+	}
+	decided := map[string]int{}
+	for i, r := range hist {
+		if r.Number != i+1 {
+			t.Fatalf("round %d numbered %d", i, r.Number)
+		}
+		for _, rule := range r.Adopted {
+			decided[rule.Key()]++
+		}
+		for _, p := range r.Rejected {
+			decided[p.Rule.Key()]++
+		}
+	}
+	if len(decided) == 0 {
+		t.Fatal("no round decided a pattern; the test exercises nothing")
+	}
+	for k, n := range decided {
+		if n != 1 {
+			t.Errorf("rule %s decided by %d rounds, want 1", k, n)
+		}
+	}
+	// The returned history is a copy: a later round leaves it alone.
+	if _, err := sys.RunRefinement(AdoptAll); err != nil {
+		t.Fatal(err)
+	}
+	if len(hist) != perWorker*len(reviewers) || len(sys.RefinementHistory()) != len(hist)+1 {
+		t.Fatalf("history copy changed under a later round")
+	}
+}
