@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"os"
 	"strings"
 )
 
@@ -68,13 +67,6 @@ func runPhileak(prog *Program) []Finding {
 				s.ret |= ret
 				s.sinks |= sinks
 				changed = true
-			}
-		}
-	}
-	if os.Getenv("PRIMA_VET_DEBUG_PHI") != "" {
-		for _, n := range prog.CG.Nodes() {
-			if s := sums[n]; s.ret != 0 || s.sinks != 0 {
-				fmt.Fprintf(os.Stderr, "summary %s ret=%b sinks=%b\n", n.Name(), s.ret, s.sinks)
 			}
 		}
 	}

@@ -238,10 +238,9 @@ type stamped struct {
 // cover the checkpointed entries too.
 type shard struct {
 	mu sync.RWMutex
-	// base is the position of recs[0] among every record the shard was
-	// given: a checkpoint cut drops a prefix of recs and advances base
-	// by its length, so positions stay valid across cuts.
-	base int
+	// recs is sorted by seq, whatever order concurrent appenders reach
+	// the shard in (put keeps it so), so every seq range is a binary
+	// search (Log.seqRuns).
 	recs []record
 	dict
 	groups map[groupKey]*groupAcc
@@ -260,9 +259,30 @@ func (s *shard) add(seq uint64, e *Entry) {
 		// First write to the stripe: skip the doubling ramp.
 		s.recs = make([]record, 0, 64)
 	}
-	s.recs = append(s.recs, s.record(seq, e))
-	s.indexLocked(&s.recs[len(s.recs)-1])
+	s.put(s.record(seq, e))
 	s.mu.Unlock()
+}
+
+// put adds r to the shard's records in seq order and folds it into the
+// shard's index; the caller holds the shard lock or owns the shard.
+// Nearly always r's seq is the shard's highest and r is appended. An
+// append that took its seq before a racing one but reached the shard
+// after it goes in by binary search instead, moving only records with
+// higher seqs, so a prefix up to any lower seq is never written (see
+// runsBefore).
+func (s *shard) put(r record) {
+	if n := len(s.recs); n == 0 || s.recs[n-1].seq < r.seq {
+		s.recs = append(s.recs, r)
+	} else {
+		s.recs = slices.Insert(s.recs, s.above(r.seq), r)
+	}
+	s.indexLocked(&r)
+}
+
+// above returns the position of the shard's first record with a seq
+// above seq.
+func (s *shard) above(seq uint64) int {
+	return sort.Search(len(s.recs), func(i int) bool { return s.recs[i].seq > seq })
 }
 
 // defaultShards is the lock-stripe count of NewLog. Sixteen stripes
@@ -487,8 +507,7 @@ func (l *Log) addToShards(entries []Entry, stampSite bool, base uint64, seqs []u
 				}
 				r.site = site
 			}
-			sh.recs = append(sh.recs, r)
-			sh.indexLocked(&sh.recs[len(sh.recs)-1])
+			sh.put(r)
 		}
 		sh.mu.Unlock()
 	}
@@ -560,59 +579,65 @@ func (l *Log) allRuns() []run {
 	return runs
 }
 
-// fence returns the last assigned sequence number and, per shard, the
-// position one past its last record, taken while no append is between
-// its sequence assignment and its shard add (appends hold addMu's read
-// side across both). So the records before ends[i] are exactly shard
-// i's records with seq <= cur, and every record after them is above
-// cur.
-func (l *Log) fence() (cur uint64, ends []int) {
-	ends = make([]int, len(l.shards))
+// fence returns the last assigned sequence number, read while no
+// append is between its sequence assignment and its shard put (appends
+// hold addMu's read side across both): every record with a seq at or
+// below it is in its shard, and every later append takes a higher one.
+func (l *Log) fence() uint64 {
 	l.addMu.Lock()
-	cur = l.seq.Load()
-	for i, sh := range l.shards {
-		sh.mu.RLock()
-		ends[i] = sh.base + len(sh.recs)
-		sh.mu.RUnlock()
-	}
-	l.addMu.Unlock()
-	return cur, ends
+	defer l.addMu.Unlock()
+	return l.seq.Load()
 }
 
-// runsBefore returns each shard's records before position ends[i]
-// with their dictionary, in seq order. It aliases shard storage rather
-// than copying it, which is safe for the cut, the only caller: appends
-// write only past the fence (the capacity-capped slice keeps append
-// from reusing it), and retention, Reset and dropBefore install a
-// fresh array rather than write into this one; retention and the cut
-// both hold Durable.mu exclusively besides. Concurrent appends can
-// leave a shard slightly out of seq order; such a prefix is copied,
-// since sorting it in place would write under concurrent readers.
-func (l *Log) runsBefore(ends []int) []run {
+// seqRuns copies, shard by shard under its read lock, the records with
+// lo < seq <= hi (only the limit lowest when limit > 0) with their
+// dictionary: two binary searches a shard, since put keeps each in seq
+// order. hi is a fenced sequence number, so no append racing the read
+// can still land at or below it.
+func (l *Log) seqRuns(lo, hi uint64, limit int) []run {
 	out := make([]run, 0, len(l.shards))
-	for i, sh := range l.shards {
+	for _, sh := range l.shards {
 		sh.mu.RLock()
-		if k := ends[i] - sh.base; k > 0 {
-			recs := sh.recs[:k:k]
-			if !slices.IsSortedFunc(recs, bySeq) {
-				recs = slices.Clone(recs)
-			}
-			out = append(out, run{recs: recs, d: sh.dict})
+		i, j := sh.above(lo), sh.above(hi)
+		if limit > 0 {
+			j = min(j, i+limit)
+		}
+		if i < j {
+			out = append(out, run{recs: slices.Clone(sh.recs[i:j]), d: sh.dict})
 		}
 		sh.mu.RUnlock()
 	}
 	return out
 }
 
-// dropBefore drops each shard's records before position ends[i]: the
-// ones a committed cut moved into the index. The survivors move to a
-// new array, so the dropped ones' memory is freed.
-func (l *Log) dropBefore(ends []int) {
-	for i, sh := range l.shards {
+// runsBefore returns each shard's records with seq <= cur, a fenced
+// sequence number, with their dictionary. It aliases shard storage
+// rather than copying it, which is safe for the cut, the only caller:
+// a later put carries a seq above cur, so it writes only past the
+// prefix (the capacity-capped slice keeps append from reusing it), and
+// retention, Reset and dropBefore install a fresh array rather than
+// write into this one; retention and the cut both hold Durable.mu
+// exclusively besides.
+func (l *Log) runsBefore(cur uint64) []run {
+	out := make([]run, 0, len(l.shards))
+	for _, sh := range l.shards {
+		sh.mu.RLock()
+		if k := sh.above(cur); k > 0 {
+			out = append(out, run{recs: sh.recs[:k:k], d: sh.dict})
+		}
+		sh.mu.RUnlock()
+	}
+	return out
+}
+
+// dropBefore drops each shard's records with seq <= cur: the ones a
+// committed cut moved into the index. The survivors move to a new
+// array, so the dropped ones' memory is freed.
+func (l *Log) dropBefore(cur uint64) {
+	for _, sh := range l.shards {
 		sh.mu.Lock()
-		if k := ends[i] - sh.base; k > 0 {
+		if k := sh.above(cur); k > 0 {
 			sh.recs = slices.Clone(sh.recs[k:])
-			sh.base = ends[i]
 		}
 		sh.mu.Unlock()
 	}
@@ -659,13 +684,13 @@ func (l *Log) entries(keep func(Entry) bool) []Entry {
 // Page returns, in append order, at most limit entries with sequence
 // numbers above after, and the sequence number of the last one (after
 // when there is none): a bounded read for paging through the log from
-// the zero sequence number. Each shard, and a durable log's
-// checkpointed part, contributes at most its limit lowest entries, so
-// a page holds O(limit) records whatever the log's size; it still
-// scans every record above after (the checkpointed ones by one index
-// scan). A page ends at a fenced sequence number, so a racing append
-// is on this page or a later one. An error reading the checkpointed
-// part fails the page, which never skips past it.
+// the zero sequence number. Each shard contributes at most its limit
+// lowest entries above after, found by binary search, so an in-memory
+// page costs O(shards·(log n + limit)) whatever the log's size; a
+// durable log's checkpointed part is one index scan of every entry
+// above after. A page ends at a fenced sequence number, so a racing
+// append is on this page or a later one. An error reading the
+// checkpointed part fails the page, which never skips past it.
 func (l *Log) Page(after uint64, limit int) ([]Entry, uint64, error) {
 	if limit <= 0 {
 		return nil, after, nil
@@ -673,10 +698,7 @@ func (l *Log) Page(after uint64, limit int) ([]Entry, uint64, error) {
 	cut, _, release := l.holdCold()
 	runs, err := l.coldRun(after, cut, limit)
 	if err == nil {
-		// Only fenced records: an append whose seq is assigned but not
-		// yet in its shard would otherwise be skipped by the next page.
-		hi, _ := l.fence()
-		runs = append(runs, l.runsIn(after, hi, limit)...)
+		runs = append(runs, l.seqRuns(after, l.fence(), limit)...)
 	}
 	release()
 	if err != nil {
@@ -691,27 +713,6 @@ func (l *Log) Page(after uint64, limit int) ([]Entry, uint64, error) {
 		}
 	})
 	return out, next, nil
-}
-
-// runsIn copies, shard by shard under its read lock, the limit
-// lowest-seq records with lo < seq <= hi, with their dictionary.
-func (l *Log) runsIn(lo, hi uint64, limit int) []run {
-	out := make([]run, 0, len(l.shards))
-	for _, sh := range l.shards {
-		low := lowestSeqs{limit: limit}
-		sh.mu.RLock()
-		for i := range sh.recs {
-			if seq := sh.recs[i].seq; seq > lo && seq <= hi {
-				low.push(sh.recs[i])
-			}
-		}
-		d := sh.dict
-		sh.mu.RUnlock()
-		if recs := low.sorted(); len(recs) > 0 {
-			out = append(out, run{recs: recs, d: d})
-		}
-	}
-	return out
 }
 
 // Since returns entries with Time >= t, preserving order.
@@ -794,16 +795,7 @@ var ErrExportInvalidated = errors.New("audit: export cursor invalidated by a str
 type ExportCursor struct {
 	seq   uint64
 	epoch uint64
-	pos   []int
-	// deferred holds, per shard, the records observed past the
-	// positional scan but above the export horizon: with concurrent
-	// appenders, a shard tail can interleave seq numbers around the
-	// horizon (the fence only guarantees everything at or below it is
-	// present). Records beyond the horizon are carried here, sorted by
-	// seq, and consumed by prefix as the horizon passes them, keeping
-	// the positional cursor strictly forward. Within one epoch a shard's
-	// dictionary only grows, so their ids stay valid.
-	deferred [][]record
+	valid bool // false for the zero cursor
 	// cold holds, while the cursor is behind a durable log's checkpoint
 	// cut, the checkpointed records it has yet to export, in seq order
 	// with their own dictionary: read by one index scan per cut and
@@ -818,39 +810,36 @@ func (c ExportCursor) Seq() uint64 { return c.seq }
 // ExportDelta returns the entries appended since the cursor in
 // ascending sequence order — exactly the contiguous range
 // (c.Seq(), next.Seq()] — advancing the cursor. max bounds the batch
-// (0 means unbounded). The cost is O(delta), not O(log): per-shard
-// positions let each call scan only the tails appended since the last
-// one, and a durable log's checkpointed part of the range is one
-// seq-ordered index read. A structural change (Reset/Expire/Rotate)
-// invalidates the cursor and every later call returns
-// ErrExportInvalidated.
+// (0 means unbounded). The cost is O(delta), not O(log): the shards'
+// part of the range is a binary search a shard, and a durable log's
+// checkpointed part is one seq-ordered index read. A structural change
+// (Reset/Expire/Rotate) invalidates the cursor and every later call
+// returns ErrExportInvalidated.
 func (l *Log) ExportDelta(c ExportCursor, max int) ([]Entry, ExportCursor, error) {
 	ep := l.epoch.Load()
-	if c.pos == nil && c.seq == 0 {
-		c = ExportCursor{seq: l.floor.Load(), epoch: ep, pos: make([]int, len(l.shards))}
+	if !c.valid {
+		c = ExportCursor{seq: l.floor.Load(), epoch: ep, valid: true}
 	}
-	if c.epoch != ep || len(c.pos) != len(l.shards) {
+	if c.epoch != ep {
 		return nil, c, ErrExportInvalidated
 	}
 	cut, _, release := l.holdCold()
 	defer release()
-	hi := l.seq.Load()
+	hi := l.fence()
 	if max > 0 && hi > c.seq+uint64(max) {
 		hi = c.seq + uint64(max)
 	}
 	if hi <= c.seq {
 		return nil, c, nil
 	}
-	var cold []run
-	if c.seq <= cut {
-		// The cursor is at or behind the checkpoint cut: its positions
-		// and deferred records may name dropped records, or records of
-		// an earlier process. Export the checkpointed part of the range
-		// from the cursor's cold queue, read from the index when empty,
-		// then resume the tail from the shards' first positions, where
-		// every record lies above the cut.
+	var runs []run
+	if c.seq < cut {
+		// The cursor is behind the checkpoint cut. Export the
+		// checkpointed part of the range from the cursor's cold queue,
+		// read from the index when empty, then the tail from the shards,
+		// where every record lies above the cut.
 		q := c.cold
-		if len(q.recs) == 0 && c.seq < cut {
+		if len(q.recs) == 0 {
 			rs, err := l.coldRun(c.seq, cut, 0)
 			if err != nil {
 				return nil, c, err
@@ -863,102 +852,28 @@ func (l *Log) ExportDelta(c ExportCursor, max int) ([]Entry, ExportCursor, error
 			}
 		}
 		k := min(hi-c.seq, uint64(len(q.recs)))
-		if k > 0 {
-			cold = []run{{recs: q.recs[:k], d: q.d}}
-		}
-		c = ExportCursor{seq: c.seq + k, epoch: ep, pos: make([]int, len(l.shards)), cold: run{recs: q.recs[k:], d: q.d}}
-		for i, sh := range l.shards {
-			sh.mu.RLock()
-			c.pos[i] = sh.base
-			sh.mu.RUnlock()
-		}
+		runs = []run{{recs: q.recs[:k], d: q.d}}
+		c = ExportCursor{seq: c.seq + k, epoch: ep, valid: true, cold: run{recs: q.recs[k:], d: q.d}}
 		if c.seq == hi || c.seq < cut {
-			return mergeEntries(cold, bySeq), c, nil
+			// Done, or the queue, read before a later cut, ends below it:
+			// the next call reads the rest from the index.
+			return mergeEntries(runs, bySeq), c, nil
 		}
 	}
-	// The fence guarantees every sequence number at or below hi has
-	// finished adding to its shard, so the positional scan below
-	// observes the complete range.
-	l.fence()
-	// Fast path first: stop each shard at its first above-horizon
-	// entry, so catching up on a deep log costs O(batch) per call, not
-	// O(remaining log). It comes up short only when an append raced
-	// the horizon (a later sequence number landed in a shard before an
-	// earlier one); the full scan then defers the stragglers' cohort
-	// and stays correct under arbitrary interleaving.
-	runs, next, ok := l.exportScan(c, hi, ep, false)
-	if !ok {
-		runs, next, ok = l.exportScan(c, hi, ep, true)
+	tail := l.seqRuns(c.seq, hi, 0)
+	n := uint64(0)
+	for i := range tail {
+		n += uint64(len(tail[i].recs))
 	}
 	// Structural ops move the epoch before they change a shard, so an
-	// unmoved epoch means every record read (and every deferred one)
-	// indexes the dictionary copied with its shard's run.
-	if !ok || l.epoch.Load() != ep {
-		// A structural op raced the scan, or entries inside the range
-		// are gone: the contiguity guarantee cannot be kept.
+	// unmoved epoch means every record read indexes the dictionary
+	// copied with its shard's run. A short count means entries inside
+	// the range are gone (a retention trim's holes): the contiguity
+	// guarantee cannot be kept.
+	if n != hi-c.seq || l.epoch.Load() != ep {
 		return nil, c, ErrExportInvalidated
 	}
-	return mergeEntries(append(cold, runs...), bySeq), next, nil
-}
-
-// exportScan collects the records in (c.seq, hi] and builds the
-// successor cursor. With full=false each shard's scan stops at the
-// first record above the horizon; with full=true it scans to the shard
-// end, deferring above-horizon records (sorted by seq). ok is false
-// when the collected count does not match the range — a raced horizon
-// on the fast path, an invalidated cursor on the full one.
-func (l *Log) exportScan(c ExportCursor, hi uint64, ep uint64, full bool) ([]run, ExportCursor, bool) {
-	next := ExportCursor{seq: hi, epoch: ep, pos: make([]int, len(l.shards))}
-	runs := make([]run, 0, len(l.shards))
-	n := uint64(0)
-	for i, sh := range l.shards {
-		var recs, later []record
-		if c.deferred != nil {
-			// Consume the prefix the horizon has passed; carry the rest
-			// (capped, so appending to it copies instead of writing into
-			// c's array).
-			def := c.deferred[i]
-			k := sort.Search(len(def), func(j int) bool { return def[j].seq > hi })
-			recs = append(recs, def[:k]...)
-			later = def[k:len(def):len(def)]
-		}
-		sh.mu.RLock()
-		from, m := c.pos[i]-sh.base, len(sh.recs)
-		if from < 0 || from > m {
-			sh.mu.RUnlock()
-			return nil, c, false
-		}
-		next.pos[i] = sh.base + m
-		grew := false
-		for j := from; j < m; j++ {
-			r := sh.recs[j]
-			if r.seq <= hi {
-				recs = append(recs, r)
-			} else if full {
-				later = append(later, r)
-				grew = true
-			} else {
-				next.pos[i] = sh.base + j
-				break
-			}
-		}
-		d := sh.dict
-		sh.mu.RUnlock()
-		if grew {
-			slices.SortFunc(later, bySeq)
-		}
-		if len(later) > 0 {
-			if next.deferred == nil {
-				next.deferred = make([][]record, len(l.shards))
-			}
-			next.deferred[i] = later
-		}
-		if len(recs) > 0 {
-			runs = append(runs, run{recs: recs, d: d})
-			n += uint64(len(recs))
-		}
-	}
-	return runs, next, n == hi-c.seq
+	return mergeEntries(append(runs, tail...), bySeq), ExportCursor{seq: hi, epoch: ep, valid: true}, nil
 }
 
 // ToPolicy builds the ground policy P_AL from entries: one rule per

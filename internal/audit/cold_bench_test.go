@@ -10,7 +10,8 @@ import (
 // The durable store's cold-prefix benchmarks: ingest through the
 // background checkpointer, recovery of a checkpointed store, and
 // append-order reads of the checkpointed prefix (DESIGN.md's audit
-// store section cites them). -short shrinks the corpus tenfold.
+// store section cites them), plus a page walk of the same corpus held
+// in memory. -short shrinks the corpus tenfold.
 
 // coldCorpusSize is the entry count the benchmarks checkpoint.
 func coldCorpusSize() int {
@@ -120,4 +121,30 @@ func BenchmarkColdRead(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkPageWalk pages through an in-memory log of the corpus from
+// the zero sequence number, 1000 entries a page.
+func BenchmarkPageWalk(b *testing.B) {
+	n, l := coldCorpusSize(), NewLog("hospital")
+	if err := l.Append(coldCorpus(n, 1)...); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got := 0
+		for after := uint64(0); ; {
+			es, next, err := l.Page(after, 1000)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(es) == 0 {
+				break
+			}
+			got, after = got+len(es), next
+		}
+		if got != n {
+			b.Fatalf("walked %d entries, want %d", got, n)
+		}
+	}
 }

@@ -256,8 +256,7 @@ func (l *Log) load(rr *rawRecord) error {
 	if err := e.Validate(); err != nil {
 		return err
 	}
-	sh.recs = append(sh.recs, r)
-	sh.indexLocked(&r)
+	sh.put(r)
 	if r.seq > l.seq.Load() {
 		l.seq.Store(r.seq)
 	}
@@ -389,12 +388,6 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 	}
 	rs.WALSegments = wst.Segments
 	rs.TornTail = wst.TornTail
-	// A shard's tail must be in sequence order (Delta binary-searches
-	// it). The WAL is written in sequence order, so this sort only
-	// checks, unless a store from an older writer says otherwise.
-	for _, sh := range d.log.shards {
-		sortRecords(sh.recs, bySeq)
-	}
 	if d.ckptSeq > d.log.seq.Load() {
 		// Sequence gaps (expired entries) at the cut: resume numbering
 		// past it so new seqs stay above every stored one. The loads
@@ -660,11 +653,11 @@ func (d *Durable) cutLocked(removed uint64) error {
 	// or below this LSN was appended before cur was read, so its seq
 	// is at or below cur and the checkpoint below covers it.
 	lsnCut := d.wal.LastLSN()
-	cur, ends := d.log.fence()
+	cur := d.log.fence()
 	var val []byte
 	var err error
 	added := uint64(0)
-	merge(d.log.runsBefore(ends), bySeq, func(dc *dict, r *record) {
+	merge(d.log.runsBefore(cur), bySeq, func(dc *dict, r *record) {
 		if err != nil {
 			return
 		}
@@ -682,7 +675,7 @@ func (d *Durable) cutLocked(removed uint64) error {
 	}
 	d.ckptSeq = cur
 	d.count = count
-	d.log.dropBefore(ends)
+	d.log.dropBefore(cur)
 	// The pages the cut wrote are on disk; the next cut touches only
 	// the newest few again.
 	d.store.DropCache()

@@ -45,7 +45,7 @@ func TestExportDeltaSequential(t *testing.T) {
 
 // TestExportDeltaConcurrent: a tailer exporting while several
 // goroutines append must still observe every sequence number exactly
-// once, in order — the deferred-merge path under real interleaving.
+// once, in order — shard.put's ordered insert under real interleaving.
 func TestExportDeltaConcurrent(t *testing.T) {
 	l := NewLog("s")
 	const writers, perWriter = 8, 500

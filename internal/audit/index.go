@@ -610,20 +610,8 @@ func (l *Log) Delta(c Cursor) (delta []Entry, next Cursor, resync bool) {
 		l.cold.report(err)
 		return nil, c, false
 	}
-	hi, _ := l.fence()
-	for _, sh := range l.shards {
-		sh.mu.RLock()
-		// In a shard, the records at or below a fenced sequence number
-		// precede every record above it, so both ends of the range are
-		// a binary search. from is a fenced number too (or 0).
-		recs := sh.recs
-		lo := sort.Search(len(recs), func(j int) bool { return recs[j].seq > from })
-		end := sort.Search(len(recs), func(j int) bool { return recs[j].seq > hi })
-		if lo < end {
-			runs = append(runs, run{recs: slices.Clone(recs[lo:end]), d: sh.dict})
-		}
-		sh.mu.RUnlock()
-	}
+	hi := l.fence()
+	runs = append(runs, l.seqRuns(from, hi, 0)...)
 	release()
 	if l.epoch.Load() != ep {
 		// A structural change raced the read; restart from scratch.

@@ -198,8 +198,8 @@ func byTime(a, b record) int {
 	return cmp.Compare(a.seq, b.seq)
 }
 
-// sortRecords sorts recs by order unless they already are: a shard's
-// records are appended in (nearly always exactly) sequence order.
+// sortRecords sorts recs by order unless they already are: a shard
+// keeps its records in sequence order (shard.put).
 func sortRecords(recs []record, order func(a, b record) int) {
 	if !slices.IsSortedFunc(recs, order) {
 		slices.SortFunc(recs, order)

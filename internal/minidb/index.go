@@ -187,12 +187,12 @@ func (t *Table) Indexes() []string {
 	return out
 }
 
-// lookupEq returns the rows whose column equals v, using the index if
-// one exists; ok=false means no index can answer it (see probe).
-func (t *Table) lookupEq(col string, v Value) ([][]Value, bool) {
+// lookup returns the rows an index reads for where (see indexFor);
+// ok=false means no index can answer it.
+func (t *Table) lookup(where Expr) ([][]Value, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	ix, k, ok := t.probe(col, v)
+	ix, k, ok := t.indexFor(where)
 	if !ok {
 		return nil, false
 	}
@@ -221,31 +221,30 @@ func (t *Table) probe(col string, v Value) (*hashIndex, ixKey, bool) {
 	return ix, k, ok
 }
 
-// indexableEq inspects a WHERE tree for a top-level (AND-connected)
-// `col = literal` conjunct and returns it. The full predicate is
-// still evaluated afterwards, so using the index is purely a
-// row-source optimization.
-func indexableEq(e Expr) (col string, val Value, ok bool) {
-	switch x := e.(type) {
-	case *Binary:
+// indexFor returns the index and bucket of where's first top-level
+// (AND-connected) `col = literal` conjunct that probe can answer, or
+// ok=false when none can. The full predicate is still evaluated over
+// the rows, so using the index is purely a row-source optimization.
+// Execution and EXPLAIN both choose through it. The caller holds t.mu.
+func (t *Table) indexFor(where Expr) (*hashIndex, ixKey, bool) {
+	if x, ok := where.(*Binary); ok {
 		switch x.Op {
 		case "AND":
-			if c, v, ok := indexableEq(x.L); ok {
-				return c, v, true
+			if ix, k, ok := t.indexFor(x.L); ok {
+				return ix, k, true
 			}
-			return indexableEq(x.R)
+			return t.indexFor(x.R)
 		case "=":
-			if ref, rok := x.L.(*ColRef); rok {
-				if lit, lok := x.R.(*Literal); lok {
-					return ref.Name, lit.Val, true
-				}
+			ref, rok := x.L.(*ColRef)
+			lit, lok := x.R.(*Literal)
+			if !rok || !lok {
+				ref, rok = x.R.(*ColRef)
+				lit, lok = x.L.(*Literal)
 			}
-			if ref, rok := x.R.(*ColRef); rok {
-				if lit, lok := x.L.(*Literal); lok {
-					return ref.Name, lit.Val, true
-				}
+			if rok && lok {
+				return t.probe(ref.Name, lit.Val)
 			}
 		}
 	}
-	return "", Value{}, false
+	return nil, ixKey{}, false
 }

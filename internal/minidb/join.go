@@ -38,12 +38,11 @@ func (db *Database) resolveFrom(s *SelectStmt) (*fromResult, error) {
 	// would otherwise be mistaken for a base-table column of the same
 	// name and filter the wrong relation.
 	var rows [][]Value
-	if col, val, ok := indexableEq(s.Where); ok && len(s.Joins) == 0 {
-		if indexed, hit := base.lookupEq(col, val); hit {
-			rows = indexed
-		}
+	indexed := false
+	if len(s.Joins) == 0 {
+		rows, indexed = base.lookup(s.Where)
 	}
-	if rows == nil {
+	if !indexed {
 		rows = base.snapshot()
 	}
 
@@ -117,9 +116,9 @@ func (db *Database) explain(s *SelectStmt) (*Result, error) {
 	}
 	var lines []string
 	source := fmt.Sprintf("scan %s (%d rows)", base.Name(), base.Len())
-	if col, val, ok := indexableEq(s.Where); ok && len(s.Joins) == 0 {
+	if len(s.Joins) == 0 {
 		base.mu.RLock()
-		ix, _, indexed := base.probe(col, val)
+		ix, _, indexed := base.indexFor(s.Where)
 		base.mu.RUnlock()
 		if indexed {
 			source = fmt.Sprintf("index lookup %s(%s)", base.Name(), strings.ToLower(base.cols[ix.col].Name))

@@ -195,8 +195,8 @@ func TestWireFederationMatchesInProcessOracle(t *testing.T) {
 
 // TestWireFederationLiveAppends exercises the streamer's tailing path:
 // entries are appended concurrently from several goroutines while the
-// streamers ship them, the export cursor's deferred-merge logic doing
-// the seq-contiguity work.
+// streamers ship them, the export cursor's seq-range reads doing the
+// seq-contiguity work.
 func TestWireFederationLiveAppends(t *testing.T) {
 	logs := []*audit.Log{audit.NewLog("site-a"), audit.NewLog("site-b")}
 	cons, addr := startConsolidator(t, ConsolidatorOptions{})
