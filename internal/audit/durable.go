@@ -684,9 +684,9 @@ func (d *Durable) cutLocked(removed uint64) error {
 
 // SnapshotRange returns the entries with from <= time < to in
 // chronological order (same-instant entries in append order),
-// byte-identical to filtering SnapshotByTime. The checkpointed part
-// is a single index range read; only the un-checkpointed tail touches
-// the in-memory shards. A zero bound means unbounded.
+// byte-identical to filtering Log().SnapshotByTime(). The checkpointed
+// part is a single index range read; only the un-checkpointed tail
+// touches the in-memory shards. A zero bound means unbounded.
 func (d *Durable) SnapshotRange(from, to time.Time) ([]Entry, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -737,18 +737,6 @@ func (d *Durable) snapshotRangeLocked(from, to time.Time) ([]Entry, error) {
 		out = append(out, ckpt[i].e)
 	}
 	return append(out, tail[j:]...), nil
-}
-
-// SnapshotByTime serves the federation TimeSource contract from the
-// persistent index. Index read errors are reported through OnErr and
-// answered with the in-memory tail alone.
-func (d *Durable) SnapshotByTime() []Entry {
-	es, err := d.SnapshotRange(time.Time{}, time.Time{})
-	if err != nil {
-		d.report(err)
-		return mergeEntries(d.log.runs(nil), byTime)
-	}
-	return es
 }
 
 // ExpireScan counts, from the persistent index plus the in-memory

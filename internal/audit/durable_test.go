@@ -184,7 +184,10 @@ func TestDurableSnapshotByTimeDifferential(t *testing.T) {
 	check := func(d *Durable) {
 		t.Helper()
 		oracle := d.Log().SnapshotByTime()
-		got := d.SnapshotByTime()
+		got, err := d.SnapshotRange(time.Time{}, time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !bytes.Equal(jsonlBytes(t, got), jsonlBytes(t, oracle)) {
 			t.Fatal("index-served SnapshotByTime diverges from in-memory oracle")
 		}
@@ -267,7 +270,11 @@ func TestDurableExpireDifferential(t *testing.T) {
 	}
 	check := func(d *Durable) {
 		t.Helper()
-		if !bytes.Equal(jsonlBytes(t, d.SnapshotByTime()), jsonlBytes(t, d.Log().SnapshotByTime())) {
+		idx, err := d.SnapshotRange(time.Time{}, time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(jsonlBytes(t, idx), jsonlBytes(t, d.Log().SnapshotByTime())) {
 			t.Fatal("post-expiry index view diverges from memory")
 		}
 	}
@@ -364,17 +371,23 @@ func TestDurableFederation(t *testing.T) {
 	}
 
 	f := &Federation{}
-	f.AddTimeSource(da)
-	f.AddTimeSource(db)
+	f.AddSource(da.Log())
+	f.AddSource(db.Log())
 	got := f.Consolidate()
 
-	oracle := NewFederation(da.Log(), db.Log()).Consolidate()
-	if !bytes.Equal(jsonlBytes(t, got.Entries), jsonlBytes(t, oracle.Entries)) {
-		t.Fatal("durable-sourced consolidation diverges from in-memory")
+	var ref [][]Entry
+	for _, d := range []*Durable{da, db} {
+		es, err := d.SnapshotRange(time.Time{}, time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref = append(ref, es)
 	}
-	if got.Duplicates != oracle.Duplicates || len(got.Conflicts) != len(oracle.Conflicts) {
-		t.Fatalf("dedup/conflict divergence: %d/%d vs %d/%d",
-			got.Duplicates, len(got.Conflicts), oracle.Duplicates, len(oracle.Conflicts))
+	oracle := refConsolidate(ref)
+	if !bytes.Equal(resultBytes(t, got), resultBytes(t, oracle)) {
+		t.Fatalf("durable-sourced consolidation diverges from the index-read entry merge: %d/%d/%d vs %d/%d/%d",
+			len(got.Entries), got.Duplicates, len(got.Conflicts),
+			len(oracle.Entries), oracle.Duplicates, len(oracle.Conflicts))
 	}
 }
 
@@ -460,7 +473,11 @@ func TestDurableCrashInjectionDifferential(t *testing.T) {
 		if !sameStats(d2.Log().Summary(), oracle.Summary()) {
 			t.Fatalf("trial %d: recovered refinement stats diverge", trial)
 		}
-		if !bytes.Equal(jsonlBytes(t, d2.SnapshotByTime()), jsonlBytes(t, oracle.SnapshotByTime())) {
+		idx, err := d2.SnapshotRange(time.Time{}, time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(jsonlBytes(t, idx), jsonlBytes(t, oracle.SnapshotByTime())) {
 			t.Fatalf("trial %d: recovered index view diverges from oracle", trial)
 		}
 		_ = rs
@@ -530,7 +547,10 @@ func TestDurableConcurrentCheckpoint(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				d.SnapshotByTime()
+				if _, err := d.SnapshotRange(time.Time{}, time.Time{}); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}
 	}()
@@ -545,7 +565,10 @@ func TestDurableConcurrentCheckpoint(t *testing.T) {
 		t.Fatalf("len = %d, want %d", got, writers*perWriter)
 	}
 	mem := d.Log().SnapshotByTime()
-	idx := d.SnapshotByTime()
+	idx, err := d.SnapshotRange(time.Time{}, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(jsonlBytes(t, idx), jsonlBytes(t, mem)) {
 		t.Fatal("index view diverges after concurrent checkpoints")
 	}
@@ -663,7 +686,11 @@ func expireCrashTrial(t *testing.T) func(trial int, budget int64) bool {
 			t.Fatalf("trial %d: mixed-generation state after crash (%d bytes, pre %d, post %d)",
 				trial, len(got), len(pre), len(post))
 		}
-		if !bytes.Equal(jsonlBytes(t, d3.SnapshotByTime()), jsonlBytes(t, d3.Log().SnapshotByTime())) {
+		idx, err := d3.SnapshotRange(time.Time{}, time.Time{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(jsonlBytes(t, idx), jsonlBytes(t, d3.Log().SnapshotByTime())) {
 			t.Fatalf("trial %d: index view diverges from memory after crashed expiry", trial)
 		}
 		// Life goes on: the store keeps accepting work either way.

@@ -15,32 +15,18 @@ import (
 // share an identity instant but disagree on the recorded outcome,
 // which indicates clock or logging faults at a site.
 type Federation struct {
-	sources []TimeSource
+	sources []*Log
 }
 
-// TimeSource is a consolidation input: anything that can produce its
-// entries in chronological order (same-instant entries in append
-// order). *Log serves it from memory; *Durable serves it from the
-// persistent (time, status, seq) index plus the un-checkpointed tail.
-type TimeSource interface {
-	SnapshotByTime() []Entry
-}
-
-// NewFederation builds a federation over the given source logs.
+// NewFederation builds a federation over the given source logs. A
+// durable site joins through Durable.Log, whose readers merge the
+// checkpointed prefix from its index.
 func NewFederation(sources ...*Log) *Federation {
-	f := &Federation{}
-	for _, l := range sources {
-		f.AddSource(l)
-	}
-	return f
+	return &Federation{sources: append([]*Log(nil), sources...)}
 }
 
 // AddSource registers an additional source log.
 func (f *Federation) AddSource(l *Log) { f.sources = append(f.sources, l) }
-
-// AddTimeSource registers any TimeSource (e.g. a durable store) as a
-// consolidation input.
-func (f *Federation) AddTimeSource(src TimeSource) { f.sources = append(f.sources, src) }
 
 // Sources returns the number of federated logs.
 func (f *Federation) Sources() int { return len(f.sources) }
@@ -63,67 +49,6 @@ type Result struct {
 	Conflicts  []Conflict // same event identity, different outcome
 }
 
-// mergeCursor is one source log's sorted entries plus the read
-// position; src is the source index, the deterministic tie-break.
-type mergeCursor struct {
-	entries []Entry
-	pos     int
-	src     int
-}
-
-// cursorHeap is a min-heap of cursors ordered by the timestamp of
-// their next entry, ties broken by source index — exactly the order
-// the linear best-cursor scan produced (the first source with the
-// minimal time wins), so the consolidated view is unchanged. The
-// sift-down is typed and hand-rolled: the merge loop only ever fixes
-// the root or removes it, so the container/heap interface (and its
-// per-operation any boxing) bought nothing.
-type cursorHeap []*mergeCursor
-
-func (h cursorHeap) less(i, j int) bool {
-	ti, tj := h[i].entries[h[i].pos].Time, h[j].entries[h[j].pos].Time
-	if ti.Equal(tj) {
-		return h[i].src < h[j].src
-	}
-	return ti.Before(tj)
-}
-
-// siftDown restores the heap property below i after h[i] changed.
-func (h cursorHeap) siftDown(i int) {
-	for {
-		left := 2*i + 1
-		if left >= len(h) {
-			return
-		}
-		least := left
-		if right := left + 1; right < len(h) && h.less(right, left) {
-			least = right
-		}
-		if !h.less(least, i) {
-			return
-		}
-		h[i], h[least] = h[least], h[i]
-		i = least
-	}
-}
-
-// init heapifies in place.
-func (h cursorHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
-}
-
-// popRoot removes the root cursor (its source is exhausted).
-func (h *cursorHeap) popRoot() {
-	old := *h
-	n := len(old)
-	old[0] = old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	(*h).siftDown(0)
-}
-
 // replicaKey is the identity of an entry within one instant: two
 // same-instant entries with equal replicaKeys are replicas of the same
 // event. The timestamp is not part of the key — the merge emits
@@ -140,6 +65,15 @@ type replicaKey struct {
 	status     Status
 }
 
+func (d *dict) replicaKey(r *record) replicaKey {
+	return replicaKey{
+		op:   Op(r.op),
+		user: vocab.Norm(d.strs[r.user]), data: vocab.Norm(d.strs[r.data]),
+		purpose: vocab.Norm(d.strs[r.purpose]), authorized: vocab.Norm(d.strs[r.authorized]),
+		status: Status(r.status),
+	}
+}
+
 // eventKey is the same-instant identity without the outcome, for
 // conflict detection.
 type eventKey struct {
@@ -148,94 +82,77 @@ type eventKey struct {
 	purpose string
 }
 
-// Consolidate builds the consolidated view. The merge is a k-way merge
-// by timestamp over a min-heap of source cursors; each source log
-// produces its entries pre-sorted through SnapshotByTime (per-shard
-// sorted runs merged by the sharded store itself), so out-of-order
-// appends at a site are tolerated. Entries that are byte-identical in
-// the seven schema columns are treated as replicas of the same event
-// and collapsed; entries that agree on (time, user, data, purpose)
-// but disagree on op or status are kept and reported as conflicts.
-func (f *Federation) Consolidate() Result {
-	snapshots := make([][]Entry, len(f.sources))
-	total := 0
-	for i, src := range f.sources {
-		snapshots[i] = src.SnapshotByTime()
-		total += len(snapshots[i])
-	}
+func (d *dict) eventKey(r *record) eventKey {
+	return eventKey{user: d.strs[r.user], data: d.strs[r.data], purpose: d.strs[r.purpose]}
+}
 
-	h := make(cursorHeap, 0, f.Sources())
-	for i, es := range snapshots {
-		if len(es) > 0 {
-			h = append(h, &mergeCursor{entries: es, src: i})
+// Consolidate builds the consolidated view: one k-way merge of every
+// source's records (each shard's run and a durable log's checkpointed
+// prefix), by instant, then source index, then sequence number, so
+// out-of-order appends at a site are tolerated. Entries that are
+// byte-identical in the seven schema columns are treated as replicas
+// of the same event and collapsed; entries that agree on (time, user,
+// data, purpose) but disagree on op or status are kept and reported as
+// conflicts.
+func (f *Federation) Consolidate() Result {
+	var runs []run
+	total := 0
+	for i, l := range f.sources {
+		for _, rn := range l.allRuns() {
+			rn.src = i
+			runs = append(runs, rn)
+			total += len(rn.recs)
 		}
 	}
-	h.init()
 
 	var res Result
 	res.Entries = make([]Entry, 0, total)
 	// Dedup and conflict state is scoped to the current instant: the
-	// merge emits entries in time order and both identities include
+	// merge emits records in time order and both identities include
 	// the timestamp, so entries at different instants can never
 	// collide. The window maps stay as small as the widest instant
 	// instead of growing to the full consolidated size.
 	seen := make(map[replicaKey]bool)
 	byEvent := make(map[eventKey]int) // -> index into res.Entries
-	var curUnix int64
+	// The current instant's first record, and its dictionary.
+	var firstR *record
+	var firstD *dict
 	window := false
 
-	for len(h) > 0 {
-		c := h[0]
-		e := c.entries[c.pos]
-		c.pos++
-		if c.pos >= len(c.entries) {
-			h.popRoot()
-		} else {
-			h.siftDown(0)
+	merge(runs, byTime, func(d *dict, r *record) {
+		// An instant's first entry can be neither a replica nor a
+		// conflict: emit it without touching the window maps.
+		if firstR == nil || r.ns != firstR.ns {
+			firstD, firstR, window = d, r, false
+			res.Entries = append(res.Entries, d.entry(r))
+			return
 		}
-
-		unix := e.Time.UnixNano()
-
-		// Solo-instant fast path: when no already-emitted entry shares
-		// this instant (previous instant differs) and no upcoming entry
-		// can (the heap emits in time order, so it suffices to peek the
-		// next minimum), the entry can neither be a replica nor a
-		// conflict — emit it without touching the window maps.
-		if (!window || unix != curUnix) &&
-			(len(h) == 0 || !h[0].entries[h[0].pos].Time.Equal(e.Time)) {
-			window = false
-			curUnix = unix
-			res.Entries = append(res.Entries, e)
-			continue
-		}
-
-		if !window || unix != curUnix {
+		if !window {
+			// A second entry at the instant opens its window, entering
+			// the first one as if the maps had seen it arrive.
 			window = true
-			curUnix = unix
 			clear(seen)
 			clear(byEvent)
+			seen[firstD.replicaKey(firstR)] = true
+			byEvent[firstD.eventKey(firstR)] = len(res.Entries) - 1
 		}
 
-		rk := replicaKey{
-			op:   e.Op,
-			user: vocab.Norm(e.User), data: vocab.Norm(e.Data),
-			purpose: vocab.Norm(e.Purpose), authorized: vocab.Norm(e.Authorized),
-			status: e.Status,
-		}
+		rk := d.replicaKey(r)
 		if seen[rk] {
 			res.Duplicates++
-			continue
+			return
 		}
 		seen[rk] = true
 
-		ek := eventKey{user: e.User, data: e.Data, purpose: e.Purpose}
+		e := d.entry(r)
+		ek := d.eventKey(r)
 		if i, ok := byEvent[ek]; ok && (res.Entries[i].Op != e.Op || res.Entries[i].Status != e.Status) {
 			res.Conflicts = append(res.Conflicts, Conflict{A: res.Entries[i], B: e})
 		} else {
 			byEvent[ek] = len(res.Entries)
 		}
 		res.Entries = append(res.Entries, e)
-	}
+	})
 	return res
 }
 

@@ -3,10 +3,8 @@ package audit
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/policy"
@@ -355,38 +353,22 @@ func (s *shard) name(k groupKey) groupName {
 // gens is non-nil (one log), it receives each shard's gen, read under
 // the read lock together with the groups merged from that shard.
 //
-// A counting pass first sums each group's per-shard user counts, so
-// the fill pass makes every Users map at its final size instead of
-// growing it shard by shard. For one log the sum is exact when no
-// append lands between the passes: the shard route hashes (user, data,
-// purpose), so a user's rows of one group sit in one shard. Across
-// logs it is an upper bound. Either way it only sizes the maps; every
-// figure comes from the fill pass.
+// One pass visits each shard once. A group's Users map is made on the
+// first shard with practice users, sized for that shard's users times
+// the shard count, plus a quarter: the shard route hashes (user, data,
+// purpose), so a group's users spread over the shards and one shard's
+// share estimates the total, and the quarter spares a map a grow when
+// that shard drew less than its share.
 func mergeGroups(logs []*Log, gens []uint64) []Group {
 	type merged struct {
 		Group
 		first, last instant // the window bounds First and Last resolve
-		users       int     // Users size from the counting pass
+	}
+	shards := 0
+	for _, l := range logs {
+		shards += len(l.shards)
 	}
 	acc := make(map[groupName]*merged)
-	for _, l := range logs {
-		for _, sh := range l.shards {
-			sh.mu.RLock()
-			for k, g := range sh.groups {
-				if len(g.users) == 0 {
-					continue
-				}
-				name := sh.name(k)
-				m := acc[name]
-				if m == nil {
-					m = &merged{}
-					acc[name] = m
-				}
-				m.users += len(g.users)
-			}
-			sh.mu.RUnlock()
-		}
-	}
 	for _, l := range logs {
 		for i, sh := range l.shards {
 			sh.mu.RLock()
@@ -398,11 +380,9 @@ func mergeGroups(logs []*Log, gens []uint64) []Group {
 				m := acc[name]
 				if m == nil {
 					m = &merged{}
-					acc[name] = m
-				}
-				if m.Total == 0 {
 					m.Data, m.Purpose, m.Authorized = name.data, name.purpose, name.authorized
 					m.Key, m.FirstSeq = g.canon, g.firstSeq
+					acc[name] = m
 				}
 				if g.firstSeq < m.FirstSeq {
 					m.FirstSeq = g.firstSeq
@@ -412,7 +392,7 @@ func mergeGroups(logs []*Log, gens []uint64) []Group {
 				m.OffHours += g.offHours
 				if len(g.users) > 0 {
 					if m.Users == nil {
-						m.Users = make(map[string]int, max(m.users, len(g.users)))
+						m.Users = make(map[string]int, len(g.users)*shards*5/4)
 					}
 					for u, n := range g.users {
 						m.Users[sh.strs[u]] += n
@@ -436,10 +416,6 @@ func mergeGroups(logs []*Log, gens []uint64) []Group {
 	}
 	out := make([]Group, 0, len(acc))
 	for _, m := range acc {
-		if m.Total == 0 {
-			// Counted, then dropped by retention before the fill pass.
-			continue
-		}
 		m.PracticeUsers = len(m.Users)
 		out = append(out, m.Group)
 	}
@@ -624,26 +600,5 @@ func (l *Log) Delta(c Cursor) (delta []Entry, next Cursor, resync bool) {
 // order, same-instant entries in append order — byte-identical to
 // SortByTime(Snapshot()) but sorted per shard (concurrently when
 // GOMAXPROCS allows) and k-way merged, a durable log's checkpointed
-// prefix as one more run. Federation consolidation reads its sources
-// through this.
-func (l *Log) SnapshotByTime() []Entry {
-	runs := l.allRuns()
-	total := 0
-	for i := range runs {
-		total += len(runs[i].recs)
-	}
-	if runtime.GOMAXPROCS(0) > 1 && total > 4096 {
-		var wg sync.WaitGroup
-		for i := range runs {
-			wg.Add(1)
-			go func(recs []record) {
-				defer wg.Done()
-				sortRecords(recs, byTime)
-			}(runs[i].recs)
-		}
-		wg.Wait()
-	}
-	// mergeEntries sorts whatever is still unsorted, then k-way merges
-	// by (time, seq).
-	return mergeEntries(runs, byTime)
-}
+// prefix as one more run.
+func (l *Log) SnapshotByTime() []Entry { return mergeEntries(l.allRuns(), byTime) }

@@ -2,7 +2,9 @@ package audit
 
 import (
 	"cmp"
+	"runtime"
 	"slices"
+	"sync"
 	"time"
 )
 
@@ -180,30 +182,78 @@ func (d *dict) reintern(r *record, old *dict) {
 }
 
 // run is one shard's records, copied under its read lock, with the
-// dictionary they index.
+// dictionary they index. src is the run's source index in a
+// federation, the merge's tie-break after the order's key; it is 0 for
+// every run of a single log.
 type run struct {
 	recs []record
 	d    dict
+	src  int
 }
 
-// bySeq orders records by sequence number: append order.
-func bySeq(a, b record) int { return cmp.Compare(a.seq, b.seq) }
+// order names a record order. A merge emits records by (key, src,
+// seq): the order's key, then the run's source index, then the
+// sequence number.
+type order uint8
 
-// byTime orders records chronologically, same-instant records in
-// append order.
-func byTime(a, b record) int {
-	if c := cmp.Compare(a.ns, b.ns); c != 0 {
+const (
+	bySeq  order = iota // append order: the key is the seq
+	byTime              // chronological: the key is the instant
+)
+
+// key returns r's sort key under o as an unsigned integer that orders
+// as the key does (an instant has its sign bit flipped).
+func (o order) key(r *record) uint64 {
+	if o == byTime {
+		return uint64(r.ns) ^ 1<<63
+	}
+	return r.seq
+}
+
+// cmp orders the records of one run: by key, then seq.
+func (o order) cmp(a, b record) int {
+	if c := cmp.Compare(o.key(&a), o.key(&b)); c != 0 {
 		return c
 	}
 	return cmp.Compare(a.seq, b.seq)
 }
 
-// sortRecords sorts recs by order unless they already are: a shard
-// keeps its records in sequence order (shard.put).
-func sortRecords(recs []record, order func(a, b record) int) {
-	if !slices.IsSortedFunc(recs, order) {
-		slices.SortFunc(recs, order)
+// sortRecords sorts recs by o unless they already are: a shard keeps
+// its records in sequence order (shard.put). The check compares keys
+// inline; a call through o.cmp per record took longer than merging a
+// lone run.
+func sortRecords(recs []record, o order) {
+	for i := 1; i < len(recs); i++ {
+		a, b := &recs[i-1], &recs[i]
+		if ka, kb := o.key(a), o.key(b); ka > kb || ka == kb && a.seq > b.seq {
+			slices.SortFunc(recs, o.cmp)
+			return
+		}
 	}
+}
+
+// sortRuns sorts every run by o, concurrently when GOMAXPROCS allows
+// and the runs hold enough records to pay for the goroutines.
+func sortRuns(runs []run, o order) {
+	total := 0
+	for i := range runs {
+		total += len(runs[i].recs)
+	}
+	if len(runs) < 2 || total <= 4096 || runtime.GOMAXPROCS(0) == 1 {
+		for i := range runs {
+			sortRecords(runs[i].recs, o)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for i := range runs {
+		wg.Add(1)
+		go func(recs []record) {
+			defer wg.Done()
+			sortRecords(recs, o)
+		}(runs[i].recs)
+	}
+	wg.Wait()
 }
 
 // lowestSeqs collects the limit lowest-seq records pushed into it
@@ -217,7 +267,7 @@ type lowestSeqs struct {
 func (c *lowestSeqs) push(r record) {
 	c.recs = append(c.recs, r)
 	if c.limit > 0 && len(c.recs) == 2*c.limit {
-		slices.SortFunc(c.recs, bySeq)
+		slices.SortFunc(c.recs, bySeq.cmp)
 		c.recs = c.recs[:c.limit]
 	}
 }
@@ -231,41 +281,97 @@ func (c *lowestSeqs) sorted() []record {
 	return c.recs
 }
 
-// merge sorts each run by order, then walks the records of all runs in
-// order, calling emit with each record and the dictionary it indexes.
-// The run count is a shard count, so a linear head scan beats heap
-// bookkeeping.
-func merge(runs []run, order func(a, b record) int, emit func(d *dict, r *record)) {
-	for i := range runs {
-		sortRecords(runs[i].recs, order)
+// cursor is a run's read position in a merge, with the sort key of
+// the record at it.
+type cursor struct {
+	key uint64
+	src int
+	pos int
+	rn  *run
+}
+
+// load caches the key of the record at c.pos.
+func (c *cursor) load(o order) { c.key = o.key(&c.rn.recs[c.pos]) }
+
+func (c *cursor) less(d *cursor) bool {
+	if c.key != d.key {
+		return c.key < d.key
 	}
-	heads := make([]int, len(runs))
+	if c.src != d.src {
+		return c.src < d.src
+	}
+	return c.rn.recs[c.pos].seq < d.rn.recs[d.pos].seq
+}
+
+// cursorHeap is a min-heap of the cursors of the runs a merge has not
+// exhausted. The merge only ever fixes or removes the root, so the
+// sift-down is typed and hand-rolled.
+type cursorHeap []cursor
+
+// siftDown restores the heap property below i after h[i] changed:
+// lesser children move up into the hole until c's place is found.
+func (h cursorHeap) siftDown(i int) {
+	c := h[i]
 	for {
-		best := -1
-		for i := range runs {
-			if heads[i] == len(runs[i].recs) {
-				continue
-			}
-			if best == -1 || order(runs[i].recs[heads[i]], runs[best].recs[heads[best]]) < 0 {
-				best = i
-			}
+		least := 2*i + 1
+		if least >= len(h) {
+			break
 		}
-		if best == -1 {
+		if r := least + 1; r < len(h) && h[r].less(&h[least]) {
+			least = r
+		}
+		if !h[least].less(&c) {
+			break
+		}
+		h[i] = h[least]
+		i = least
+	}
+	h[i] = c
+}
+
+// merge sorts each run by o, then calls emit with each record of all
+// runs, in (key, src, seq) order, and the dictionary it indexes: a
+// walk of a lone run, else a min-heap over the run heads.
+func merge(runs []run, o order, emit func(d *dict, r *record)) {
+	sortRuns(runs, o)
+	if len(runs) == 1 {
+		rn := &runs[0]
+		for i := range rn.recs {
+			emit(&rn.d, &rn.recs[i])
+		}
+		return
+	}
+	h := make(cursorHeap, 0, len(runs))
+	for i := range runs {
+		if len(runs[i].recs) > 0 {
+			c := cursor{src: runs[i].src, rn: &runs[i]}
+			c.load(o)
+			h = append(h, c)
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.siftDown(i)
+	}
+	for len(h) > 0 {
+		c := &h[0]
+		emit(&c.rn.d, &c.rn.recs[c.pos])
+		if c.pos++; c.pos < len(c.rn.recs) {
+			c.load(o)
+		} else if h[0], h = h[len(h)-1], h[:len(h)-1]; len(h) == 0 {
 			return
 		}
-		emit(&runs[best].d, &runs[best].recs[heads[best]])
-		heads[best]++
+		h.siftDown(0)
 	}
 }
 
-// mergeEntries merges runs by order into entries.
-func mergeEntries(runs []run, order func(a, b record) int) []Entry {
+// mergeEntries merges runs by o into entries.
+func mergeEntries(runs []run, o order) []Entry {
 	n := 0
 	for i := range runs {
 		n += len(runs[i].recs)
 	}
 	out := make([]Entry, 0, n)
-	merge(runs, order, func(d *dict, r *record) { out = append(out, d.entry(r)) })
+	merge(runs, o, func(d *dict, r *record) { out = append(out, d.entry(r)) })
 	return out
 }
 

@@ -7,9 +7,28 @@ import (
 )
 
 type parser struct {
-	toks []token
-	pos  int
+	toks  []token
+	pos   int
+	depth int // expression nesting at the current token
 }
+
+// maxDepth bounds expression nesting: parentheses, function arguments,
+// IN lists, NOT and unary minus each go one level deeper. The parser
+// recurses once per level, so without the bound a request's SQL sets
+// its goroutine's stack size, and enough '(' overflow the stack
+// maximum, a fatal error rather than a recoverable panic.
+const maxDepth = 256
+
+// descend enters one nesting level, failing past maxDepth; the caller
+// defers ascend.
+func (p *parser) descend() error {
+	if p.depth++; p.depth > maxDepth {
+		return fmt.Errorf("minidb: expression nested deeper than %d at %s", maxDepth, p.cur())
+	}
+	return nil
+}
+
+func (p *parser) ascend() { p.depth-- }
 
 // Parse parses a single SQL statement.
 func Parse(src string) (Stmt, error) {
@@ -556,7 +575,13 @@ func (p *parser) parseCreateIndex() (*CreateIndexStmt, error) {
 //	mulExpr := unary (("*"|"/"|"%") unary)*
 //	unary   := "-" unary | primary
 //	primary := literal | call | ident | "(" expr ")"
-func (p *parser) parseExpr() (Expr, error) { return p.parseOr() }
+func (p *parser) parseExpr() (Expr, error) {
+	defer p.ascend()
+	if err := p.descend(); err != nil {
+		return nil, err
+	}
+	return p.parseOr()
+}
 
 func (p *parser) parseOr() (Expr, error) {
 	l, err := p.parseAnd()
@@ -590,6 +615,10 @@ func (p *parser) parseAnd() (Expr, error) {
 
 func (p *parser) parseNot() (Expr, error) {
 	if p.acceptKeyword("NOT") {
+		defer p.ascend()
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
 		x, err := p.parseNot()
 		if err != nil {
 			return nil, err
@@ -740,6 +769,10 @@ func (p *parser) parseMul() (Expr, error) {
 
 func (p *parser) parseUnary() (Expr, error) {
 	if p.acceptPunct("-") {
+		defer p.ascend()
+		if err := p.descend(); err != nil {
+			return nil, err
+		}
 		x, err := p.parseUnary()
 		if err != nil {
 			return nil, err

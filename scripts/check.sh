@@ -63,7 +63,7 @@ go tool cover -func=coverage-prima-vet.out | awk '
         if ($3 + 0 < 70) { print "coverage below the 70% floor" > "/dev/stderr"; exit 1 }
     }'
 
-echo "==> fuzz smoke (~80s: decoders, the durable record codec, WAL replay, the CRC frame and the wire entry codec must not panic, symbolic algebra and FP-growth must match their ground oracles)"
+echo "==> fuzz smoke (~90s: decoders, the durable record codec, WAL replay, the CRC frame, the wire entry codec and the SQL parser must not panic, the parser must keep its nesting bound, symbolic algebra and FP-growth must match their ground oracles)"
 go test -fuzz=FuzzDecodePolicy -fuzztime=10s -run=NONE ./internal/policy > /dev/null
 go test -fuzz=FuzzDecodeEntry -fuzztime=10s -run=NONE ./internal/audit > /dev/null
 go test -fuzz=FuzzDurableRecord -fuzztime=10s -run=NONE ./internal/audit > /dev/null
@@ -72,11 +72,12 @@ go test -fuzz=FuzzFPGrowthVsApriori -fuzztime=10s -run=NONE ./internal/mining > 
 go test -fuzz=FuzzWALReplay -fuzztime=10s -run=NONE ./internal/storage > /dev/null
 go test -fuzz=FuzzFrameDecode -fuzztime=10s -run=NONE ./internal/storage > /dev/null
 go test -fuzz=FuzzEntryCodec -fuzztime=10s -run=NONE ./internal/netfed > /dev/null
+go test -fuzz=FuzzParse -fuzztime=10s -run=NONE ./internal/minidb > /dev/null
 
 echo "==> go test -race (concurrency suites: root facade, audit, consent, core, hdb, lint, minidb, mining, netfed, policy, storage, vocab, workflow, server)"
 go test -race . ./internal/audit/ ./internal/consent/ ./internal/core/ ./internal/hdb/ ./internal/lint/ ./internal/minidb/ ./internal/mining/ ./internal/netfed/ ./internal/policy/ ./internal/storage/ ./internal/vocab/ ./internal/workflow/ ./internal/server/
 
-echo "==> benchmark smoke (one iteration per benchmark, including the reference-oracle rows in hdb and core, the retained-bytes row in audit and the indexed chart lookup in minidb; -short shrinks the E16 recovery corpus)"
+echo "==> benchmark smoke (one iteration per benchmark, including the reference-oracle rows in hdb and core, the retained-bytes, merge and consolidation rows in audit and the indexed chart lookup in minidb; -short shrinks the E16 recovery corpus)"
 go test -short -bench=. -benchtime=1x -run=NONE . ./internal/hdb ./internal/core ./internal/audit ./internal/minidb > /dev/null
 
 echo "All checks passed."
