@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"os"
 	"runtime"
@@ -1248,59 +1247,6 @@ func miningPool(n int) []audit.Entry {
 	return out
 }
 
-// basketTxs builds a market-basket workload that separates the two
-// mining engines algorithmically: every transaction holds perHot items
-// from a small co-occurring alphabet plus perCold items smeared over a
-// large one. All singles clear the support threshold, so Apriori's
-// pair-candidate scan is quadratic in the alphabet while FP-growth
-// reads the same answer off one prefix tree.
-func basketTxs(txs, hot, cold, perHot, perCold int, seed int64) []mining.Transaction {
-	rng := rand.New(rand.NewSource(seed))
-	sample := func(attr string, n, k int, dst mining.Transaction) mining.Transaction {
-		seen := make(map[int]bool, k)
-		for len(seen) < k {
-			i := rng.Intn(n)
-			if seen[i] {
-				continue
-			}
-			seen[i] = true
-			dst = append(dst, mining.Item{Attr: attr, Value: fmt.Sprintf("%s%d", attr, i)})
-		}
-		return dst
-	}
-	out := make([]mining.Transaction, txs)
-	for t := range out {
-		tx := sample("proc", hot, perHot, nil)
-		out[t] = sample("med", cold, perCold, tx)
-	}
-	return out
-}
-
-// denseTxs biases items toward low indexes (triangular distribution)
-// so the FP-tree grows deep shared prefixes and a multi-level frequent
-// lattice — the conditional pattern-growth pool's heaviest shape.
-func denseTxs(n, alphabet, per int, seed int64) []mining.Transaction {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]mining.Transaction, n)
-	for t := range out {
-		seen := make(map[int]bool, per)
-		var tx mining.Transaction
-		for len(seen) < per {
-			i := rng.Intn(alphabet)
-			if j := rng.Intn(alphabet); j < i {
-				i = j
-			}
-			if seen[i] {
-				continue
-			}
-			seen[i] = true
-			tx = append(tx, mining.Item{Attr: "op", Value: fmt.Sprintf("op%d", i)})
-		}
-		out[t] = tx
-	}
-	return out
-}
-
 // rescanOnly hides mining.Extractor's incremental and log-fed method
 // sets, forcing the stream session onto its legacy path: re-accumulate
 // the practice rows and run the full batch extraction every epoch.
@@ -1317,17 +1263,15 @@ func (r rescanOnly) Extract(practice []audit.Entry, opts core.Options) ([]core.P
 //   - mine/rows=N/engine — one-shot batch extraction over N practice
 //     rows (fold + mine + evidence); both engines share the interned
 //     transaction table, so this measures end-to-end epoch cost.
-//   - baskets/engine — the engines' algorithmic separation on a dense
-//     candidate-explosion workload (Apriori's L2 scan vs one FP-tree).
 //   - epoch/rows=N — streaming refinement epochs over an N-row log:
 //     the incremental FP-growth path folds only the ~1k new rows into
 //     persistent per-shard state, while the rescan path re-extracts
 //     the cumulative practice. Flat incremental ns/op as N grows is
 //     the headline; rows=10000000 is gated behind PRIMA_BENCH_FULL=1
 //     to keep default runs small.
-//   - fptree/procs=P — parallel per-shard tree build + pattern-growth
-//     worker pool at GOMAXPROCS 1/4/8 (flat ns/op on a single-core
-//     host; near-linear tree mining on multi-core).
+//
+// The transaction-level engine rows (dense baskets, the FP-growth
+// worker sweep) are internal/mining's BenchmarkE15_Mine.
 func BenchmarkE15_MiningScale(b *testing.B) {
 	v := scenario.Vocabulary()
 	practice := miningPool(1000000)
@@ -1355,28 +1299,6 @@ func BenchmarkE15_MiningScale(b *testing.B) {
 				}
 			})
 		}
-	}
-
-	baskets := basketTxs(3000, 20, 100, 3, 4, 11)
-	for _, m := range []struct {
-		name  string
-		miner mining.Miner
-	}{
-		{"apriori", mining.AprioriMiner{}},
-		{"fpgrowth", mining.FPGrowth{}},
-	} {
-		b.Run("baskets/"+m.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := m.miner.Mine(baskets, 50)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Frequent) == 0 {
-					b.Fatal("no frequent itemsets")
-				}
-			}
-		})
 	}
 
 	investigate := core.ReviewerFunc(func(core.Pattern) core.Decision {
@@ -1432,26 +1354,6 @@ func BenchmarkE15_MiningScale(b *testing.B) {
 			b.Run("apriori-rescan", func(b *testing.B) {
 				epoch(b, n, rescanOnly{inner: mining.Extractor{}})
 			})
-		})
-	}
-
-	dense := denseTxs(6000, 40, 10, 5)
-	for _, procs := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("fptree/procs=%d", procs), func(b *testing.B) {
-			prev := runtime.GOMAXPROCS(procs)
-			defer runtime.GOMAXPROCS(prev)
-			fp := mining.FPGrowth{Workers: procs}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := fp.Mine(dense, 300)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(res.Frequent) == 0 {
-					b.Fatal("no frequent itemsets")
-				}
-			}
 		})
 	}
 }

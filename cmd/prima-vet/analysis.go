@@ -74,12 +74,6 @@ func selectAnalyzers(runList string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// runAnalyzers applies every per-package analyzer to the package and
-// returns the findings sorted by position.
-func runAnalyzers(p *Package) []Finding {
-	return runSelected(analyzers, p)
-}
-
 // runSelected applies the chosen per-package analyzers to one package.
 func runSelected(selected []*Analyzer, p *Package) []Finding {
 	var out []Finding

@@ -69,9 +69,6 @@ type CallGraph struct {
 // Nodes returns every node in deterministic order.
 func (g *CallGraph) Nodes() []*CGNode { return g.nodes }
 
-// NodeOf returns the node of a declared function, or nil.
-func (g *CallGraph) NodeOf(fn *types.Func) *CGNode { return g.byFunc[fn] }
-
 // LitNode returns the node of a function literal, or nil.
 func (g *CallGraph) LitNode(lit *ast.FuncLit) *CGNode { return g.byLit[lit] }
 

@@ -3,7 +3,6 @@ package main
 import (
 	"go/ast"
 	"go/token"
-	"sort"
 )
 
 // This file is the first half of prima-vet's interprocedural layer: a
@@ -378,16 +377,6 @@ func (s factSet) union(t factSet) factSet {
 	for k := range t {
 		out[k] = true
 	}
-	return out
-}
-
-// sorted returns the facts in deterministic order (for messages).
-func (s factSet) sorted() []string {
-	out := make([]string, 0, len(s))
-	for k := range s {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }
 

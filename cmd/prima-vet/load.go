@@ -27,20 +27,6 @@ type Package struct {
 	TypeErrors []error
 }
 
-// FileName reports whether the package contains a file with the given
-// base name (test files included).
-func (p *Package) FileName(base string) bool {
-	have := func(files []*ast.File) bool {
-		for _, f := range files {
-			if filepath.Base(p.Fset.File(f.Pos()).Name()) == base {
-				return true
-			}
-		}
-		return false
-	}
-	return have(p.Files) || have(p.TestFiles)
-}
-
 // Loader resolves and type-checks packages of one Go module without
 // external tooling: module-internal imports are located under the
 // module root, everything else (the standard library) comes from the

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -139,11 +140,11 @@ func checkPurity(p *Package, fd *ast.FuncDecl) []Finding {
 	return out
 }
 
-// checkMapOrder flags `for ... range <map>` loops that append to a
-// slice when the enclosing function never sorts: the produced order
-// changes run to run. A call to anything whose name contains "sort"
-// (sort.Strings, sort.Slice, a local sortFoo helper) counts as
-// establishing order.
+// checkMapOrder flags `for ... range <map>` loops whose appends carry
+// the iteration order out of the loop (see orderLeaks) when the
+// enclosing function never sorts: the produced order changes run to
+// run. A call to anything whose name contains "sort" (sort.Strings,
+// sort.Slice, a local sortFoo helper) counts as establishing order.
 func checkMapOrder(p *Package, fd *ast.FuncDecl) []Finding {
 	sorts := false
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -176,16 +177,7 @@ func checkMapOrder(p *Package, fd *ast.FuncDecl) []Finding {
 		if !ok || !isMapType(p, rng.X) {
 			return true
 		}
-		appends := false
-		ast.Inspect(rng.Body, func(m ast.Node) bool {
-			if call, ok := m.(*ast.CallExpr); ok {
-				if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "append" {
-					appends = true
-				}
-			}
-			return true
-		})
-		if appends {
+		if orderLeaks(p, rng) {
 			out = append(out, Finding{
 				Pos:      p.Fset.Position(rng.Pos()),
 				Analyzer: "puritycheck",
@@ -196,4 +188,90 @@ func checkMapOrder(p *Package, fd *ast.FuncDecl) []Finding {
 		return true
 	})
 	return out
+}
+
+// orderLeaks reports whether an append inside a map range can carry
+// the iteration order out of the loop: the appended-to slice is
+// declared outside the range statement, or it is declared inside and
+// escapes the iteration — assigned to something declared outside
+// (other than an element stored under the range key), returned, or
+// sent on a channel. A slice built and stored within one iteration
+// holds no iteration order.
+func orderLeaks(p *Package, rng *ast.RangeStmt) bool {
+	inside := func(obj types.Object) bool {
+		return obj != nil && obj.Pos() >= rng.Pos() && obj.Pos() < rng.End()
+	}
+	local := make(map[types.Object]bool)
+	leaks := false
+	ast.Inspect(rng.Body, func(m ast.Node) bool {
+		call, ok := m.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		if id, ok := call.Fun.(*ast.Ident); !ok || id.Name != "append" {
+			return true
+		}
+		if obj := rootObject(p, call.Args[0]); inside(obj) {
+			local[obj] = true
+		} else {
+			leaks = true
+		}
+		return true
+	})
+	if leaks || len(local) == 0 {
+		return leaks
+	}
+	var key types.Object
+	if id, ok := rng.Key.(*ast.Ident); ok {
+		key = p.Info.ObjectOf(id)
+	}
+	ast.Inspect(rng.Body, func(m ast.Node) bool {
+		switch s := m.(type) {
+		case *ast.AssignStmt:
+			for i, rhs := range s.Rhs {
+				if i >= len(s.Lhs) || !local[rootObject(p, rhs)] {
+					continue
+				}
+				if ix, ok := s.Lhs[i].(*ast.IndexExpr); ok && key != nil && rootObject(p, ix.Index) == key {
+					continue
+				}
+				if !inside(rootObject(p, s.Lhs[i])) {
+					leaks = true
+				}
+			}
+		case *ast.ReturnStmt:
+			for _, r := range s.Results {
+				if local[rootObject(p, r)] {
+					leaks = true
+				}
+			}
+		case *ast.SendStmt:
+			if local[rootObject(p, s.Value)] {
+				leaks = true
+			}
+		}
+		return true
+	})
+	return leaks
+}
+
+// rootObject returns the variable an expression is rooted at (x for
+// x, x.f, x[i], x[a:b] and *x), or nil.
+func rootObject(p *Package, e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.Ident:
+			return p.Info.ObjectOf(x)
+		case *ast.SelectorExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.StarExpr:
+			e = x.X
+		default:
+			return nil
+		}
+	}
 }

@@ -132,9 +132,6 @@ type FuncSSA struct {
 	values  []*SSAValue
 }
 
-// Tracked reports whether the variable participates in SSA form.
-func (f *FuncSSA) Tracked(obj types.Object) bool { return f.tracked[obj] }
-
 // Values returns every SSA value in creation order.
 func (f *FuncSSA) Values() []*SSAValue { return f.values }
 
@@ -805,66 +802,4 @@ func positiveConst(tv types.TypeAndValue) bool {
 	}
 	s := tv.Value.ExactString()
 	return s != "0" && !strings.HasPrefix(s, "-")
-}
-
-// ---- dump (golden tests, debugging) ----
-
-// Dump renders the SSA form compactly and deterministically: per
-// join block its phis with operands, then per variable the def and
-// use counts — the shape the golden test pins.
-func (f *FuncSSA) Dump() string {
-	var sb strings.Builder
-	var blocks []*Block
-	for blk := range f.PhiOf {
-		blocks = append(blocks, blk)
-	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].Index < blocks[j].Index })
-	for _, blk := range blocks {
-		phis := append([]*SSAValue(nil), f.PhiOf[blk]...)
-		sort.Slice(phis, func(i, j int) bool {
-			if phis[i].Obj.Name() != phis[j].Obj.Name() {
-				return phis[i].Obj.Name() < phis[j].Obj.Name()
-			}
-			return phis[i].Num < phis[j].Num
-		})
-		for _, phi := range phis {
-			fmt.Fprintf(&sb, "b%d: %s#%d = phi(", blk.Index, phi.Obj.Name(), phi.Num)
-			for i, op := range phi.Ops {
-				if i > 0 {
-					sb.WriteString(", ")
-				}
-				fmt.Fprintf(&sb, "%s#%d", op.Obj.Name(), op.Num)
-			}
-			sb.WriteString(")\n")
-		}
-	}
-	// Per-variable def/use totals.
-	type stat struct{ defs, uses int }
-	stats := make(map[string]*stat)
-	name := func(obj types.Object) *stat {
-		s := stats[obj.Name()]
-		if s == nil {
-			s = &stat{}
-			stats[obj.Name()] = s
-		}
-		return s
-	}
-	for _, v := range f.values {
-		if v.Kind != valParam && v.Kind != valZero {
-			name(v.Obj).defs++
-		}
-	}
-	for _, v := range f.values {
-		name(v.Obj).uses += len(f.UseSites[v])
-	}
-	var names []string
-	for n := range stats {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		s := stats[n]
-		fmt.Fprintf(&sb, "%s: defs=%d uses=%d\n", n, s.defs, s.uses)
-	}
-	return sb.String()
 }

@@ -351,3 +351,9 @@ func TestWriteLockOrderDropsDeadClasses(t *testing.T) {
 		t.Errorf("regenerated\n%s\nwant\n%s", got, want)
 	}
 }
+
+// runAnalyzers applies every per-package analyzer to the package and
+// returns the findings sorted by position.
+func runAnalyzers(p *Package) []Finding {
+	return runSelected(analyzers, p)
+}

@@ -78,7 +78,7 @@ data=n0 & purpose=billing & authorized=clerk
 	if err := json.Unmarshal([]byte(out), &rep); err != nil {
 		t.Fatalf("not JSON: %v", err)
 	}
-	counts := rep.Counts()
+	counts := findingCounts(rep)
 	if counts[lint.SubsumedRule] != 1 {
 		t.Errorf("PL005 = %d, want 1: %v", counts[lint.SubsumedRule], counts)
 	}

@@ -29,7 +29,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -187,36 +186,6 @@ func (e Entry) Rule() policy.Rule {
 	)
 }
 
-// RuleKey returns the canonical key of Rule() without constructing
-// the rule. Row-level coverage uses it to test range membership with
-// one string build per audit row.
-func (e Entry) RuleKey() string {
-	return policy.TripleKey(e.Data, e.Purpose, e.Authorized)
-}
-
-// Key returns a canonical identity for deduplication across federated
-// logs: same instant, same actor, same object, same outcome.
-func (e Entry) Key() string {
-	u, d := vocab.Norm(e.User), vocab.Norm(e.Data)
-	p, a := vocab.Norm(e.Purpose), vocab.Norm(e.Authorized)
-	var b strings.Builder
-	b.Grow(28 + len(u) + len(d) + len(p) + len(a))
-	b.WriteString(strconv.FormatInt(e.Time.UnixNano(), 10))
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(int(e.Op)))
-	b.WriteByte('|')
-	b.WriteString(u)
-	b.WriteByte('|')
-	b.WriteString(d)
-	b.WriteByte('|')
-	b.WriteString(p)
-	b.WriteByte('|')
-	b.WriteString(a)
-	b.WriteByte('|')
-	b.WriteString(strconv.Itoa(int(e.Status)))
-	return b.String()
-}
-
 // String renders the entry compactly.
 func (e Entry) String() string {
 	return fmt.Sprintf("%s %s user=%s data=%s purpose=%s authorized=%s status=%s",
@@ -348,9 +317,6 @@ func NewLogShards(site string, n int) *Log {
 
 // Site returns the log's site identifier.
 func (l *Log) Site() string { return l.site }
-
-// Shards returns the lock-stripe count.
-func (l *Log) Shards() int { return len(l.shards) }
 
 // Seq returns the last assigned sequence number (0 when empty).
 func (l *Log) Seq() uint64 { return l.seq.Load() }
@@ -653,15 +619,6 @@ func (l *Log) dropBefore(cur uint64) {
 // only, as a recovered one does.
 func (l *Log) Snapshot() []Entry { return l.entries(nil) }
 
-// Filtered returns a copy of the entries satisfying keep, in append
-// order.
-func (l *Log) Filtered(keep func(Entry) bool) []Entry {
-	if es := l.entries(keep); len(es) > 0 {
-		return es
-	}
-	return nil
-}
-
 // entries returns the entries keep accepts (every one when keep is
 // nil) in append order, the cold prefix merged in as one more run.
 func (l *Log) entries(keep func(Entry) bool) []Entry {
@@ -713,16 +670,6 @@ func (l *Log) Page(after uint64, limit int) ([]Entry, uint64, error) {
 		}
 	})
 	return out, next, nil
-}
-
-// Since returns entries with Time >= t, preserving order.
-func (l *Log) Since(t time.Time) []Entry {
-	return l.Filtered(func(e Entry) bool { return !e.Time.Before(t) })
-}
-
-// Exceptions returns the exception-based (break-the-glass) entries.
-func (l *Log) Exceptions() []Entry {
-	return l.Filtered(func(e Entry) bool { return e.Status == Exception })
 }
 
 // Reset discards all entries; used between training periods. The
@@ -929,37 +876,4 @@ func Summarize(entries []Entry) Stats {
 	}
 	s.Users = len(users)
 	return s
-}
-
-// SortByTime sorts entries chronologically (stable, so same-instant
-// entries keep their relative order).
-func SortByTime(entries []Entry) {
-	if len(entries) < 2 {
-		return
-	}
-	sorted := true
-	for i := 1; i < len(entries); i++ {
-		if entries[i].Time.Before(entries[i-1].Time) {
-			sorted = false
-			break
-		}
-	}
-	if sorted {
-		return
-	}
-	// Stable-sort an index permutation and apply it in one pass:
-	// Entry is a wide struct, so moving it O(n log n) times inside
-	// the sort dominates; permuting indices moves each entry once.
-	idx := make([]int, len(entries))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return entries[idx[a]].Time.Before(entries[idx[b]].Time)
-	})
-	out := make([]Entry, len(entries))
-	for i, j := range idx {
-		out[i] = entries[j]
-	}
-	copy(entries, out)
 }

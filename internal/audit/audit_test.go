@@ -4,9 +4,13 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/vocab"
 )
 
 func entry(t time.Time, user, data, purpose, role string, st Status) Entry {
@@ -211,4 +215,71 @@ func TestUnionDays(t *testing.T) {
 			t.Fatalf("unionDays(%v, %v) = %v (b now %v), want %v", aWas, bWas, got, b, want)
 		}
 	}
+}
+
+// SnapshotByTime returns a copy of the entries in chronological
+// order, same-instant entries in append order — byte-identical to
+// SortByTime(Snapshot()) but sorted per shard (concurrently when
+// GOMAXPROCS allows) and k-way merged, a durable log's checkpointed
+// prefix as one more run.
+func (l *Log) SnapshotByTime() []Entry { return mergeEntries(l.allRuns(), byTime) }
+
+// CheckpointSeq returns the sequence number of the last checkpoint
+// cut (entries at or below it live in the index).
+func (d *Durable) CheckpointSeq() uint64 {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.ckptSeq
+}
+
+// AddSource registers an additional source log.
+func (f *Federation) AddSource(l *Log) { f.sources = append(f.sources, l) }
+
+// Key returns a canonical identity for deduplication across federated
+// logs: same instant, same actor, same object, same outcome.
+func (e Entry) Key() string {
+	u, d := vocab.Norm(e.User), vocab.Norm(e.Data)
+	p, a := vocab.Norm(e.Purpose), vocab.Norm(e.Authorized)
+	var b strings.Builder
+	b.Grow(28 + len(u) + len(d) + len(p) + len(a))
+	b.WriteString(strconv.FormatInt(e.Time.UnixNano(), 10))
+	b.WriteByte('|')
+	b.WriteString(strconv.Itoa(int(e.Op)))
+	b.WriteByte('|')
+	b.WriteString(u)
+	b.WriteByte('|')
+	b.WriteString(d)
+	b.WriteByte('|')
+	b.WriteString(p)
+	b.WriteByte('|')
+	b.WriteString(a)
+	b.WriteByte('|')
+	b.WriteString(strconv.Itoa(int(e.Status)))
+	return b.String()
+}
+
+// Filtered returns a copy of the entries satisfying keep, in append
+// order.
+func (l *Log) Filtered(keep func(Entry) bool) []Entry {
+	if es := l.entries(keep); len(es) > 0 {
+		return es
+	}
+	return nil
+}
+
+// Since returns entries with Time >= t, preserving order.
+func (l *Log) Since(t time.Time) []Entry {
+	return l.Filtered(func(e Entry) bool { return !e.Time.Before(t) })
+}
+
+// Exceptions returns the exception-based (break-the-glass) entries.
+func (l *Log) Exceptions() []Entry {
+	return l.Filtered(func(e Entry) bool { return e.Status == Exception })
+}
+
+// SortByTime sorts entries chronologically (stable, so same-instant
+// entries keep their relative order): the oracle for the log's merged
+// time-ordered reads.
+func SortByTime(entries []Entry) {
+	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Time.Before(entries[j].Time) })
 }

@@ -618,14 +618,6 @@ func (d *Durable) Append(entries ...Entry) error { return d.log.Append(entries..
 // in the WAL (one shared group-commit fsync away, not one per entry).
 func (d *Durable) Sync() { d.log.flush() }
 
-// CheckpointSeq returns the sequence number of the last checkpoint
-// cut (entries at or below it live in the index).
-func (d *Durable) CheckpointSeq() uint64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.ckptSeq
-}
-
 // PoolStats exposes the index store's buffer-pool counters.
 func (d *Durable) PoolStats() storage.PoolStats { return d.store.PoolStats() }
 
@@ -684,9 +676,10 @@ func (d *Durable) cutLocked(removed uint64) error {
 
 // SnapshotRange returns the entries with from <= time < to in
 // chronological order (same-instant entries in append order),
-// byte-identical to filtering Log().SnapshotByTime(). The checkpointed
-// part is a single index range read; only the un-checkpointed tail
-// touches the in-memory shards. A zero bound means unbounded.
+// byte-identical to filtering the whole log's time-ordered merge. The
+// checkpointed part is a single index range read; only the
+// un-checkpointed tail touches the in-memory shards. A zero bound
+// means unbounded.
 func (d *Durable) SnapshotRange(from, to time.Time) ([]Entry, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

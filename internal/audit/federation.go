@@ -2,7 +2,6 @@ package audit
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/vocab"
 )
@@ -24,9 +23,6 @@ type Federation struct {
 func NewFederation(sources ...*Log) *Federation {
 	return &Federation{sources: append([]*Log(nil), sources...)}
 }
-
-// AddSource registers an additional source log.
-func (f *Federation) AddSource(l *Log) { f.sources = append(f.sources, l) }
 
 // Sources returns the number of federated logs.
 func (f *Federation) Sources() int { return len(f.sources) }
@@ -165,27 +161,4 @@ func (f *Federation) ConsolidateLog(site string) (*Log, Result) {
 	// log's append order.
 	l.bulkLoad(res.Entries)
 	return l, res
-}
-
-// BySite groups entries by their site identifier, sorted site order.
-func BySite(entries []Entry) map[string][]Entry {
-	out := make(map[string][]Entry)
-	for _, e := range entries {
-		out[e.Site] = append(out[e.Site], e)
-	}
-	return out
-}
-
-// Sites lists the distinct site identifiers in entries, sorted.
-func Sites(entries []Entry) []string {
-	set := make(map[string]bool)
-	for _, e := range entries {
-		set[e.Site] = true
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }

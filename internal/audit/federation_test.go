@@ -120,14 +120,6 @@ func TestConsolidateLogAndHelpers(t *testing.T) {
 	if l.Site() != "hq" || l.Len() != 2 || len(res.Entries) != 2 {
 		t.Errorf("consolidated log: %v %v", l, res)
 	}
-	sites := Sites(l.Snapshot())
-	if len(sites) != 2 || sites[0] != "a" || sites[1] != "b" {
-		t.Errorf("Sites = %v", sites)
-	}
-	groups := BySite(l.Snapshot())
-	if len(groups["a"]) != 1 || len(groups["b"]) != 1 {
-		t.Errorf("BySite = %v", groups)
-	}
 }
 
 func TestConsolidateEmptyFederation(t *testing.T) {

@@ -19,7 +19,7 @@ import (
 // same fold keeps what the privacy officer's reads need: each group's
 // first sequence number orders the audit policy P_AL (GroupsPolicy),
 // and per-user practice counts, the off-hours count and the set of
-// active days are the §4.2 evidence features (core.GroupEvidence).
+// active days are the §4.2 evidence features (core.GroupSuspicionReviewer).
 //
 // Groups are keyed by the raw (data, purpose, authorized) triple,
 // matching the SQL extractor's GROUP BY semantics exactly (the SQL
@@ -595,10 +595,3 @@ func (l *Log) Delta(c Cursor) (delta []Entry, next Cursor, resync bool) {
 	}
 	return mergeEntries(runs, bySeq), Cursor{epoch: ep, seq: hi, valid: true}, resync
 }
-
-// SnapshotByTime returns a copy of the entries in chronological
-// order, same-instant entries in append order — byte-identical to
-// SortByTime(Snapshot()) but sorted per shard (concurrently when
-// GOMAXPROCS allows) and k-way merged, a durable log's checkpointed
-// prefix as one more run.
-func (l *Log) SnapshotByTime() []Entry { return mergeEntries(l.allRuns(), byTime) }

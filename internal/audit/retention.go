@@ -167,19 +167,9 @@ func topCounts(entries []Entry, n int, key func(Entry) string) []Count {
 	return out
 }
 
-// TopUsers returns the most active users in the entries.
-func TopUsers(entries []Entry, n int) []Count {
-	return topCounts(entries, n, func(e Entry) string { return vocab.Norm(e.User) })
-}
-
 // TopData returns the most accessed data categories.
 func TopData(entries []Entry, n int) []Count {
 	return topCounts(entries, n, func(e Entry) string { return vocab.Norm(e.Data) })
-}
-
-// TopPurposes returns the most used purposes.
-func TopPurposes(entries []Entry, n int) []Count {
-	return topCounts(entries, n, func(e Entry) string { return vocab.Norm(e.Purpose) })
 }
 
 // ExceptionRateByRole reports, per role, the fraction of accesses
@@ -199,24 +189,6 @@ func ExceptionRateByRole(entries []Entry) map[string]float64 {
 	for role, n := range total {
 		out[role] = float64(exceptions[role]) / float64(n)
 	}
-	return out
-}
-
-// DailyCounts buckets entries per UTC day, ordered chronologically.
-func DailyCounts(entries []Entry) []Count {
-	return dailyCountsFormat(entries, "2006-01-02")
-}
-
-func dailyCountsFormat(entries []Entry, layout string) []Count {
-	m := make(map[string]int)
-	for _, e := range entries {
-		m[e.Time.UTC().Format(layout)]++
-	}
-	out := make([]Count, 0, len(m))
-	for d, c := range m {
-		out = append(out, Count{Value: d, N: c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
 	return out
 }
 

@@ -74,23 +74,15 @@ func TestTopCounts(t *testing.T) {
 		entry(t0, "amy", "referral", "billing", "nurse", Regular),
 		entry(t0, "bob", "address", "billing", "clerk", Regular),
 	}
-	users := TopUsers(entries, 0)
-	if len(users) != 2 || users[0].Value != "amy" || users[0].N != 2 {
-		t.Errorf("TopUsers = %v", users)
-	}
-	if got := TopUsers(entries, 1); len(got) != 1 {
-		t.Errorf("limit ignored: %v", got)
-	}
 	data := TopData(entries, 0)
-	if data[0].Value != "referral" || data[0].N != 2 {
+	if len(data) != 2 || data[0].Value != "referral" || data[0].N != 2 {
 		t.Errorf("TopData = %v", data)
 	}
-	purposes := TopPurposes(entries, 0)
-	if purposes[0].Value != "billing" || purposes[0].N != 2 {
-		t.Errorf("TopPurposes = %v", purposes)
+	if got := TopData(entries, 1); len(got) != 1 {
+		t.Errorf("limit ignored: %v", got)
 	}
-	if purposes[0].String() != "billing: 2" {
-		t.Errorf("Count.String = %q", purposes[0].String())
+	if data[0].String() != "referral: 2" {
+		t.Errorf("Count.String = %q", data[0].String())
 	}
 }
 
@@ -107,20 +99,5 @@ func TestExceptionRateByRole(t *testing.T) {
 	}
 	if rates["clerk"] != 0 {
 		t.Errorf("clerk rate = %v", rates["clerk"])
-	}
-}
-
-func TestDailyCounts(t *testing.T) {
-	entries := []Entry{
-		entry(t0, "a", "d", "p", "r", Regular),
-		entry(t0.Add(2*time.Hour), "b", "d", "p", "r", Regular),
-		entry(t0.Add(25*time.Hour), "c", "d", "p", "r", Regular),
-	}
-	days := DailyCounts(entries)
-	if len(days) != 2 || days[0].N != 2 || days[1].N != 1 {
-		t.Errorf("DailyCounts = %v", days)
-	}
-	if days[0].Value >= days[1].Value {
-		t.Errorf("days not chronological: %v", days)
 	}
 }

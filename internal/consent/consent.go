@@ -171,26 +171,13 @@ type Decision struct {
 	Choice  Choice
 }
 
-// Check decides whether the patient's data in the given category may
-// be used for the given purpose, as of now. See CheckAt.
-func (s *Store) Check(patient, data, purpose string) Decision {
-	return s.CheckAt(patient, data, purpose, time.Now())
-}
-
-// CheckAt decides whether the patient's data in the given category
-// may be used for the given purpose at instant now. Specificity: a
-// record matches when its data term subsumes the requested category
-// and its purpose term subsumes the requested purpose (empty terms
-// subsume everything) and it has not expired. Among matches, deeper
-// (more specific) records win; ties break to the most recent record.
-func (s *Store) CheckAt(patient, data, purpose string, now time.Time) Decision {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.decideLocked(s.byPatient[vocab.Norm(patient)], data, purpose, now)
-}
-
-// decideLocked applies the CheckAt decision procedure to one patient's
-// records. Callers hold s.mu (read or write).
+// decideLocked decides whether the patient's data in the given
+// category may be used for the given purpose at instant now.
+// Specificity: a record matches when its data term subsumes the
+// requested category and its purpose term subsumes the requested
+// purpose (empty terms subsume everything) and it has not expired.
+// Among matches, deeper (more specific) records win; ties break to the
+// most recent record. Callers hold s.mu (read or write).
 func (s *Store) decideLocked(recs []record, data, purpose string, now time.Time) Decision {
 	best := -1
 	bestSpec := -1
@@ -212,11 +199,6 @@ func (s *Store) decideLocked(recs []record, data, purpose string, now time.Time)
 	}
 	r := recs[best]
 	return Decision{Allowed: r.choice == OptIn, Matched: true, Choice: r.choice}
-}
-
-// Allowed is Check(...).Allowed.
-func (s *Store) Allowed(patient, data, purpose string) bool {
-	return s.Check(patient, data, purpose).Allowed
 }
 
 // subsumes treats an empty recorded term as "any".
@@ -241,25 +223,6 @@ func (s *Store) specificity(attr, value string) int {
 		return d
 	}
 	return 1
-}
-
-// Patients lists patients with recorded choices, sorted.
-func (s *Store) Patients() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.byPatient))
-	for p := range s.byPatient {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// OptedOut returns the patients whose recorded choices deny the given
-// (data, purpose) access as of now; the enforcement layer rewrites
-// queries with a patient exclusion predicate built from this set.
-func (s *Store) OptedOut(data, purpose string) []string {
-	return s.OptedOutAt(data, purpose, time.Now())
 }
 
 // OptedOutAt is OptedOut at instant now. Results are served from an
@@ -302,9 +265,9 @@ func (s *Store) invValidLocked(e invEntry, now time.Time) bool {
 	if e.gen != s.gen.Load() || now.Before(e.at) {
 		return false
 	}
-	// A record is still active at its exact expiry instant (CheckAt
-	// expires with now.After), so the entry answers up to and
-	// including the horizon.
+	// A record is still active at its exact expiry instant
+	// (decideLocked expires with now.After), so the entry answers up
+	// to and including the horizon.
 	return e.horizon.IsZero() || !now.After(e.horizon)
 }
 

@@ -1,6 +1,7 @@
 package consent
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -195,4 +196,46 @@ func TestConsentExpiry(t *testing.T) {
 	if err := s.SetWithExpiry("p1", "a", "b", OptOut, t0, t0.Add(-time.Hour)); err == nil {
 		t.Error("expiry before record time accepted")
 	}
+}
+
+// Check decides whether the patient's data in the given category may
+// be used for the given purpose, as of now. See CheckAt.
+func (s *Store) Check(patient, data, purpose string) Decision {
+	return s.CheckAt(patient, data, purpose, time.Now())
+}
+
+// CheckAt decides whether the patient's data in the given category
+// may be used for the given purpose at instant now. Specificity: a
+// record matches when its data term subsumes the requested category
+// and its purpose term subsumes the requested purpose (empty terms
+// subsume everything) and it has not expired. Among matches, deeper
+// (more specific) records win; ties break to the most recent record.
+func (s *Store) CheckAt(patient, data, purpose string, now time.Time) Decision {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.decideLocked(s.byPatient[vocab.Norm(patient)], data, purpose, now)
+}
+
+// Allowed is Check(...).Allowed.
+func (s *Store) Allowed(patient, data, purpose string) bool {
+	return s.Check(patient, data, purpose).Allowed
+}
+
+// Patients lists patients with recorded choices, sorted.
+func (s *Store) Patients() []string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]string, 0, len(s.byPatient))
+	for p := range s.byPatient {
+		out = append(out, p)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// OptedOut returns the patients whose recorded choices deny the given
+// (data, purpose) access as of now; the enforcement layer rewrites
+// queries with a patient exclusion predicate built from this set.
+func (s *Store) OptedOut(data, purpose string) []string {
+	return s.OptedOutAt(data, purpose, time.Now())
 }

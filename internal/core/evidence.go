@@ -58,8 +58,8 @@ func (e Evidence) String() string {
 // GatherEvidence computes the behavioural evidence for a pattern rule
 // over the practice entries (the Filter output). Matching uses the
 // rule's attributes only, so partial rules (mining correlations) work
-// too. A live log serves the same figures from its index through
-// GroupEvidence.
+// too. A live log serves the same figures from its index groups
+// (GroupSuspicionReviewer).
 func GatherEvidence(practice []audit.Entry, rule policy.Rule) Evidence {
 	ev := Evidence{Rule: rule, UserCounts: make(map[string]int)}
 	days := make(map[int32]struct{})
@@ -126,16 +126,6 @@ func groupTerms(groups []audit.Group) [][3]string {
 		}
 	}
 	return out
-}
-
-// GroupEvidence computes GatherEvidence(Filter(snapshot), rule) from a
-// log's index groups, without the snapshot. A rule matches a group
-// when each of its terms equals, after normalization, the group's
-// value for that attribute; a partial rule aggregates over every group
-// it matches. Rules over attributes outside (data, purpose,
-// authorized) match no group.
-func GroupEvidence(groups []audit.Group, rule policy.Rule) Evidence {
-	return groupEvidence(groups, groupTerms(groups), rule)
 }
 
 func groupEvidence(groups []audit.Group, terms [][3]string, rule policy.Rule) Evidence {
@@ -216,7 +206,7 @@ func SuspicionReviewer(practice []audit.Entry, investigateAt, rejectAt float64) 
 }
 
 // GroupSuspicionReviewer is SuspicionReviewer scored from index groups
-// (GroupEvidence) instead of practice entries.
+// instead of practice entries.
 func GroupSuspicionReviewer(groups []audit.Group, investigateAt, rejectAt float64) Reviewer {
 	terms := groupTerms(groups)
 	return suspicionReviewer(func(r policy.Rule) Evidence { return groupEvidence(groups, terms, r) }, investigateAt, rejectAt)

@@ -268,3 +268,13 @@ func TestAuditCoverageGapOrder(t *testing.T) {
 	}
 	checkIndexMatchesOracle(t, "gap order", l)
 }
+
+// GroupEvidence computes GatherEvidence(Filter(snapshot), rule) from a
+// log's index groups, without the snapshot. A rule matches a group
+// when each of its terms equals, after normalization, the group's
+// value for that attribute; a partial rule aggregates over every group
+// it matches. Rules over attributes outside (data, purpose,
+// authorized) match no group.
+func GroupEvidence(groups []audit.Group, rule policy.Rule) Evidence {
+	return groupEvidence(groups, groupTerms(groups), rule)
+}

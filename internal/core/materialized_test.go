@@ -42,7 +42,7 @@ func materializedEntryCoverage(ps *policy.Policy, entries []audit.Entry, v *voca
 	}
 	rep := &EntryReport{Total: len(entries)}
 	for _, e := range entries {
-		if rg.ContainsKey(e.RuleKey()) {
+		if rg.ContainsKey(policy.TripleKey(e.Data, e.Purpose, e.Authorized)) {
 			rep.Covered++
 		} else {
 			rep.Uncovered = append(rep.Uncovered, e)

@@ -162,7 +162,3 @@ func (s *Session) Run(entries []audit.Entry, reviewer Reviewer) (Round, error) {
 	s.History = RecordRound(s.History, &round)
 	return round, nil
 }
-
-// RejectedRules returns the canonical keys of rules the reviewer has
-// ruled out, sorted order not guaranteed.
-func (s *Session) RejectedRules() int { return len(s.rejected) }

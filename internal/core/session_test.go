@@ -179,3 +179,7 @@ func TestRecordRoundBoundsHistory(t *testing.T) {
 		t.Fatalf("history holds %d rounds, want at least %d", len(h), HistoryKeep)
 	}
 }
+
+// RejectedRules returns the canonical keys of rules the reviewer has
+// ruled out, sorted order not guaranteed.
+func (s *Session) RejectedRules() int { return len(s.rejected) }

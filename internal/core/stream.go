@@ -339,10 +339,3 @@ func (s *StreamSession) Rounds() []Round {
 	defer s.mu.Unlock()
 	return append([]Round(nil), s.History...)
 }
-
-// RejectedRules returns how many rules the reviewer has ruled out.
-func (s *StreamSession) RejectedRules() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.rejected)
-}

@@ -73,8 +73,12 @@ func TestStreamSessionMatchesSessionSimulated(t *testing.T) {
 	if psStream.Len() != psSeq.Len() {
 		t.Fatalf("final policies diverge: %d vs %d rules", psStream.Len(), psSeq.Len())
 	}
+	streamKeys := make(map[string]bool, psStream.Len())
+	for _, r := range psStream.Rules() {
+		streamKeys[r.Key()] = true
+	}
 	for _, r := range psSeq.Rules() {
-		if !psStream.Contains(r) {
+		if !streamKeys[r.Key()] {
 			t.Fatalf("stream policy missing %s", r.Compact())
 		}
 	}

@@ -293,3 +293,10 @@ func TestStreamSessionResyncAfterRecovery(t *testing.T) {
 		t.Fatalf("policy sizes diverge: %d vs %d", psStream.Len(), psSeq.Len())
 	}
 }
+
+// RejectedRules returns how many rules the reviewer has ruled out.
+func (s *StreamSession) RejectedRules() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.rejected)
+}

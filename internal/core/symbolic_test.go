@@ -67,8 +67,8 @@ func TestEntryCoveragePathsAgree(t *testing.T) {
 		t.Fatalf("uncovered: %d vs %d rows", len(sym.Uncovered), len(mat.Uncovered))
 	}
 	for i := range sym.Uncovered {
-		if sym.Uncovered[i].Key() != mat.Uncovered[i].Key() {
-			t.Errorf("uncovered[%d]: %s vs %s", i, sym.Uncovered[i].Key(), mat.Uncovered[i].Key())
+		if sym.Uncovered[i] != mat.Uncovered[i] {
+			t.Errorf("uncovered[%d]: %s vs %s", i, sym.Uncovered[i], mat.Uncovered[i])
 		}
 	}
 }

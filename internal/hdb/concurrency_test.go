@@ -50,7 +50,7 @@ func TestConcurrentQueriesAndRefinement(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sess := core.NewSession(enf.Policy(), enf.v, core.Options{MinSupport: 3, MinDistinctUsers: 1})
+		sess := core.NewSession(enf.ps, enf.v, core.Options{MinSupport: 3, MinDistinctUsers: 1})
 		for i := 0; i < 10; i++ {
 			if _, err := sess.Run(log.Snapshot(), core.AdoptAll); err != nil {
 				errs <- err

@@ -63,9 +63,6 @@ func (cc *ControlCenter) SetConsent(patient, data, purpose string, choice consen
 	return cc.cs.Set(patient, data, purpose, choice, at)
 }
 
-// RegisterTable exposes table registration.
-func (cc *ControlCenter) RegisterTable(m TableMapping) error { return cc.enf.RegisterTable(m) }
-
 // Rules lists the current policy rules in compact form.
 func (cc *ControlCenter) Rules() []string {
 	rules := cc.enf.ps.Rules()

@@ -32,8 +32,16 @@ import (
 // distinct strings), and a string comes back mostly for its immediate
 // break-glass retry, so plans past the most recent few hundred never
 // hit again. A larger bound buys no hits, only a bigger sawtooth of
-// heap between flushes (0–3.3 MiB at 4096).
+// heap between flushes (0–3.3 MiB at 4096). maxSQLBytes caps each
+// plan's SQL key, so the cache holds at most 16 MiB of SQL text.
 const planCacheMax = 1024
+
+// maxSQLBytes bounds the SQL text Query and BreakGlass accept. The
+// parser bounds nesting, but +, *, AND and OR chains parse in a loop
+// into a left-deep tree that minidb's evaluator recurses over once per
+// operator, so the text length is what bounds evaluation depth: a
+// chain at the bound evaluates in about 8 MiB of stack.
+const maxSQLBytes = 16 << 10
 
 // snapshotBuilder owns the mutex serializing decision-snapshot
 // rebuilds. It is a distinct type (not a second mutex on Enforcer) so
@@ -378,8 +386,17 @@ func (e *Enforcer) specialize(pl *queryPlan, s *decisionSnapshot, purpose, role 
 	return sp
 }
 
-// runFast is the compiled enforcement path. Per query it performs: two
-// principal/purpose checks, one plan-cache probe, one snapshot load
+// checkSQLLength refuses SQL longer than maxSQLBytes before it is
+// parsed; the refusal writes no audit entry.
+func checkSQLLength(sql string) error {
+	if len(sql) > maxSQLBytes {
+		return fmt.Errorf("hdb: query is %d bytes, over the %d-byte limit", len(sql), maxSQLBytes)
+	}
+	return nil
+}
+
+// runFast is the compiled enforcement path. Per query it performs:
+// principal, purpose and SQL length checks, one plan-cache probe, one snapshot load
 // with three atomic version compares, one specialization pointer
 // compare, statement execution, and the audit append. No locks are
 // taken outside the audit sink.
@@ -390,7 +407,7 @@ func (e *Enforcer) runFast(p Principal, purpose, reason, sql string, breakGlass 
 	if strings.TrimSpace(purpose) == "" {
 		return nil, nil, fmt.Errorf("hdb: a purpose is required (HIPAA purpose specification)")
 	}
-	if err := e.checkVocabulary(p, purpose); err != nil {
+	if err := checkSQLLength(sql); err != nil {
 		return nil, nil, err
 	}
 	pl, err := e.plan(sql)

@@ -3,6 +3,8 @@ package hdb
 import (
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -120,9 +122,9 @@ func runDiff(t *testing.T, steps []diffStep) {
 // Query/BreakGlass on one stack and the reference interpreter
 // (reference_test.go) on a twin stack, asserting byte-identical
 // results, Access reports, error text, and audit trails across allow,
-// mask, deny, consent, break-glass, star expansion, strict mode,
-// composite values, and mid-sequence policy/vocabulary/consent
-// mutation.
+// mask, deny, consent, break-glass, star expansion, unknown vocabulary
+// values, joins, composite values, and mid-sequence
+// policy/vocabulary/consent mutation.
 func TestDifferentialFastSlow(t *testing.T) {
 	psychRule := policy.MustRule(
 		policy.T("data", "psychiatry"),
@@ -197,11 +199,9 @@ func TestDifferentialFastSlow(t *testing.T) {
 			},
 			p: nurse(), purpose: "treatment",
 			sql: `SELECT patient, referral FROM records`},
-		{name: "strict unknown purpose",
-			mutate: func(t *testing.T, s *side) { s.enf.SetStrictVocabulary(true) },
-			p:      nurse(), purpose: "triage",
+		{name: "unknown purpose", p: nurse(), purpose: "triage",
 			sql: `SELECT patient, referral FROM records`},
-		{name: "strict after vocab add",
+		{name: "after vocab add",
 			mutate: func(t *testing.T, s *side) {
 				if err := s.v.Hierarchy("purpose").Add("healthcare", "triage"); err != nil {
 					t.Fatal(err)
@@ -209,10 +209,8 @@ func TestDifferentialFastSlow(t *testing.T) {
 			},
 			p: nurse(), purpose: "triage",
 			sql: `SELECT patient, referral FROM records`},
-		{name: "strict off again",
-			mutate: func(t *testing.T, s *side) { s.enf.SetStrictVocabulary(false) },
-			p:      nurse(), purpose: "treatment",
-			sql: `SELECT patient, referral FROM records`},
+		{name: "join", p: nurse(), purpose: "treatment",
+			sql: `SELECT r.referral FROM records r JOIN records s ON r.patient = s.patient`},
 		{name: "parse error", p: nurse(), purpose: "treatment",
 			sql: `SELEC patient FROM records`},
 		{name: "unknown table", p: nurse(), purpose: "treatment",
@@ -365,6 +363,62 @@ func TestPlanCacheBound(t *testing.T) {
 	}
 	if len(res.Rows) != 3 || len(acc.Masked) != 1 {
 		t.Errorf("post-sweep rows = %d, masked = %v", len(res.Rows), acc.Masked)
+	}
+}
+
+// TestSQLLengthBound checks the enforcement edge's SQL length bound:
+// a left-deep 1+1+…+1 chain exactly maxSQLBytes long executes through
+// Query with a bounded stack growth (minidb's evaluator recurses once
+// per '+'), and one byte more is refused by Query and BreakGlass before
+// parsing, with no audit entry.
+func TestSQLLengthBound(t *testing.T) {
+	s := newSide(t)
+	const prefix, suffix = "SELECT patient, referral FROM records WHERE ", " = 0"
+	terms := (maxSQLBytes - len(prefix) - len(suffix) + 1) / 2
+	sql := prefix + strings.Repeat("1+", terms-1) + "1" + suffix
+	sql += strings.Repeat(" ", maxSQLBytes-len(sql))
+
+	type result struct {
+		err   error
+		rows  int
+		after uint64
+	}
+	var before runtime.MemStats
+	runtime.ReadMemStats(&before)
+	done := make(chan result)
+	go func() {
+		res, _, err := s.enf.Query(nurse(), "treatment", sql)
+		var after runtime.MemStats
+		runtime.ReadMemStats(&after)
+		r := result{err: err, after: after.StackInuse}
+		if res != nil {
+			r.rows = len(res.Rows)
+		}
+		done <- r
+	}()
+	r := <-done
+	if r.err != nil || r.rows != 0 {
+		t.Fatalf("%d-byte chain: rows = %d, err = %v", len(sql), r.rows, r.err)
+	}
+	var grew uint64
+	if r.after > before.StackInuse {
+		grew = r.after - before.StackInuse
+	}
+	const bound = 16 << 20
+	if grew > bound {
+		t.Fatalf("%d-term chain grew the stack in use by %d bytes, bound %d", terms, grew, bound)
+	}
+	t.Logf("%d-term chain (%d bytes): stack in use grew %d bytes", terms, len(sql), grew)
+
+	entries := s.log.Len()
+	if _, _, err := s.enf.Query(nurse(), "treatment", sql+" "); err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Errorf("Query past the bound: err = %v, want a length error", err)
+	}
+	if _, _, err := s.enf.BreakGlass(nurse(), "treatment", "emergency", sql+" "); err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Errorf("BreakGlass past the bound: err = %v, want a length error", err)
+	}
+	if n := s.log.Len(); n != entries {
+		t.Errorf("refused queries left %d audit entries", n-entries)
 	}
 }
 

@@ -25,7 +25,6 @@ import (
 	"repro/internal/consent"
 	"repro/internal/minidb"
 	"repro/internal/policy"
-	"repro/internal/report"
 	"repro/internal/vocab"
 )
 
@@ -74,7 +73,6 @@ type Enforcer struct {
 	// Lock-free per-query state: the fast path reads all of it with
 	// atomic loads only (see fastpath.go).
 	clock  atomic.Pointer[func() time.Time]
-	strict atomic.Bool   // reject out-of-vocabulary purposes and roles
 	mapGen atomic.Uint64 // bumped by RegisterTable; keys plan validity
 	snap   atomic.Pointer[decisionSnapshot]
 	plans  sync.Map // sql -> *queryPlan
@@ -101,38 +99,6 @@ func New(db *minidb.Database, ps *policy.Policy, v *vocab.Vocabulary, cs *consen
 func (e *Enforcer) SetClock(clock func() time.Time) {
 	e.clock.Store(&clock)
 }
-
-// SetStrictVocabulary toggles strict mode: when on, queries carrying
-// a purpose or role unknown to the vocabulary are rejected outright.
-// Strict mode keeps the audit log analyzable — refinement groups by
-// these values — at the cost of refusing misconfigured clients.
-func (e *Enforcer) SetStrictVocabulary(on bool) {
-	e.strict.Store(on)
-}
-
-// checkVocabulary enforces strict mode for a principal and purpose.
-func (e *Enforcer) checkVocabulary(p Principal, purpose string) error {
-	if !e.strict.Load() {
-		return nil
-	}
-	if h := e.v.Hierarchy("purpose"); h != nil && !h.Contains(purpose) {
-		return fmt.Errorf("hdb: purpose %q is not in the vocabulary", report.RedactValue(purpose))
-	}
-	if h := e.v.Hierarchy("authorized"); h != nil && !h.Contains(p.Role) {
-		return fmt.Errorf("hdb: role %q is not in the vocabulary", p.Role)
-	}
-	return nil
-}
-
-// DB exposes the underlying database for administrative paths
-// (loading fixtures); application reads must go through Query.
-func (e *Enforcer) DB() *minidb.Database { return e.db }
-
-// Policy returns the enforced policy store.
-func (e *Enforcer) Policy() *policy.Policy { return e.ps }
-
-// AuditLog returns the compliance audit log (nil when unaudited).
-func (e *Enforcer) AuditLog() *audit.Log { return e.log }
 
 // RegisterTable validates and installs a table mapping.
 func (e *Enforcer) RegisterTable(m TableMapping) error {

@@ -222,7 +222,7 @@ func TestPolicyChangeTakesEffect(t *testing.T) {
 	}
 	// Adopt the §5 pattern: nurses may read referrals for
 	// registration.
-	enf.Policy().Add(scenario.RefinementPattern())
+	enf.ps.Add(scenario.RefinementPattern())
 	res, _, err := enf.Query(p, "registration", `SELECT referral FROM records`)
 	if err != nil || len(res.Rows) != 3 {
 		t.Errorf("post-adoption: %v rows, %v", len(res.Rows), err)
@@ -350,7 +350,12 @@ func TestEnforcerFeedsRefinementLoop(t *testing.T) {
 			t.Fatalf("round %d: %v", i, err)
 		}
 	}
-	exceptions := log.Exceptions()
+	var exceptions []audit.Entry
+	for _, e := range log.Snapshot() {
+		if e.Status == audit.Exception {
+			exceptions = append(exceptions, e)
+		}
+	}
 	if len(exceptions) != 5 {
 		t.Fatalf("exceptions = %d", len(exceptions))
 	}
@@ -360,33 +365,6 @@ func TestEnforcerFeedsRefinementLoop(t *testing.T) {
 	}
 	if al.Rules()[0].Key() != strings.ToLower("authorized=nurse&data=referral&purpose=registration") {
 		t.Errorf("AL rule = %s", al.Rules()[0].Key())
-	}
-}
-
-func TestStrictVocabularyMode(t *testing.T) {
-	enf, _, _ := fixture(t)
-	// Lenient by default: arbitrary purposes flow through.
-	if _, _, err := enf.BreakGlass(nurse(), "totally-new-purpose", "r", `SELECT referral FROM records`); err != nil {
-		t.Fatalf("lenient mode rejected: %v", err)
-	}
-	enf.SetStrictVocabulary(true)
-	if _, _, err := enf.Query(nurse(), "totally-new-purpose", `SELECT referral FROM records`); err == nil {
-		t.Error("strict mode accepted unknown purpose")
-	}
-	if _, _, err := enf.Query(Principal{User: "x", Role: "wizard"}, "treatment", `SELECT referral FROM records`); err == nil {
-		t.Error("strict mode accepted unknown role")
-	}
-	// Known values still pass (and joins are still rejected).
-	if _, _, err := enf.Query(nurse(), "treatment", `SELECT referral FROM records`); err != nil {
-		t.Errorf("strict mode rejected valid query: %v", err)
-	}
-	if _, _, err := enf.Query(nurse(), "treatment",
-		`SELECT r.referral FROM records r JOIN records s ON r.patient = s.patient`); err == nil {
-		t.Error("join under enforcement accepted")
-	}
-	enf.SetStrictVocabulary(false)
-	if _, _, err := enf.BreakGlass(nurse(), "totally-new-purpose", "r", `SELECT referral FROM records`); err != nil {
-		t.Errorf("lenient mode restore failed: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"time"
 
 	"repro/internal/audit"
 	"repro/internal/minidb"
@@ -67,7 +68,7 @@ func (e *Enforcer) runSlow(p Principal, purpose, reason, sql string, breakGlass 
 	if strings.TrimSpace(purpose) == "" {
 		return nil, nil, fmt.Errorf("hdb: a purpose is required (HIPAA purpose specification)")
 	}
-	if err := e.checkVocabulary(p, purpose); err != nil {
+	if err := checkSQLLength(sql); err != nil {
 		return nil, nil, err
 	}
 	st, err := minidb.Parse(sql)
@@ -142,7 +143,7 @@ func (e *Enforcer) runSlow(p Principal, purpose, reason, sql string, breakGlass 
 				if deniedOut[cat] {
 					continue
 				}
-				for _, pat := range e.consent.OptedOut(cat, purpose) {
+				for _, pat := range e.consent.OptedOutAt(cat, purpose, time.Now()) {
 					excluded[pat] = true
 				}
 			}

@@ -99,15 +99,6 @@ type Report struct {
 // Clean reports whether the lint pass produced no findings.
 func (r Report) Clean() bool { return len(r.Findings) == 0 }
 
-// Counts returns the number of findings per code.
-func (r Report) Counts() map[string]int {
-	out := make(map[string]int)
-	for _, f := range r.Findings {
-		out[f.Code]++
-	}
-	return out
-}
-
 // WriteText renders the report one finding per line.
 func (r Report) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "policy %s: %d rule(s), %d finding(s)\n", r.Policy, r.Rules, len(r.Findings)); err != nil {
@@ -136,13 +127,6 @@ func Policy(p *policy.Policy, v *vocab.Vocabulary) Report {
 // PolicyOpts lints p against v.
 func PolicyOpts(p *policy.Policy, v *vocab.Vocabulary, opts Options) Report {
 	return RulesOpts(p.Name, p.Rules(), v, opts)
-}
-
-// Rules lints a bare rule list against v with default options. Policy
-// deduplicates on Add, so fixtures exercising PL003/PL004 need this
-// entry point; primactl goes through Policy.
-func Rules(name string, rules []policy.Rule, v *vocab.Vocabulary) Report {
-	return RulesOpts(name, rules, v, Options{})
 }
 
 // RulesOpts lints a bare rule list against v.

@@ -243,3 +243,19 @@ func TestWriteTextAndJSON(t *testing.T) {
 		t.Errorf("JSON finding: %+v", back.Findings[0])
 	}
 }
+
+// Counts returns the number of findings per code.
+func (r Report) Counts() map[string]int {
+	out := make(map[string]int)
+	for _, f := range r.Findings {
+		out[f.Code]++
+	}
+	return out
+}
+
+// Rules lints a bare rule list against v with default options. Policy
+// deduplicates on Add, so fixtures exercising PL003/PL004 need this
+// entry point; primactl goes through Policy.
+func Rules(name string, rules []policy.Rule, v *vocab.Vocabulary) Report {
+	return RulesOpts(name, rules, v, Options{})
+}

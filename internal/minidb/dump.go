@@ -76,16 +76,6 @@ func sqlLiteral(v Value) string {
 	}
 }
 
-// Load reads a script produced by Dump (or hand-written SQL) into a
-// fresh database.
-func Load(r io.Reader) (*Database, error) {
-	db := NewDatabase()
-	if err := db.LoadScript(r); err != nil {
-		return nil, err
-	}
-	return db, nil
-}
-
 // LoadScript executes every statement of a SQL script against the
 // database. Statements are split on top-level semicolons using the
 // real lexer, so string literals containing ';' survive.

@@ -109,24 +109,18 @@ func (ix *hashIndex) move(pos int, old, next []Value) {
 // bucket stays sorted.
 func (ix *hashIndex) renumber(newPos []int) {
 	for k, b := range ix.m {
-		if b = renumbered(b, newPos); len(b) == 0 {
+		kept := b[:0]
+		for _, p := range b {
+			if q := newPos[p]; q >= 0 {
+				kept = append(kept, q)
+			}
+		}
+		if len(kept) == 0 {
 			delete(ix.m, k)
 		} else {
-			ix.m[k] = b
+			ix.m[k] = kept
 		}
 	}
-}
-
-// renumbered maps bucket b through newPos in place, dropping deleted
-// rows.
-func renumbered(b, newPos []int) []int {
-	kept := b[:0]
-	for _, p := range b {
-		if q := newPos[p]; q >= 0 {
-			kept = append(kept, q)
-		}
-	}
-	return kept
 }
 
 // CreateIndexStmt is CREATE INDEX name ON table (col).

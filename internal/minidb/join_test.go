@@ -1,6 +1,7 @@
 package minidb
 
 import (
+	"io"
 	"strings"
 	"testing"
 )
@@ -330,4 +331,14 @@ func TestIndexFastPathDisabledUnderJoins(t *testing.T) {
 	if len(res.Rows) != 0 {
 		t.Fatalf("zero-match indexed lookup = %v", res.Rows)
 	}
+}
+
+// Load reads a script produced by Dump (or hand-written SQL) into a
+// fresh database.
+func Load(r io.Reader) (*Database, error) {
+	db := NewDatabase()
+	if err := db.LoadScript(r); err != nil {
+		return nil, err
+	}
+	return db, nil
 }

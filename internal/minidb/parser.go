@@ -51,8 +51,7 @@ func Parse(src string) (Stmt, error) {
 	return st, nil
 }
 
-func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) cur() token { return p.toks[p.pos] }
 
 func (p *parser) peekKeyword(kw string) bool {
 	t := p.cur()

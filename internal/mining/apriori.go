@@ -1,8 +1,7 @@
-// Package mining implements frequent-itemset and association-rule
-// mining for PRIMA's §5 data-analysis upgrade: the Apriori algorithm
-// of Agrawal & Srikant (VLDB 1994, the paper's reference [18]) as the
-// reference oracle, and an FP-growth engine (fpgrowth.go) for audit
-// scale. §5 proposes itemset mining to detect correlations between
+// Package mining implements frequent-itemset mining for PRIMA's §5
+// data-analysis upgrade: the Apriori algorithm of Agrawal & Srikant
+// (VLDB 1994, the paper's reference [18]) as the reference oracle, and
+// an FP-growth engine (fpgrowth.go) for audit scale. §5 proposes itemset mining to detect correlations between
 // attribute pairs "that are not discovered by simple SQL queries":
 // the exact GROUP BY of Algorithm 5 only finds full-width rules,
 // while frequent sub-rules (e.g. every purpose under which a role
@@ -16,7 +15,6 @@
 package mining
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -37,33 +35,6 @@ func (it Item) key() string {
 // Itemset is a set of items, kept sorted by key.
 type Itemset []Item
 
-// NewItemset builds a normalized itemset (sorted, deduplicated; the
-// last spelling of a duplicated key wins). Keys are computed once per
-// item, not per comparison.
-func NewItemset(items ...Item) Itemset {
-	type keyed struct {
-		key string
-		it  Item
-	}
-	ks := make([]keyed, 0, len(items))
-	idx := make(map[string]int, len(items))
-	for _, it := range items {
-		k := it.key()
-		if i, ok := idx[k]; ok {
-			ks[i].it = it
-			continue
-		}
-		idx[k] = len(ks)
-		ks = append(ks, keyed{key: k, it: it})
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
-	out := make(Itemset, len(ks))
-	for i, k := range ks {
-		out[i] = k.it
-	}
-	return out
-}
-
 // Key returns the canonical identity of the itemset.
 func (s Itemset) Key() string {
 	parts := make([]string, len(s))
@@ -82,32 +53,6 @@ func (s Itemset) String() string {
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
-// Contains reports whether s contains every item of sub.
-func (s Itemset) Contains(sub Itemset) bool {
-	i := 0
-	for _, it := range sub {
-		k := it.key()
-		for {
-			if i >= len(s) {
-				return false
-			}
-			sk := s[i].key()
-			if sk < k {
-				i++
-				continue
-			}
-			if sk != k {
-				return false
-			}
-			break
-		}
-	}
-	return true
-}
-
-// Transaction is one basket of items (one audit row in PRIMA's use).
-type Transaction = Itemset
-
 // Frequent is an itemset with its absolute support count.
 type Frequent struct {
 	Items   Itemset
@@ -119,61 +64,6 @@ type Result struct {
 	Transactions int
 	MinSupport   int
 	Frequent     []Frequent // all frequent itemsets, size-then-key order
-}
-
-// Lookup returns the support of the given itemset, 0 if infrequent.
-func (r *Result) Lookup(s Itemset) int {
-	key := s.Key()
-	for _, f := range r.Frequent {
-		if f.Items.Key() == key {
-			return f.Support
-		}
-	}
-	return 0
-}
-
-// OfSize returns the frequent itemsets with exactly k items.
-func (r *Result) OfSize(k int) []Frequent {
-	var out []Frequent
-	for _, f := range r.Frequent {
-		if len(f.Items) == k {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// Miner is a frequent-itemset mining engine. Apriori and FP-growth
-// both satisfy it and are differentially tested to produce identical
-// Results on every input.
-type Miner interface {
-	Mine(txs []Transaction, minSupport int) (*Result, error)
-}
-
-// AprioriMiner is the levelwise generate-and-test engine behind the
-// Apriori function, as a Miner.
-type AprioriMiner struct{}
-
-// Mine implements Miner.
-func (AprioriMiner) Mine(txs []Transaction, minSupport int) (*Result, error) {
-	return Apriori(txs, minSupport)
-}
-
-// Apriori mines all itemsets with support >= minSupport (absolute
-// count). It is the levelwise algorithm of Agrawal & Srikant: L1 from
-// a scan, then candidate generation by joining L(k-1) with itself,
-// pruning candidates with any infrequent (k-1)-subset, and a support
-// scan per level — run over interned ids and weighted distinct
-// transactions. It is kept as the reference oracle for FP-growth.
-func Apriori(txs []Transaction, minSupport int) (*Result, error) {
-	if minSupport < 1 {
-		return nil, errMinSupport(minSupport)
-	}
-	t := newTxTable(1, false)
-	for _, tx := range txs {
-		t.foldTx(tx)
-	}
-	return finishResult(t, aprioriMine(t, minSupport), len(txs), minSupport), nil
 }
 
 // aprioriMine is the levelwise engine over a weighted transaction
@@ -315,64 +205,4 @@ func allSubsetsFrequent(cand, sub []int32, freq map[string]bool, buf *[]byte) bo
 		}
 	}
 	return true
-}
-
-// Rule is an association rule X => Y with its metrics.
-type Rule struct {
-	Antecedent Itemset
-	Consequent Itemset
-	Support    int     // support of X ∪ Y
-	Confidence float64 // support(X ∪ Y) / support(X)
-}
-
-// String renders the rule.
-func (r Rule) String() string {
-	return fmt.Sprintf("%s => %s (support %d, confidence %.2f)", r.Antecedent, r.Consequent, r.Support, r.Confidence)
-}
-
-// AssociationRules derives all rules X => Y (Y a single item, the
-// common special case) with confidence >= minConfidence from the
-// mining result.
-func AssociationRules(res *Result, minConfidence float64) ([]Rule, error) {
-	if minConfidence <= 0 || minConfidence > 1 {
-		return nil, fmt.Errorf("mining: minConfidence must be in (0, 1], got %v", minConfidence)
-	}
-	support := make(map[string]int, len(res.Frequent))
-	for _, f := range res.Frequent {
-		support[f.Items.Key()] = f.Support
-	}
-	var rules []Rule
-	for _, f := range res.Frequent {
-		if len(f.Items) < 2 {
-			continue
-		}
-		for skip := range f.Items {
-			ante := make(Itemset, 0, len(f.Items)-1)
-			ante = append(ante, f.Items[:skip]...)
-			ante = append(ante, f.Items[skip+1:]...)
-			anteSupp := support[ante.Key()]
-			if anteSupp == 0 {
-				continue
-			}
-			conf := float64(f.Support) / float64(anteSupp)
-			if conf >= minConfidence {
-				rules = append(rules, Rule{
-					Antecedent: ante,
-					Consequent: Itemset{f.Items[skip]},
-					Support:    f.Support,
-					Confidence: conf,
-				})
-			}
-		}
-	}
-	sort.Slice(rules, func(i, j int) bool {
-		if rules[i].Confidence != rules[j].Confidence {
-			return rules[i].Confidence > rules[j].Confidence
-		}
-		if rules[i].Support != rules[j].Support {
-			return rules[i].Support > rules[j].Support
-		}
-		return rules[i].Antecedent.Key()+rules[i].Consequent.Key() < rules[j].Antecedent.Key()+rules[j].Consequent.Key()
-	})
-	return rules, nil
 }

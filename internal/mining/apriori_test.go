@@ -2,8 +2,10 @@ package mining
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func item(attr, val string) Item { return Item{Attr: attr, Value: val} }
@@ -116,39 +118,6 @@ func TestAprioriErrorsAndEmpty(t *testing.T) {
 	}
 }
 
-func TestAssociationRules(t *testing.T) {
-	res, err := Apriori(basketTxs(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rules, err := AssociationRules(res, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// beer => diapers has confidence 3/3 = 1.0.
-	found := false
-	for _, r := range rules {
-		if r.Antecedent.Key() == "item=beer" && r.Consequent.Key() == "item=diapers" {
-			found = true
-			if r.Confidence != 1.0 || r.Support != 3 {
-				t.Errorf("beer=>diapers metrics: %+v", r)
-			}
-		}
-		if r.Confidence < 0.9 {
-			t.Errorf("rule below threshold: %v", r)
-		}
-	}
-	if !found {
-		t.Errorf("beer => diapers not derived; rules: %v", rules)
-	}
-	if _, err := AssociationRules(res, 0); err == nil {
-		t.Error("confidence 0 accepted")
-	}
-	if _, err := AssociationRules(res, 1.5); err == nil {
-		t.Error("confidence > 1 accepted")
-	}
-}
-
 // Property: every subset of a frequent itemset is frequent with at
 // least the same support (downward closure), checked on random data.
 func TestDownwardClosureProperty(t *testing.T) {
@@ -227,14 +196,127 @@ func TestSupportCountsExactProperty(t *testing.T) {
 	}
 }
 
-func TestRuleAndItemStrings(t *testing.T) {
-	r := Rule{
-		Antecedent: NewItemset(item("data", "referral")),
-		Consequent: NewItemset(item("purpose", "registration")),
-		Support:    5, Confidence: 0.8,
+func TestItemStrings(t *testing.T) {
+	s := NewItemset(item("purpose", "registration"), item("data", "referral"))
+	if got := s.String(); got != "{data=referral, purpose=registration}" || item("a", "b").String() != "a=b" {
+		t.Errorf("render: %q", got)
 	}
-	s := r.String()
-	if s == "" || item("a", "b").String() != "a=b" {
-		t.Errorf("render: %q", s)
+}
+
+// Transaction is one basket of items (one audit row in PRIMA's use).
+type Transaction = Itemset
+
+// Miner is a frequent-itemset mining engine. Apriori and FP-growth
+// both satisfy it and are differentially tested to produce identical
+// Results on every input.
+type Miner interface {
+	Mine(txs []Transaction, minSupport int) (*Result, error)
+}
+
+// AprioriMiner is the levelwise generate-and-test engine behind the
+// Apriori function, as a Miner.
+type AprioriMiner struct{}
+
+// NewItemset builds a normalized itemset (sorted, deduplicated; the
+// last spelling of a duplicated key wins). Keys are computed once per
+// item, not per comparison.
+func NewItemset(items ...Item) Itemset {
+	type keyed struct {
+		key string
+		it  Item
 	}
+	ks := make([]keyed, 0, len(items))
+	idx := make(map[string]int, len(items))
+	for _, it := range items {
+		k := it.key()
+		if i, ok := idx[k]; ok {
+			ks[i].it = it
+			continue
+		}
+		idx[k] = len(ks)
+		ks = append(ks, keyed{key: k, it: it})
+	}
+	sort.Slice(ks, func(i, j int) bool { return ks[i].key < ks[j].key })
+	out := make(Itemset, len(ks))
+	for i, k := range ks {
+		out[i] = k.it
+	}
+	return out
+}
+
+// Contains reports whether s contains every item of sub.
+func (s Itemset) Contains(sub Itemset) bool {
+	i := 0
+	for _, it := range sub {
+		k := it.key()
+		for {
+			if i >= len(s) {
+				return false
+			}
+			sk := s[i].key()
+			if sk < k {
+				i++
+				continue
+			}
+			if sk != k {
+				return false
+			}
+			break
+		}
+	}
+	return true
+}
+
+// Mine implements Miner.
+func (AprioriMiner) Mine(txs []Transaction, minSupport int) (*Result, error) {
+	return Apriori(txs, minSupport)
+}
+
+// Apriori mines all itemsets with support >= minSupport (absolute
+// count). It is the levelwise algorithm of Agrawal & Srikant: L1 from
+// a scan, then candidate generation by joining L(k-1) with itself,
+// pruning candidates with any infrequent (k-1)-subset, and a support
+// scan per level — run over interned ids and weighted distinct
+// transactions. It is kept as the reference oracle for FP-growth.
+func Apriori(txs []Transaction, minSupport int) (*Result, error) {
+	if minSupport < 1 {
+		return nil, errMinSupport(minSupport)
+	}
+	t := newTxTable(1, false)
+	for _, tx := range txs {
+		t.foldTx(tx)
+	}
+	return finishResult(t, aprioriMine(t, minSupport), len(txs), minSupport), nil
+}
+
+// foldTx folds one public Transaction (weight 1, no evidence).
+func (t *txTable) foldTx(tx Transaction) {
+	ids := t.scratchIDs[:0]
+	for _, it := range tx {
+		ids = append(ids, t.in.intern(it))
+	}
+	t.scratchIDs = ids
+	t.foldIDs(ids, 1, "", time.Time{})
+}
+
+// Lookup returns the support of the given itemset, 0 if infrequent.
+func (r *Result) Lookup(s Itemset) int {
+	key := s.Key()
+	for _, f := range r.Frequent {
+		if f.Items.Key() == key {
+			return f.Support
+		}
+	}
+	return 0
+}
+
+// OfSize returns the frequent itemsets with exactly k items.
+func (r *Result) OfSize(k int) []Frequent {
+	var out []Frequent
+	for _, f := range r.Frequent {
+		if len(f.Items) == k {
+			out = append(out, f)
+		}
+	}
+	return out
 }

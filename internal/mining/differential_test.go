@@ -242,8 +242,10 @@ func TestStreamSessionIncrementalResync(t *testing.T) {
 		t.Fatalf("after resync: practice/entries %d/%d, want %d/%d",
 			round.Practice, round.Entries, want.Practice, want.Entries)
 	}
-	if stream.RejectedRules() != 0 {
-		t.Fatalf("unexpected rejections: %d", stream.RejectedRules())
+	for _, r := range stream.Rounds() {
+		if len(r.Rejected) != 0 {
+			t.Fatalf("unexpected rejections: %v", r.Rejected)
+		}
 	}
 }
 

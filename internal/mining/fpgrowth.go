@@ -38,18 +38,6 @@ type FPGrowth struct {
 	Workers int
 }
 
-// Mine implements Miner.
-func (f FPGrowth) Mine(txs []Transaction, minSupport int) (*Result, error) {
-	if minSupport < 1 {
-		return nil, errMinSupport(minSupport)
-	}
-	t := newTxTable(defaultTableShards, false)
-	for _, tx := range txs {
-		t.foldTx(tx)
-	}
-	return finishResult(t, fpMine(t, minSupport, f.Workers), len(txs), minSupport), nil
-}
-
 // fpNode is one FP-tree node in the arena. Links are arena indices,
 // -1 for none; node 0 is the root.
 type fpNode struct {

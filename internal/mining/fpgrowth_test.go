@@ -169,3 +169,15 @@ func FuzzFPGrowthVsApriori(f *testing.F) {
 		}
 	})
 }
+
+// Mine implements Miner.
+func (f FPGrowth) Mine(txs []Transaction, minSupport int) (*Result, error) {
+	if minSupport < 1 {
+		return nil, errMinSupport(minSupport)
+	}
+	t := newTxTable(defaultTableShards, false)
+	for _, tx := range txs {
+		t.foldTx(tx)
+	}
+	return finishResult(t, fpMine(t, minSupport, f.Workers), len(txs), minSupport), nil
+}

@@ -70,10 +70,3 @@ func (s *EpochState) Reset() {
 	defer s.mu.Unlock()
 	s.table = newTxTable(defaultTableShards, true)
 }
-
-// Rows reports the raw practice rows folded so far (test hook).
-func (s *EpochState) Rows() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.table.rows
-}

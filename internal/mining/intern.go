@@ -221,16 +221,6 @@ func (t *txTable) foldGroup(ids []int32, weight int, users []string, first, last
 	}
 }
 
-// foldTx folds one public Transaction (weight 1, no evidence).
-func (t *txTable) foldTx(tx Transaction) {
-	ids := t.scratchIDs[:0]
-	for _, it := range tx {
-		ids = append(ids, t.in.intern(it))
-	}
-	t.scratchIDs = ids
-	t.foldIDs(ids, 1, "", time.Time{})
-}
-
 // counts returns the weighted support of every interned item.
 func (t *txTable) counts() []int {
 	counts := make([]int, t.in.size())
@@ -244,15 +234,6 @@ func (t *txTable) counts() []int {
 		}
 	}
 	return counts
-}
-
-// distinct returns the number of distinct transactions.
-func (t *txTable) distinct() int {
-	n := 0
-	for s := range t.shards {
-		n += len(t.shards[s].sets)
-	}
-	return n
 }
 
 func sortIDs(ids []int32) {

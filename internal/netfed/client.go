@@ -130,10 +130,6 @@ func NewStreamer(l *audit.Log, site string, opts StreamerOptions) (*Streamer, er
 	}, nil
 }
 
-// Acked returns the highest sequence number the consolidator has
-// acknowledged folding.
-func (s *Streamer) Acked() uint64 { return s.acked.Load() }
-
 // Run streams until ctx is cancelled (returns nil) or a terminal
 // protocol fault occurs (returns it). Transport faults — broken
 // connections, refused dials — are reported through OnError and

@@ -77,11 +77,6 @@ func ParsePolicy(name string, r io.Reader) (*Policy, error) {
 	return p, nil
 }
 
-// ParsePolicyString is ParsePolicy over a string.
-func ParsePolicyString(name, s string) (*Policy, error) {
-	return ParsePolicy(name, strings.NewReader(s))
-}
-
 // WriteText writes the policy in the form accepted by ParsePolicy.
 // Name and rules are snapshotted together so a concurrent
 // UnmarshalJSON cannot produce a torn header/body combination.
@@ -101,16 +96,6 @@ func (p *Policy) WriteText(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// TextString renders the policy in text form.
-func (p *Policy) TextString() string {
-	var b strings.Builder
-	if err := p.WriteText(&b); err != nil {
-		// strings.Builder writes cannot fail.
-		panic("policy: TextString: " + err.Error())
-	}
-	return b.String()
 }
 
 // MarshalJSON encodes the rule as its term list.

@@ -133,3 +133,18 @@ func TestRuleJSONNormalizes(t *testing.T) {
 		t.Error("bad JSON shape accepted")
 	}
 }
+
+// ParsePolicyString is ParsePolicy over a string.
+func ParsePolicyString(name, s string) (*Policy, error) {
+	return ParsePolicy(name, strings.NewReader(s))
+}
+
+// TextString renders the policy in text form.
+func (p *Policy) TextString() string {
+	var b strings.Builder
+	if err := p.WriteText(&b); err != nil {
+		// strings.Builder writes cannot fail.
+		panic("policy: TextString: " + err.Error())
+	}
+	return b.String()
+}

@@ -224,24 +224,6 @@ func (r Rule) IsGround(v *vocab.Vocabulary) bool {
 	return true
 }
 
-// Project returns a new rule containing only the terms whose
-// attributes appear in attrs. It returns the zero Rule if none match.
-func (r Rule) Project(attrs ...string) Rule {
-	keep := make(map[string]bool, len(attrs))
-	for _, a := range attrs {
-		keep[vocab.Norm(a)] = true
-	}
-	var terms []Term
-	var keys []string
-	for _, t := range r.terms {
-		if keep[vocab.Norm(t.Attr)] {
-			terms = append(terms, t)
-			keys = append(keys, t.Key())
-		}
-	}
-	return Rule{terms: terms, key: strings.Join(keys, "&")}
-}
-
 // Groundings enumerates the ground rules derivable from r under v:
 // the cartesian product of each term's ground set (Corollary 1).
 // The enumeration is deterministic. limit > 0 bounds the number of
@@ -369,22 +351,6 @@ func (r Rule) Equivalent(u Rule, v *vocab.Vocabulary) bool {
 			}
 		}
 		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-// Covers reports whether r subsumes ground rule g: same attributes,
-// and each of r's values subsumes g's value in the vocabulary. This is
-// the practical containment test used to explain coverage gaps.
-func (r Rule) Covers(g Rule, v *vocab.Vocabulary) bool {
-	if r.Len() != g.Len() {
-		return false
-	}
-	for _, t := range r.terms {
-		gv, ok := g.Value(t.Attr)
-		if !ok || !v.Subsumes(t.Attr, t.Value, gv) {
 			return false
 		}
 	}

@@ -3,6 +3,7 @@ package policy
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -299,4 +300,38 @@ func TestCompactRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Project returns a new rule containing only the terms whose
+// attributes appear in attrs. It returns the zero Rule if none match.
+func (r Rule) Project(attrs ...string) Rule {
+	keep := make(map[string]bool, len(attrs))
+	for _, a := range attrs {
+		keep[vocab.Norm(a)] = true
+	}
+	var terms []Term
+	var keys []string
+	for _, t := range r.terms {
+		if keep[vocab.Norm(t.Attr)] {
+			terms = append(terms, t)
+			keys = append(keys, t.Key())
+		}
+	}
+	return Rule{terms: terms, key: strings.Join(keys, "&")}
+}
+
+// Covers reports whether r subsumes ground rule g: same attributes,
+// and each of r's values subsumes g's value in the vocabulary. This is
+// the practical containment test used to explain coverage gaps.
+func (r Rule) Covers(g Rule, v *vocab.Vocabulary) bool {
+	if r.Len() != g.Len() {
+		return false
+	}
+	for _, t := range r.terms {
+		gv, ok := g.Value(t.Attr)
+		if !ok || !v.Subsumes(t.Attr, t.Value, gv) {
+			return false
+		}
+	}
+	return true
 }

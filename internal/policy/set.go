@@ -133,15 +133,6 @@ func (p *Policy) Len() int {
 	return len(p.rules)
 }
 
-// Contains reports whether an identical rule is present.
-func (p *Policy) Contains(r Rule) bool {
-	key := r.Key()
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	_, ok := p.index[key]
-	return ok
-}
-
 // IsGround reports whether every rule is ground under v.
 func (p *Policy) IsGround(v *vocab.Vocabulary) bool {
 	p.mu.RLock()

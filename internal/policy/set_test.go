@@ -104,3 +104,12 @@ func TestRangeIdempotenceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Contains reports whether an identical rule is present.
+func (p *Policy) Contains(r Rule) bool {
+	key := r.Key()
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	_, ok := p.index[key]
+	return ok
+}

@@ -43,9 +43,6 @@ func (s AttrSet) Card() int64 {
 	return n
 }
 
-// IsEmpty reports whether the set holds no ground values.
-func (s AttrSet) IsEmpty() bool { return len(s.Spans) == 0 && len(s.Foreign) == 0 }
-
 // Intersect returns the set intersection.
 func (s AttrSet) Intersect(o AttrSet) AttrSet {
 	var out AttrSet
@@ -72,19 +69,6 @@ func (s AttrSet) IntersectCard(o AttrSet) int64 {
 		}
 	}
 	return n + int64(len(intersectSorted(s.Foreign, o.Foreign)))
-}
-
-// Contains reports s ⊇ o.
-func (s AttrSet) Contains(o AttrSet) bool {
-	return s.IntersectCard(o) == o.Card()
-}
-
-// union merges o into s, returning the canonical (sorted, disjoint)
-// union. Used by the lint reachability analysis to accumulate the
-// leaves any rule can reach.
-func (s AttrSet) union(o AttrSet) AttrSet {
-	spans := append(append([]vocab.Span(nil), s.Spans...), o.Spans...)
-	return AttrSet{Spans: vocab.MergeSpans(spans), Foreign: unionSorted(s.Foreign, o.Foreign)}
 }
 
 func intersectSorted(a, b []string) []string {
@@ -168,9 +152,6 @@ func (r SymRule) Set(i int) AttrSet { return r.sets[i] }
 // ground-set cardinalities (Corollary 1, counted not enumerated).
 func (r SymRule) Card() int64 { return r.card }
 
-// IsZero reports whether the rule's range is empty.
-func (r SymRule) IsZero() bool { return r.card == 0 }
-
 // IntersectCard returns #(Range_r ∩ Range_o): zero across different
 // signatures, otherwise the product of per-attribute intersection
 // cardinalities.
@@ -195,9 +176,6 @@ func (r SymRule) Subsumes(o SymRule) bool {
 	}
 	return r.IntersectCard(o) == o.card
 }
-
-// Disjoint reports Range_r ∩ Range_o = ∅.
-func (r SymRule) Disjoint(o SymRule) bool { return r.IntersectCard(o) == 0 }
 
 // CompileRule compiles r into its symbolic range under v. The second
 // result is false for the zero rule, whose range is empty (PL003).
@@ -391,9 +369,6 @@ func (r SymRule) intersect(o SymRule) SymRule {
 func (rg *SymRange) Subsumes(o *SymRange) bool {
 	return rg.IntersectCard(o) == o.card
 }
-
-// Disjoint reports that the ranges share no ground rule.
-func (rg *SymRange) Disjoint(o *SymRange) bool { return rg.IntersectCard(o) == 0 }
 
 // Covers reports Range_r ⊆ Range_rg for a single rule — the Prune
 // (Algorithm 6) test "is this pattern already derivable from the

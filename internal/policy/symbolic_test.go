@@ -285,3 +285,9 @@ func BenchmarkContainsTriple(b *testing.B) {
 		rg.ContainsTriple(v, q[0], q[1], q[2])
 	}
 }
+
+// Disjoint reports Range_r ∩ Range_o = ∅.
+func (r SymRule) Disjoint(o SymRule) bool { return r.IntersectCard(o) == 0 }
+
+// Disjoint reports that the ranges share no ground rule.
+func (rg *SymRange) Disjoint(o *SymRange) bool { return rg.IntersectCard(o) == 0 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"time"
 
 	"repro/internal/audit"
@@ -135,15 +134,6 @@ func Write(w io.Writer, in Input) error {
 		}
 	}
 	return bw.err
-}
-
-// Render is Write into a string.
-func Render(in Input) (string, error) {
-	var sb strings.Builder
-	if err := Write(&sb, in); err != nil {
-		return "", err
-	}
-	return sb.String(), nil
 }
 
 func sortedKeys(m map[string]float64) []string {

@@ -155,3 +155,12 @@ func TestRenderTrimmedHistory(t *testing.T) {
 		t.Fatalf("a one-round session's report: %v\n%s", err, full)
 	}
 }
+
+// Render is Write into a string.
+func Render(in Input) (string, error) {
+	var sb strings.Builder
+	if err := Write(&sb, in); err != nil {
+		return "", err
+	}
+	return sb.String(), nil
+}

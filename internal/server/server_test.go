@@ -124,14 +124,34 @@ func TestRequestBodyBound(t *testing.T) {
 	if n := len(sys.AuditLog().Snapshot()); n != 0 {
 		t.Errorf("oversized requests left %d audit entries", n)
 	}
-	// A body just under the bound still decodes; the padded SQL then
-	// fails to parse, which is a 400, not a 413.
+	// A body just under the bound still decodes; the enforcer then
+	// refuses the padded SQL, which is a 400, not a 413.
 	under := `{"user":"tim","role":"nurse","purpose":"treatment","sql":"` +
 		strings.Repeat("x", maxBodyBytes-100) + `"}`
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(under)))
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("under-bound body status = %d, want 400", rec.Code)
+	}
+}
+
+// TestQueryLengthBound: SQL that fits the body bound but not the
+// enforcer's length bound — about 1 MiB of '(' — is refused with 400
+// before it is parsed, on both query endpoints, and leaves no audit
+// trace.
+func TestQueryLengthBound(t *testing.T) {
+	s, sys := newServer(t)
+	for _, path := range []string{"/query", "/breakglass"} {
+		head := `{"user":"tim","role":"nurse","purpose":"treatment","reason":"r","sql":"SELECT referral FROM records WHERE `
+		body := head + strings.Repeat("(", maxBodyBytes-len(head)-2) + `"}`
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "limit") {
+			t.Errorf("%s: %d-byte body: status = %d, want 400 with a length error: %.200s", path, len(body), rec.Code, rec.Body.String())
+		}
+	}
+	if n := len(sys.AuditLog().Snapshot()); n != 0 {
+		t.Errorf("refused queries left %d audit entries", n)
 	}
 }
 

@@ -510,69 +510,6 @@ func (s *Store) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 	}
 }
 
-// Check walks the whole tree validating page invariants and global key
-// order; tests and the recovery path use it as a structural fsck.
-func (s *Store) Check() error {
-	root := s.root.Load()
-	if root == 0 {
-		return nil
-	}
-	var last []byte
-	var walk func(id uint32, lower []byte) error
-	walk = func(id uint32, lower []byte) error {
-		f, err := s.pool.get(id, false)
-		if err != nil {
-			return err
-		}
-		f.latch.RLock()
-		pg := page(f.buf)
-		if err := pg.validate(); err != nil {
-			f.latch.RUnlock()
-			s.pool.put(f, false)
-			return fmt.Errorf("page %d: %w", id, err)
-		}
-		kind := pg.kind()
-		var children []item
-		if kind == kindBranch {
-			children = pg.items()
-		} else if kind == kindLeaf {
-			for i := 0; i < pg.ncells(); i++ {
-				k := pg.keyAt(i)
-				if lower != nil && bytes.Compare(k, lower) < 0 {
-					f.latch.RUnlock()
-					s.pool.put(f, false)
-					return fmt.Errorf("page %d: key below separator bound", id)
-				}
-				if last != nil && bytes.Compare(last, k) >= 0 {
-					f.latch.RUnlock()
-					s.pool.put(f, false)
-					return fmt.Errorf("page %d: global key order violated", id)
-				}
-				last = k
-			}
-		} else {
-			f.latch.RUnlock()
-			s.pool.put(f, false)
-			return fmt.Errorf("page %d: unexpected kind %d in tree", id, kind)
-		}
-		f.latch.RUnlock()
-		s.pool.put(f, false)
-		// Child 0 may hold keys below its own separator (lookups clamp
-		// to it), so it inherits the parent's bound instead.
-		for i, c := range children {
-			b := lower
-			if i > 0 {
-				b = c.key
-			}
-			if err := walk(c.child, b); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return walk(root, nil)
-}
-
 // splitItems greedily packs sorted items into groups of at most
 // pageFillTarget bytes, sized with a zero-length prefix (an over-
 // estimate, so every group is guaranteed to build).

@@ -98,24 +98,12 @@ func (b *FailBudget) take(n int64) (allowed int64, full bool) {
 type FailFile struct {
 	inner File
 	b     *FailBudget
-	syncs atomic.Int64
-}
-
-// NewFailFile wraps inner with its own private budget.
-func NewFailFile(inner File, writeBudget int64) *FailFile {
-	return &FailFile{inner: inner, b: NewFailBudget(writeBudget)}
 }
 
 // NewFailFileShared wraps inner drawing on a shared budget.
 func NewFailFileShared(inner File, b *FailBudget) *FailFile {
 	return &FailFile{inner: inner, b: b}
 }
-
-// Failed reports whether the failpoint has triggered.
-func (f *FailFile) Failed() bool { return f.b.Failed() }
-
-// Syncs returns the number of successful Sync calls (fsync count).
-func (f *FailFile) Syncs() int64 { return f.syncs.Load() }
 
 func (f *FailFile) ReadAt(p []byte, off int64) (int, error) { return f.inner.ReadAt(p, off) }
 
@@ -136,7 +124,6 @@ func (f *FailFile) Sync() error {
 	if f.b.Failed() {
 		return ErrFailpoint
 	}
-	f.syncs.Add(1)
 	return f.inner.Sync()
 }
 
@@ -149,29 +136,3 @@ func (f *FailFile) Truncate(size int64) error {
 
 func (f *FailFile) Close() error         { return f.inner.Close() }
 func (f *FailFile) Size() (int64, error) { return f.inner.Size() }
-
-// CountingFile wraps a File and counts fsyncs and bytes written; the
-// durability benchmarks read the counters to report fsync-per-append
-// amortization.
-type CountingFile struct {
-	inner File
-	Syncs atomic.Int64
-	Bytes atomic.Int64
-}
-
-// NewCountingFile wraps inner.
-func NewCountingFile(inner File) *CountingFile { return &CountingFile{inner: inner} }
-
-func (f *CountingFile) ReadAt(p []byte, off int64) (int, error) { return f.inner.ReadAt(p, off) }
-func (f *CountingFile) WriteAt(p []byte, off int64) (int, error) {
-	n, err := f.inner.WriteAt(p, off)
-	f.Bytes.Add(int64(n))
-	return n, err
-}
-func (f *CountingFile) Sync() error {
-	f.Syncs.Add(1)
-	return f.inner.Sync()
-}
-func (f *CountingFile) Truncate(size int64) error { return f.inner.Truncate(size) }
-func (f *CountingFile) Close() error              { return f.inner.Close() }
-func (f *CountingFile) Size() (int64, error)      { return f.inner.Size() }

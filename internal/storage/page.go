@@ -20,7 +20,6 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 )
 
 // PageSize is the fixed page size of every pager file and the unit the
@@ -337,35 +336,4 @@ func (p page) deleteSlot(i int) {
 	n := p.ncells()
 	copy(p[pageHeaderSize+2*i:pageHeaderSize+2*n-2], p[pageHeaderSize+2*i+2:pageHeaderSize+2*n])
 	p.setNCells(n - 1)
-}
-
-// validate sanity-checks structural invariants; used by tests and the
-// recovery path to reject torn pages that slipped past the meta CRC.
-func (p page) validate() error {
-	if len(p) != PageSize {
-		return fmt.Errorf("storage: page length %d", len(p))
-	}
-	k := p.kind()
-	if k != kindLeaf && k != kindBranch && k != kindFreelist && k != kindFree {
-		return fmt.Errorf("storage: bad page kind %d", k)
-	}
-	if k == kindFree || k == kindFreelist {
-		return nil
-	}
-	n := p.ncells()
-	if pageHeaderSize+2*n > p.cellsBegin() || p.cellsBegin() > PageSize-p.prefixLen() {
-		return fmt.Errorf("storage: page layout out of bounds (ncells=%d cellsBegin=%d prefix=%d)", n, p.cellsBegin(), p.prefixLen())
-	}
-	for i := 0; i < n; i++ {
-		off := p.slotOffset(i)
-		if off < p.cellsBegin() || off >= PageSize-p.prefixLen() {
-			return fmt.Errorf("storage: slot %d offset %d out of cell area", i, off)
-		}
-	}
-	for i := 1; i < n; i++ {
-		if bytes.Compare(p.keyAt(i-1), p.keyAt(i)) >= 0 {
-			return fmt.Errorf("storage: slots %d,%d out of order", i-1, i)
-		}
-	}
-	return nil
 }

@@ -336,42 +336,6 @@ func TestFreelistReuse(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	s, _ := tmpStore(t, Options{})
-	for i := 0; i < 1000; i++ {
-		_ = s.Put(key(i), val(i))
-	}
-	if err := s.Checkpoint(nil); err != nil {
-		t.Fatal(err)
-	}
-	pages := s.Pages()
-	if err := s.Clear(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := s.Get(key(0)); ok {
-		t.Fatal("key survived Clear")
-	}
-	for i := 0; i < 1000; i++ {
-		_ = s.Put(key(i), val(i))
-	}
-	if err := s.Checkpoint(nil); err != nil {
-		t.Fatal(err)
-	}
-	// One more rebuild must reuse the cleared pages.
-	if err := s.Clear(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		_ = s.Put(key(i), val(i))
-	}
-	if err := s.Checkpoint(nil); err != nil {
-		t.Fatal(err)
-	}
-	if g := s.Pages(); g > pages*3 {
-		t.Fatalf("Clear leaked pages: %d -> %d", pages, g)
-	}
-}
-
 // TestBufferPoolEviction runs a working set much larger than the pool
 // so every path (miss, eviction, dirty writeback) is exercised.
 func TestBufferPoolEviction(t *testing.T) {
@@ -639,4 +603,103 @@ func TestCheckpointFreelistChainBoundary(t *testing.T) {
 			t.Fatalf("total=%d: only %d of %d freed pages survived the checkpoint (leak)", total, seen, total)
 		}
 	}
+}
+
+// NewFailFile wraps inner with its own private budget.
+func NewFailFile(inner File, writeBudget int64) *FailFile {
+	return &FailFile{inner: inner, b: NewFailBudget(writeBudget)}
+}
+
+// Check walks the whole tree validating page invariants and global key
+// order; tests and the recovery path use it as a structural fsck.
+func (s *Store) Check() error {
+	root := s.root.Load()
+	if root == 0 {
+		return nil
+	}
+	var last []byte
+	var walk func(id uint32, lower []byte) error
+	walk = func(id uint32, lower []byte) error {
+		f, err := s.pool.get(id, false)
+		if err != nil {
+			return err
+		}
+		f.latch.RLock()
+		pg := page(f.buf)
+		if err := pg.validate(); err != nil {
+			f.latch.RUnlock()
+			s.pool.put(f, false)
+			return fmt.Errorf("page %d: %w", id, err)
+		}
+		kind := pg.kind()
+		var children []item
+		if kind == kindBranch {
+			children = pg.items()
+		} else if kind == kindLeaf {
+			for i := 0; i < pg.ncells(); i++ {
+				k := pg.keyAt(i)
+				if lower != nil && bytes.Compare(k, lower) < 0 {
+					f.latch.RUnlock()
+					s.pool.put(f, false)
+					return fmt.Errorf("page %d: key below separator bound", id)
+				}
+				if last != nil && bytes.Compare(last, k) >= 0 {
+					f.latch.RUnlock()
+					s.pool.put(f, false)
+					return fmt.Errorf("page %d: global key order violated", id)
+				}
+				last = k
+			}
+		} else {
+			f.latch.RUnlock()
+			s.pool.put(f, false)
+			return fmt.Errorf("page %d: unexpected kind %d in tree", id, kind)
+		}
+		f.latch.RUnlock()
+		s.pool.put(f, false)
+		// Child 0 may hold keys below its own separator (lookups clamp
+		// to it), so it inherits the parent's bound instead.
+		for i, c := range children {
+			b := lower
+			if i > 0 {
+				b = c.key
+			}
+			if err := walk(c.child, b); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return walk(root, nil)
+}
+
+// validate sanity-checks structural invariants; used by tests and the
+// recovery path to reject torn pages that slipped past the meta CRC.
+func (p page) validate() error {
+	if len(p) != PageSize {
+		return fmt.Errorf("storage: page length %d", len(p))
+	}
+	k := p.kind()
+	if k != kindLeaf && k != kindBranch && k != kindFreelist && k != kindFree {
+		return fmt.Errorf("storage: bad page kind %d", k)
+	}
+	if k == kindFree || k == kindFreelist {
+		return nil
+	}
+	n := p.ncells()
+	if pageHeaderSize+2*n > p.cellsBegin() || p.cellsBegin() > PageSize-p.prefixLen() {
+		return fmt.Errorf("storage: page layout out of bounds (ncells=%d cellsBegin=%d prefix=%d)", n, p.cellsBegin(), p.prefixLen())
+	}
+	for i := 0; i < n; i++ {
+		off := p.slotOffset(i)
+		if off < p.cellsBegin() || off >= PageSize-p.prefixLen() {
+			return fmt.Errorf("storage: slot %d offset %d out of cell area", i, off)
+		}
+	}
+	for i := 1; i < n; i++ {
+		if bytes.Compare(p.keyAt(i-1), p.keyAt(i)) >= 0 {
+			return fmt.Errorf("storage: slots %d,%d out of order", i-1, i)
+		}
+	}
+	return nil
 }

@@ -255,49 +255,6 @@ func (s *Store) checkpointLocked(app []byte) error {
 	return nil
 }
 
-// Clear unlinks the whole tree (every page returns to the allocator
-// after the next checkpoint) and resets the root. Used by full-rewrite
-// paths (minidb DELETE/UPDATE compaction, audit expiry).
-func (s *Store) Clear() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	root := s.root.Load()
-	if root == 0 {
-		return nil
-	}
-	if err := s.walkPages(root, func(id uint32) { s.freeTreePage(id) }); err != nil {
-		return err
-	}
-	s.root.Store(0)
-	return nil
-}
-
-// walkPages visits every page id reachable from id (post-order).
-func (s *Store) walkPages(id uint32, fn func(uint32)) error {
-	f, err := s.pool.get(id, false)
-	if err != nil {
-		return err
-	}
-	f.latch.RLock()
-	pg := page(f.buf)
-	var children []uint32
-	if pg.kind() == kindBranch {
-		for i := 0; i < pg.ncells(); i++ {
-			_, c := pg.branchCell(i)
-			children = append(children, c)
-		}
-	}
-	f.latch.RUnlock()
-	s.pool.put(f, false)
-	for _, c := range children {
-		if err := s.walkPages(c, fn); err != nil {
-			return err
-		}
-	}
-	fn(id)
-	return nil
-}
-
 // Close flushes nothing: callers checkpoint explicitly before closing
 // when they want the working tree durable. It releases the file.
 func (s *Store) Close() error {

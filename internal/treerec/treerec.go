@@ -27,15 +27,6 @@ type Node struct {
 	Children []*Node
 }
 
-// Clone deep-copies the node.
-func (n *Node) Clone() *Node {
-	out := &Node{Name: n.Name, Value: n.Value}
-	for _, c := range n.Children {
-		out.Children = append(out.Children, c.Clone())
-	}
-	return out
-}
-
 // Walk visits every node depth-first with its slash-separated path.
 func (n *Node) Walk(fn func(path string, node *Node)) {
 	var rec func(prefix string, m *Node)
@@ -47,21 +38,6 @@ func (n *Node) Walk(fn func(path string, node *Node)) {
 		}
 	}
 	rec("", n)
-}
-
-// Find returns the first node at the given path, or nil.
-func (n *Node) Find(path string) *Node {
-	var found *Node
-	n.Walk(func(p string, m *Node) {
-		if found == nil && pathEqual(p, path) {
-			found = m
-		}
-	})
-	return found
-}
-
-func pathEqual(a, b string) bool {
-	return strings.EqualFold(strings.Trim(a, "/"), strings.Trim(b, "/"))
 }
 
 // ParseXML reads an XML document into a Record tree. Attributes are

@@ -232,3 +232,27 @@ func TestXMLEscaping(t *testing.T) {
 		t.Errorf("escape round trip: %q", back.Value)
 	}
 }
+
+// Clone deep-copies the node.
+func (n *Node) Clone() *Node {
+	out := &Node{Name: n.Name, Value: n.Value}
+	for _, c := range n.Children {
+		out.Children = append(out.Children, c.Clone())
+	}
+	return out
+}
+
+// Find returns the first node at the given path, or nil.
+func (n *Node) Find(path string) *Node {
+	var found *Node
+	n.Walk(func(p string, m *Node) {
+		if found == nil && pathEqual(p, path) {
+			found = m
+		}
+	})
+	return found
+}
+
+func pathEqual(a, b string) bool {
+	return strings.EqualFold(strings.Trim(a, "/"), strings.Trim(b, "/"))
+}

@@ -103,11 +103,6 @@ func ParseText(r io.Reader) (*Vocabulary, error) {
 	return v, nil
 }
 
-// ParseTextString is ParseText over a string.
-func ParseTextString(s string) (*Vocabulary, error) {
-	return ParseText(strings.NewReader(s))
-}
-
 func indentDepth(line string) (int, error) {
 	spaces := 0
 	for _, r := range line {

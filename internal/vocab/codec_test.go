@@ -134,3 +134,19 @@ func TestWriteTextDeterministic(t *testing.T) {
 		t.Error("output missing expected value")
 	}
 }
+
+// ParseTextString is ParseText over a string.
+func ParseTextString(s string) (*Vocabulary, error) {
+	return ParseText(strings.NewReader(s))
+}
+
+// Size returns the total number of values across all hierarchies.
+func (v *Vocabulary) Size() int {
+	v.mu.RLock()
+	defer v.mu.RUnlock()
+	n := 0
+	for _, h := range v.attrs {
+		n += len(h.nodes)
+	}
+	return n
+}

@@ -28,12 +28,3 @@ purpose
 	// true
 	// false true
 }
-
-// ExampleMerge combines two sites' vocabularies for federation.
-func ExampleMerge() {
-	a, _ := vocab.ParseTextString("data\n  clinical\n    referral\n")
-	b, _ := vocab.ParseTextString("data\n  clinical\n    imaging\n")
-	m, _ := vocab.Merge(a, b)
-	fmt.Println(m.GroundSet("data", "clinical"))
-	// Output: [imaging referral]
-}

@@ -28,15 +28,6 @@ type Span struct {
 // cardinality of the value it numbers.
 func (s Span) Len() int { return int(s.Hi - s.Lo) }
 
-// Empty reports whether the span covers no leaves.
-func (s Span) Empty() bool { return s.Hi <= s.Lo }
-
-// Overlaps reports whether the spans share at least one leaf.
-func (s Span) Overlaps(o Span) bool { return s.Lo < o.Hi && o.Lo < s.Hi }
-
-// Contains reports whether o lies entirely inside s.
-func (s Span) Contains(o Span) bool { return s.Lo <= o.Lo && o.Hi <= s.Hi }
-
 // MergeSpans sorts and coalesces overlapping or adjacent spans into
 // the canonical (sorted, disjoint) union. The input slice is reused.
 func MergeSpans(spans []Span) []Span {
@@ -68,10 +59,6 @@ type Intervals struct {
 	leafCount int32
 	spans     map[string]Span // by Norm(value)
 }
-
-// Generation returns the vocabulary generation the snapshot was built
-// at; it is stale once Vocabulary.Generation has moved past it.
-func (ix *Intervals) Generation() uint64 { return ix.gen }
 
 // LeafCount returns the total number of ground values in the
 // hierarchy — the cardinality of the attribute's ground space.

@@ -154,3 +154,16 @@ func TestIntervalsConcurrent(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// Empty reports whether the span covers no leaves.
+func (s Span) Empty() bool { return s.Hi <= s.Lo }
+
+// Overlaps reports whether the spans share at least one leaf.
+func (s Span) Overlaps(o Span) bool { return s.Lo < o.Hi && o.Lo < s.Hi }
+
+// Contains reports whether o lies entirely inside s.
+func (s Span) Contains(o Span) bool { return s.Lo <= o.Lo && o.Hi <= s.Hi }
+
+// Generation returns the vocabulary generation the snapshot was built
+// at; it is stale once Vocabulary.Generation has moved past it.
+func (ix *Intervals) Generation() uint64 { return ix.gen }

@@ -215,22 +215,6 @@ func (h *Hierarchy) Subsumes(a, b string) bool {
 	return false
 }
 
-// Ancestors returns the chain of ancestors of value from its parent up
-// to its top-level value. Unknown or top-level values yield nil.
-func (h *Hierarchy) Ancestors(value string) []string {
-	h.owner.mu.RLock()
-	defer h.owner.mu.RUnlock()
-	n := h.nodes[Norm(value)]
-	if n == nil {
-		return nil
-	}
-	var out []string
-	for p := n.parent; p != nil; p = p.parent {
-		out = append(out, p.value)
-	}
-	return out
-}
-
 // Leaves returns every ground value in the hierarchy, sorted.
 func (h *Hierarchy) Leaves() []string {
 	h.owner.mu.RLock()
@@ -396,49 +380,4 @@ func (v *Vocabulary) Equivalent(attr, a, b string) bool {
 // unchanged vocabulary.
 func (v *Vocabulary) Generation() uint64 {
 	return v.gen.Load()
-}
-
-// Size returns the total number of values across all hierarchies.
-func (v *Vocabulary) Size() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	n := 0
-	for _, h := range v.attrs {
-		n += len(h.nodes)
-	}
-	return n
-}
-
-// Clone returns a deep copy of the vocabulary. The structure is
-// snapshotted under the read lock and rebuilt outside it, so cloning
-// never holds two vocabulary locks at once.
-func (v *Vocabulary) Clone() *Vocabulary {
-	type entry struct{ attr, parent, value string }
-	v.mu.RLock()
-	var entries []entry
-	attrs := make([]string, 0, len(v.order))
-	for _, attr := range v.order {
-		attrs = append(attrs, attr)
-		h := v.attrs[Norm(attr)]
-		var walk func(parent string, n *Node)
-		walk = func(parent string, n *Node) {
-			entries = append(entries, entry{attr: attr, parent: parent, value: n.value})
-			for _, c := range n.children {
-				walk(n.value, c)
-			}
-		}
-		for _, r := range h.roots {
-			walk("", r)
-		}
-	}
-	v.mu.RUnlock()
-
-	out := New()
-	for _, attr := range attrs {
-		out.MustAttribute(attr)
-	}
-	for _, e := range entries {
-		out.MustAttribute(e.attr).MustAdd(e.parent, e.value)
-	}
-	return out
 }

@@ -212,22 +212,6 @@ func TestAttributesOrder(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	v := sample(t)
-	c := v.Clone()
-	if c.Size() != v.Size() {
-		t.Fatalf("clone size %d != %d", c.Size(), v.Size())
-	}
-	// Mutating the clone must not affect the original.
-	c.Hierarchy("data").MustAdd("clinical", "radiology")
-	if v.Hierarchy("data").Contains("radiology") {
-		t.Error("clone shares structure with original")
-	}
-	if !reflect.DeepEqual(v.GroundSet("data", "demographic"), c.GroundSet("data", "demographic")) {
-		t.Error("clone diverges on untouched subtree")
-	}
-}
-
 func TestSampleRolesAreGround(t *testing.T) {
 	// Required for the paper's audit-row counting; see sample.go.
 	v := sample(t)
@@ -320,4 +304,20 @@ func itoa(n int) string {
 		n /= 10
 	}
 	return string(buf[i:])
+}
+
+// Ancestors returns the chain of ancestors of value from its parent up
+// to its top-level value. Unknown or top-level values yield nil.
+func (h *Hierarchy) Ancestors(value string) []string {
+	h.owner.mu.RLock()
+	defer h.owner.mu.RUnlock()
+	n := h.nodes[Norm(value)]
+	if n == nil {
+		return nil
+	}
+	var out []string
+	for p := n.parent; p != nil; p = p.parent {
+		out = append(out, p.value)
+	}
+	return out
 }

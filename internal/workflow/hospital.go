@@ -1,7 +1,6 @@
 package workflow
 
 import (
-	"repro/internal/policy"
 	"repro/internal/scenario"
 	"repro/internal/vocab"
 )
@@ -48,17 +47,4 @@ func DefaultHospital(seed int64) Config {
 			{Data: "address", Purpose: "treatment", Role: "nurse", PerDay: 0.5, Users: []string{"omar"}, OffHours: true},
 		},
 	}
-}
-
-// HospitalGroundTruth returns the informal rules of DefaultHospital
-// without constructing a simulator; convenient for scoring.
-func HospitalGroundTruth() (informal, violations []policy.Rule) {
-	cfg := DefaultHospital(0)
-	for _, b := range cfg.Informal {
-		informal = append(informal, b.Rule())
-	}
-	for _, b := range cfg.Violations {
-		violations = append(violations, b.Rule())
-	}
-	return informal, violations
 }

@@ -3,7 +3,6 @@ package workflow
 import (
 	"fmt"
 
-	"repro/internal/policy"
 	"repro/internal/scenario"
 	"repro/internal/vocab"
 )
@@ -63,13 +62,4 @@ func LargeHospital(seed int64, departments int) Config {
 		})
 	}
 	return cfg
-}
-
-// InformalRules lists a config's informal ground-truth rules.
-func (c Config) InformalRules() []policy.Rule {
-	out := make([]policy.Rule, len(c.Informal))
-	for i, b := range c.Informal {
-		out[i] = b.Rule()
-	}
-	return out
 }

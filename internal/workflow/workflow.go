@@ -21,7 +21,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/audit"
@@ -370,14 +369,4 @@ func Evaluate(found []policy.Rule, informal, violations []policy.Rule) Score {
 		sc.Recall = float64(sc.TruePositives) / float64(sc.TruePositives+sc.FalseNegatives)
 	}
 	return sc
-}
-
-// Roles returns the roster's distinct roles, sorted.
-func (s *Simulator) Roles() []string {
-	out := make([]string, 0, len(s.byRole))
-	for r := range s.byRole {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -2,6 +2,7 @@ package workflow
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -483,4 +484,36 @@ func TestSuspicionReviewerOnSimulatedHospital(t *testing.T) {
 			t.Errorf("violation evidence not night/single shaped: %+v", ev)
 		}
 	}
+}
+
+// HospitalGroundTruth returns the informal rules of DefaultHospital
+// without constructing a simulator; convenient for scoring.
+func HospitalGroundTruth() (informal, violations []policy.Rule) {
+	cfg := DefaultHospital(0)
+	for _, b := range cfg.Informal {
+		informal = append(informal, b.Rule())
+	}
+	for _, b := range cfg.Violations {
+		violations = append(violations, b.Rule())
+	}
+	return informal, violations
+}
+
+// InformalRules lists a config's informal ground-truth rules.
+func (c Config) InformalRules() []policy.Rule {
+	out := make([]policy.Rule, len(c.Informal))
+	for i, b := range c.Informal {
+		out[i] = b.Rule()
+	}
+	return out
+}
+
+// Roles returns the roster's distinct roles, sorted.
+func (s *Simulator) Roles() []string {
+	out := make([]string, 0, len(s.byRole))
+	for r := range s.byRole {
+		out = append(out, r)
+	}
+	sort.Strings(out)
+	return out
 }

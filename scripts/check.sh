@@ -53,6 +53,9 @@ fi
 echo "==> go test ./..."
 go test ./...
 
+echo "==> perfbench module: go vet ./... && go test ./... (its own module, so the root ./... never compiles it)"
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "==> coverage gate (cmd/prima-vet >= 70%, profiles kept as artifacts)"
 go test -coverprofile=coverage-prima-vet.out ./cmd/prima-vet > /dev/null
 go test -coverprofile=coverage-policy.out ./internal/policy > /dev/null
@@ -77,7 +80,7 @@ go test -fuzz=FuzzParse -fuzztime=10s -run=NONE ./internal/minidb > /dev/null
 echo "==> go test -race (concurrency suites: root facade, audit, consent, core, hdb, lint, minidb, mining, netfed, policy, storage, vocab, workflow, server)"
 go test -race . ./internal/audit/ ./internal/consent/ ./internal/core/ ./internal/hdb/ ./internal/lint/ ./internal/minidb/ ./internal/mining/ ./internal/netfed/ ./internal/policy/ ./internal/storage/ ./internal/vocab/ ./internal/workflow/ ./internal/server/
 
-echo "==> benchmark smoke (one iteration per benchmark, including the reference-oracle rows in hdb and core, the retained-bytes, merge and consolidation rows in audit and the indexed chart lookup in minidb; -short shrinks the E16 recovery corpus)"
-go test -short -bench=. -benchtime=1x -run=NONE . ./internal/hdb ./internal/core ./internal/audit ./internal/minidb > /dev/null
+echo "==> benchmark smoke (one iteration per benchmark, including the reference-oracle rows in hdb and core, the retained-bytes, merge and consolidation rows in audit and the indexed chart lookup in minidb, and E15's transaction-level engine rows in mining; -short shrinks the E16 recovery corpus)"
+go test -short -bench=. -benchtime=1x -run=NONE . ./internal/hdb ./internal/core ./internal/audit ./internal/minidb ./internal/mining > /dev/null
 
 echo "All checks passed."

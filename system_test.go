@@ -183,7 +183,7 @@ func TestSystemRuleManagement(t *testing.T) {
 
 func TestFacadeHelpers(t *testing.T) {
 	v := SampleVocabulary()
-	if v.Size() == 0 {
+	if len(v.Attributes()) == 0 {
 		t.Fatal("sample vocabulary empty")
 	}
 	r, err := ParseRule("data=referral & purpose=treatment & authorized=nurse")
@@ -396,7 +396,7 @@ func TestReportNumbersKeptRounds(t *testing.T) {
 }
 
 func TestFacadeConstructorsAndEvidenceHelpers(t *testing.T) {
-	if NewVocabulary().Size() != 0 {
+	if len(NewVocabulary().Attributes()) != 0 {
 		t.Error("NewVocabulary not empty")
 	}
 	v, err := ParseVocabulary(strings.NewReader("data\n  x\n"))
