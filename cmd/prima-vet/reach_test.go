@@ -84,19 +84,7 @@ func TestEveryFunctionReached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs, err := loader.Expand([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, dir := range dirs {
-		if _, err := loader.Load(dir); err != nil {
-			t.Fatal(err)
-		}
-	}
+	loader, _ := loadModule(t)
 	pkgs := loader.Cached()
 	g := BuildCallGraph(pkgs)
 

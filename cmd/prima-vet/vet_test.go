@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -300,6 +301,43 @@ func TestOutputModes(t *testing.T) {
 	}
 }
 
+// moduleLoad is one load of every ./... package of the module, type-
+// checked from source, shared by the tests that analyze the whole
+// module: the load is most of their cost. The analyses only read it.
+var moduleLoad struct {
+	once   sync.Once
+	loader *Loader
+	pkgs   []*Package // the ./... packages, in Expand order
+	err    error
+}
+
+// loadModule returns the shared whole-module load, loading it on the
+// first call.
+func loadModule(t *testing.T) (*Loader, []*Package) {
+	t.Helper()
+	m := &moduleLoad
+	m.once.Do(func() {
+		if m.loader, m.err = NewLoader("."); m.err != nil {
+			return
+		}
+		var dirs []string
+		if dirs, m.err = m.loader.Expand([]string{"./..."}); m.err != nil {
+			return
+		}
+		for _, dir := range dirs {
+			var pkg *Package
+			if pkg, m.err = m.loader.Load(dir); m.err != nil {
+				return
+			}
+			m.pkgs = append(m.pkgs, pkg)
+		}
+	})
+	if m.err != nil {
+		t.Fatal(m.err)
+	}
+	return m.loader, m.pkgs
+}
+
 // TestWriteLockOrder pins that -write-lockorder is stable: the
 // acquisition graph observed in the repo reproduces the checked-in
 // lockorder.txt byte-for-byte (the CI sync check depends on this).
@@ -308,22 +346,7 @@ func TestWriteLockOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dirs, err := loader.Expand([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pkgs []*Package
-	for _, dir := range dirs {
-		pkg, err := loader.Load(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
+	loader, pkgs := loadModule(t)
 	got, err := regenerateLockOrder(BuildProgram(loader, pkgs), lockOrderPins)
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,12 @@
 package audit
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -37,9 +39,11 @@ import (
 // memory: it is O(groups).
 //
 // Recovery folds index.db straight into the per-shard index without
-// keeping its records, loads the WAL tail, and concludes with a
-// checkpoint that re-persists the tail, so the WAL never grows across
-// restarts. While the store runs, the sink wakes a background
+// keeping its records, one key range per CPU, loads the WAL tail, and
+// concludes with a checkpoint that re-persists the tail, so the WAL
+// never grows across restarts. Every cut rolls the WAL to a new
+// segment and deletes the ones it covers, so a store closed after a
+// checkpoint reopens with no WAL frame to read. While the store runs, the sink wakes a background
 // checkpointer after every checkpointBytes of WAL, so neither the WAL
 // nor the shards grow past that between cuts. JSONL is an export edge
 // only: WriteJSONL of Log().Snapshot() exports a copy.
@@ -479,7 +483,7 @@ func (d *Durable) loadCheckpoint() error {
 	return nil
 }
 
-// foldBatch is how many index records foldIndex buffers before it
+// foldBatch is how many index records foldRange buffers before it
 // folds them into the index shard by shard: one shard's groups at a
 // time stay in cache, where folding in key order would touch every
 // shard's per record.
@@ -487,11 +491,58 @@ const foldBatch = 1 << 16
 
 // foldIndex folds every checkpointed entry in the index into shards —
 // the log's own during recovery, fresh ones when retention rebuilds
-// the index — routed as appends are, keeping no record. Entries above
-// the cut, which a failed cut can leave in the working tree while the
-// shards still hold them, are skipped. It returns the number of
-// entries folded and the highest seq.
+// the index — routed as appends are, keeping no record. The index is
+// cut into min(GOMAXPROCS, root fan-out) key ranges (Store.Splits),
+// folded in parallel: the first range into shards, every other one
+// into private shards of its own, which are then absorbed into shards
+// in range order. One range is the serial fold, with nothing to
+// absorb. It returns the number of entries folded and the highest seq.
 func (d *Durable) foldIndex(shards []*shard) (n, maxSeq uint64, err error) {
+	splits, err := d.store.Splits(runtime.GOMAXPROCS(0))
+	if err != nil {
+		return 0, 0, err
+	}
+	bounds := append(append([][]byte{nil}, splits...), nil)
+	type part struct {
+		shards    []*shard
+		n, maxSeq uint64
+		err       error
+	}
+	parts := make([]part, len(bounds)-1)
+	var wg sync.WaitGroup
+	for i := 1; i < len(parts); i++ {
+		p := &parts[i]
+		p.shards = make([]*shard, len(shards))
+		for j := range p.shards {
+			p.shards[j] = &shard{}
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.n, p.maxSeq, p.err = d.foldRange(bounds[i], bounds[i+1], p.shards)
+		}()
+	}
+	parts[0].n, parts[0].maxSeq, parts[0].err = d.foldRange(bounds[0], bounds[1], shards)
+	wg.Wait()
+	for _, p := range parts {
+		if p.err != nil {
+			return 0, 0, p.err
+		}
+		n += p.n
+		maxSeq = max(maxSeq, p.maxSeq)
+		for j, sh := range p.shards { // none for the first range
+			shards[j].absorb(sh)
+		}
+	}
+	return n, maxSeq, nil
+}
+
+// foldRange folds the checkpointed entries with keys in [lo, hi) into
+// shards, which the caller owns. Entries above the cut, which a failed
+// cut can leave in the working tree while the shards still hold them,
+// are skipped. It returns the number of entries folded and the highest
+// seq.
+func (d *Durable) foldRange(lo, hi []byte, shards []*shard) (n, maxSeq uint64, err error) {
 	mask := uint64(len(shards) - 1)
 	pending := make([][]record, len(shards))
 	buffered := 0
@@ -506,7 +557,7 @@ func (d *Durable) foldIndex(shards []*shard) (n, maxSeq uint64, err error) {
 	}
 	var rr rawRecord
 	var bad error
-	err = d.store.Scan(nil, nil, func(k, v []byte) bool {
+	err = d.store.Scan(lo, hi, func(k, v []byte) bool {
 		if indexKeySeq(k) > d.ckptSeq {
 			return true
 		}
@@ -518,7 +569,7 @@ func (d *Durable) foldIndex(shards []*shard) (n, maxSeq uint64, err error) {
 			r, bad = shards[si].coldRecord(&rr)
 		}
 		if bad != nil {
-			bad = fmt.Errorf("audit: index record %d: %w", n, bad)
+			bad = fmt.Errorf("audit: index record of seq %d: %w", indexKeySeq(k), bad)
 			return false
 		}
 		pending[si] = append(pending[si], r)
@@ -629,6 +680,9 @@ func (d *Durable) WALSyncs() uint64 { return d.wal.Syncs() }
 // cut. The store also checkpoints itself in the background (see
 // checkpointBytes).
 func (d *Durable) Checkpoint() error {
+	// Drain the sink first, so the cut's WAL roll leaves every entry
+	// appended before the call in a segment the cut then deletes.
+	d.log.flush()
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.cutLocked(0)
@@ -641,9 +695,18 @@ func (d *Durable) Checkpoint() error {
 // behind it. removed is the number of index entries deleted since the
 // last cut. The caller holds d.mu.
 func (d *Durable) cutLocked(removed uint64) error {
-	// Capture the truncation bound BEFORE the cut: every WAL record at
-	// or below this LSN was appended before cur was read, so its seq
-	// is at or below cur and the checkpoint below covers it.
+	// Roll the WAL, then capture the truncation bound BEFORE the cut:
+	// every WAL record at or below this LSN was appended before cur was
+	// read, so its seq is at or below cur and the checkpoint below
+	// covers it. Every segment the roll closed ends at or below it, so
+	// the truncation deletes them all and no reopen reads their frames
+	// again.
+	if err := d.wal.Roll(); err != nil {
+		// A failed roll is the WAL's sticky error, which goes to OnErr
+		// as the sink's append errors do. It does not stop the cut:
+		// the index is then the only durable copy of the tail.
+		d.report(err)
+	}
 	lsnCut := d.wal.LastLSN()
 	cur := d.log.fence()
 	var val []byte
@@ -788,7 +851,7 @@ func (d *Durable) retain(before []byte, keep func(ns int64, st Status) bool, rem
 		if keep(indexKeyTime(k)) {
 			return true
 		}
-		victims = append(victims, k)
+		victims = append(victims, bytes.Clone(k)) // k is the scan's buffer
 		if indexKeySeq(k) > d.ckptSeq {
 			return true
 		}

@@ -245,6 +245,86 @@ func (s *shard) indexLocked(r *record) {
 	}
 }
 
+// absorb folds into s the index of src, a shard that folded other
+// records on its own dictionary, as if s had folded those records
+// itself: ids and zones move into s's dictionary, counts add, user and
+// day sets unite, and firstSeq and the windows keep mergeGroups'
+// rules. The caller owns both shards; src is spent, and s adopts its
+// group accumulators where it has none of its own.
+func (s *shard) absorb(src *shard) {
+	ids := make([]uint32, len(src.strs))
+	for i, str := range src.strs {
+		ids[i] = s.intern(str)
+	}
+	zones := make([]uint32, max(1, len(src.zones))) // zones[0] is UTC in every dictionary
+	for k, id := range src.zoneIDs {
+		zones[id] = s.zoneID(k, src.zones[id])
+	}
+	move := func(at instant) instant {
+		at.zone = zones[at.zone]
+		return at
+	}
+	s.gen++
+
+	st, o := &s.stats, &src.stats
+	if o.total > 0 {
+		if st.total == 0 {
+			st.first, st.last = move(o.first), move(o.last)
+		} else {
+			widen(&st.first, &st.last, move(o.first))
+			widen(&st.first, &st.last, move(o.last))
+		}
+	}
+	st.total += o.total
+	st.allowed += o.allowed
+	st.denied += o.denied
+	st.exceptions += o.exceptions
+	st.regular += o.regular
+	for w, word := range o.users {
+		for ; word != 0; word &= word - 1 {
+			st.addUser(ids[w*64+bits.TrailingZeros64(word)])
+		}
+	}
+
+	if s.groups == nil && len(src.groups) > 0 {
+		s.groups = make(map[groupKey]*groupAcc, len(src.groups))
+	}
+	for k, g := range src.groups {
+		k = groupKey{data: ids[k.data], purpose: ids[k.purpose], authorized: ids[k.authorized]}
+		g.first, g.last = move(g.first), move(g.last)
+		users := g.users
+		dg := s.groups[k]
+		if dg == nil {
+			g.users = nil
+			if len(users) > 0 {
+				g.users = make(map[uint32]int, len(users))
+			}
+			dg = g
+			s.groups[k] = g
+		} else {
+			dg.firstSeq = min(dg.firstSeq, g.firstSeq)
+			dg.total += g.total
+			dg.offHours += g.offHours
+			if g.practice > 0 {
+				if dg.practice == 0 {
+					dg.first, dg.last = g.first, g.last
+				} else {
+					widen(&dg.first, &dg.last, g.first)
+					widen(&dg.first, &dg.last, g.last)
+				}
+				if dg.users == nil {
+					dg.users = make(map[uint32]int, len(users))
+				}
+				dg.days = unionDays(dg.days, g.days)
+			}
+			dg.practice += g.practice
+		}
+		for u, n := range users {
+			dg.users[ids[u]] += n
+		}
+	}
+}
+
 // Group is the merged, read-only view of one (data, purpose,
 // authorized) group across all shards.
 type Group struct {

@@ -32,8 +32,9 @@ import (
 // distinct strings), and a string comes back mostly for its immediate
 // break-glass retry, so plans past the most recent few hundred never
 // hit again. A larger bound buys no hits, only a bigger sawtooth of
-// heap between flushes (0–3.3 MiB at 4096). maxSQLBytes caps each
-// plan's SQL key, so the cache holds at most 16 MiB of SQL text.
+// heap between flushes (0–3.3 MiB at 4096). Only SQL up to
+// maxCachedSQLBytes is cached, so the cache holds at most 1 MiB of SQL
+// text.
 const planCacheMax = 1024
 
 // maxSQLBytes bounds the SQL text Query and BreakGlass accept. The
@@ -42,6 +43,14 @@ const planCacheMax = 1024
 // operator, so the text length is what bounds evaluation depth: a
 // chain at the bound evaluates in about 8 MiB of stack.
 const maxSQLBytes = 16 << 10
+
+// maxCachedSQLBytes is the longest SQL whose plan is cached. A plan
+// keeps its SQL as the cache key and its literals in the AST, so the
+// count bound alone would let planCacheMax long queries pin tens of
+// MiB; longer SQL is planned on every call instead. Clinician traffic
+// sends far shorter statements (the longest any workload sends is 72
+// bytes).
+const maxCachedSQLBytes = 1 << 10
 
 // snapshotBuilder owns the mutex serializing decision-snapshot
 // rebuilds. It is a distinct type (not a second mutex on Enforcer) so
@@ -82,10 +91,10 @@ type decisionSnapshot struct {
 	composite sync.Map // string -> bool
 }
 
-// valid reports whether the snapshot still describes the live system.
-// All probes are lock-free atomic loads; the wall clock is consulted
-// only when a consent expiry horizon exists.
-func (s *decisionSnapshot) valid(e *Enforcer) bool {
+// valid reports whether the snapshot still describes the live system
+// at now, the query's instant on the enforcer's clock. All probes are
+// lock-free atomic loads.
+func (s *decisionSnapshot) valid(e *Enforcer, now time.Time) bool {
 	if s.pver != e.ps.Version() || s.vgen != e.v.Generation() {
 		return false
 	}
@@ -93,7 +102,7 @@ func (s *decisionSnapshot) valid(e *Enforcer) bool {
 		if s.cgen != e.consent.Generation() {
 			return false
 		}
-		if !s.horizon.IsZero() && time.Now().After(s.horizon) {
+		if !s.horizon.IsZero() && now.After(s.horizon) {
 			return false
 		}
 	}
@@ -117,20 +126,20 @@ func (s *decisionSnapshot) allowed(v *vocab.Vocabulary, category, purpose, role 
 	return res
 }
 
-// snapshot returns a valid decision snapshot, rebuilding under the
-// builder lock when any version counter (or the consent expiry
-// horizon) has moved. The fast case is one atomic load plus three
-// atomic version compares.
-func (e *Enforcer) snapshot() *decisionSnapshot {
-	if s := e.snap.Load(); s != nil && s.valid(e) {
+// snapshot returns a decision snapshot valid at now, rebuilding under
+// the builder lock when any version counter has moved or now is past
+// the consent expiry horizon. The fast case is one atomic load plus
+// three atomic version compares.
+func (e *Enforcer) snapshot(now time.Time) *decisionSnapshot {
+	if s := e.snap.Load(); s != nil && s.valid(e, now) {
 		return s
 	}
 	e.snapb.mu.Lock()
 	defer e.snapb.mu.Unlock()
-	if s := e.snap.Load(); s != nil && s.valid(e) {
+	if s := e.snap.Load(); s != nil && s.valid(e, now) {
 		return s
 	}
-	s := e.buildSnapshot()
+	s := e.buildSnapshot(now)
 	e.snap.Store(s)
 	return s
 }
@@ -140,14 +149,14 @@ func (e *Enforcer) snapshot() *decisionSnapshot {
 // mutation mid-build leaves the snapshot stale-at-birth, which the
 // next valid() probe detects — the snapshot can claim an older state
 // than it holds, never a newer one.
-func (e *Enforcer) buildSnapshot() *decisionSnapshot {
+func (e *Enforcer) buildSnapshot(now time.Time) *decisionSnapshot {
 	s := &decisionSnapshot{
 		pver: e.ps.Version(),
 		vgen: e.v.Generation(),
 	}
 	if e.consent != nil {
 		s.cgen = e.consent.Generation()
-		s.horizon = e.consent.ExpiryHorizon(time.Now())
+		s.horizon = e.consent.ExpiryHorizon(now)
 	}
 	s.rg = policy.SharedSym.Range(e.ps, e.v)
 	return s
@@ -202,9 +211,13 @@ type specialization struct {
 }
 
 // plan returns the compiled plan for sql, building and caching it on
-// miss. A plan is stale when a table mapping was (re)registered or the
+// miss; SQL longer than maxCachedSQLBytes is built and not cached. A
+// plan is stale when a table mapping was (re)registered or the
 // database schema changed; staleness is two lock-free counter loads.
 func (e *Enforcer) plan(sql string) (*queryPlan, error) {
+	if len(sql) > maxCachedSQLBytes {
+		return e.buildPlan(sql)
+	}
 	if v, ok := e.plans.Load(sql); ok {
 		pl := v.(*queryPlan)
 		if pl.mapGen == e.mapGen.Load() && pl.schemaGen == e.db.SchemaGeneration() {
@@ -294,7 +307,7 @@ func (pl *queryPlan) specFor(s *decisionSnapshot, purpose, role string) *special
 // mirroring the reference interpreter step by step: non-output denial,
 // output masking, then consent filtering on a cheap statement clone.
 // The cached plan statement is never mutated.
-func (e *Enforcer) specialize(pl *queryPlan, s *decisionSnapshot, purpose, role string) *specialization {
+func (e *Enforcer) specialize(pl *queryPlan, s *decisionSnapshot, purpose, role string, now time.Time) *specialization {
 	sp := &specialization{snap: s, purpose: purpose, role: role, stmt: pl.stmt}
 
 	// Non-output use of a denied category rejects the query.
@@ -357,7 +370,6 @@ func (e *Enforcer) specialize(pl *queryPlan, s *decisionSnapshot, purpose, role 
 
 	// Consent filtering over the categories actually returned.
 	if e.consent != nil && pl.patientCol != "" {
-		now := time.Now()
 		var excluded []string
 		for _, cat := range pl.allCats {
 			if containsSorted(deniedOut, cat) {
@@ -414,6 +426,9 @@ func (e *Enforcer) runFast(p Principal, purpose, reason, sql string, breakGlass 
 	if err != nil {
 		return nil, nil, err
 	}
+	// One instant per query: consent expiry is decided and the audit
+	// entries are stamped on the same reading of the enforcer's clock.
+	now := (*e.clock.Load())()
 
 	// Break-glass bypasses the decision layer entirely — policy and
 	// consent are not consulted — but still benefits from the compiled
@@ -424,14 +439,14 @@ func (e *Enforcer) runFast(p Principal, purpose, reason, sql string, breakGlass 
 		if err != nil {
 			return nil, nil, err
 		}
-		e.audit(p, purpose, reason, acc, audit.Allow, pl.allCats)
+		e.audit(p, purpose, reason, acc, audit.Allow, pl.allCats, now)
 		return res, acc, nil
 	}
 
-	s := e.snapshot()
+	s := e.snapshot(now)
 	sp := pl.specFor(s, purpose, p.Role)
 	if sp == nil {
-		sp = e.specialize(pl, s, purpose, p.Role)
+		sp = e.specialize(pl, s, purpose, p.Role, now)
 		pl.spec.Store(sp)
 	}
 	acc := &Access{
@@ -441,14 +456,14 @@ func (e *Enforcer) runFast(p Principal, purpose, reason, sql string, breakGlass 
 		OptedOut:   sp.optedOut,
 	}
 	if sp.denyErr != nil {
-		e.audit(p, purpose, reason, acc, audit.Deny, sp.denyAudit)
+		e.audit(p, purpose, reason, acc, audit.Deny, sp.denyAudit, now)
 		return nil, acc, sp.denyErr
 	}
 	res, err := e.db.ExecStmt(sp.stmt)
 	if err != nil {
 		return nil, nil, err
 	}
-	e.audit(p, purpose, reason, acc, audit.Allow, pl.allCats)
+	e.audit(p, purpose, reason, acc, audit.Allow, pl.allCats, now)
 	return res, acc, nil
 }
 

@@ -271,11 +271,13 @@ func TestSnapshotInvalidation(t *testing.T) {
 	}
 }
 
-// TestSnapshotExpiryHorizon checks that a consent record expiring in
-// real time invalidates the snapshot without any store mutation.
+// TestSnapshotExpiryHorizon checks that a consent record expiring as
+// the enforcer's clock runs invalidates the snapshot without any store
+// mutation.
 func TestSnapshotExpiryHorizon(t *testing.T) {
 	s := newSide(t)
-	now := time.Now()
+	now := t0
+	s.enf.SetClock(func() time.Time { return now })
 	if err := s.cs.SetWithExpiry("p2", "referral", "", consent.OptOut,
 		now.Add(-time.Minute), now.Add(120*time.Millisecond)); err != nil {
 		t.Fatal(err)
@@ -287,7 +289,7 @@ func TestSnapshotExpiryHorizon(t *testing.T) {
 	if acc.OptedOut != 1 || len(res.Rows) != 2 {
 		t.Fatalf("pre-expiry: optedOut = %d, rows = %d", acc.OptedOut, len(res.Rows))
 	}
-	time.Sleep(200 * time.Millisecond)
+	now = now.Add(200 * time.Millisecond)
 	res, acc, err = s.enf.Query(nurse(), "treatment", `SELECT patient, referral FROM records`)
 	if err != nil {
 		t.Fatal(err)
@@ -364,6 +366,38 @@ func TestPlanCacheBound(t *testing.T) {
 	if len(res.Rows) != 3 || len(acc.Masked) != 1 {
 		t.Errorf("post-sweep rows = %d, masked = %v", len(res.Rows), acc.Masked)
 	}
+}
+
+// TestPlanCacheBytes floods the enforcer with 2 × planCacheMax
+// distinct allowed queries of maxSQLBytes each and checks the live heap
+// (after GC) grows by less than planBytesBound: long SQL is planned per
+// call, not cached, so the count bound is not a byte bound of up to
+// planCacheMax × (SQL key + AST literal) ≈ 32 MiB.
+func TestPlanCacheBytes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("floods the plan cache")
+	}
+	const planBytesBound = 4 << 20
+	s := newSide(t)
+	const prefix = `SELECT patient, referral FROM records WHERE patient = '`
+	width := maxSQLBytes - len(prefix) - 1
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 2*planCacheMax; i++ {
+		sql := fmt.Sprintf("%s%0*d'", prefix, width, i)
+		if _, _, err := s.enf.Query(nurse(), "treatment", sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("live heap grew %d bytes", grew)
+	if grew > planBytesBound {
+		t.Errorf("live heap grew %d bytes over %d queries of %d bytes, bound %d", grew, 2*planCacheMax, maxSQLBytes, planBytesBound)
+	}
+	runtime.KeepAlive(s)
 }
 
 // TestSQLLengthBound checks the enforcement edge's SQL length bound:
@@ -476,7 +510,7 @@ func TestEnforcedChartQueryUsesPatientIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp := s.enf.specialize(pl, s.enf.snapshot(), "treatment", "nurse")
+	sp := s.enf.specialize(pl, s.enf.snapshot(t0), "treatment", "nurse", t0)
 	if sp.optedOut != 1 {
 		t.Fatalf("consent filter excluded %d patients, want 1", sp.optedOut)
 	}

@@ -94,10 +94,13 @@ func New(db *minidb.Database, ps *policy.Policy, v *vocab.Vocabulary, cs *consen
 	return e
 }
 
-// SetClock overrides the audit timestamp source; tests and the
-// workflow simulator use it for deterministic logs.
+// SetClock overrides the enforcer's clock: audit timestamps and
+// consent expiry both follow it. Tests and the workflow simulator use
+// it for deterministic logs. The decision snapshot is dropped, so
+// consent decisions taken under the old clock are not reused.
 func (e *Enforcer) SetClock(clock func() time.Time) {
 	e.clock.Store(&clock)
+	e.snap.Store(nil)
 }
 
 // RegisterTable validates and installs a table mapping.
@@ -209,8 +212,8 @@ func (e *Enforcer) BreakGlass(p Principal, purpose, reason, sql string) (*minidb
 }
 
 // audit writes one compliance entry per touched data category, as the
-// paper's single-valued (data, d) schema requires.
-func (e *Enforcer) audit(p Principal, purpose, reason string, acc *Access, op audit.Op, cats []string) {
+// paper's single-valued (data, d) schema requires, stamped now.
+func (e *Enforcer) audit(p Principal, purpose, reason string, acc *Access, op audit.Op, cats []string, now time.Time) {
 	if e.log == nil {
 		return
 	}
@@ -218,7 +221,6 @@ func (e *Enforcer) audit(p Principal, purpose, reason string, acc *Access, op au
 	if acc.Exception {
 		status = audit.Exception
 	}
-	now := (*e.clock.Load())()
 	batch := make([]audit.Entry, 0, len(cats))
 	for _, cat := range cats {
 		batch = append(batch, audit.Entry{

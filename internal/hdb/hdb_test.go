@@ -191,6 +191,49 @@ func TestConsentFiltersRows(t *testing.T) {
 	}
 }
 
+// TestConsentExpiryFollowsClock checks that consent expiry is decided
+// on the enforcer's clock, on the fast path and in the reference
+// interpreter alike: an opt-out recorded at the clock's instant with a
+// 30-day expiry filters the patient out, and once the clock passes the
+// expiry the patient is returned again.
+func TestConsentExpiryFollowsClock(t *testing.T) {
+	enf, cs, _ := fixture(t)
+	now := t0
+	enf.SetClock(func() time.Time { return now })
+	if err := cs.SetWithExpiry("p2", "clinical", "", consent.OptOut, now, now.Add(30*24*time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	const sql = `SELECT patient, referral FROM records`
+	check := func(when string, wantP2 bool) {
+		t.Helper()
+		for path, query := range map[string]func(Principal, string, string) (*minidb.Result, *Access, error){
+			"fast path": enf.Query, "reference": enf.referenceQuery,
+		} {
+			res, _, err := query(nurse(), "treatment", sql)
+			if err != nil {
+				t.Fatalf("%s, %s: %v", when, path, err)
+			}
+			got := false
+			for _, row := range res.Rows {
+				got = got || row[0].AsText() == "p2"
+			}
+			if got != wantP2 || len(res.Rows) != 2+btoi(wantP2) {
+				t.Errorf("%s, %s: %d rows, p2 returned %v, want %v", when, path, len(res.Rows), got, wantP2)
+			}
+		}
+	}
+	check("within the opt-out", false)
+	now = now.Add(31 * 24 * time.Hour)
+	check("after the expiry", true)
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 func TestStarExpansionMasksPerColumn(t *testing.T) {
 	enf, _, _ := fixture(t)
 	res, acc, err := enf.Query(nurse(), "treatment", `SELECT * FROM records`)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/audit"
 	"repro/internal/minidb"
@@ -102,6 +101,7 @@ func (e *Enforcer) runSlow(p Principal, purpose, reason, sql string, breakGlass 
 
 	allCats := union(outCats, otherCats)
 	acc := &Access{Categories: allCats, Exception: breakGlass}
+	now := (*e.clock.Load())()
 
 	if !breakGlass {
 		rg, err := policy.NewRange(e.ps, e.v, 0)
@@ -115,7 +115,7 @@ func (e *Enforcer) runSlow(p Principal, purpose, reason, sql string, breakGlass 
 			}
 		}
 		if len(acc.Denied) > 0 {
-			e.audit(p, purpose, reason, acc, audit.Deny, acc.Denied)
+			e.audit(p, purpose, reason, acc, audit.Deny, acc.Denied, now)
 			return nil, acc, fmt.Errorf("%w: %s not permitted for %s by %s",
 				ErrDenied, strings.Join(acc.Denied, ", "), report.RedactValue(purpose), p.Role)
 		}
@@ -131,7 +131,7 @@ func (e *Enforcer) runSlow(p Principal, purpose, reason, sql string, breakGlass 
 			acc.Masked = masked
 			if kept == 0 {
 				cats := keys(deniedOut)
-				e.audit(p, purpose, reason, acc, audit.Deny, cats)
+				e.audit(p, purpose, reason, acc, audit.Deny, cats, now)
 				return nil, acc, fmt.Errorf("%w: no permitted columns remain for %s by %s",
 					ErrDenied, report.RedactValue(purpose), p.Role)
 			}
@@ -143,7 +143,7 @@ func (e *Enforcer) runSlow(p Principal, purpose, reason, sql string, breakGlass 
 				if deniedOut[cat] {
 					continue
 				}
-				for _, pat := range e.consent.OptedOutAt(cat, purpose, time.Now()) {
+				for _, pat := range e.consent.OptedOutAt(cat, purpose, now) {
 					excluded[pat] = true
 				}
 			}
@@ -159,7 +159,7 @@ func (e *Enforcer) runSlow(p Principal, purpose, reason, sql string, breakGlass 
 		return nil, nil, err
 	}
 	grantedCats := allCats
-	e.audit(p, purpose, reason, acc, audit.Allow, grantedCats)
+	e.audit(p, purpose, reason, acc, audit.Allow, grantedCats, now)
 	return res, acc, nil
 }
 

@@ -400,10 +400,11 @@ func (s *Store) collapseRoot() error {
 }
 
 // Scan calls fn for every key in [from, to) in key order (nil from =
-// start of tree, nil to = end). The key and value slices are copies
-// owned by the callee. fn returns false to stop early. fn must not
-// mutate the tree or re-enter the store (the scan holds the shared
-// checkpoint lock for its whole run).
+// start of tree, nil to = end). fn returns false to stop early. The key
+// and value slices live in buffers the scan owns and reuses: they stay
+// valid only until fn returns, so a caller that keeps either must copy
+// it. fn must not mutate the tree or re-enter the store (the scan holds
+// the shared checkpoint lock for its whole run).
 func (s *Store) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 	s.ckpt.RLock()
 	defer s.ckpt.RUnlock()
@@ -416,6 +417,8 @@ func (s *Store) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 		idx int
 	}
 	var stack []pos
+	leaf := make(page, PageSize) // the current leaf, copied out of the pool
+	var key []byte
 	id := root
 	cur := from
 	for {
@@ -428,33 +431,28 @@ func (s *Store) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 			f.latch.RLock()
 			pg := page(f.buf)
 			if pg.kind() == kindLeaf {
-				// Copy the in-range tail of the leaf, then emit outside
-				// the latch so fn never runs with a page locked.
-				idx0 := 0
-				if cur != nil {
-					idx0, _ = pg.search(cur)
-				}
-				n := pg.ncells()
-				kvs := make([]item, 0, n-idx0)
-				done := false
-				for i := idx0; i < n; i++ {
-					k := pg.keyAt(i)
-					if to != nil && bytes.Compare(k, to) >= 0 {
-						done = true
-						break
-					}
-					_, v := pg.leafCell(i)
-					kvs = append(kvs, item{key: k, val: append([]byte(nil), v...)})
-				}
+				// Copy the leaf, then emit from the copy outside the
+				// latch so fn never runs with a page locked.
+				copy(leaf, pg)
 				f.latch.RUnlock()
 				s.pool.put(f, false)
-				for _, kv := range kvs {
-					if !fn(kv.key, kv.val) {
+				idx0, end := 0, leaf.ncells()
+				if cur != nil {
+					idx0, _ = leaf.search(cur)
+				}
+				if to != nil {
+					end, _ = leaf.search(to)
+				}
+				pre := leaf.prefix()
+				for i := idx0; i < end; i++ {
+					suf, v := leaf.leafCell(i)
+					key = append(append(key[:0], pre...), suf...)
+					if !fn(key, v) {
 						return nil
 					}
 				}
-				if done {
-					return nil
+				if end < leaf.ncells() {
+					return nil // the rest of the leaf is at or past to
 				}
 				cur = nil
 				break
@@ -508,6 +506,36 @@ func (s *Store) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 			return nil
 		}
 	}
+}
+
+// Splits returns up to n-1 ascending keys that cut the key space into
+// at most n ranges holding about equal shares of the root's children:
+// scanning [nil, k1), [k1, k2), …, [kLast, nil) visits every key
+// exactly once, so the ranges can be scanned in parallel. A tree whose
+// root is a leaf, or n <= 1, gives none.
+func (s *Store) Splits(n int) ([][]byte, error) {
+	s.ckpt.RLock()
+	defer s.ckpt.RUnlock()
+	id := s.root.Load()
+	if id == 0 || n <= 1 {
+		return nil, nil
+	}
+	f, err := s.pool.get(id, false)
+	if err != nil {
+		return nil, err
+	}
+	f.latch.RLock()
+	pg := page(f.buf)
+	var keys [][]byte
+	if fan := pg.ncells(); pg.kind() == kindBranch {
+		n = min(n, fan)
+		for r := 1; r < n; r++ {
+			keys = append(keys, pg.keyAt(r*fan/n))
+		}
+	}
+	f.latch.RUnlock()
+	s.pool.put(f, false)
+	return keys, nil
 }
 
 // splitItems greedily packs sorted items into groups of at most

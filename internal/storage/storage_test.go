@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -141,6 +142,59 @@ func TestTreeInsertGetScan(t *testing.T) {
 	_ = s.Scan(nil, nil, func(k, v []byte) bool { seen++; return seen < 10 })
 	if seen != 10 {
 		t.Fatalf("early stop saw %d", seen)
+	}
+}
+
+// TestSplitsPartitionScan checks Splits: scanning the ranges its keys
+// bound, one after another, visits exactly the keys of one full scan,
+// for every range count up to past the root's fan-out; a root leaf
+// gives no split.
+func TestSplitsPartitionScan(t *testing.T) {
+	s, _ := tmpStore(t, Options{})
+	if err := s.Put(key(0), val(0)); err != nil {
+		t.Fatal(err)
+	}
+	if splits, err := s.Splits(4); err != nil || len(splits) != 0 {
+		t.Fatalf("a root leaf splits at %q (err %v)", splits, err)
+	}
+	const n = 60_000
+	for i := 1; i < n; i++ {
+		if err := s.Put(key(i), val(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	collect := func(from, to []byte) []string {
+		var out []string
+		if err := s.Scan(from, to, func(k, _ []byte) bool {
+			out = append(out, string(k))
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	all := collect(nil, nil)
+	if len(all) != n {
+		t.Fatalf("full scan saw %d keys, want %d", len(all), n)
+	}
+	maxRanges := 1
+	for ranges := 1; ranges <= 64; ranges *= 2 {
+		splits, err := s.Splits(ranges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		maxRanges = max(maxRanges, len(splits)+1)
+		bounds := append(append([][]byte{nil}, splits...), nil)
+		var got []string
+		for i := 0; i+1 < len(bounds); i++ {
+			got = append(got, collect(bounds[i], bounds[i+1])...)
+		}
+		if !reflect.DeepEqual(got, all) {
+			t.Fatalf("%d ranges (%d splits) scan %d keys, not the %d of one scan", ranges, len(splits), len(got), len(all))
+		}
+	}
+	if maxRanges < 4 {
+		t.Fatalf("the tree splits into at most %d ranges; the test wants a root fan-out of 4 or more", maxRanges)
 	}
 }
 

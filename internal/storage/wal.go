@@ -23,7 +23,10 @@ import (
 // plus one write+fsync. The append buffer holds at most
 // maxBufferedBytes of frames: past that, Append waits for the flusher
 // to swap the buffer out, so a stalled disk holds appenders back after
-// a fixed number of bytes instead of letting the buffer grow.
+// a fixed number of bytes instead of letting the buffer grow. The
+// flusher rolls to a new segment past SegmentBytes, or when Roll asks
+// it to, always between two batches; TruncateBefore deletes closed
+// segments whole.
 //
 // Recovery reads segments in LSN order verifying each frame CRC. An
 // invalid frame at the tail of the final segment is a torn tail —
@@ -80,10 +83,11 @@ type WAL struct {
 	durable  uint64 // last LSN known flushed+synced
 	err      error  // sticky flusher error
 	closing  bool
+	rollReq  bool // Roll waits for the flusher to roll the segment
 
-	work    sync.Cond // appenders -> flusher: buffer non-empty
+	work    sync.Cond // appenders and Roll -> flusher: work to do
 	room    sync.Cond // flusher -> appenders: buffer swapped out
-	synced  sync.Cond // flusher -> committers: durable advanced
+	synced  sync.Cond // flusher -> committers and Roll: durable advanced, segment rolled
 	done    chan struct{}
 	started bool
 
@@ -286,14 +290,55 @@ func (w *WAL) Syncs() uint64 {
 	return w.syncs
 }
 
+// Roll makes the flusher close the active segment and start a new
+// one at its next batch boundary, and waits until it has: every record
+// durable before the call then sits in a closed segment, which
+// TruncateBefore can delete once a checkpoint covers it. Records
+// appended but not yet flushed go to the new segment. An active
+// segment with no records is kept.
+func (w *WAL) Roll() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closing {
+		return fmt.Errorf("storage: wal closed")
+	}
+	w.rollReq = true
+	w.work.Signal()
+	for w.rollReq && w.err == nil {
+		w.synced.Wait()
+	}
+	return w.err
+}
+
 // run is the flusher goroutine: gather a batch for one commit
-// interval, write it, fsync once, wake the committers.
+// interval, write it, fsync once, wake the committers. A requested
+// roll is served first, between two batches.
 func (w *WAL) run() {
 	defer close(w.done)
 	for {
 		w.mu.Lock()
-		for len(w.buf) == 0 && !w.closing && w.err == nil {
+		for len(w.buf) == 0 && !w.rollReq && !w.closing && w.err == nil {
 			w.work.Wait()
+		}
+		if w.rollReq && w.err == nil {
+			// Every batch swapped out so far is written, so the next
+			// record to reach the disk is durable+1.
+			next := w.durable + 1
+			w.mu.Unlock()
+			var err error
+			if w.segSize > walHeaderSize {
+				err = w.rollAt(next)
+			}
+			w.mu.Lock()
+			w.rollReq = false
+			if err != nil {
+				w.err = err
+			}
+			w.synced.Broadcast()
+			if len(w.buf) == 0 && !w.closing && w.err == nil {
+				w.mu.Unlock()
+				continue
+			}
 		}
 		if (w.closing && len(w.buf) == 0) || w.err != nil {
 			w.synced.Broadcast() // release any committer still waiting

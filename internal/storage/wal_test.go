@@ -122,6 +122,85 @@ func TestWALSegmentRollAndTruncate(t *testing.T) {
 	}
 }
 
+// TestWALRollFreesEverySegment checks Roll: after it, TruncateBefore
+// past the last LSN deletes every record written so far and replay
+// reads none; a roll of a segment with no records makes no file; and
+// records appended after a roll replay from the new segment in order.
+func TestWALRollFreesEverySegment(t *testing.T) {
+	dir := t.TempDir()
+	w, err := OpenWAL(dir, WALOptions{CommitInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	replay := func() ReplayStats {
+		t.Helper()
+		var want uint64
+		st, err := Replay(dir, nil, func(lsn uint64, p []byte) error {
+			if want != 0 && lsn != want {
+				t.Fatalf("replay jumped from LSN %d to %d", want-1, lsn)
+			}
+			if string(p) != fmt.Sprint(lsn) {
+				t.Fatalf("record %d holds %q", lsn, p)
+			}
+			want = lsn + 1
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	appendN := func(n int) uint64 {
+		t.Helper()
+		var lsn uint64
+		for i := 0; i < n; i++ {
+			next := w.LastLSN() + 1
+			if lsn, err = w.Append([]byte(fmt.Sprint(next))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return lsn
+	}
+	for round := 0; round < 3; round++ {
+		last := appendN(50)
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Roll(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.TruncateBefore(w.LastLSN() + 1); err != nil {
+			t.Fatal(err)
+		}
+		if st := replay(); st.Records != 0 || st.Segments != 1 {
+			t.Fatalf("round %d: %d records in %d segments after roll and truncate, want 0 in 1", round, st.Records, st.Segments)
+		}
+		segs, _ := listSegments(dir)
+		if err := w.Roll(); err != nil {
+			t.Fatal(err)
+		}
+		if again, _ := listSegments(dir); len(again) != 1 || again[0] != segs[0] {
+			t.Fatalf("round %d: a roll of an empty segment left %v, want %v", round, again, segs)
+		}
+		if segs[0].first != last+1 {
+			t.Fatalf("round %d: the new segment starts at LSN %d, want %d", round, segs[0].first, last+1)
+		}
+	}
+	// Unflushed records at a roll land in the new segment, in order.
+	appendN(20)
+	if err := w.Roll(); err != nil {
+		t.Fatal(err)
+	}
+	last := appendN(20)
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if st := replay(); st.Records != 40 || st.LastLSN != last {
+		t.Fatalf("replay read %d records ending at %d, want 40 ending at %d", st.Records, st.LastLSN, last)
+	}
+}
+
 func TestWALReopenContinuesLSN(t *testing.T) {
 	dir := t.TempDir()
 	w, _ := OpenWAL(dir, WALOptions{})

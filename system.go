@@ -174,7 +174,8 @@ func (s *System) AuditLog() *Log { return s.log }
 // Enforcer returns the HDB middleware for advanced use.
 func (s *System) Enforcer() *hdb.Enforcer { return s.enforcer }
 
-// SetClock fixes the audit timestamp source (deterministic logs).
+// SetClock fixes the enforcer's clock, which stamps audit entries and
+// decides consent expiry (deterministic logs).
 func (s *System) SetClock(clock func() time.Time) { s.enforcer.SetClock(clock) }
 
 // RegisterTable places a clinical table under enforcement.
