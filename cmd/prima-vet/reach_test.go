@@ -30,7 +30,6 @@ var unreachedAllowed = map[string]string{
 	"(*repro/internal/audit.Log).anyRejected":       whyRetention,
 	"(*repro/internal/audit.Log).trimShards":        whyRetention,
 	"(*repro/internal/audit.dict).reintern":         whyRetention,
-	"repro/internal/audit.indexKeyTime":             whyRetention,
 	"repro/internal/audit.retention":                whyRetention,
 	"(*repro/internal/minidb.CreateIndexStmt).stmt": whyStmt,
 	"(*repro/internal/minidb.CreateTableStmt).stmt": whyStmt,

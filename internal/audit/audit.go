@@ -238,7 +238,7 @@ func (s *shard) add(seq uint64, e *Entry) {
 // append that took its seq before a racing one but reached the shard
 // after it goes in by binary search instead, moving only records with
 // higher seqs, so a prefix up to any lower seq is never written (see
-// runsBefore).
+// seqRuns).
 func (s *shard) put(r record) {
 	if n := len(s.recs); n == 0 || s.recs[n-1].seq < r.seq {
 		s.recs = append(s.recs, r)
@@ -515,15 +515,16 @@ func (l *Log) holdCold() (cut, n uint64, release func()) {
 	return d.ckptSeq, d.count, d.mu.RUnlock
 }
 
-// coldRun returns the checkpointed entries with lo < seq <= hi as one
-// run, sorted by seq (see Durable.coldRun), or none; an in-memory log
-// has none. The caller holds the cold side (holdCold).
+// coldRun returns the checkpointed entries with lo < seq <= hi (the
+// first limit when limit > 0) as one run in seq order (see
+// Durable.coldRun), or none; an in-memory log has none. The caller
+// holds the cold side (holdCold).
 func (l *Log) coldRun(lo, hi uint64, limit int) ([]run, error) {
 	d := l.cold
 	if d == nil || lo >= hi {
 		return nil, nil
 	}
-	rn, err := d.coldRun(lo, hi, limit)
+	rn, err := d.coldRun(lo, hi, limit, nil)
 	if err != nil || len(rn.recs) == 0 {
 		return nil, err
 	}
@@ -555,11 +556,16 @@ func (l *Log) fence() uint64 {
 	return l.seq.Load()
 }
 
-// seqRuns copies, shard by shard under its read lock, the records with
+// seqRuns returns, shard by shard under its read lock, the records with
 // lo < seq <= hi (only the limit lowest when limit > 0) with their
 // dictionary: two binary searches a shard, since put keeps each in seq
 // order. hi is a fenced sequence number, so no append racing the read
-// can still land at or below it.
+// can still land at or below it. The runs alias shard storage rather
+// than copy it: a later put carries a seq above hi, so it writes only
+// past the window (the capacity-capped slice keeps append from reusing
+// it), and retention, Reset, Grow and dropBefore install a fresh array
+// rather than write into this one. Readers must not write the runs; a
+// bySeq merge, which reads them all, finds them sorted and sorts none.
 func (l *Log) seqRuns(lo, hi uint64, limit int) []run {
 	out := make([]run, 0, len(l.shards))
 	for _, sh := range l.shards {
@@ -569,31 +575,29 @@ func (l *Log) seqRuns(lo, hi uint64, limit int) []run {
 			j = min(j, i+limit)
 		}
 		if i < j {
-			out = append(out, run{recs: slices.Clone(sh.recs[i:j]), d: sh.dict})
+			out = append(out, run{recs: sh.recs[i:j:j], d: sh.dict})
 		}
 		sh.mu.RUnlock()
 	}
 	return out
 }
 
-// runsBefore returns each shard's records with seq <= cur, a fenced
-// sequence number, with their dictionary. It aliases shard storage
-// rather than copying it, which is safe for the cut, the only caller:
-// a later put carries a seq above cur, so it writes only past the
-// prefix (the capacity-capped slice keeps append from reusing it), and
-// retention, Reset and dropBefore install a fresh array rather than
-// write into this one; retention and the cut both hold Durable.mu
-// exclusively besides.
-func (l *Log) runsBefore(cur uint64) []run {
-	out := make([]run, 0, len(l.shards))
-	for _, sh := range l.shards {
-		sh.mu.RLock()
-		if k := sh.above(cur); k > 0 {
-			out = append(out, run{recs: sh.recs[:k:k], d: sh.dict})
-		}
-		sh.mu.RUnlock()
+// seqRange returns the entries with lo < seq <= hi as runs for a bySeq
+// merge, at most limit of each when limit > 0: the checkpointed ones
+// as one run read from the index, then each shard's (seqRuns, so read
+// only). hi is capped at the fence, and 0 means the fence; the bound
+// read to is returned, so an append racing the read lands above it.
+func (l *Log) seqRange(lo, hi uint64, limit int) ([]run, uint64, error) {
+	cut, _, release := l.holdCold()
+	defer release()
+	if f := l.fence(); hi == 0 || hi > f {
+		hi = f
 	}
-	return out
+	runs, err := l.coldRun(lo, min(hi, cut), limit)
+	if err != nil {
+		return nil, hi, err
+	}
+	return append(runs, l.seqRuns(lo, hi, limit)...), hi, nil
 }
 
 // dropBefore drops each shard's records with seq <= cur: the ones a
@@ -642,22 +646,17 @@ func (l *Log) entries(keep func(Entry) bool) []Entry {
 // numbers above after, and the sequence number of the last one (after
 // when there is none): a bounded read for paging through the log from
 // the zero sequence number. Each shard contributes at most its limit
-// lowest entries above after, found by binary search, so an in-memory
-// page costs O(shards·(log n + limit)) whatever the log's size; a
-// durable log's checkpointed part is one index scan of every entry
-// above after. A page ends at a fenced sequence number, so a racing
+// lowest entries above after, found by binary search and not copied,
+// and a durable log's checkpointed part is one index range read of at
+// most limit entries, so a page costs O(shards·log n + limit) whatever
+// the log's size. A page ends at a fenced sequence number, so a racing
 // append is on this page or a later one. An error reading the
 // checkpointed part fails the page, which never skips past it.
 func (l *Log) Page(after uint64, limit int) ([]Entry, uint64, error) {
 	if limit <= 0 {
 		return nil, after, nil
 	}
-	cut, _, release := l.holdCold()
-	runs, err := l.coldRun(after, cut, limit)
-	if err == nil {
-		runs = append(runs, l.seqRuns(after, l.fence(), limit)...)
-	}
-	release()
+	runs, _, err := l.seqRange(after, 0, limit)
 	if err != nil {
 		return nil, after, err
 	}
@@ -682,15 +681,15 @@ func (l *Log) Reset() {
 	l.floor.Store(l.seq.Load())
 	l.epoch.Add(1)
 	if d := l.cold; d != nil {
-		if _, err := d.retain(nil, func(int64, Status) bool { return false }, nil); err != nil {
+		if _, err := d.retain(func(int64, Status) bool { return false }, nil); err != nil {
 			d.report(err)
 		}
 		return
 	}
 	for _, sh := range l.shards {
 		sh.mu.Lock()
-		// A fresh record array: a checkpoint cut may still alias the old
-		// one (see runsBefore), so no writer reuses shard storage below
+		// A fresh record array: a reader may still alias the old one
+		// (see seqRuns), so no writer reuses shard storage below
 		// the end of its records. The dictionary is dropped with the
 		// entries.
 		sh.recs = nil
@@ -743,12 +742,6 @@ type ExportCursor struct {
 	seq   uint64
 	epoch uint64
 	valid bool // false for the zero cursor
-	// cold holds, while the cursor is behind a durable log's checkpoint
-	// cut, the checkpointed records it has yet to export, in seq order
-	// with their own dictionary: read by one index scan per cut and
-	// consumed by prefix, so exporting n checkpointed entries costs
-	// O(n log n) whatever the batch size.
-	cold run
 }
 
 // Seq returns the highest sequence number the cursor has exported.
@@ -757,11 +750,11 @@ func (c ExportCursor) Seq() uint64 { return c.seq }
 // ExportDelta returns the entries appended since the cursor in
 // ascending sequence order — exactly the contiguous range
 // (c.Seq(), next.Seq()] — advancing the cursor. max bounds the batch
-// (0 means unbounded). The cost is O(delta), not O(log): the shards'
-// part of the range is a binary search a shard, and a durable log's
-// checkpointed part is one seq-ordered index read. A structural change
-// (Reset/Expire/Rotate) invalidates the cursor and every later call
-// returns ErrExportInvalidated.
+// (0 means unbounded). The cost is O(delta), not O(log): the range is
+// a binary search a shard and, for a durable log's checkpointed part,
+// one index range read. A structural change (Reset/Expire/Rotate)
+// invalidates the cursor and every later call returns
+// ErrExportInvalidated.
 func (l *Log) ExportDelta(c ExportCursor, max int) ([]Entry, ExportCursor, error) {
 	ep := l.epoch.Load()
 	if !c.valid {
@@ -770,57 +763,27 @@ func (l *Log) ExportDelta(c ExportCursor, max int) ([]Entry, ExportCursor, error
 	if c.epoch != ep {
 		return nil, c, ErrExportInvalidated
 	}
-	cut, _, release := l.holdCold()
-	defer release()
-	hi := l.fence()
-	if max > 0 && hi > c.seq+uint64(max) {
+	hi := uint64(0) // the fence
+	if max > 0 {
 		hi = c.seq + uint64(max)
 	}
-	if hi <= c.seq {
-		return nil, c, nil
+	runs, hi, err := l.seqRange(c.seq, hi, 0)
+	if err != nil || hi <= c.seq {
+		return nil, c, err
 	}
-	var runs []run
-	if c.seq < cut {
-		// The cursor is behind the checkpoint cut. Export the
-		// checkpointed part of the range from the cursor's cold queue,
-		// read from the index when empty, then the tail from the shards,
-		// where every record lies above the cut.
-		q := c.cold
-		if len(q.recs) == 0 {
-			rs, err := l.coldRun(c.seq, cut, 0)
-			if err != nil {
-				return nil, c, err
-			}
-			if len(rs) > 0 {
-				q = rs[0]
-			}
-			if uint64(len(q.recs)) != cut-c.seq {
-				return nil, c, ErrExportInvalidated
-			}
-		}
-		k := min(hi-c.seq, uint64(len(q.recs)))
-		runs = []run{{recs: q.recs[:k], d: q.d}}
-		c = ExportCursor{seq: c.seq + k, epoch: ep, valid: true, cold: run{recs: q.recs[k:], d: q.d}}
-		if c.seq == hi || c.seq < cut {
-			// Done, or the queue, read before a later cut, ends below it:
-			// the next call reads the rest from the index.
-			return mergeEntries(runs, bySeq), c, nil
-		}
-	}
-	tail := l.seqRuns(c.seq, hi, 0)
 	n := uint64(0)
-	for i := range tail {
-		n += uint64(len(tail[i].recs))
+	for i := range runs {
+		n += uint64(len(runs[i].recs))
 	}
 	// Structural ops move the epoch before they change a shard, so an
-	// unmoved epoch means every record read indexes the dictionary
-	// copied with its shard's run. A short count means entries inside
-	// the range are gone (a retention trim's holes): the contiguity
-	// guarantee cannot be kept.
+	// unmoved epoch means every record read indexes the dictionary read
+	// with its run. A short count means entries inside the range are
+	// gone (a retention trim's holes): the contiguity guarantee cannot be
+	// kept.
 	if n != hi-c.seq || l.epoch.Load() != ep {
 		return nil, c, ErrExportInvalidated
 	}
-	return mergeEntries(append(runs, tail...), bySeq), ExportCursor{seq: hi, epoch: ep, valid: true}, nil
+	return mergeEntries(runs, bySeq), ExportCursor{seq: hi, epoch: ep, valid: true}, nil
 }
 
 // ToPolicy builds the ground policy P_AL from entries: one rule per

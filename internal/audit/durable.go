@@ -25,11 +25,13 @@ import (
 //   - index.db — a storage.Store B+tree holding every entry at or
 //     below the checkpoint cut, and nothing else holds those entries:
 //     once a cut commits, the shards drop them. Each entry is the
-//     value under its (time, status, seq) key. Time-ordered reads and
-//     retention are key ranges; append-order reads are one scan and a
-//     sort by seq (coldRun). The store's meta blob attests the cut,
-//     the entry count and the log epoch, so one shadow-paged meta swap
-//     commits a checkpoint and a retention expiry alike.
+//     value under its sequence number (seqKey), so every append-order
+//     read is one key range that stops at its limit (coldRun), and a
+//     cut appends at the tree's right edge. Time-ordered reads and
+//     retention scan the index and filter on the record header. The
+//     store's meta blob attests the cut, the entry count and the log
+//     epoch, so one shadow-paged meta swap commits a checkpoint and a
+//     retention expiry alike.
 //
 // The log reads the checkpointed prefix through its cold side (the
 // Log.cold pointer to this store): every entry reader merges it with
@@ -43,10 +45,11 @@ import (
 // concludes with a checkpoint that re-persists the tail, so the WAL
 // never grows across restarts. Every cut rolls the WAL to a new
 // segment and deletes the ones it covers, so a store closed after a
-// checkpoint reopens with no WAL frame to read. While the store runs, the sink wakes a background
-// checkpointer after every checkpointBytes of WAL, so neither the WAL
-// nor the shards grow past that between cuts. JSONL is an export edge
-// only: WriteJSONL of Log().Snapshot() exports a copy.
+// checkpoint reopens with no WAL frame to read. While the store runs,
+// the sink wakes a background checkpointer after every
+// checkpointBytes of WAL, so neither the WAL nor the shards grow past
+// that between cuts. JSONL is an export edge only: WriteJSONL of
+// Log().Snapshot() exports a copy.
 type Durable struct {
 	log   *Log
 	store *storage.Store
@@ -104,15 +107,17 @@ type RecoveryStats struct {
 	Elapsed time.Duration
 }
 
-// app blob layout: "ADU3" + ckptSeq + count + drop word + epoch. The
+// app blob layout: "ADU4" + ckptSeq + count + drop word + epoch. The
 // drop word counted entries a lossy sink policy once skipped; it is
-// written as zero and ignored on read. Stores that also kept a JSONL
-// checkpoint wrote "ADU1" (ckptSeq + JSONL length + count + drop word
-// + epoch) or "ADU2" (the same plus a flags word); their index already
-// held every checkpointed entry, so they decode with the JSONL length
-// and the flags ignored.
+// written as zero and ignored on read. Earlier stores keyed their index
+// by (time, status, seq) and wrote "ADU3" (the same words), or, when
+// they also kept a JSONL checkpoint, "ADU1" (ckptSeq + JSONL length +
+// count + drop word + epoch) or "ADU2" (the same plus a flags word);
+// their index already held every checkpointed entry, so they decode
+// with the JSONL length and the flags ignored, as legacy: OpenDurable
+// migrates them once (migrate).
 const (
-	appMagic = "ADU3"
+	appMagic = "ADU4"
 	appLen   = 4 + 8*4
 )
 
@@ -125,20 +130,20 @@ func encodeApp(ckptSeq, count, epoch uint64) []byte {
 	return b
 }
 
-func decodeApp(b []byte) (ckptSeq, count, epoch uint64, err error) {
+func decodeApp(b []byte) (ckptSeq, count, epoch uint64, legacy bool, err error) {
 	var off [3]int // byte offsets of ckptSeq, count, epoch
 	switch magic := string(b[:min(len(b), 4)]); {
 	case len(b) == 0:
-		return 0, 0, 0, nil
-	case len(b) == appLen && magic == appMagic:
-		off = [3]int{4, 12, 28}
+		return 0, 0, 0, false, nil
+	case len(b) == appLen && (magic == appMagic || magic == "ADU3"):
+		off, legacy = [3]int{4, 12, 28}, magic == "ADU3"
 	case len(b) == 4+8*5 && magic == "ADU1", len(b) == 4+8*6 && magic == "ADU2":
-		off = [3]int{4, 20, 36}
+		off, legacy = [3]int{4, 20, 36}, true
 	default:
-		return 0, 0, 0, fmt.Errorf("audit: unrecognized durable meta blob (%d bytes)", len(b))
+		return 0, 0, 0, false, fmt.Errorf("audit: unrecognized durable meta blob (%d bytes)", len(b))
 	}
 	u := func(i int) uint64 { return binary.LittleEndian.Uint64(b[off[i]:]) }
-	return u(0), u(1), u(2), nil
+	return u(0), u(1), u(2), legacy, nil
 }
 
 // appendStamped encodes one (seq, entry) pair: the WAL record format
@@ -169,32 +174,9 @@ type rawRecord struct {
 	strs       [6][]byte // user, data, purpose, authorized, site, reason
 }
 
-// entry copies the record out into an Entry.
-func (rr *rawRecord) entry() Entry {
-	e := Entry{Op: Op(rr.op), Status: Status(rr.status)}
-	if rr.off == 0 {
-		e.Time = time.Unix(0, rr.ns).UTC()
-	} else {
-		e.Time = time.Unix(0, rr.ns).In(time.FixedZone("", int(rr.off)))
-	}
-	for i, p := range [...]*string{&e.User, &e.Data, &e.Purpose, &e.Authorized, &e.Site, &e.Reason} {
-		*p = string(rr.strs[i])
-	}
-	return e
-}
-
-// decodeStamped is appendStamped's strict inverse: a record must hold
-// exactly one entry, with an op and a status Validate accepts.
-func decodeStamped(b []byte) (uint64, Entry, error) {
-	var rr rawRecord
-	if err := parseStamped(b, &rr); err != nil {
-		return 0, Entry{}, err
-	}
-	return rr.seq, rr.entry(), nil
-}
-
-// parseStamped is decodeStamped without the copy: it checks the same
-// rules and leaves the strings in b.
+// parseStamped decodes a durable record in place, strictly: a record
+// must hold exactly one entry, with an op and a status Validate
+// accepts, and its strings stay in b.
 func parseStamped(b []byte, rr *rawRecord) error {
 	next := func() (uint64, bool) {
 		v, n := binary.Uvarint(b)
@@ -279,37 +261,10 @@ func (s *shard) coldRecord(rr *rawRecord) (record, error) {
 	return r, e.Validate()
 }
 
-// indexKey builds the composite secondary-index key: big-endian
-// sign-flipped unix nanoseconds, status byte, big-endian sequence
-// number — so byte order is (time, status, seq) order, and an 8-byte
-// time prefix is a valid exclusive scan bound for "everything before
-// this instant".
-const indexKeyLen = 8 + 1 + 8
-
-func indexKey(t time.Time, st Status, seq uint64) []byte {
-	k := make([]byte, indexKeyLen)
-	binary.BigEndian.PutUint64(k[0:8], uint64(t.UnixNano())^(1<<63))
-	k[8] = byte(st)
-	binary.BigEndian.PutUint64(k[9:], seq)
-	return k
-}
-
-// indexTimeBound is the 8-byte prefix bounding all keys with
-// timestamp strictly before t (exclusive upper bound) or at/after t
-// (inclusive lower bound).
-func indexTimeBound(t time.Time) []byte {
-	k := make([]byte, 8)
-	binary.BigEndian.PutUint64(k, uint64(t.UnixNano())^(1<<63))
-	return k
-}
-
-// indexKeyTime returns the nanoseconds and status a key holds.
-func indexKeyTime(k []byte) (int64, Status) {
-	return int64(binary.BigEndian.Uint64(k[0:8]) ^ (1 << 63)), Status(k[8])
-}
-
-// indexKeySeq returns the sequence number a key holds.
-func indexKeySeq(k []byte) uint64 { return binary.BigEndian.Uint64(k[9:]) }
+// seqKey is the index key of the entry with sequence number seq: the
+// number big-endian, so key order is append order and every seq range
+// is a key range.
+func seqKey(seq uint64) []byte { return binary.BigEndian.AppendUint64(nil, seq) }
 
 // OpenDurable opens (creating if needed) the durable audit store in
 // dir for the named site. Recovery rebuilds the in-memory index from
@@ -338,7 +293,11 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 		return nil, rs, err
 	}
 	var epoch uint64
-	d.ckptSeq, d.count, epoch, err = decodeApp(st.App())
+	var legacy bool
+	d.ckptSeq, d.count, epoch, legacy, err = decodeApp(st.App())
+	if err == nil && legacy {
+		err = d.migrate(epoch)
+	}
 	if err != nil {
 		return fail(err)
 	}
@@ -393,11 +352,11 @@ func OpenDurable(site, dir string, o DurableOptions) (*Durable, RecoveryStats, e
 	rs.WALSegments = wst.Segments
 	rs.TornTail = wst.TornTail
 	if d.ckptSeq > d.log.seq.Load() {
-		// Sequence gaps (expired entries) at the cut: resume numbering
-		// past it so new seqs stay above every stored one. The loads
-		// already raised the counter past every WAL record, so the
-		// concluding checkpoint's cut covers them all and none is
-		// replayed again by the next open.
+		// Resume numbering past the cut, which is at or above every
+		// checkpointed seq (expired entries leave gaps below it), so new
+		// seqs stay above every stored one. The loads already raised the
+		// counter past every WAL record, so the concluding checkpoint's
+		// cut covers them all and none is replayed again by the next open.
 		d.log.seq.Store(d.ckptSeq)
 	}
 
@@ -465,22 +424,55 @@ func (d *Durable) report(err error) {
 	}
 }
 
-// loadCheckpoint folds the checkpointed prefix into the log's shard
-// indexes, keeping none of its records, and raises the log's counter
-// to its highest seq. The count must match the one the meta blob
-// attests.
-func (d *Durable) loadCheckpoint() error {
-	n, maxSeq, err := d.foldIndex(d.log.shards)
+// migrate rewrites an index of the (time, status, seq)-keyed layout
+// under seq keys: it reads every entry, checks the count the meta blob
+// attests, replaces each key, and commits with one store checkpoint
+// under appMagic, so a crash leaves one layout or the other whole.
+func (d *Durable) migrate(epoch uint64) error {
+	type kv struct{ key, val []byte }
+	var all []kv
+	var bad error
+	err := d.store.Scan(nil, nil, func(k, v []byte) bool {
+		if len(k) != 8+1+8 { // time, status, seq
+			bad = fmt.Errorf("audit: legacy index key of %d bytes", len(k))
+			return false
+		}
+		all = append(all, kv{bytes.Clone(k), bytes.Clone(v)}) // the scan reuses k and v
+		return true
+	})
+	if err == nil {
+		err = bad
+	}
 	if err != nil {
 		return err
 	}
-	if n != d.count {
-		return fmt.Errorf("audit: index holds %d entries, checkpoint attests %d", n, d.count)
+	if uint64(len(all)) != d.count {
+		return fmt.Errorf("audit: index holds %d entries, checkpoint attests %d", len(all), d.count)
 	}
-	if maxSeq > d.log.seq.Load() {
-		d.log.seq.Store(maxSeq)
+	for _, e := range all {
+		if _, err := d.store.Delete(e.key); err != nil {
+			return err
+		}
 	}
-	return nil
+	seq := func(e kv) uint64 { return binary.BigEndian.Uint64(e.key[9:]) }
+	sort.Slice(all, func(i, j int) bool { return seq(all[i]) < seq(all[j]) })
+	for _, e := range all {
+		if err := d.store.Put(seqKey(seq(e)), e.val); err != nil {
+			return err
+		}
+	}
+	return d.store.Checkpoint(encodeApp(d.ckptSeq, d.count, epoch))
+}
+
+// loadCheckpoint folds the checkpointed prefix into the log's shard
+// indexes, keeping none of its records. The count must match the one
+// the meta blob attests.
+func (d *Durable) loadCheckpoint() error {
+	n, err := d.foldIndex(d.log.shards)
+	if err == nil && n != d.count {
+		err = fmt.Errorf("audit: index holds %d entries, checkpoint attests %d", n, d.count)
+	}
+	return err
 }
 
 // foldBatch is how many index records foldRange buffers before it
@@ -491,22 +483,30 @@ const foldBatch = 1 << 16
 
 // foldIndex folds every checkpointed entry in the index into shards —
 // the log's own during recovery, fresh ones when retention rebuilds
-// the index — routed as appends are, keeping no record. The index is
-// cut into min(GOMAXPROCS, root fan-out) key ranges (Store.Splits),
-// folded in parallel: the first range into shards, every other one
-// into private shards of its own, which are then absorbed into shards
-// in range order. One range is the serial fold, with nothing to
-// absorb. It returns the number of entries folded and the highest seq.
-func (d *Durable) foldIndex(shards []*shard) (n, maxSeq uint64, err error) {
+// the index — routed as appends are, keeping no record. The index up
+// to the cut is split into min(GOMAXPROCS, root fan-out) key ranges
+// (Store.Splits), folded in parallel: the first range into shards,
+// every other one into private shards of its own, which are then
+// absorbed into shards in range order. One range is the serial fold,
+// with nothing to absorb. It returns the number of entries folded.
+func (d *Durable) foldIndex(shards []*shard) (uint64, error) {
 	splits, err := d.store.Splits(runtime.GOMAXPROCS(0))
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	bounds := append(append([][]byte{nil}, splits...), nil)
+	// Keys above the cut are a failed cut's leftovers (see retain).
+	top := seqKey(d.ckptSeq + 1)
+	bounds := [][]byte{nil}
+	for _, k := range splits {
+		if bytes.Compare(k, top) < 0 {
+			bounds = append(bounds, k)
+		}
+	}
+	bounds = append(bounds, top)
 	type part struct {
-		shards    []*shard
-		n, maxSeq uint64
-		err       error
+		shards []*shard
+		n      uint64
+		err    error
 	}
 	parts := make([]part, len(bounds)-1)
 	var wg sync.WaitGroup
@@ -519,30 +519,27 @@ func (d *Durable) foldIndex(shards []*shard) (n, maxSeq uint64, err error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p.n, p.maxSeq, p.err = d.foldRange(bounds[i], bounds[i+1], p.shards)
+			p.n, p.err = d.foldRange(bounds[i], bounds[i+1], p.shards)
 		}()
 	}
-	parts[0].n, parts[0].maxSeq, parts[0].err = d.foldRange(bounds[0], bounds[1], shards)
+	parts[0].n, parts[0].err = d.foldRange(bounds[0], bounds[1], shards)
 	wg.Wait()
+	n := uint64(0)
 	for _, p := range parts {
 		if p.err != nil {
-			return 0, 0, p.err
+			return 0, p.err
 		}
 		n += p.n
-		maxSeq = max(maxSeq, p.maxSeq)
 		for j, sh := range p.shards { // none for the first range
 			shards[j].absorb(sh)
 		}
 	}
-	return n, maxSeq, nil
+	return n, nil
 }
 
-// foldRange folds the checkpointed entries with keys in [lo, hi) into
-// shards, which the caller owns. Entries above the cut, which a failed
-// cut can leave in the working tree while the shards still hold them,
-// are skipped. It returns the number of entries folded and the highest
-// seq.
-func (d *Durable) foldRange(lo, hi []byte, shards []*shard) (n, maxSeq uint64, err error) {
+// foldRange folds the entries with keys in [lo, hi) into shards, which
+// the caller owns, and returns how many it folded.
+func (d *Durable) foldRange(lo, hi []byte, shards []*shard) (n uint64, err error) {
 	mask := uint64(len(shards) - 1)
 	pending := make([][]record, len(shards))
 	buffered := 0
@@ -558,9 +555,6 @@ func (d *Durable) foldRange(lo, hi []byte, shards []*shard) (n, maxSeq uint64, e
 	var rr rawRecord
 	var bad error
 	err = d.store.Scan(lo, hi, func(k, v []byte) bool {
-		if indexKeySeq(k) > d.ckptSeq {
-			return true
-		}
 		bad = parseStamped(v, &rr)
 		var r record
 		si := uint64(0)
@@ -569,12 +563,11 @@ func (d *Durable) foldRange(lo, hi []byte, shards []*shard) (n, maxSeq uint64, e
 			r, bad = shards[si].coldRecord(&rr)
 		}
 		if bad != nil {
-			bad = fmt.Errorf("audit: index record of seq %d: %w", indexKeySeq(k), bad)
+			bad = fmt.Errorf("audit: index record of seq %d: %w", binary.BigEndian.Uint64(k), bad)
 			return false
 		}
 		pending[si] = append(pending[si], r)
 		n++
-		maxSeq = max(maxSeq, r.seq)
 		if buffered++; buffered == foldBatch {
 			flush()
 		}
@@ -584,75 +577,42 @@ func (d *Durable) foldRange(lo, hi []byte, shards []*shard) (n, maxSeq uint64, e
 		err = bad
 	}
 	flush()
-	return n, maxSeq, err
+	return n, err
 }
 
-// scanIndex decodes and validates the checkpointed index records with
-// keys in [lo, hi), in key order.
-func (d *Durable) scanIndex(lo, hi []byte) ([]stamped, error) {
-	var out []stamped
-	var decErr error
-	err := d.store.Scan(lo, hi, func(k, v []byte) bool {
-		if indexKeySeq(k) > d.ckptSeq {
-			return true
-		}
-		seq, e, derr := decodeStamped(v)
-		if derr == nil {
-			derr = e.Validate()
-		}
-		if derr != nil {
-			decErr = fmt.Errorf("audit: index record %d: %w", len(out), derr)
-			return false
-		}
-		out = append(out, stamped{seq: seq, e: e})
-		return true
-	})
-	if err == nil {
-		err = decErr
-	}
-	return out, err
-}
-
-// coldRun reads the checkpointed entries with lo < seq <= hi into one
-// run sorted by seq, their strings interned in the run's own
-// dictionary; with limit > 0 only the limit lowest seqs. The index is
-// keyed (time, status, seq), so append order is one scan — values
-// outside the range are skipped by their key alone — and a sort: an
-// O(n log n) read, where a second, seq-ordered key would double the
-// index writes of every cut (DESIGN.md has the measurements). The
-// caller holds d.mu, shared or not.
-func (d *Durable) coldRun(lo, hi uint64, limit int) (run, error) {
+// coldRun reads the checkpointed entries with lo < seq <= hi that keep
+// accepts (every one when keep is nil), only the first limit when
+// limit > 0, into one run in seq order, their strings interned in the
+// run's own dictionary: one index range read, which stops at the
+// limit. Every entry read must pass Validate. hi is at most the cut;
+// the caller holds d.mu, shared or not.
+func (d *Durable) coldRun(lo, hi uint64, limit int, keep func(r *record) bool) (run, error) {
+	var rn run
 	if lo >= hi {
-		return run{}, nil
+		return rn, nil
 	}
-	var dc dict
-	low := lowestSeqs{limit: limit}
 	var rr rawRecord
 	var bad error
-	err := d.store.Scan(nil, nil, func(k, v []byte) bool {
-		if seq := indexKeySeq(k); seq <= lo || seq > hi {
-			return true
+	err := d.store.Scan(seqKey(lo+1), seqKey(hi+1), func(k, v []byte) bool {
+		if bad = parseStamped(v, &rr); bad == nil {
+			// Kept in place, so keep's pointer does not move r to the heap.
+			rn.recs = append(rn.recs, rn.d.fromRaw(&rr))
+			r := &rn.recs[len(rn.recs)-1]
+			e := rn.d.entry(r)
+			if bad = e.Validate(); bad == nil && keep != nil && !keep(r) {
+				rn.recs = rn.recs[:len(rn.recs)-1]
+			}
 		}
-		if bad = parseStamped(v, &rr); bad != nil {
-			bad = fmt.Errorf("audit: index record of seq %d: %w", indexKeySeq(k), bad)
+		if bad != nil {
+			bad = fmt.Errorf("audit: index record of seq %d: %w", binary.BigEndian.Uint64(k), bad)
 			return false
 		}
-		r := dc.fromRaw(&rr)
-		e := dc.entry(&r)
-		if bad = e.Validate(); bad != nil {
-			bad = fmt.Errorf("audit: index record of seq %d: %w", r.seq, bad)
-			return false
-		}
-		low.push(r)
-		return true
+		return limit <= 0 || len(rn.recs) < limit
 	})
 	if err == nil {
 		err = bad
 	}
-	if err != nil {
-		return run{}, err
-	}
-	return run{recs: low.sorted(), d: dc}, nil
+	return rn, err
 }
 
 // Log returns the log backed by this store: the checkpointed prefix
@@ -712,13 +672,13 @@ func (d *Durable) cutLocked(removed uint64) error {
 	var val []byte
 	var err error
 	added := uint64(0)
-	merge(d.log.runsBefore(cur), bySeq, func(dc *dict, r *record) {
+	merge(d.log.seqRuns(0, cur, 0), bySeq, func(dc *dict, r *record) {
 		if err != nil {
 			return
 		}
 		e := dc.entry(r)
 		val = appendStamped(val[:0], r.seq, &e)
-		err = d.store.Put(indexKey(e.Time, e.Status, r.seq), val)
+		err = d.store.Put(seqKey(r.seq), val)
 		added++
 	})
 	if err != nil {
@@ -739,81 +699,40 @@ func (d *Durable) cutLocked(removed uint64) error {
 
 // SnapshotRange returns the entries with from <= time < to in
 // chronological order (same-instant entries in append order),
-// byte-identical to filtering the whole log's time-ordered merge. The
-// checkpointed part is a single index range read; only the
-// un-checkpointed tail touches the in-memory shards. A zero bound
-// means unbounded.
+// byte-identical to filtering the whole log's time-ordered merge: the
+// checkpointed part is one index scan filtered on the record header,
+// the un-checkpointed tail is read from the shards. A zero bound means
+// unbounded.
 func (d *Durable) SnapshotRange(from, to time.Time) ([]Entry, error) {
+	fromCut, toCut := newCutoff(from), newCutoff(to)
+	keep := func(r *record) bool {
+		return (from.IsZero() || !fromCut.before(r.ns)) && (to.IsZero() || toCut.before(r.ns))
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.snapshotRangeLocked(from, to)
-}
-
-func (d *Durable) snapshotRangeLocked(from, to time.Time) ([]Entry, error) {
-	var lo, hi []byte
-	if !from.IsZero() {
-		lo = indexTimeBound(from)
-	}
-	if !to.IsZero() {
-		hi = indexTimeBound(to)
-	}
-	ckpt, err := d.scanIndex(lo, hi)
+	cold, err := d.coldRun(0, d.ckptSeq, 0, keep)
 	if err != nil {
 		return nil, err
 	}
-	// Index byte order is (time, status, seq); restore (time, seq)
-	// order. Sequence spaces across recovery generations ascend, so
-	// seq order within an instant is append order.
-	sort.Slice(ckpt, func(i, j int) bool {
-		if a, b := ckpt[i].e.Time.UnixNano(), ckpt[j].e.Time.UnixNano(); a != b {
-			return a < b
-		}
-		return ckpt[i].seq < ckpt[j].seq
-	})
-
-	fromCut, toCut := newCutoff(from), newCutoff(to)
-	tail := mergeEntries(d.log.runs(func(r *record) bool {
-		return (from.IsZero() || !fromCut.before(r.ns)) && (to.IsZero() || toCut.before(r.ns))
-	}), byTime)
-
-	// Merge; on equal instants the checkpointed side wins — its
-	// entries were appended before every tail entry.
-	out := make([]Entry, 0, len(ckpt)+len(tail))
-	i, j := 0, 0
-	for i < len(ckpt) && j < len(tail) {
-		if !tail[j].Time.Before(ckpt[i].e.Time) {
-			out = append(out, ckpt[i].e)
-			i++
-		} else {
-			out = append(out, tail[j])
-			j++
-		}
-	}
-	for ; i < len(ckpt); i++ {
-		out = append(out, ckpt[i].e)
-	}
-	return append(out, tail[j:]...), nil
+	// Every checkpointed seq is below every tail seq, so the merge's seq
+	// tie-break puts same-instant entries in append order.
+	return mergeEntries(append(d.log.runs(keep), cold), byTime), nil
 }
 
 // ExpireScan counts, from the persistent index plus the in-memory
-// tail, the entries an Expire(cutoff, exceptionCutoff) would drop —
-// without touching entry values: the composite key alone carries the
-// timestamp and status the retention rule needs.
+// tail, the entries an Expire(cutoff, exceptionCutoff) would drop,
+// changing nothing.
 func (d *Durable) ExpireScan(cutoff, exceptionCutoff time.Time) (int, error) {
+	keep := retention(cutoff, exceptionCutoff)
+	drop := func(r *record) bool { return !keep(r.ns, Status(r.status)) }
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	n := 0
-	keep := retention(cutoff, exceptionCutoff)
-	err := d.store.Scan(nil, indexTimeBound(cutoff), func(k, v []byte) bool {
-		if indexKeySeq(k) <= d.ckptSeq && !keep(indexKeyTime(k)) {
-			n++
-		}
-		return true
-	})
+	cold, err := d.coldRun(0, d.ckptSeq, 0, drop)
 	if err != nil {
 		return 0, err
 	}
-	for _, rn := range d.log.runs(func(r *record) bool { return !keep(r.ns, Status(r.status)) }) {
+	n := len(cold.recs)
+	for _, rn := range d.log.runs(drop) {
 		n += len(rn.recs)
 	}
 	return n, nil
@@ -821,60 +740,45 @@ func (d *Durable) ExpireScan(cutoff, exceptionCutoff time.Time) (int, error) {
 
 // Expire drops entries older than cutoff (with the same
 // exception-retention rule as Log.Expire, which calls it) from the
-// index and the in-memory tail: the checkpointed victims are a
-// key-range delete, and one store checkpoint commits the deletes
-// together with the surviving tail, so a crash leaves either the
-// pre-expiry or the post-expiry generation.
+// index and the in-memory tail; one store checkpoint commits the index
+// deletes together with the surviving tail, so a crash leaves either
+// the pre-expiry or the post-expiry generation.
 func (d *Durable) Expire(cutoff, exceptionCutoff time.Time) (int, error) {
-	return d.retain(indexTimeBound(cutoff), retention(cutoff, exceptionCutoff), nil)
+	return d.retain(retention(cutoff, exceptionCutoff), nil)
 }
 
-// retain drops every entry keep rejects — the checkpointed ones among
-// the index keys below the time bound before (nil for all) — and
-// commits the result with one cut. When removed is non-nil it receives
-// the dropped entries: the checkpointed ones as one run, then the
-// tail's, shard by shard. Any drop advances the log epoch and rebuilds
-// every shard's index from the surviving entries, checkpointed and
-// in memory alike.
-func (d *Durable) retain(before []byte, keep func(ns int64, st Status) bool, removed func(run)) (int, error) {
+// retain drops every entry keep rejects and commits the result with
+// one cut. When removed is non-nil it receives the dropped entries:
+// the checkpointed ones as one run, then the tail's, shard by shard.
+// Any drop advances the log epoch and rebuilds every shard's index
+// from the surviving entries, checkpointed and in memory alike.
+func (d *Durable) retain(keep func(ns int64, st Status) bool, removed func(run)) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	// Victims above the cut are left in the working tree by a failed
-	// cut; the shards hold them, so they are deleted here but counted
-	// and returned with the tail.
-	var victims [][]byte
-	cold := uint64(0)
-	var gone run
-	var rr rawRecord
-	var decErr error
-	err := d.store.Scan(nil, before, func(k, v []byte) bool {
-		if keep(indexKeyTime(k)) {
-			return true
-		}
-		victims = append(victims, bytes.Clone(k)) // k is the scan's buffer
-		if indexKeySeq(k) > d.ckptSeq {
-			return true
-		}
-		cold++
-		if removed != nil {
-			if decErr = parseStamped(v, &rr); decErr != nil {
-				return false
-			}
-			gone.recs = append(gone.recs, gone.d.fromRaw(&rr))
-		}
-		return true
-	})
-	if err == nil {
-		err = decErr
-	}
+	gone, err := d.coldRun(0, d.ckptSeq, 0, func(r *record) bool { return !keep(r.ns, Status(r.status)) })
 	if err != nil {
 		return 0, err
 	}
-	for _, k := range victims {
-		if _, err := d.store.Delete(k); err != nil {
+	victims := make([]uint64, 0, len(gone.recs))
+	for _, r := range gone.recs {
+		victims = append(victims, r.seq)
+	}
+	// Keys above the cut are what a failed cut left in the working tree.
+	// The shards still hold those entries, and the cut below puts back
+	// the ones that survive, so every one of them goes.
+	err = d.store.Scan(seqKey(d.ckptSeq+1), nil, func(k, _ []byte) bool {
+		victims = append(victims, binary.BigEndian.Uint64(k))
+		return true
+	})
+	if err != nil {
+		return 0, err
+	}
+	for _, seq := range victims {
+		if _, err := d.store.Delete(seqKey(seq)); err != nil {
 			return 0, err
 		}
 	}
+	cold := uint64(len(gone.recs))
 	hot := func(r *record) bool { return keep(r.ns, Status(r.status)) }
 	dropped := 0
 	if cold > 0 || d.log.anyRejected(hot) {
@@ -885,10 +789,10 @@ func (d *Durable) retain(before []byte, keep func(ns int64, st Status) bool, rem
 		for i := range fresh {
 			fresh[i] = &shard{}
 		}
-		if _, _, err := d.foldIndex(fresh); err != nil {
+		if _, err := d.foldIndex(fresh); err != nil {
 			return 0, err
 		}
-		if removed != nil && len(gone.recs) > 0 {
+		if removed != nil && cold > 0 {
 			removed(gone)
 		}
 		dropped = d.log.trimShards(hot, removed, fresh)

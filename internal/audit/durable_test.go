@@ -905,6 +905,41 @@ func TestDurableReopenIdempotent(t *testing.T) {
 	reopen("reopen after that")
 }
 
+// entry copies the record out into an Entry.
+func (rr *rawRecord) entry() Entry {
+	e := Entry{Op: Op(rr.op), Status: Status(rr.status)}
+	if rr.off == 0 {
+		e.Time = time.Unix(0, rr.ns).UTC()
+	} else {
+		e.Time = time.Unix(0, rr.ns).In(time.FixedZone("", int(rr.off)))
+	}
+	for i, p := range [...]*string{&e.User, &e.Data, &e.Purpose, &e.Authorized, &e.Site, &e.Reason} {
+		*p = string(rr.strs[i])
+	}
+	return e
+}
+
+// decodeStamped is appendStamped's inverse, parseStamped with the
+// strings copied out.
+func decodeStamped(b []byte) (uint64, Entry, error) {
+	var rr rawRecord
+	if err := parseStamped(b, &rr); err != nil {
+		return 0, Entry{}, err
+	}
+	return rr.seq, rr.entry(), nil
+}
+
+// indexKey is the legacy layout's index key: big-endian sign-flipped
+// unix nanoseconds, status byte, big-endian sequence number, so byte
+// order is (time, status, seq) order.
+func indexKey(t time.Time, st Status, seq uint64) []byte {
+	k := make([]byte, 8+1+8)
+	binary.BigEndian.PutUint64(k[0:8], uint64(t.UnixNano())^(1<<63))
+	k[8] = byte(st)
+	binary.BigEndian.PutUint64(k[9:], seq)
+	return k
+}
+
 // writeLegacyLayout builds a store as an earlier layout left it:
 // index.db holding every checkpointed entry under its stored seq, and
 // a meta blob in the JSONL-checkpointing layout's "ADU1"/"ADU2" form

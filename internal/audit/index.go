@@ -659,16 +659,11 @@ func (l *Log) Delta(c Cursor) (delta []Entry, next Cursor, resync bool) {
 	if resync {
 		from = 0
 	}
-	cut, _, release := l.holdCold()
-	runs, err := l.coldRun(from, cut, 0)
+	runs, hi, err := l.seqRange(from, 0, 0)
 	if err != nil {
-		release()
 		l.cold.report(err)
 		return nil, c, false
 	}
-	hi := l.fence()
-	runs = append(runs, l.seqRuns(from, hi, 0)...)
-	release()
 	if l.epoch.Load() != ep {
 		// A structural change raced the read; restart from scratch.
 		return l.Delta(Cursor{})

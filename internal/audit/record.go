@@ -256,31 +256,6 @@ func sortRuns(runs []run, o order) {
 	wg.Wait()
 }
 
-// lowestSeqs collects the limit lowest-seq records pushed into it
-// (every record when limit is 0) in O(n log limit) time and O(limit)
-// memory: at 2*limit records it sorts and cuts back to limit.
-type lowestSeqs struct {
-	recs  []record
-	limit int
-}
-
-func (c *lowestSeqs) push(r record) {
-	c.recs = append(c.recs, r)
-	if c.limit > 0 && len(c.recs) == 2*c.limit {
-		slices.SortFunc(c.recs, bySeq.cmp)
-		c.recs = c.recs[:c.limit]
-	}
-}
-
-// sorted returns the kept records in seq order.
-func (c *lowestSeqs) sorted() []record {
-	sortRecords(c.recs, bySeq)
-	if c.limit > 0 && len(c.recs) > c.limit {
-		c.recs = c.recs[:c.limit]
-	}
-	return c.recs
-}
-
 // cursor is a run's read position in a merge, with the sort key of
 // the record at it.
 type cursor struct {

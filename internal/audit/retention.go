@@ -25,7 +25,7 @@ import (
 func (l *Log) Expire(cutoff, exceptionCutoff time.Time) int {
 	keep := retention(cutoff, exceptionCutoff)
 	if d := l.cold; d != nil {
-		n, err := d.retain(indexTimeBound(cutoff), keep, nil)
+		n, err := d.retain(keep, nil)
 		if err != nil {
 			d.report(err)
 		}
@@ -55,7 +55,7 @@ func (l *Log) Rotate(cutoff time.Time) []Entry {
 	collect := func(rotated run) { runs = append(runs, rotated) }
 	if d := l.cold; d != nil {
 		keep := func(ns int64, _ Status) bool { return !before.before(ns) }
-		if _, err := d.retain(indexTimeBound(cutoff), keep, collect); err != nil {
+		if _, err := d.retain(keep, collect); err != nil {
 			d.report(err)
 		}
 	} else {

@@ -302,13 +302,22 @@ func (f *fileStore) declareIndex(col string) error {
 func (f *fileStore) sync() error { return f.w.Sync() }
 
 // checkpoint makes the tree durable and truncates the WAL behind it.
-// The cut LSN is captured before the store checkpoint: every WAL
-// record at or below it is already applied to the tree (mutations
-// write ahead under the table lock), so nothing covered is lost. The
-// cut is persisted in the meta blob; recovery skips replaying records
-// at or below it, because re-applying an old record over the newer
-// checkpointed tree would regress values the tree already carries.
+// The WAL is synced and rolled first, so every record sits in a closed
+// segment and the truncation deletes them all: a reopen reads no frame
+// the checkpoint covers. The cut LSN is captured before the store
+// checkpoint: every WAL record at or below it is already applied to
+// the tree (mutations write ahead under the table lock), so nothing
+// covered is lost. The cut is persisted in the meta blob; recovery
+// skips replaying records at or below it, because re-applying an old
+// record over the newer checkpointed tree would regress values the
+// tree already carries.
 func (f *fileStore) checkpoint() error {
+	if err := f.w.Sync(); err != nil {
+		return err
+	}
+	if err := f.w.Roll(); err != nil {
+		return err
+	}
 	lsnCut := f.w.LastLSN()
 	app := make([]byte, storeAppLen)
 	copy(app, storeMagic)
@@ -445,7 +454,7 @@ func openFileStore(dir string, cols []Column, o StorageOptions) (*fileStore, *re
 	// tree carries from records the crash lost out of the WAL.
 	walDir := filepath.Join(dir, "wal")
 	replayed := 0
-	wst, err := storage.Replay(walDir, o.OpenFile, func(lsn uint64, p []byte) error {
+	_, err = storage.Replay(walDir, o.OpenFile, func(lsn uint64, p []byte) error {
 		if lsn <= f.ckptLSN {
 			return nil
 		}
@@ -485,27 +494,33 @@ func openFileStore(dir string, cols []Column, o StorageOptions) (*fileStore, *re
 		return fail(err)
 	}
 
-	// A checkpoint can outrun WAL durability (its cut counts assigned
-	// LSNs, some of which a crash may have kept from disk). New records
-	// would then reuse LSNs below the cut and be skipped by the next
-	// recovery — so clear the WAL and restart its numbering from zero;
-	// the reset cut is persisted by the recovery checkpoint below.
-	cleared := false
-	if f.ckptLSN > 0 && wst.LastLSN < f.ckptLSN {
-		if err := os.RemoveAll(walDir); err != nil {
-			return fail(err)
-		}
-		cleared = true
-	}
-
-	f.w, err = storage.OpenWAL(walDir, storage.WALOptions{
+	wo := storage.WALOptions{
 		SegmentBytes:   o.SegmentBytes,
 		CommitInterval: o.CommitInterval,
 		NoSync:         o.NoSync,
 		OpenFile:       o.OpenFile,
-	})
-	if err != nil {
+	}
+	if f.w, err = storage.OpenWAL(walDir, wo); err != nil {
 		return fail(err)
+	}
+	// A checkpoint can outrun WAL durability (its cut counts assigned
+	// LSNs, some of which a crash may have kept from disk). New records
+	// would then reuse LSNs below the cut and be skipped by the next
+	// recovery — so clear the WAL and restart its numbering from zero;
+	// the reset cut is persisted by the recovery checkpoint below. The
+	// WAL resumes from its last segment's name, which, after a
+	// checkpoint's roll, names the LSN past the cut with no record.
+	cleared := false
+	if f.w.LastLSN() < f.ckptLSN {
+		f.w.Close()
+		f.w = nil
+		if err := os.RemoveAll(walDir); err != nil {
+			return fail(err)
+		}
+		if f.w, err = storage.OpenWAL(walDir, wo); err != nil {
+			return fail(err)
+		}
+		cleared = true
 	}
 
 	ids := make([]uint64, 0, len(byID))

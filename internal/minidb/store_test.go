@@ -281,6 +281,60 @@ func TestFileStorageCheckpointReopen(t *testing.T) {
 	}
 }
 
+// TestCheckpointLeavesNoWAL: a checkpoint syncs and rolls the WAL
+// before it truncates, so after insert, Checkpoint and Close the WAL
+// holds no frame, and a reopen neither replays nor checkpoints again:
+// the store's version stays where the checkpoint left it.
+func TestCheckpointLeavesNoWAL(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenDatabase(StorageOptions{Dir: dir, CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(durabilitySchema + ` STORAGE file`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300; i++ {
+		if _, err := db.Exec(fmt.Sprintf(
+			`INSERT INTO t (id, name, score, ok) VALUES (%d, 'n%d', %d.0, TRUE)`, i, i, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := selectAll(t, db, "t")
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	version := db.tables["t"].store.(*fileStore).st.Version()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for reopen := 0; reopen <= 3; reopen++ {
+		wst, err := storage.Replay(filepath.Join(dir, "t", "wal"), nil, func(uint64, []byte) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wst.Records != 0 {
+			t.Fatalf("after %d reopens the WAL replays %d records a checkpoint covers", reopen, wst.Records)
+		}
+		if reopen == 3 {
+			break
+		}
+		db, err := OpenDatabase(StorageOptions{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := selectAll(t, db, "t"); !sameRows(want, got) {
+			t.Fatal("reopened table diverged")
+		}
+		if got := db.tables["t"].store.(*fileStore).st.Version(); got != version {
+			t.Fatalf("reopen %d moved the store to version %d from %d", reopen+1, got, version)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestFileStorageDropTableRemovesDir(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenDatabase(StorageOptions{Dir: dir, CommitInterval: -1})

@@ -509,7 +509,8 @@ func (s *Store) Scan(from, to []byte, fn func(key, val []byte) bool) error {
 }
 
 // Splits returns up to n-1 ascending keys that cut the key space into
-// at most n ranges holding about equal shares of the root's children:
+// at most n ranges holding about equal shares of the root's children,
+// or of its grandchildren when the root has fewer than n children:
 // scanning [nil, k1), [k1, k2), …, [kLast, nil) visits every key
 // exactly once, so the ranges can be scanned in parallel. A tree whose
 // root is a leaf, or n <= 1, gives none.
@@ -520,22 +521,60 @@ func (s *Store) Splits(n int) ([][]byte, error) {
 	if id == 0 || n <= 1 {
 		return nil, nil
 	}
+	keys, kids, err := s.branchKeys(id)
+	if err != nil || len(keys) == 0 {
+		return nil, err
+	}
+	// Candidate split keys: every separator but the first, a lower bound.
+	cand := keys[1:]
+	if len(cand)+1 < n {
+		var finer [][]byte
+		for i, kid := range kids {
+			ks, _, err := s.branchKeys(kid)
+			if err != nil {
+				return nil, err
+			}
+			if len(ks) == 0 {
+				finer = nil // the children are leaves
+				break
+			}
+			if i > 0 {
+				finer = append(finer, keys[i])
+			}
+			finer = append(finer, ks[1:]...)
+		}
+		if len(finer) > len(cand) {
+			cand = finer
+		}
+	}
+	n = min(n, len(cand)+1)
+	out := make([][]byte, 0, n-1)
+	for r := 1; r < n; r++ {
+		out = append(out, cand[r*(len(cand)+1)/n-1])
+	}
+	return out, nil
+}
+
+// branchKeys returns the separator keys and children of branch page
+// id, or nothing when it is a leaf.
+func (s *Store) branchKeys(id uint32) ([][]byte, []uint32, error) {
 	f, err := s.pool.get(id, false)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	f.latch.RLock()
 	pg := page(f.buf)
 	var keys [][]byte
-	if fan := pg.ncells(); pg.kind() == kindBranch {
-		n = min(n, fan)
-		for r := 1; r < n; r++ {
-			keys = append(keys, pg.keyAt(r*fan/n))
+	var kids []uint32
+	if pg.kind() == kindBranch {
+		for i := 0; i < pg.ncells(); i++ {
+			_, child := pg.branchCell(i)
+			keys, kids = append(keys, pg.keyAt(i)), append(kids, child)
 		}
 	}
 	f.latch.RUnlock()
 	s.pool.put(f, false)
-	return keys, nil
+	return keys, kids, nil
 }
 
 // splitItems greedily packs sorted items into groups of at most

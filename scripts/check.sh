@@ -66,7 +66,7 @@ go tool cover -func=coverage-prima-vet.out | awk '
         if ($3 + 0 < 70) { print "coverage below the 70% floor" > "/dev/stderr"; exit 1 }
     }'
 
-echo "==> fuzz smoke (~90s: decoders, the durable record codec, WAL replay, the CRC frame, the wire entry codec and the SQL parser must not panic, the parser must keep its nesting bound, symbolic algebra and FP-growth must match their ground oracles)"
+echo "==> fuzz smoke (~100s: decoders, the durable record codec, WAL replay, the CRC frame, the wire entry codec and the SQL parser must not panic, the parser must keep its nesting bound, symbolic algebra and FP-growth must match their ground oracles, and the enforcer must match its reference interpreter)"
 go test -fuzz=FuzzDecodePolicy -fuzztime=10s -run=NONE ./internal/policy > /dev/null
 go test -fuzz=FuzzDecodeEntry -fuzztime=10s -run=NONE ./internal/audit > /dev/null
 go test -fuzz=FuzzDurableRecord -fuzztime=10s -run=NONE ./internal/audit > /dev/null
@@ -76,6 +76,7 @@ go test -fuzz=FuzzWALReplay -fuzztime=10s -run=NONE ./internal/storage > /dev/nu
 go test -fuzz=FuzzFrameDecode -fuzztime=10s -run=NONE ./internal/storage > /dev/null
 go test -fuzz=FuzzEntryCodec -fuzztime=10s -run=NONE ./internal/netfed > /dev/null
 go test -fuzz=FuzzParse -fuzztime=10s -run=NONE ./internal/minidb > /dev/null
+go test -fuzz=FuzzEnforcedQuery -fuzztime=10s -run=NONE ./internal/hdb > /dev/null
 
 echo "==> go test -race (concurrency suites: root facade, audit, consent, core, hdb, lint, minidb, mining, netfed, policy, storage, vocab, workflow, server)"
 go test -race . ./internal/audit/ ./internal/consent/ ./internal/core/ ./internal/hdb/ ./internal/lint/ ./internal/minidb/ ./internal/mining/ ./internal/netfed/ ./internal/policy/ ./internal/storage/ ./internal/vocab/ ./internal/workflow/ ./internal/server/
